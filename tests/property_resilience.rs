@@ -16,7 +16,8 @@ use grom::chase::{
     InterruptReason, SchedulerMode,
 };
 use grom::data::canonical_render;
-use grom::scenarios::{generate, random_spec};
+use grom::prelude::{Dependency, Instance, Value};
+use grom::scenarios::{generate, random_spec, ScenarioSpec};
 
 const MODES: [SchedulerMode; 4] = [
     SchedulerMode::FullRescan,
@@ -24,6 +25,70 @@ const MODES: [SchedulerMode; 4] = [
     SchedulerMode::Parallel { threads: 2 },
     SchedulerMode::Parallel { threads: 4 },
 ];
+
+/// Run `deps` over `inst` to completion under `mode`, uninterrupted.
+fn clean_render(inst: &Instance, deps: &[Dependency], cfg: &ChaseConfig) -> String {
+    match chase_standard_outcome(inst.clone(), deps, cfg) {
+        Ok(ChaseOutcome::Completed(r)) => canonical_render(&r.instance),
+        other => panic!(
+            "{:?}: uninterrupted run did not complete: {other:?}",
+            cfg.scheduler
+        ),
+    }
+}
+
+/// Kill a run under `kill_cfg` before sweep 2, returning the checkpoint's
+/// JSON form.
+fn kill_before_sweep_2(inst: &Instance, deps: &[Dependency], kill_cfg: &ChaseConfig) -> String {
+    fail::install("sweep:interrupt@2").unwrap();
+    let killed = chase_standard_outcome(inst.clone(), deps, kill_cfg);
+    fail::clear();
+    let interrupted = match killed {
+        Ok(ChaseOutcome::Interrupted(i)) => i,
+        other => panic!(
+            "{:?}: sweep-2 kill did not interrupt: {other:?}",
+            kill_cfg.scheduler
+        ),
+    };
+    assert!(matches!(interrupted.reason, InterruptReason::Fault));
+    interrupted.checkpoint.to_json()
+}
+
+/// The consumer-before-producer program of the kill-window test below.
+fn kill_window_scenario() -> (Vec<Dependency>, Instance) {
+    let program = "tgd c: B(x, y) -> C(x, y).\n\
+                   tgd d: C(x, y) -> D(x, y).\n\
+                   tgd p: A(x, y) -> B(x, y).";
+    let p = grom::lang::parser::parse_program(program).unwrap();
+    let mut inst = Instance::new();
+    for i in 0..6i64 {
+        inst.add("A", vec![Value::int(i), Value::int(i + 1)])
+            .unwrap();
+    }
+    (p.deps, inst)
+}
+
+/// Round-trip `json` through the checkpoint parser, resume under
+/// `resume_cfg`, and require the rendering `want`.
+fn resume_and_check(
+    json: &str,
+    deps: &[Dependency],
+    resume_cfg: &ChaseConfig,
+    want: &str,
+    what: &str,
+) {
+    let restored = Checkpoint::from_json(json)
+        .unwrap_or_else(|e| panic!("{what}: checkpoint does not round-trip: {e}"));
+    let resumed = match chase_resume(&restored, deps, resume_cfg) {
+        Ok(ChaseOutcome::Completed(r)) => r,
+        other => panic!("{what}: resume did not complete: {other:?}"),
+    };
+    assert_eq!(
+        canonical_render(&resumed.instance),
+        want,
+        "{what}: resumed instance diverges from the uninterrupted run"
+    );
+}
 
 /// A kill landing *between* insertion and the sweep-boundary promotion of
 /// the inserted tuples: the consumer is declared before its producer, so
@@ -35,39 +100,16 @@ const MODES: [SchedulerMode; 4] = [
 /// fixpoint.
 #[test]
 fn kill_between_insertion_and_promotion_round_trips_pending_deltas() {
-    use grom::prelude::{Instance, Value};
-
     let _guard = fail::test_lock();
     fail::clear();
 
-    let program = "tgd c: B(x, y) -> C(x, y).\n\
-                   tgd d: C(x, y) -> D(x, y).\n\
-                   tgd p: A(x, y) -> B(x, y).";
-    let p = grom::lang::parser::parse_program(program).unwrap();
-    let mut inst = Instance::new();
-    for i in 0..6i64 {
-        inst.add("A", vec![Value::int(i), Value::int(i + 1)])
-            .unwrap();
-    }
-    let base = ChaseConfig::default().with_max_rounds(50);
-
+    let (deps, inst) = kill_window_scenario();
     for mode in MODES {
-        let cfg = base.clone().with_scheduler(mode);
-        let clean = match chase_standard_outcome(inst.clone(), &p.deps, &cfg) {
-            Ok(ChaseOutcome::Completed(r)) => r,
-            other => panic!("{mode:?}: uninterrupted run did not complete: {other:?}"),
-        };
-        let want = canonical_render(&clean.instance);
-
-        fail::install("sweep:interrupt@2").unwrap();
-        let killed = chase_standard_outcome(inst.clone(), &p.deps, &cfg);
-        fail::clear();
-        let interrupted = match killed {
-            Ok(ChaseOutcome::Interrupted(i)) => i,
-            other => panic!("{mode:?}: sweep-2 kill did not interrupt: {other:?}"),
-        };
-        assert!(matches!(interrupted.reason, InterruptReason::Fault));
-        let json = interrupted.checkpoint.to_json();
+        let cfg = ChaseConfig::default()
+            .with_max_rounds(50)
+            .with_scheduler(mode);
+        let want = clean_render(&inst, &deps, &cfg);
+        let json = kill_before_sweep_2(&inst, &deps, &cfg);
         if matches!(mode, SchedulerMode::Delta) {
             // The window this test exists for: unclaimed delta payloads in
             // the envelope, carrying their (all-new) partition record.
@@ -80,17 +122,40 @@ fn kill_between_insertion_and_promotion_round_trips_pending_deltas() {
                 "{mode:?}: v2 envelope lacks the partition record: {json}"
             );
         }
-        let restored = Checkpoint::from_json(&json)
-            .unwrap_or_else(|e| panic!("{mode:?}: checkpoint does not round-trip: {e}"));
-        let resumed = match chase_resume(&restored, &p.deps, &cfg) {
-            Ok(ChaseOutcome::Completed(r)) => r,
-            other => panic!("{mode:?}: resume did not complete: {other:?}"),
-        };
-        assert_eq!(
-            canonical_render(&resumed.instance),
-            want,
-            "{mode:?}: resume after a mid-promotion kill diverges"
+        resume_and_check(&json, &deps, &cfg, &want, &format!("{mode:?}"));
+    }
+}
+
+/// "Any mode resumes any checkpoint": kill under mode A before sweep 2,
+/// round-trip the checkpoint through JSON, resume under mode B, and
+/// require the uninterrupted fixpoint — for all 4×4 (A, B) pairs, on the
+/// hand-written kill-window program (live `Pending::Delta` payloads cross
+/// the mode boundary) and on a generated egd-bearing scenario (a restored
+/// null map and post-merge `Full` slots cross it).
+#[test]
+fn any_mode_resumes_any_modes_checkpoint() {
+    let _guard = fail::test_lock();
+    fail::clear();
+
+    let spec = ScenarioSpec::parse("mix=vpart:1,er:1 depth=3 egd=1.00 seed=153 scale=2").unwrap();
+    let generated = generate(&spec).parts().expect("generated scenario parses");
+    for (what, (deps, inst)) in [("kill-window", kill_window_scenario()), ("egd", generated)] {
+        assert!(
+            what != "egd" || deps.iter().any(|d| !d.disjuncts[0].eqs.is_empty()),
+            "the generated scenario must bear egds"
         );
+        let base = ChaseConfig::default().with_max_rounds(200);
+        for kill_mode in MODES {
+            let kill_cfg = base.clone().with_scheduler(kill_mode);
+            let want = clean_render(&inst, &deps, &kill_cfg);
+            let json = kill_before_sweep_2(&inst, &deps, &kill_cfg);
+            for resume_mode in MODES {
+                let resume_cfg = base.clone().with_scheduler(resume_mode);
+                let what =
+                    format!("{what}: killed under {kill_mode:?}, resumed under {resume_mode:?}");
+                resume_and_check(&json, &deps, &resume_cfg, &want, &what);
+            }
+        }
     }
 }
 
