@@ -708,7 +708,7 @@ fn e11() -> Table {
 
 /// E12 — semi-naive evaluation on multi-anchor premises: the old/new
 /// version split vs the full-rescan reference on the composition chain of
-/// [`grom_bench::seminaive_workload`]. Every premise reads the same
+/// [`grom_bench::workloads::seminaive_workload`]. Every premise reads the same
 /// relation at two positions, so each delta activation seeds both anchor
 /// positions and only the versioned split keeps enumeration exactly-once
 /// without a dedup set. Instances must be byte-identical. The zero-wall

@@ -1,13 +1,13 @@
 //! Sweep-aligned chase checkpoints.
 //!
-//! Every chase loop interrupts only at a sweep (or round) boundary: the
-//! sweep's equality obligations have been substituted into the instance,
-//! the delta logs have been routed into the scheduler worklist, and the
-//! null generator cursor is past every allocated label. A [`Checkpoint`]
-//! captures exactly that state — instance, per-dependency pending work,
-//! flattened `NullMap`, null cursor, and the round count — and
-//! [`chase_resume`] continues from it to a final instance that is
-//! `canonical_render`-identical to an uninterrupted run.
+//! The sweep driver ([`crate::sweep`]) interrupts only at a sweep boundary,
+//! under every scheduler mode: the sweep's equality obligations have been
+//! substituted into the instance, the delta logs have been routed into the
+//! scheduler worklist, and the null generator cursor is past every
+//! allocated label. A [`Checkpoint`] captures exactly that state —
+//! instance, per-dependency pending work, flattened `NullMap`, null cursor,
+//! and the round count — and [`chase_resume`] continues from it to a final
+//! instance that is `canonical_render`-identical to an uninterrupted run.
 //!
 //! Checkpoints serialize through the hand-rolled JSON layer of
 //! `grom-trace`; instances and delta tuples ride inside JSON strings in
@@ -21,9 +21,9 @@ use grom_data::{read_instance, write_instance, Instance, NullId, Tuple, Value};
 use grom_lang::Dependency;
 use grom_trace::json::{self, JsonValue};
 
-use crate::config::{ChaseConfig, SchedulerMode};
+use crate::config::ChaseConfig;
 use crate::nullmap::NullMap;
-use crate::result::{ChaseError, ChaseOutcome, ChaseResult};
+use crate::result::{ChaseError, ChaseOutcome};
 use crate::scheduler::Pending;
 
 /// The relation name carrying the flattened null map in serialized form:
@@ -36,8 +36,8 @@ const NULLMAP_REL: &str = "__nullmap";
 /// [`Checkpoint::from_json`].
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Scheduler mode of the interrupted run ("delta", "full_rescan",
-    /// "parallel<n>"). Informational: resume follows the *config*'s mode,
+    /// Scheduler mode of the interrupted run (`delta`, `full_rescan`,
+    /// `parallel<n>`). Informational: resume follows the *config*'s mode,
     /// and the pending worklist is valid under any of them.
     mode: String,
     /// Rounds completed before the interruption; resume continues the
@@ -186,12 +186,7 @@ impl Checkpoint {
                         if j > 0 {
                             out.push(',');
                         }
-                        let _ = write!(
-                            out,
-                            "\"{}\":{}",
-                            json::escape(rel),
-                            di.tuples(rel).count()
-                        );
+                        let _ = write!(out, "\"{}\":{}", json::escape(rel), di.tuples(rel).count());
                     }
                     out.push_str("}}");
                 }
@@ -289,8 +284,8 @@ impl Checkpoint {
     }
 }
 
-/// Loop state rebuilt from a checkpoint (or built fresh at chase entry);
-/// the shared currency of the three scheduler loops.
+/// Run state rebuilt from a checkpoint (or built fresh at chase entry):
+/// what the sweep driver starts from.
 pub(crate) struct ResumeState {
     pub inst: Instance,
     pub rounds: usize,
@@ -361,7 +356,7 @@ fn instance_to_delta(inst: &Instance) -> BTreeMap<Arc<str>, Vec<Tuple>> {
 
 /// Continue an interrupted chase from `checkpoint` under `config`'s
 /// scheduler mode (any mode resumes any checkpoint: the pending worklist
-/// is mode-agnostic, and the full-rescan loop simply rescans). `deps` must
+/// is mode-agnostic, and the full-rescan reference simply rescans). `deps` must
 /// be the same dependency set, in the same order, as the interrupted run.
 ///
 /// The resumed run is itself budget-aware: it can complete, interrupt
@@ -372,16 +367,8 @@ pub fn chase_resume(
     deps: &[Dependency],
     config: &ChaseConfig,
 ) -> Result<ChaseOutcome, ChaseError> {
-    let mut state = checkpoint.restore(deps)?;
-    crate::trigger::register_join_keys(&mut state.inst, deps);
-    let run: Result<ChaseResult, ChaseError> = match config.scheduler {
-        SchedulerMode::Delta => crate::scheduler::chase_delta_resume(state, deps, config),
-        SchedulerMode::FullRescan => crate::standard::chase_full_rescan_resume(state, deps, config),
-        SchedulerMode::Parallel { threads } => {
-            crate::parallel::chase_parallel_resume(state, deps, config, threads)
-        }
-    };
-    ChaseOutcome::from_run(run)
+    let state = checkpoint.restore(deps)?;
+    ChaseOutcome::from_run(crate::sweep::run_chase(state, deps, config))
 }
 
 #[cfg(test)]

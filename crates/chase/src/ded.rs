@@ -16,10 +16,9 @@
 //!   measures, and the reason GROM defaults to the greedy strategy.
 //!
 //! Both strategies close instances under the *standard* dependencies by
-//! delegating to [`chase_standard`], so they inherit the delta-driven
-//! scheduler of [`crate::scheduler`] (or the full-rescan reference loop,
-//! per [`crate::config::SchedulerMode`]) for every scenario run and every
-//! tree-node closure.
+//! delegating to [`chase_standard`], so every scenario run and every
+//! tree-node closure is a run of the sweep driver ([`crate::sweep`]) under
+//! the configured [`crate::config::SchedulerMode`].
 
 use grom_data::{Instance, NullGenerator};
 use grom_lang::{Bindings, Dependency};
@@ -30,7 +29,8 @@ use grom_engine::{disjunct_satisfied, evaluate_body_streaming, Control};
 use crate::config::ChaseConfig;
 use crate::nullmap::NullMap;
 use crate::result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats};
-use crate::standard::{apply_disjunct, chase_standard, check_executable};
+use crate::standard::{chase_standard, check_executable};
+use crate::sweep::{apply_disjunct, LiveSink};
 
 /// Anchor the campaign budget once, so every scenario / node closure the
 /// campaign delegates to [`chase_standard`] shares one wall-clock deadline
@@ -176,7 +176,7 @@ pub fn chase_with_deds(
     chase_greedy(start, deps, config)
 }
 
-/// Budget-aware twin of [`chase_with_deds`]: a budget or cancellation stop
+/// Budget-aware form of [`chase_with_deds`]: a budget or cancellation stop
 /// in the underlying scenario run surfaces as
 /// [`ChaseOutcome::Interrupted`] with the instance-so-far and a resumable
 /// checkpoint. Note the checkpoint of a ded run is tied to the scenario's
@@ -357,15 +357,12 @@ pub fn chase_exhaustive(
                     let mut nullgen =
                         NullGenerator::starting_at(child.max_null_label().map_or(0, |l| l + 1));
                     let mut nullmap = NullMap::new();
-                    match apply_disjunct(
-                        &mut child,
-                        dep,
-                        i,
-                        &bindings,
-                        &mut nullmap,
-                        &mut nullgen,
-                        &mut stats,
-                    ) {
+                    let mut sink = LiveSink {
+                        inst: &mut child,
+                        nullmap: &mut nullmap,
+                        nullgen: &mut nullgen,
+                    };
+                    match apply_disjunct(&mut sink, dep, i, &bindings, &mut stats) {
                         Ok(merged) => {
                             if merged {
                                 child.substitute_nulls(|id| nullmap.lookup(id));

@@ -10,31 +10,42 @@
 //!   constraints: tgd conclusions are witnessed with fresh labeled nulls,
 //!   egds unify nulls (failing on constant/constant conflicts), denials
 //!   fail on any premise match. Produces **universal solutions** for
-//!   weakly-acyclic programs.
+//!   weakly-acyclic programs. Its two entry points, [`chase_standard`] and
+//!   [`chase_resume`], both run on
+//! * [`sweep`] — the **sweep driver**: the one loop that counts rounds,
+//!   enforces `max_rounds`, polls budget / cancellation / fault injection
+//!   at sweep boundaries, captures checkpoints and assembles the result.
+//!   It hands each sweep to one of three executors selected by
+//!   [`config::SchedulerMode`], and hosts what two of them share: one
+//!   activation body over a repair-sink trait, and the one repair applier
+//!   every chase variant uses.
+//! * [`trigger`] / [`scheduler`] — the delta worklist and the **inline
+//!   executor** (the default): a static trigger index routes newly inserted
+//!   tuples to the dependencies whose premises read them, and premise
+//!   evaluation is seeded from those deltas instead of rescanning the whole
+//!   instance every round.
+//! * [`partition`] / [`parallel`] — the **pool executor**: the worklist is
+//!   partitioned into conflict-free dependency groups (egds included — they
+//!   are pure readers within a sweep) and each sweep's activations run on
+//!   the worker pool of `grom-exec` against immutable instance snapshots.
+//!   Per-worker insertion buffers are merged deterministically at the sweep
+//!   barrier, where the workers' equality-obligation buffers are also
+//!   unified — in declaration order — and resolved with one combined
+//!   substitution pass per merge-bearing sweep.
+//! * the **rescan executor** (in [`standard`]) — the classical loop, every
+//!   premise against the whole instance every round; the reference the
+//!   other two are tested against.
 //! * [`ded`] — the two ded-chase strategies of §3 "Handling Complexity":
 //!   the **greedy chase** (search over standard scenarios derived by fixing
 //!   one disjunct per ded — sound, incomplete, usually fast) and the
 //!   **exhaustive chase** (fork per disjunct at every violation; the set of
 //!   successful leaves is the *universal model set* of Deutsch–Nash–Remmel,
 //!   potentially exponential — exactly the blow-up experiment E4 measures).
+//! * [`checkpoint`] — sweep-aligned, serializable checkpoints of an
+//!   interrupted run; any mode resumes any mode's checkpoint.
 //! * [`wa`] — weak-acyclicity analysis of the position graph, the classical
 //!   sufficient condition for chase termination; non-weakly-acyclic
 //!   programs run under the round budget of [`ChaseConfig`].
-//! * [`trigger`] / [`scheduler`] — the delta-driven (semi-naive) scheduler
-//!   that all chase variants run on by default: a static trigger index
-//!   routes newly inserted tuples to the dependencies whose premises read
-//!   them, and premise evaluation is seeded from those deltas instead of
-//!   rescanning the whole instance every round (see
-//!   [`config::SchedulerMode`]).
-//! * [`partition`] / [`parallel`] — the parallel chase executor: the
-//!   scheduler worklist is partitioned into conflict-free dependency
-//!   groups (egds included — they are pure readers within a sweep) and
-//!   each sweep's activations run on the worker pool of `grom-exec`
-//!   against immutable instance snapshots. Per-worker insertion buffers
-//!   are merged deterministically at the sweep barrier, where the workers'
-//!   equality-obligation buffers are also unified — in declaration order —
-//!   and resolved with one combined substitution pass per merge-bearing
-//!   sweep ([`config::SchedulerMode::Parallel`]).
 
 pub mod checkpoint;
 pub mod config;
@@ -46,6 +57,7 @@ pub mod partition;
 pub mod result;
 pub mod scheduler;
 pub mod standard;
+pub mod sweep;
 pub mod trigger;
 pub mod wa;
 

@@ -1,9 +1,9 @@
-//! The parallel chase executor: scheduler sweeps on a worker pool.
+//! The pool executor: scheduler sweeps on a worker pool.
 //!
-//! `chase_standard_parallel` (the [`SchedulerMode::Parallel`] arm of
-//! [`crate::standard::chase_standard`]) runs the same worklist as the
-//! sequential delta scheduler ([`crate::scheduler`]), but executes each
-//! sweep's activations concurrently:
+//! The [`SchedulerMode::Parallel`] executor of the sweep driver
+//! ([`crate::sweep`]) runs the same worklist as the inline executor
+//! (`crate::scheduler::inline_sweep`), but executes each sweep's
+//! activations concurrently:
 //!
 //! 1. The dependency set is statically partitioned into **conflict-free
 //!    groups** ([`crate::partition::Partition`]): two dependencies conflict
@@ -12,29 +12,28 @@
 //!    group's insertions can neither create nor satisfy another group's
 //!    matches. *Every* dependency is group-executable, egds included.
 //! 2. Each sweep claims the whole worklist at once; the groups with
-//!    pending work become jobs on a [`WorkerPool`]. Every worker evaluates
-//!    against an immutable snapshot of the instance through a
-//!    [`ShardView`] (snapshot ∪ private insertion buffer) and allocates
-//!    fresh nulls from a disjoint strided label range.
+//!    pending work become jobs on a [`WorkerPool`]. Every worker runs the
+//!    shared activation body (`crate::sweep::activate`) over a
+//!    `ShardSink`: reads see an immutable snapshot of the instance ∪ the
+//!    worker's private insertion buffer ([`ShardView`]), fresh nulls come
+//!    from a disjoint strided label range.
 //! 3. Equality repairs never touch the instance from a worker: they
-//!    **collect obligations** — raw value pairs, buffered in the shard
-//!    view — against a read-only snapshot of the run-level [`NullMap`],
-//!    plus a worker-local overlay so later violations of the same job see
-//!    the pending merges and are skipped
-//!    ([`grom_engine::disjunct_satisfied_resolved`]).
-//! 4. At the sweep barrier the coordinator merges the insertion buffers in
-//!    job order, routes the merged deltas, then unifies the merged
-//!    obligation sets **deterministically** — concatenated in job order
-//!    and stably sorted by declaration index, so the unification order
-//!    (and any constant-clash report) is a function of the job contents,
-//!    never of thread scheduling. If anything merged, it applies **one**
+//!    **collect obligations** — value pairs, buffered in the shard view —
+//!    against a read-only snapshot of the run-level [`NullMap`], plus a
+//!    worker-local overlay so later violations of the same job see the
+//!    pending merges and are skipped.
+//! 4. At the sweep barrier the coordinator unifies the merged obligation
+//!    sets **deterministically** — concatenated in job order and stably
+//!    sorted by declaration index, so the unification order (and any
+//!    constant-clash report) is a function of the job contents, never of
+//!    thread scheduling — then merges the insertion buffers in job order
+//!    and routes the merged deltas. If anything merged, it applies **one**
 //!    combined substitution pass and one targeted reader invalidation for
-//!    the whole sweep (`apply_sweep_merges`, shared with the sequential
-//!    loop).
+//!    the whole sweep (`apply_sweep_merges`).
 //!
 //! Within a group, a worker routes its own insertions to later
 //! dependencies of the same job via the [`TriggerIndex`], mirroring the
-//! same-round cascading of the sequential loop — including its
+//! same-sweep cascading of the inline executor — including its
 //! atom-bearing flush rule: once a job holds pending obligations, a later
 //! atom-bearing dependency of the same job is *deferred* (the coordinator
 //! re-marks it `Full`) so its embedding checks run after the barrier
@@ -44,9 +43,9 @@
 //! does not) — with one documented corner: dependencies in conflict-
 //! *disconnected* groups that share labeled nulls only through the
 //! *initial* instance evaluate against the sweep-start snapshot where the
-//! sequential loop would flush first, and may keep a redundant (but
+//! inline executor would flush first, and may keep a redundant (but
 //! sound — the result is still a universal solution) fresh-null tuple the
-//! sequential loop avoids. No dependency chain can create that sharing:
+//! inline executor avoids. No dependency chain can create that sharing:
 //! any dep copying a null between the two relation clusters would conflict
 //! with both and merge the groups.
 //!
@@ -57,23 +56,18 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use grom_data::{DeltaLog, Instance, NullGenerator, StridedNullGenerator, Value};
-use grom_lang::{Bindings, Dependency, Term, Var};
-use grom_trace::{ActivationKind, ActivationRecord, Recorder, WorkerRecorder};
+use grom_data::{DataError, DeltaLog, Instance, StridedNullGenerator, Tuple, Value};
+use grom_lang::Dependency;
+use grom_trace::WorkerRecorder;
 
-use grom_engine::{disjunct_satisfied, disjunct_satisfied_resolved, find_violation};
 use grom_exec::{ShardView, WorkerPool};
 
-use crate::checkpoint::ResumeState;
-use crate::config::{CancelToken, ChaseConfig, InterruptReason};
+use crate::config::{CancelToken, InterruptReason};
 use crate::nullmap::{NullMap, Unify};
 use crate::partition::Partition;
-use crate::result::{ChaseError, ChaseResult, ChaseStats};
-use crate::scheduler::{
-    apply_sweep_merges, concludes_atoms, delta_violations, interrupted_return, trip_check, Pending,
-    Scheduler,
-};
-use crate::standard::{check_executable, collect_violations, eval_bound_term};
+use crate::result::{ChaseError, ChaseStats};
+use crate::scheduler::{apply_sweep_merges, concludes_atoms, Pending};
+use crate::sweep::{activate, RepairSink, Run, SweepEnd};
 use crate::trigger::TriggerIndex;
 
 /// The worker-observable slice of the run budget: cancellation and the
@@ -105,6 +99,7 @@ struct GroupJob {
 }
 
 /// What a job hands back at the barrier.
+#[derive(Default)]
 struct GroupOutcome {
     /// Everything the job inserted, in per-relation insertion order.
     delta: DeltaLog,
@@ -145,109 +140,78 @@ struct GroupOutcome {
     observed: Option<InterruptReason>,
 }
 
-/// Resolve a value through the frozen sweep-start null map, then through
-/// the worker-local obligation overlay. Stored tuples are clean with
-/// respect to the frozen map (every sweep that merges also substitutes),
-/// so the overlay carries all the action; the frozen hop is a cheap
-/// safety net.
-fn resolve_overlay(base: &NullMap, local: &mut NullMap, v: &Value) -> Value {
-    local.resolve(&base.resolve_frozen(v))
+/// The worker-side repair sink: reads and inserts go through the
+/// [`ShardView`]; equalities become *obligations* for the coordinator's
+/// barrier unification instead of being unified in place.
+struct ShardSink<'a> {
+    view: ShardView<'a>,
+    /// The run-level null map, frozen at sweep start. Stored tuples are
+    /// clean with respect to it (every sweep that merges also
+    /// substitutes), so `local` carries all the action; the frozen hop is
+    /// a cheap safety net.
+    base_nulls: &'a NullMap,
+    /// Worker-local overlay of the obligations this job has recorded, so
+    /// its later violations see the pending merges.
+    local: NullMap,
+    nulls: StridedNullGenerator,
 }
 
-/// Apply one disjunct inside a worker: comparisons are checked, equalities
-/// are recorded as obligations into the shard view (and folded into the
-/// worker-local overlay), atoms are inserted into the insertion buffer
-/// with values resolved through the overlay, inventing fresh nulls from
-/// the worker's strided range.
-///
-/// Keep in sync with [`crate::standard::apply_disjunct`]: this is its
-/// snapshot-side twin — instance writes go through the [`ShardView`], and
-/// null unification is deferred to the coordinator's barrier (a local
-/// constant clash is *recorded*, not raised; the coordinator detects it
-/// deterministically).
-fn apply_group_disjunct(
-    view: &mut ShardView<'_>,
-    dep: &Dependency,
-    bindings: &Bindings,
-    base_nulls: &NullMap,
-    local: &mut NullMap,
-    nulls: &mut StridedNullGenerator,
-    stats: &mut ChaseStats,
-) -> Result<(), ChaseError> {
-    let disjunct = &dep.disjuncts[0];
+impl<'a> RepairSink for ShardSink<'a> {
+    type Db = ShardView<'a>;
 
-    // Comparisons over premise variables: if they do not hold for this
-    // match, no repair can ever satisfy this disjunct.
-    for c in &disjunct.cmps {
-        if !bindings.eval_comparison(c).unwrap_or(false) {
-            return Err(ChaseError::Failure {
-                dependency: dep.name.clone(),
-                detail: format!("disjunct comparison `{c}` cannot be satisfied at {bindings}"),
-            });
-        }
+    fn db(&self) -> &ShardView<'a> {
+        &self.view
     }
 
-    // Equalities become obligations: recorded raw for the coordinator's
-    // deterministic barrier unification, folded into the local overlay so
-    // later violations of this job see the pending merges.
-    for (l, r) in &disjunct.eqs {
-        let lv = eval_bound_term(l, bindings, dep)?;
-        let rv = eval_bound_term(r, bindings, dep)?;
-        let la = resolve_overlay(base_nulls, local, &lv);
-        let ra = resolve_overlay(base_nulls, local, &rv);
-        if la == ra {
-            continue;
-        }
-        view.record_obligation(lv, rv);
-        stats.obligations_batched += 1;
-        // A Clash here (two distinct constants) leaves the overlay
-        // untouched; the recorded obligation surfaces it at the barrier.
-        let _ = local.unify(&la, &ra);
+    fn insert(&mut self, relation: &Arc<str>, tuple: Tuple) -> Result<bool, DataError> {
+        self.view.insert(relation, tuple)
     }
 
-    // Atoms: one fresh null per existential variable, shared across the
-    // disjunct's atoms; bound values resolved through the overlay (the
-    // barrier substitution cleans whatever the overlay cannot see).
-    if !disjunct.atoms.is_empty() {
-        let mut fresh: BTreeMap<Var, Value> = BTreeMap::new();
-        for atom in &disjunct.atoms {
-            let mut row = Vec::with_capacity(atom.args.len());
-            for t in &atom.args {
-                let v = match t {
-                    Term::Const(c) => c.clone(),
-                    Term::Var(v) => match bindings.get(v) {
-                        Some(val) => resolve_overlay(base_nulls, local, val),
-                        None => fresh
-                            .entry(v.clone())
-                            .or_insert_with(|| {
-                                stats.nulls_invented += 1;
-                                nulls.fresh()
-                            })
-                            .clone(),
-                    },
-                };
-                row.push(v);
-            }
-            if view.insert(&atom.predicate, row.into())? {
-                stats.tuples_inserted += 1;
-            }
-        }
-        stats.tgd_applications += 1;
+    fn clean(&self) -> bool {
+        self.base_nulls.is_empty() && self.local.is_empty()
     }
 
-    Ok(())
+    fn resolve(&mut self, value: &Value) -> Value {
+        self.local.resolve(&self.base_nulls.resolve_frozen(value))
+    }
+
+    /// Record the obligation for the coordinator and fold it into the
+    /// overlay. Only non-trivial equalities are recorded (and counted);
+    /// merges are counted where they happen, at the barrier.
+    fn equate(
+        &mut self,
+        _dep: &Dependency,
+        left: Value,
+        right: Value,
+        stats: &mut ChaseStats,
+    ) -> Result<bool, ChaseError> {
+        let (l, r) = (self.resolve(&left), self.resolve(&right));
+        if l != r {
+            // A Clash here (two distinct constants) leaves the overlay
+            // untouched; the recorded obligation surfaces it at the
+            // barrier, deterministically.
+            let _ = self.local.unify(&l, &r);
+            self.view.record_obligation(left, right);
+            stats.obligations_batched += 1;
+        }
+        Ok(false)
+    }
+
+    fn fresh_null(&mut self) -> Value {
+        self.nulls.fresh()
+    }
+
+    fn dedup_hits(&self) -> u64 {
+        self.view.dedup_hits()
+    }
 }
 
-/// Run one group's claimed work against a snapshot. Mirrors the
-/// sequential per-dependency body, with the parallel-specific twists: all
-/// reads go through the shard view, equality repairs collect obligations
-/// instead of unifying, and freshly inserted tuples are routed *locally*
+/// Run one group's claimed work against a snapshot: the shared activation
+/// body per claimed entry, with the pool-specific parts around it —
+/// deferral instead of a mid-sweep flush, failures packaged by dependency
+/// index instead of raised, and freshly inserted tuples routed *locally*
 /// to later dependencies of the same job (cross-group routing happens at
 /// the barrier — by construction no other group can read them).
-///
-/// Keep the claim/evaluate/denial handling in sync with
-/// [`crate::scheduler::run_dep_sequential`] — the evaluation halves are
-/// deliberately parallel texts over different databases and sinks.
 fn run_group_job(
     base: &Instance,
     deps: &[Dependency],
@@ -255,8 +219,12 @@ fn run_group_job(
     base_nulls: &NullMap,
     watch: &TripWatch,
     mut job: GroupJob,
-    mut nulls: StridedNullGenerator,
+    nulls: StridedNullGenerator,
 ) -> GroupOutcome {
+    let mut out = GroupOutcome {
+        group: job.group,
+        ..Default::default()
+    };
     // Job-entry interruption point: the `worker` fault (a panic here is
     // contained by the pool's `run_timed_caught`) and the cancellation /
     // deadline watch. A job that observes either *before doing any work*
@@ -264,354 +232,154 @@ fn run_group_job(
     // rescan. That is exact: conflict-free groups do not interact within a
     // sweep, so deferring the whole job is equivalent to the scheduler
     // having claimed it one sweep later.
-    let mut observed: Option<InterruptReason> = if grom_fail::hit("worker") {
+    out.observed = if grom_fail::hit("worker") {
         Some(InterruptReason::Fault)
     } else {
         watch.check()
     };
-    if observed.is_some() {
-        let deferred: Vec<usize> = job
-            .work
-            .iter()
-            .filter(|(_, p)| !matches!(p, Pending::Idle))
-            .map(|(k, _)| *k)
-            .collect();
-        return GroupOutcome {
-            delta: DeltaLog::default(),
-            consumed: BTreeMap::new(),
-            obligations: Vec::new(),
-            deferred,
-            stats: ChaseStats::default(),
-            group: job.group,
-            trace: WorkerRecorder::new(),
-            max_null: None,
-            failure: None,
-            observed,
-        };
+    if out.observed.is_some() {
+        let claimed = job.work.iter().filter(|(_, p)| !matches!(p, Pending::Idle));
+        out.deferred = claimed.map(|(k, _)| *k).collect();
+        return out;
     }
 
-    let mut view = ShardView::new(base);
-    let mut local = NullMap::new();
-    let mut delta = DeltaLog::default();
-    let mut consumed: BTreeMap<(usize, Arc<str>), usize> = BTreeMap::new();
-    let mut obligations: Vec<(usize, Value, Value)> = Vec::new();
-    let mut deferred: Vec<usize> = Vec::new();
-    let mut stats = ChaseStats::default();
-    let mut trace = WorkerRecorder::new();
-
+    let mut sink = ShardSink {
+        view: ShardView::new(base),
+        base_nulls,
+        local: NullMap::new(),
+        nulls,
+    };
     for slot in 0..job.work.len() {
         // Between claimed entries the watch is observe-only: a claimed job
         // completes its work (mid-job skips would break exactness), and
         // the coordinator acts on the observation at the sweep barrier.
-        if observed.is_none() {
-            observed = watch.check();
+        if out.observed.is_none() {
+            out.observed = watch.check();
         }
         let (k, pending) = std::mem::replace(&mut job.work[slot], (0, Pending::Idle));
-        let dep = &deps[k];
-        // Mirror of the sequential loop's mid-sweep flush: once this job
-        // holds pending obligations, an atom-bearing dependency must not
-        // evaluate against the un-rewritten snapshot — defer it past the
-        // barrier substitution instead (the coordinator re-marks it Full).
-        if !obligations.is_empty() && concludes_atoms(dep) && !matches!(pending, Pending::Idle) {
-            deferred.push(k);
+        // The inline executor flushes here; a worker cannot rewrite the
+        // snapshot, so once this job holds pending obligations an
+        // atom-bearing dependency is deferred past the barrier
+        // substitution instead (the coordinator re-marks it Full).
+        if !out.obligations.is_empty()
+            && concludes_atoms(&deps[k])
+            && !matches!(pending, Pending::Idle)
+        {
+            out.deferred.push(k);
             continue;
         }
-        let t0 = Instant::now();
-        let tuples0 = stats.tuples_inserted;
-        let obligations0 = stats.obligations_batched;
-        let dedup0 = view.dedup_hits();
-        let mut failure: Option<ChaseError> = None;
-        let (kind, seeded, violations) = match pending {
-            Pending::Idle => continue,
-            Pending::Full => {
-                stats.full_rescans += 1;
-                if dep.is_denial() {
-                    if let Some(v) = find_violation(&view, dep) {
-                        failure = Some(ChaseError::Failure {
-                            dependency: dep.name.clone(),
-                            detail: format!("denial premise matched at {}", v.bindings),
-                        });
-                    }
-                    (ActivationKind::Full, 0, Vec::new())
-                } else {
-                    (ActivationKind::Full, 0, collect_violations(&view, dep))
-                }
-            }
-            Pending::Delta(map) => {
-                stats.delta_activations += 1;
-                let seeded = map.values().map(Vec::len).sum::<usize>();
-                stats.delta_tuples_seeded += seeded;
-                let vs = delta_violations(&view, dep, &map, dep.is_denial(), &mut stats);
-                if dep.is_denial() {
-                    if let Some(b) = vs.first() {
-                        failure = Some(ChaseError::Failure {
-                            dependency: dep.name.clone(),
-                            detail: format!("denial premise matched at {b}"),
-                        });
-                    }
-                    (ActivationKind::Delta, seeded as u64, Vec::new())
-                } else {
-                    (ActivationKind::Delta, seeded as u64, vs)
-                }
-            }
-        };
-
-        // Idempotent repairs skip the recheck, exactly as in the
-        // sequential loop: the view's insert dedups against both layers,
-        // and with no equalities the local overlay cannot grow mid-batch.
-        let direct = !violations.is_empty()
-            && base_nulls.is_empty()
-            && local.is_empty()
-            && crate::scheduler::idempotent_repair(dep);
-        for b in &violations {
-            // Satisfied-under-pending-obligations recheck against the
-            // overlay: earlier repairs of this job may already satisfy
-            // the match without any instance rewrite. With no mapped
-            // labels anywhere (egd-free sweeps, the common case) the
-            // resolution is the identity and the raw bindings are checked
-            // directly.
-            let satisfied = if direct {
-                false
-            } else if base_nulls.is_empty() && local.is_empty() {
-                disjunct_satisfied(&view, &dep.disjuncts[0], b)
-            } else {
-                disjunct_satisfied_resolved(&view, &dep.disjuncts[0], b, &mut |v| {
-                    resolve_overlay(base_nulls, &mut local, v)
-                })
-            };
-            if satisfied {
-                continue;
-            }
-            if let Err(e) = apply_group_disjunct(
-                &mut view, dep, b, base_nulls, &mut local, &mut nulls, &mut stats,
-            ) {
-                failure = Some(e);
-                break;
+        let result = activate(&mut sink, &deps[k], k, pending, &mut out.stats);
+        // Kept on failure too: obligations recorded before the failing
+        // repair are genuine, and the coordinator may find an earlier
+        // constant clash in them.
+        let recorded = sink.view.take_obligations();
+        out.obligations
+            .extend(recorded.into_iter().map(|(l, r)| (k, l, r)));
+        match result {
+            Ok(None) => continue,
+            Ok(Some(done)) => out.trace.record(done.record),
+            Err(e) => {
+                out.failure = Some((k, e));
+                return out;
             }
         }
 
-        for (l, r) in view.take_obligations() {
-            obligations.push((k, l, r));
-        }
-        trace.record(ActivationRecord {
-            dep: k,
-            kind,
-            seeded,
-            violations: violations.len() as u64,
-            tuples: (stats.tuples_inserted - tuples0) as u64,
-            obligations: (stats.obligations_batched - obligations0) as u64,
-            dedup_hits: view.dedup_hits() - dedup0,
-            wall_ns: t0.elapsed().as_nanos() as u64,
-        });
-        if let Some(e) = failure {
-            return GroupOutcome {
-                delta: DeltaLog::default(),
-                consumed: BTreeMap::new(),
-                obligations,
-                deferred: Vec::new(),
-                stats,
-                group: job.group,
-                trace,
-                max_null: nulls.max_allocated(),
-                failure: Some((k, e)),
-                observed,
-            };
-        }
-
-        let log = view.take_delta();
-        if log.is_empty() {
-            continue;
-        }
+        let log = sink.view.take_delta();
         // Same-sweep cascading within the job: route to *later* entries
         // only; earlier ones were already processed, exactly as in the
-        // sequential round, and will see these tuples via the barrier.
+        // inline sweep, and will see these tuples via the barrier.
         // Per-relation logs accumulate into `delta` in slot order, so the
         // tuples delivered to a later entry are exactly a prefix of the
         // job delta — recorded in `consumed` so the barrier post routes
         // only the remainder to that dependency.
         for (rel, tuples) in log.relations() {
             for &target in triggers.triggered_by(rel) {
-                if let Some(pos) = job.work[slot + 1..]
-                    .iter()
-                    .position(|(kk, _)| *kk == target)
+                if let Some((_, later)) = job.work[slot + 1..]
+                    .iter_mut()
+                    .find(|(kk, _)| *kk == target)
                 {
-                    job.work[slot + 1 + pos].1.add_delta(rel, tuples);
-                    *consumed.entry((target, rel.clone())).or_default() += tuples.len();
+                    later.add_delta(rel, tuples);
+                    *out.consumed.entry((target, rel.clone())).or_default() += tuples.len();
                 }
             }
         }
-        delta.absorb(&log);
+        out.delta.absorb(&log);
     }
-
-    GroupOutcome {
-        delta,
-        consumed,
-        obligations,
-        deferred,
-        stats,
-        group: job.group,
-        trace,
-        max_null: nulls.max_allocated(),
-        failure: None,
-        observed,
-    }
+    out.max_null = sink.nulls.max_allocated();
+    out
 }
 
-/// The parallel standard chase: semantics of
-/// [`crate::scheduler::chase_standard_delta`], sweeps executed by a worker
-/// pool over conflict-free dependency groups, equality obligations unified
-/// by the coordinator at the sweep barrier.
-pub(crate) fn chase_standard_parallel(
-    start: Instance,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-    threads: usize,
-) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, false)?;
-    }
-    chase_parallel_loop(ResumeState::fresh(start, deps), deps, config, threads)
+/// The pool executor's per-run state: the conflict partition, the worker
+/// pool, and the workers' view of the budget.
+pub(crate) struct PoolExecutor {
+    partition: Partition,
+    pool: WorkerPool,
+    watch: TripWatch,
 }
 
-/// Continue a checkpointed run on the parallel executor. Checkpoints are
-/// sweep-aligned and mode-agnostic, so a run interrupted under any
-/// scheduler resumes here.
-pub(crate) fn chase_parallel_resume(
-    state: ResumeState,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-    threads: usize,
-) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, false)?;
+impl PoolExecutor {
+    pub(crate) fn new(run: &mut Run<'_>, threads: usize) -> Self {
+        let partition = Partition::build(run.deps, run.sched.triggers());
+        let groups: Vec<usize> = (0..run.deps.len()).map(|k| partition.group_of(k)).collect();
+        run.rec.set_groups(&groups);
+        PoolExecutor {
+            partition,
+            pool: WorkerPool::new(threads),
+            watch: TripWatch {
+                deadline_at: run.budget.deadline_at(),
+                cancel: run.config.cancel.clone(),
+            },
+        }
     }
-    chase_parallel_loop(state, deps, config, threads)
-}
 
-fn chase_parallel_loop(
-    state: ResumeState,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-    threads: usize,
-) -> Result<ChaseResult, ChaseError> {
-    let ResumeState {
-        mut inst,
-        rounds,
-        next_null,
-        mut nullmap,
-        pending,
-    } = state;
-    let mut stats = ChaseStats {
-        rounds,
-        ..Default::default()
-    };
-    let mut nullgen = NullGenerator::starting_at(next_null);
-    let mut sched = Scheduler::with_pending(deps, pending);
-    let partition = Partition::build(deps, sched.triggers());
-    let pool = WorkerPool::new(threads);
-    let mode = format!("parallel{threads}");
-    let names: Vec<String> = deps.iter().map(|d| d.name.to_string()).collect();
-    let mut rec = Recorder::new(&names, &mode, &config.trace);
-    let groups: Vec<usize> = (0..deps.len()).map(|k| partition.group_of(k)).collect();
-    rec.set_groups(&groups);
-    let budget = config.budget.anchored();
-    let watch = TripWatch {
-        deadline_at: budget.deadline_at(),
-        cancel: config.cancel.clone(),
-    };
-    inst.begin_delta_tracking();
-
-    loop {
-        if stats.rounds >= config.max_rounds {
-            let profile = Box::new(rec.finish());
-            return Err(ChaseError::RoundLimit {
-                rounds: stats.rounds,
-                stats: Box::new(stats),
-                profile,
-            });
-        }
-        stats.rounds += 1;
-        let sweep = stats.rounds as u64;
-        if !sched.has_work() {
-            break;
-        }
-
-        // Sweep-start interruption point, before any work of this sweep
-        // (the aborted sweep is not counted).
-        let mut tripped = trip_check(&budget, &config.cancel, &stats);
-        if grom_fail::hit("sweep") {
-            tripped.get_or_insert(InterruptReason::Fault);
-        }
-        if let Some(reason) = tripped {
-            stats.rounds -= 1;
-            return interrupted_return(
-                reason,
-                &mode,
-                inst,
-                &mut nullmap,
-                &sched,
-                stats,
-                rec,
-                nullgen.peek_next(),
-            );
-        }
-
+    /// One sweep: claim, snapshot-execute on the pool, then the barrier.
+    pub(crate) fn sweep(&self, run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
+        let deps = run.deps;
         // Claim the whole sweep's worklist, bucketed by conflict group.
-        // Egds claim like everyone else — no sequential segments remain.
-        let mut buckets: BTreeMap<usize, GroupJob> = BTreeMap::new();
+        let mut buckets: BTreeMap<usize, Vec<(usize, Pending)>> = BTreeMap::new();
         for k in 0..deps.len() {
-            let pending = sched.take(k);
-            let g = partition.group_of(k);
-            buckets
-                .entry(g)
-                .or_insert_with(|| GroupJob {
-                    group: g,
-                    work: Vec::new(),
-                })
-                .work
-                .push((k, pending));
+            let group = buckets.entry(self.partition.group_of(k)).or_default();
+            group.push((k, run.sched.take(k)));
         }
         let jobs: Vec<GroupJob> = buckets
-            .into_values()
-            .filter(|j| j.work.iter().any(|(_, p)| !matches!(p, Pending::Idle)))
+            .into_iter()
+            .filter(|(_, work)| work.iter().any(|(_, p)| !matches!(p, Pending::Idle)))
+            .map(|(group, work)| GroupJob { group, work })
             .collect();
-        if jobs.is_empty() {
-            continue;
-        }
 
         // Snapshot-execute the sweep. Null ranges and result order are
         // functions of the job index, so the sweep is deterministic under
         // any thread schedule.
-        let base_label = nullgen.peek_next();
+        let base_label = run.nullgen.peek_next();
         let stride = jobs.len() as u64;
-        let triggers = sched.triggers();
-        let snapshot: &Instance = &inst;
-        let frozen_nulls: &NullMap = &nullmap;
+        let (snapshot, frozen_nulls, triggers) = (&run.inst, &run.nullmap, run.sched.triggers());
         let t_eval = Instant::now();
-        let outcomes = match pool.run_timed_caught(jobs, |j, job| {
-            let nulls = StridedNullGenerator::new(base_label, j as u64, stride);
-            run_group_job(snapshot, deps, triggers, frozen_nulls, &watch, job, nulls)
-        }) {
-            Ok(outcomes) => outcomes,
-            // A worker panic is contained by the pool (every thread is
-            // still joined); surface it as a hard error instead of
-            // aborting the process. The pool is stateless and reusable.
-            Err(detail) => return Err(ChaseError::WorkerPanicked { detail }),
-        };
+        // A worker panic is contained by the pool (every thread is still
+        // joined); surface it as a hard error instead of aborting the
+        // process. The pool is stateless and reusable.
+        let outcomes = self
+            .pool
+            .run_timed_caught(jobs, |j, job| {
+                let nulls = StridedNullGenerator::new(base_label, j as u64, stride);
+                run_group_job(
+                    snapshot,
+                    deps,
+                    triggers,
+                    frozen_nulls,
+                    &self.watch,
+                    job,
+                    nulls,
+                )
+            })
+            .map_err(|detail| ChaseError::WorkerPanicked { detail })?;
         let evaluate_ns = t_eval.elapsed().as_nanos() as u64;
         let t_merge = Instant::now();
 
         // Barrier-entry fault point, plus the workers' observations (in
         // job order, so the recorded reason is deterministic).
-        let mut tripped: Option<InterruptReason> = None;
-        if grom_fail::hit("barrier") {
-            tripped = Some(InterruptReason::Fault);
-        }
+        let mut tripped = grom_fail::hit("barrier").then_some(InterruptReason::Fault);
         for (o, _) in &outcomes {
-            if tripped.is_some() {
-                break;
-            }
-            tripped = o.observed;
+            tripped = tripped.or(o.observed);
         }
 
         // Barrier, step 1 — unify the merged obligation sets on the
@@ -625,58 +393,55 @@ fn chase_parallel_loop(
             .collect();
         obligations.sort_by_key(|(k, _, _)| *k);
         let mut any_merge = false;
-        let mut clash: Option<(usize, ChaseError)> = None;
+        let mut failure: Option<(usize, ChaseError)> = None;
         for (k, l, r) in obligations {
-            match nullmap.unify(l, r) {
+            match run.nullmap.unify(l, r) {
                 Unify::Noop => {}
                 Unify::Merged => {
                     any_merge = true;
-                    stats.egd_merges += 1;
+                    run.stats.egd_merges += 1;
                 }
                 Unify::Clash(a, b) => {
-                    clash = Some((*k, ChaseError::clash(&deps[*k].name, &a, &b)));
+                    failure = Some((*k, ChaseError::clash(&deps[*k].name, &a, &b)));
                     break;
                 }
             }
         }
 
         // Barrier, step 2 — report the earliest failure by dependency
-        // index (denials / comparisons from workers vs constant clashes
-        // from the unification), mirroring declaration order.
-        let worker_failure = outcomes
-            .iter()
-            .filter_map(|(o, _)| o.failure.as_ref())
-            .min_by_key(|(fk, _)| *fk);
-        let failure = match (worker_failure, clash) {
-            (Some((wk, we)), Some((ck, ce))) => Some(if *wk <= ck { we.clone() } else { ce }),
-            (Some((_, we)), None) => Some(we.clone()),
-            (None, Some((_, ce))) => Some(ce),
-            (None, None) => None,
-        };
-        if let Some(e) = failure {
+        // index (denials / comparisons from workers win ties against
+        // constant clashes from the unification), mirroring declaration
+        // order.
+        for (o, _) in &outcomes {
+            if let Some((wk, we)) = &o.failure {
+                if failure.as_ref().is_none_or(|(fk, _)| wk <= fk) {
+                    failure = Some((*wk, we.clone()));
+                }
+            }
+        }
+        if let Some((_, e)) = failure {
             return Err(e);
         }
 
         // Barrier, step 3 — merge buffers into the master in job order
-        // and route the merged deltas. Tracking is suspended for the
-        // merge: the group logs already carry every inserted tuple, so
-        // they are routed directly instead of being re-logged. Worker
-        // trace buffers fold into the run recorder here, in job order, so
-        // the profile is thread-schedule-independent.
-        inst.end_delta_tracking();
+        // and route the merged deltas (the group logs already carry every
+        // inserted tuple, so the master itself is never delta-tracked in
+        // this mode). Worker trace buffers fold into the run recorder
+        // here, in job order, so the profile is
+        // thread-schedule-independent.
         for (o, busy) in outcomes {
-            stats.absorb(&o.stats);
-            rec.group_job(o.group, busy.as_nanos() as u64);
-            rec.merge_worker(sweep, o.trace);
+            run.stats.absorb(&o.stats);
+            run.rec.group_job(o.group, busy.as_nanos() as u64);
+            run.rec.merge_worker(run.sweep, o.trace);
             if let Some(m) = o.max_null {
-                nullgen.advance_to(m + 1);
+                run.nullgen.advance_to(m + 1);
             }
-            inst.absorb_delta(&o.delta)?;
-            sched.post_job(&o.delta, &o.consumed);
+            run.inst.absorb_delta(&o.delta)?;
+            run.sched.post_job(&o.delta, &o.consumed);
             // Deps a worker deferred past the barrier substitution run as
             // full rescans next sweep, on the rewritten instance.
             for &k in &o.deferred {
-                sched.reschedule_full(k);
+                run.sched.reschedule_full(k);
             }
         }
         let merge_ns = t_merge.elapsed().as_nanos() as u64;
@@ -684,55 +449,26 @@ fn chase_parallel_loop(
         // Coordinator-side budget check against the *global* counters the
         // absorb just updated (tuple/null caps live here, not in the
         // workers).
-        if tripped.is_none() {
-            tripped = trip_check(&budget, &config.cancel, &stats);
-        }
+        tripped = tripped.or_else(|| run.tripped());
 
         // Barrier, step 4 — one combined substitution pass and one
         // targeted invalidation for the whole sweep, if anything merged.
-        if any_merge
-            && apply_sweep_merges(
-                &mut inst,
-                &mut nullmap,
-                &mut sched,
-                &mut stats,
-                &mut rec,
-                sweep,
-            )
-        {
+        if any_merge && apply_sweep_merges(run) {
             tripped.get_or_insert(InterruptReason::Fault);
         }
-        rec.end_sweep(sweep, Some(evaluate_ns), merge_ns);
-        // Sweep-boundary interruption: the barrier has merged, routed and
-        // substituted, and delta tracking is off — exactly the state a
-        // checkpoint captures.
-        if let Some(reason) = tripped {
-            return interrupted_return(
-                reason,
-                &mode,
-                inst,
-                &mut nullmap,
-                &sched,
-                stats,
-                rec,
-                nullgen.peek_next(),
-            );
-        }
-        inst.begin_delta_tracking();
+        Ok(SweepEnd {
+            tripped,
+            fixpoint: false,
+            evaluate_ns: Some(evaluate_ns),
+            merge_ns,
+        })
     }
-
-    inst.end_delta_tracking();
-    Ok(ChaseResult {
-        instance: inst,
-        stats,
-        profile: rec.finish(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SchedulerMode;
+    use crate::config::{ChaseConfig, SchedulerMode};
     use crate::standard::{all_satisfied, chase_standard, chase_standard_full_rescan};
     use grom_data::canonical_render;
     use grom_lang::parser::{parse_dependency, parse_program};

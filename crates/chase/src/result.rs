@@ -121,7 +121,7 @@ pub struct ChaseResult {
 /// A chase stopped early by its budget, cancellation or fault injection.
 /// Unlike the hard [`ChaseError`] variants this carries everything the run
 /// produced — the instance-so-far, full statistics and profile — plus a
-/// [`Checkpoint`](crate::Checkpoint) from which
+/// [`Checkpoint`] from which
 /// [`chase_resume`](crate::chase_resume) continues to the same final
 /// instance an uninterrupted run would have reached.
 #[derive(Debug, Clone)]

@@ -37,24 +37,23 @@
 //! correctness: every dependency's **first** activation (the initial
 //! instance is one big delta), and — after an **egd-driven null
 //! unification** — the dependencies whose premise reads a relation the
-//! substitution actually rewrote. [`Instance::substitute_nulls_batch`]
+//! substitution actually rewrote. [`grom_data::Instance::substitute_nulls_batch`]
 //! reports the rewritten relations, so deltas of dependencies reading only
-//! untouched relations survive the merge ([`Scheduler::invalidate_readers`]
-//! / [`Scheduler::post_surviving`]); the blanket
-//! [`Scheduler::invalidate_all`] remains as the conservative fallback.
+//! untouched relations survive the merge
+//! ([`Scheduler::invalidate_readers`]).
 //!
 //! ## Sweep-level egd batching
 //!
-//! Egd repairs record equality *obligations* into the [`NullMap`]
+//! Egd repairs record equality *obligations* into the [`crate::NullMap`]
 //! union-find without touching the instance. One sweep may accumulate
-//! obligations from any number of eq-bearing dependencies; the loop applies
-//! a **single** combined substitution pass per merge-bearing sweep
-//! ([`NullMap::flatten`] + [`Instance::substitute_nulls_batch`]) followed
+//! obligations from any number of eq-bearing dependencies; the executor
+//! applies a **single** combined substitution pass per merge-bearing sweep
+//! ([`crate::NullMap::flatten`] + `Instance::substitute_nulls_batch`) followed
 //! by a single targeted reader invalidation. Until that pass runs, the
 //! instance may hold nulls with pending replacements; violations matched
-//! against it are rechecked through
-//! [`grom_engine::disjunct_satisfied_resolved`] (values resolved through
-//! the union-find) so stale ones are skipped without a rewrite, and any
+//! against it are rechecked with their values resolved through the
+//! union-find (see `crate::sweep::activate`) so stale ones are skipped
+//! without a rewrite, and any
 //! premise match that only materializes *after* the rewrite is recovered
 //! by the sweep-end invalidation — its premise necessarily reads a
 //! rewritten relation.
@@ -65,17 +64,18 @@
 //! instance — binding resolution cannot see through stale stored tuples,
 //! so such a check could miss a match that materializes after the rewrite
 //! and insert a redundant fresh-null tuple the substitution cannot merge
-//! away. The sweep loop therefore *flushes* the pending obligations
-//! immediately before an atom-bearing dependency with pending work —
-//! exactly where the declaration-ordered reference loop would have
-//! substituted — so runs of obligation-recording dependencies (the
+//! away. The inline executor (`inline_sweep`) therefore *flushes* the
+//! pending obligations immediately before an atom-bearing dependency with
+//! pending work — exactly where the declaration-ordered reference would
+//! have substituted — so runs of obligation-recording dependencies (the
 //! egd-heavy case) still share one combined pass, and egd-only
-//! merge-bearing sweeps get exactly one.
+//! merge-bearing sweeps get exactly one. The pool executor
+//! ([`crate::parallel`]) *defers* such a dependency past its barrier
+//! substitution instead.
 //!
-//! The scheduler is shared by every chase variant: [`crate::standard`] runs
-//! it directly, the greedy and exhaustive ded chases of [`crate::ded`] run
-//! their per-scenario / per-node closures through it, [`crate::parallel`]
-//! drives the same worklist with worker-pool sweeps, and
+//! The worklist serves every chase variant through the sweep driver of
+//! [`crate::sweep`]: the standard chase directly, the greedy and exhaustive
+//! ded chases of [`crate::ded`] for their per-scenario / per-node closures.
 //! [`crate::core_min`] reuses the same changed-relation reporting to keep
 //! its null-occurrence index incremental.
 
@@ -85,19 +85,14 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use grom_data::{DeltaLog, Instance, NullGenerator, Tuple};
+use grom_data::{DeltaLog, Tuple};
 use grom_lang::{Bindings, Dependency};
-use grom_trace::{ActivationKind, ActivationRecord, Recorder};
 
-use grom_engine::{
-    disjunct_satisfied, disjunct_satisfied_resolved, evaluate_body_from_delta, Control, Db,
-};
+use grom_engine::{disjunct_satisfied, evaluate_body_from_delta, Control, Db};
 
-use crate::checkpoint::{Checkpoint, ResumeState};
-use crate::config::{Budget, CancelToken, ChaseConfig, InterruptReason};
-use crate::nullmap::NullMap;
-use crate::result::{ChaseError, ChaseResult, ChaseStats, Interrupted};
-use crate::standard::{apply_disjunct, check_executable, collect_violations, resolve_bindings};
+use crate::config::InterruptReason;
+use crate::result::{ChaseError, ChaseStats};
+use crate::sweep::{activate, Run, SweepEnd};
 use crate::trigger::TriggerIndex;
 
 /// Pending work for one dependency.
@@ -159,7 +154,7 @@ impl Scheduler {
     }
 
     /// Clone the worklist for a checkpoint. Sweep-aligned by construction:
-    /// the loops only capture between sweeps, when every routed delta has
+    /// the driver only captures between sweeps, when every routed delta has
     /// been folded into these slots.
     pub(crate) fn pending_snapshot(&self) -> Vec<Pending> {
         self.pending.clone()
@@ -198,18 +193,7 @@ impl Scheduler {
     /// relations trigger.
     pub fn post(&mut self, delta: &DeltaLog) {
         debug_assert!(!delta.invalidated(), "stale deltas must invalidate");
-        self.post_surviving(delta, &[]);
-    }
-
-    /// Route a delta batch, skipping tuples of the `stale` relations (those
-    /// a null substitution rewrote after the batch was logged — their
-    /// readers are rescheduled for full rescans instead, see
-    /// [`Scheduler::invalidate_readers`]).
-    pub fn post_surviving(&mut self, delta: &DeltaLog, stale: &[Arc<str>]) {
         for (rel, tuples) in delta.relations() {
-            if stale.contains(rel) {
-                continue;
-            }
             for &k in self.triggers.triggered_by(rel) {
                 self.pending[k].add_delta(rel, tuples);
             }
@@ -236,19 +220,10 @@ impl Scheduler {
         }
     }
 
-    /// Schedule every dependency for a full rescan. The conservative
-    /// fallback when delta provenance is unknown; the chase loops prefer
-    /// the targeted [`Scheduler::invalidate_readers`].
-    pub fn invalidate_all(&mut self) {
-        for p in &mut self.pending {
-            *p = Pending::Full;
-        }
-    }
-
     /// Schedule a full rescan for every dependency whose premise reads one
     /// of the `changed` relations — the relations a null substitution
     /// actually rewrote, per the report of
-    /// [`Instance::substitute_nulls`]. Deltas of dependencies reading only
+    /// [`grom_data::Instance::substitute_nulls`]. Deltas of dependencies reading only
     /// untouched relations stay valid: a relation is only *unchanged* when
     /// the substitution mapped none of the nulls occurring in it, so every
     /// tuple logged for it is still stored verbatim.
@@ -304,129 +279,13 @@ pub(crate) fn delta_violations(
     out
 }
 
-/// Process one dependency's claimed worklist entry against the master
-/// instance: evaluate its violations (full or delta-seeded), repair them,
-/// and feed the resulting deltas back into the scheduler. Equality repairs
-/// only record obligations into the shared [`NullMap`]; the instance is
-/// **not** rewritten here — the caller applies one combined substitution
-/// per merge-bearing sweep (see [`apply_sweep_merges`]). Returns whether
-/// this activation recorded any null merge.
-///
-/// The worker-side twin is `run_group_job` in [`crate::parallel`] — keep
-/// the claim/evaluate/denial structure of the two in sync.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_dep_sequential(
-    inst: &mut Instance,
-    deps: &[Dependency],
-    k: usize,
-    sched: &mut Scheduler,
-    nullmap: &mut NullMap,
-    nullgen: &mut NullGenerator,
-    stats: &mut ChaseStats,
-    rec: &mut Recorder,
-    sweep: u64,
-) -> Result<bool, ChaseError> {
-    let dep = &deps[k];
-    let pending = sched.take(k);
-    if matches!(pending, Pending::Idle) {
-        return Ok(false);
-    }
-    let t0 = Instant::now();
-    let tuples0 = stats.tuples_inserted;
-    let obligations0 = stats.obligations_batched;
-    let (kind, seeded, violations) = match pending {
-        Pending::Idle => unreachable!("handled above"),
-        Pending::Full => {
-            stats.full_rescans += 1;
-            if dep.is_denial() {
-                if let Some(v) = grom_engine::find_violation(inst, dep) {
-                    return Err(ChaseError::Failure {
-                        dependency: dep.name.clone(),
-                        detail: format!("denial premise matched at {}", v.bindings),
-                    });
-                }
-                (ActivationKind::Full, 0, Vec::new())
-            } else {
-                (ActivationKind::Full, 0, collect_violations(inst, dep))
-            }
-        }
-        Pending::Delta(map) => {
-            stats.delta_activations += 1;
-            let seeded = map.values().map(Vec::len).sum::<usize>();
-            stats.delta_tuples_seeded += seeded;
-            let vs = delta_violations(inst, dep, &map, dep.is_denial(), stats);
-            if dep.is_denial() {
-                if let Some(b) = vs.first() {
-                    return Err(ChaseError::Failure {
-                        dependency: dep.name.clone(),
-                        detail: format!("denial premise matched at {b}"),
-                    });
-                }
-                (ActivationKind::Delta, seeded as u64, Vec::new())
-            } else {
-                (ActivationKind::Delta, seeded as u64, vs)
-            }
-        }
-    };
-
-    let mut any_merge = false;
-    // Idempotent repairs (ground single-disjunct conclusions) skip the
-    // recheck entirely: re-applying one is a dedup'd no-op, so the probe
-    // would only re-derive what `Instance::insert` decides anyway. The
-    // null map cannot grow mid-batch here (no equalities to record).
-    let direct = !violations.is_empty() && nullmap.is_empty() && idempotent_repair(dep);
-    for b in &violations {
-        // Satisfied-under-pending-obligations recheck: earlier repairs in
-        // this batch may already satisfy the match even though the
-        // instance has not been rewritten yet. With an empty null map
-        // (egd-free workloads, the common case) the resolution is the
-        // identity, so the raw bindings are checked — and applied —
-        // directly, skipping two clone-and-resolve passes per violation.
-        if nullmap.is_empty() {
-            if !direct && disjunct_satisfied(inst, &dep.disjuncts[0], b) {
-                continue;
-            }
-            any_merge |= apply_disjunct(inst, dep, 0, b, nullmap, nullgen, stats)?;
-        } else {
-            if disjunct_satisfied_resolved(inst, &dep.disjuncts[0], b, &mut |v| nullmap.resolve(v))
-            {
-                continue;
-            }
-            let b = resolve_bindings(b, nullmap);
-            any_merge |= apply_disjunct(inst, dep, 0, &b, nullmap, nullgen, stats)?;
-        }
-    }
-
-    let log = inst.take_delta();
-    if !log.is_empty() {
-        // Route everything; if this sweep turns out to be merge-bearing,
-        // the sweep-end invalidation re-marks every reader of a rewritten
-        // relation Full, subsuming any stale tuples routed here.
-        sched.post(&log);
-    }
-    rec.activation(
-        sweep,
-        &ActivationRecord {
-            dep: k,
-            kind,
-            seeded,
-            violations: violations.len() as u64,
-            tuples: (stats.tuples_inserted - tuples0) as u64,
-            obligations: (stats.obligations_batched - obligations0) as u64,
-            dedup_hits: 0,
-            wall_ns: t0.elapsed().as_nanos() as u64,
-        },
-    );
-    Ok(any_merge)
-}
-
 /// Does any disjunct of `dep` conclude atoms? Atom-bearing repairs embed
 /// their conclusion into the *stored* instance (`has_match`), which the
 /// pending-obligation resolution cannot see through: running one while
 /// obligations are pending could miss a match that only materializes after
 /// the substitution and insert a redundant fresh-null tuple the
-/// substitution cannot merge away. The batched loops therefore flush (or
-/// defer) around such dependencies; pure egds, denials and
+/// substitution cannot merge away. The batched executors therefore flush
+/// (or defer) around such dependencies; pure egds, denials and
 /// comparison-only disjuncts are binding-level checks and need neither.
 pub(crate) fn concludes_atoms(dep: &Dependency) -> bool {
     dep.disjuncts.iter().any(|d| !d.atoms.is_empty())
@@ -436,7 +295,7 @@ pub(crate) fn concludes_atoms(dep: &Dependency) -> bool {
 /// for a single disjunct with no equalities and no existential variables:
 /// the conclusion is then a fixed set of ground atoms per premise match, and
 /// the insert-side dedup makes a redundant application invisible. The
-/// batched loops use this to skip the satisfied-under-pending-repairs
+/// shared activation body uses this to skip the satisfied-under-pending-repairs
 /// recheck — one stored-instance probe per violation on the hot path.
 /// Dependencies with equalities, multiple disjuncts, or existentials (where
 /// a redundant application would invent a fresh, unmergeable null) keep the
@@ -450,30 +309,22 @@ pub(crate) fn idempotent_repair(dep: &Dependency) -> bool {
 /// Apply one sweep's accumulated equality obligations: flatten the
 /// union-find once, rewrite the instance in a **single** combined pass,
 /// and re-schedule exactly the dependencies whose premise reads a
-/// rewritten relation. Called once per merge-bearing sweep by the
-/// sequential delta loop and by the parallel executor's sweep barrier —
-/// plus mid-sweep when an atom-bearing dependency is about to run with
+/// rewritten relation. Called once per merge-bearing sweep by the inline
+/// executor and by the pool executor's barrier — plus mid-sweep by the
+/// inline executor when an atom-bearing dependency is about to run with
 /// obligations pending, so its satisfaction checks see exactly the
-/// instance state the declaration-ordered reference loop gives them.
-/// Returns `true` when the `subst` fault-injection point fired an
-/// interruption (the pass itself always completes — interruption is
-/// observed by the caller at the next sweep boundary).
-pub(crate) fn apply_sweep_merges(
-    inst: &mut Instance,
-    nullmap: &mut NullMap,
-    sched: &mut Scheduler,
-    stats: &mut ChaseStats,
-    rec: &mut Recorder,
-    sweep: u64,
-) -> bool {
+/// instance state the declaration-ordered reference gives them. Returns
+/// `true` when the `subst` fault-injection point fired an interruption
+/// (the pass itself always completes).
+pub(crate) fn apply_sweep_merges(run: &mut Run<'_>) -> bool {
     let t0 = Instant::now();
-    let map = nullmap.flatten();
-    let changed = inst.substitute_nulls_batch(&map);
-    inst.take_delta(); // discard the invalidation marker, if tracking
-    stats.substitution_passes += 1;
-    sched.invalidate_readers(&changed);
-    rec.substitution(
-        sweep,
+    let map = run.nullmap.flatten();
+    let changed = run.inst.substitute_nulls_batch(&map);
+    run.inst.take_delta(); // discard the invalidation marker, if tracking
+    run.stats.substitution_passes += 1;
+    run.sched.invalidate_readers(&changed);
+    run.rec.substitution(
+        run.sweep,
         map.len(),
         changed.len(),
         t0.elapsed().as_nanos() as u64,
@@ -481,226 +332,67 @@ pub(crate) fn apply_sweep_merges(
     grom_fail::hit("subst")
 }
 
-/// Cooperative budget/cancellation check, shared by every chase loop.
-/// Cancellation wins over budget exhaustion so a Ctrl-C is reported as
-/// such even when a cap tripped in the same activation.
-pub(crate) fn trip_check(
-    budget: &Budget,
-    cancel: &CancelToken,
-    stats: &ChaseStats,
-) -> Option<InterruptReason> {
-    if cancel.is_cancelled() {
-        return Some(InterruptReason::Cancelled);
-    }
-    budget.exceeded(stats.tuples_inserted, stats.nulls_invented)
-}
-
-/// Package a sweep-aligned interruption: stop delta tracking, capture the
-/// checkpoint, and wrap everything the run produced into the internal
-/// `Err(ChaseError::Interrupted)` the entry points surface as
-/// [`crate::ChaseOutcome::Interrupted`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn interrupted_return(
-    reason: InterruptReason,
-    mode: &str,
-    mut inst: Instance,
-    nullmap: &mut NullMap,
-    sched: &Scheduler,
-    stats: ChaseStats,
-    rec: Recorder,
-    next_null: u64,
-) -> Result<ChaseResult, ChaseError> {
-    inst.end_delta_tracking();
-    let checkpoint = Checkpoint::capture(
-        mode,
-        stats.rounds,
-        next_null,
-        &inst,
-        nullmap,
-        sched.pending_snapshot(),
-    );
-    Err(ChaseError::Interrupted(Box::new(Interrupted {
-        reason,
-        instance: inst,
-        stats,
-        profile: rec.finish(),
-        checkpoint,
-    })))
-}
-
-/// The delta-driven standard chase: same semantics and failure modes as
-/// [`crate::standard::chase_standard_full_rescan`], driven by the
-/// [`Scheduler`] worklist instead of full per-round rescans.
-pub(crate) fn chase_standard_delta(
-    start: Instance,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, false)?;
-    }
-    chase_delta_loop(ResumeState::fresh(start, deps), deps, config)
-}
-
-/// Continue a checkpointed run on the delta scheduler. Same loop as a
-/// fresh run: the [`ResumeState`] carries the round count, the null
-/// cursor, the pending worklist and the re-installed null map.
-pub(crate) fn chase_delta_resume(
-    state: ResumeState,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, false)?;
-    }
-    chase_delta_loop(state, deps, config)
-}
-
-fn chase_delta_loop(
-    state: ResumeState,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    let ResumeState {
-        mut inst,
-        rounds,
-        next_null,
-        mut nullmap,
-        pending,
-    } = state;
-    let mut stats = ChaseStats {
-        rounds,
-        ..Default::default()
-    };
-    let mut nullgen = NullGenerator::starting_at(next_null);
-    let mut sched = Scheduler::with_pending(deps, pending);
-    let names: Vec<String> = deps.iter().map(|d| d.name.to_string()).collect();
-    let mut rec = Recorder::new(&names, "delta", &config.trace);
-    let budget = config.budget.anchored();
-    inst.begin_delta_tracking();
-
-    loop {
-        if stats.rounds >= config.max_rounds {
-            let profile = Box::new(rec.finish());
-            return Err(ChaseError::RoundLimit {
-                rounds: stats.rounds,
-                stats: Box::new(stats),
-                profile,
-            });
-        }
-        stats.rounds += 1;
-        let sweep = stats.rounds as u64;
-        if !sched.has_work() {
-            break;
-        }
-
-        // Sweep-start interruption point: budget, cancellation and the
-        // `sweep` fault all stop the run *before* any work of this sweep,
-        // so the aborted sweep is not counted.
-        let mut tripped = trip_check(&budget, &config.cancel, &stats);
-        if grom_fail::hit("sweep") {
-            tripped.get_or_insert(InterruptReason::Fault);
-        }
-        if let Some(reason) = tripped {
-            stats.rounds -= 1;
-            return interrupted_return(
-                reason,
-                "delta",
-                inst,
-                &mut nullmap,
-                &sched,
-                stats,
-                rec,
-                nullgen.peek_next(),
-            );
-        }
-
-        // Once a sweep starts it always COMPLETES: skipping or deferring
-        // mid-sweep would diverge from the declaration-ordered reference
-        // semantics (an unapplied tgd can change which nulls later
-        // dependencies see). Budget trips observed mid-sweep are recorded
-        // and acted on at the sweep boundary — at most one sweep of
-        // overshoot, bounded by the per-activation check below.
-        let mut tripped: Option<InterruptReason> = None;
-        let mut sweep_merged = false;
-        for k in 0..deps.len() {
-            // An atom-bearing dependency must not evaluate against an
-            // instance with pending obligations (its embedding checks
-            // read stored tuples the resolution cannot see through):
-            // flush first, exactly where the declaration-ordered
-            // reference loop would have substituted. Runs of
-            // obligation-recording dependencies — the egd-heavy case —
-            // still share one combined pass.
-            if sweep_merged && concludes_atoms(&deps[k]) && sched.has_pending(k) {
-                if apply_sweep_merges(
-                    &mut inst,
-                    &mut nullmap,
-                    &mut sched,
-                    &mut stats,
-                    &mut rec,
-                    sweep,
-                ) {
-                    tripped.get_or_insert(InterruptReason::Fault);
-                }
-                sweep_merged = false;
-            }
-            sweep_merged |= run_dep_sequential(
-                &mut inst,
-                deps,
-                k,
-                &mut sched,
-                &mut nullmap,
-                &mut nullgen,
-                &mut stats,
-                &mut rec,
-                sweep,
-            )?;
-            if tripped.is_none() {
-                tripped = trip_check(&budget, &config.cancel, &stats);
-            }
-        }
-        if sweep_merged {
-            // One combined substitution pass for the sweep's remaining
-            // obligations, however many dependencies recorded them.
-            if apply_sweep_merges(
-                &mut inst,
-                &mut nullmap,
-                &mut sched,
-                &mut stats,
-                &mut rec,
-                sweep,
-            ) {
+/// One sweep of the delta-driven scheduler, the
+/// [`SchedulerMode::Delta`](crate::config::SchedulerMode::Delta) executor:
+/// activate the worklist in declaration order against the live (delta-
+/// tracked) instance, routing each activation's inserts straight back into
+/// the worklist so later dependencies of the same sweep see them.
+pub(crate) fn inline_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
+    let mut tripped: Option<InterruptReason> = None;
+    let mut merged = false;
+    for (k, dep) in run.deps.iter().enumerate() {
+        // An atom-bearing dependency must not evaluate against an instance
+        // with pending obligations (its embedding checks read stored
+        // tuples the resolution cannot see through): flush first, exactly
+        // where the declaration-ordered reference would have substituted.
+        // Runs of obligation-recording dependencies — the egd-heavy case —
+        // still share one combined pass.
+        if merged && concludes_atoms(dep) && run.sched.has_pending(k) {
+            if apply_sweep_merges(run) {
                 tripped.get_or_insert(InterruptReason::Fault);
             }
+            merged = false;
         }
-        rec.end_sweep(sweep, None, 0);
-        if let Some(reason) = tripped {
-            return interrupted_return(
-                reason,
-                "delta",
-                inst,
-                &mut nullmap,
-                &sched,
-                stats,
-                rec,
-                nullgen.peek_next(),
-            );
+        let pending = run.sched.take(k);
+        let (mut sink, stats) = run.live();
+        if let Some(done) = activate(&mut sink, dep, k, pending, stats)? {
+            // Route everything; if this sweep turns out to be
+            // merge-bearing, the invalidation after its substitution
+            // re-marks every reader of a rewritten relation Full,
+            // subsuming any stale tuples routed here.
+            let log = run.inst.take_delta();
+            if !log.is_empty() {
+                run.sched.post(&log);
+            }
+            run.rec.activation(run.sweep, &done.record);
+            merged |= done.merged;
+        }
+        if tripped.is_none() {
+            tripped = run.tripped();
         }
     }
-
-    inst.end_delta_tracking();
-    Ok(ChaseResult {
-        instance: inst,
-        stats,
-        profile: rec.finish(),
+    // One combined substitution pass for the sweep's remaining
+    // obligations, however many dependencies recorded them.
+    if merged && apply_sweep_merges(run) {
+        tripped.get_or_insert(InterruptReason::Fault);
+    }
+    Ok(SweepEnd {
+        tripped,
+        ..Default::default()
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grom_data::Value;
+    use crate::config::{ChaseConfig, SchedulerMode};
+    use crate::standard::chase_standard;
+    use grom_data::{Instance, Value};
     use grom_lang::parser::parse_program;
+
+    fn delta() -> ChaseConfig {
+        ChaseConfig::default().with_scheduler(SchedulerMode::Delta)
+    }
 
     #[test]
     fn scheduler_routes_deltas_by_trigger() {
@@ -726,16 +418,6 @@ mod tests {
         sched.post(&log);
         assert!(matches!(sched.take(0), Pending::Idle));
         assert!(matches!(sched.take(1), Pending::Delta(_)));
-    }
-
-    #[test]
-    fn invalidation_reschedules_everything_full() {
-        let p = parse_program("tgd a: S(x) -> A(x).").unwrap();
-        let mut sched = Scheduler::new(&p.deps);
-        sched.take(0);
-        assert!(!sched.has_work());
-        sched.invalidate_all();
-        assert!(matches!(sched.take(0), Pending::Full));
     }
 
     #[test]
@@ -777,7 +459,7 @@ mod tests {
         inst.add("T", vec![Value::int(1), Value::int(5)]).unwrap();
         inst.add("U", vec![Value::int(2), Value::null(1)]).unwrap();
         inst.add("U", vec![Value::int(2), Value::int(7)]).unwrap();
-        let res = chase_standard_delta(inst, &p.deps, &ChaseConfig::default()).unwrap();
+        let res = chase_standard(inst, &p.deps, &delta()).unwrap();
         assert_eq!(res.stats.substitution_passes, 1);
         assert_eq!(res.stats.egd_merges, 2);
         assert!(res.stats.obligations_batched >= 2);
@@ -803,7 +485,7 @@ mod tests {
         inst.add("T", vec![Value::int(1), Value::null(1)]).unwrap();
         inst.add("U", vec![Value::null(1), Value::null(5)]).unwrap();
         inst.add("U", vec![Value::null(0), Value::int(4)]).unwrap();
-        let res = chase_standard_delta(inst, &p.deps, &ChaseConfig::default()).unwrap();
+        let res = chase_standard(inst, &p.deps, &delta()).unwrap();
         // Sweep 1 merges N1 -> N0 (eT); the rewrite makes U's two keys
         // collide, so sweep 2 merges N5 -> 4 (eU).
         assert_eq!(res.stats.substitution_passes, 2);
@@ -824,8 +506,7 @@ mod tests {
         // cannot see through) — otherwise t2 misses the post-substitution
         // match T(5, 7) and inserts a redundant T(5, N) with a fresh null
         // the sweep-end substitution cannot merge away.
-        use crate::config::SchedulerMode;
-        use crate::standard::{chase_standard, chase_standard_full_rescan};
+        use crate::standard::chase_standard_full_rescan;
         use grom_data::canonical_render;
         let p = parse_program(
             "tgd t1: A(x) -> T(y, x).\n\
@@ -840,8 +521,7 @@ mod tests {
             chase_standard_full_rescan(start.clone(), &p.deps, &ChaseConfig::default()).unwrap();
         assert_eq!(reference.instance.len(), 3);
 
-        let batched =
-            chase_standard_delta(start.clone(), &p.deps, &ChaseConfig::default()).unwrap();
+        let batched = chase_standard(start.clone(), &p.deps, &delta()).unwrap();
         assert_eq!(
             canonical_render(&reference.instance),
             canonical_render(&batched.instance)
@@ -858,27 +538,5 @@ mod tests {
             canonical_render(&reference.instance),
             canonical_render(&par.instance)
         );
-    }
-
-    #[test]
-    fn post_surviving_skips_stale_relations() {
-        let p = parse_program(
-            "tgd a: A(x) -> A2(x).\n\
-             tgd b: B(x) -> B2(x).",
-        )
-        .unwrap();
-        let mut sched = Scheduler::new(&p.deps);
-        for k in 0..p.deps.len() {
-            sched.take(k);
-        }
-        let mut inst = Instance::new();
-        inst.begin_delta_tracking();
-        inst.add("A", vec![Value::int(1)]).unwrap();
-        inst.add("B", vec![Value::int(2)]).unwrap();
-        let log = inst.take_delta();
-        sched.post_surviving(&log, &[Arc::from("A")]);
-        // A's tuples were stale and dropped; B's were routed.
-        assert!(matches!(sched.take(0), Pending::Idle));
-        assert!(matches!(sched.take(1), Pending::Delta(_)));
     }
 }

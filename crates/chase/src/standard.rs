@@ -8,7 +8,7 @@
 //!   a violation is only repaired if no extension homomorphism already
 //!   satisfies the conclusion, so the engine never bloats instances with
 //!   redundant nulls);
-//! * **egd-style** disjuncts unify values through a [`NullMap`]; equating
+//! * **egd-style** disjuncts unify values through a [`crate::NullMap`]; equating
 //!   two distinct constants is a chase failure;
 //! * **denials** (zero disjuncts) fail on any premise match;
 //! * mixed disjuncts (atoms + equalities) combine both behaviours, and a
@@ -18,20 +18,23 @@
 //! For weakly-acyclic programs the result is a **universal solution** in the
 //! sense of Fagin–Kolaitis–Miller–Popa; termination for arbitrary programs
 //! is enforced by the round budget.
+//!
+//! This module holds the entry points and the full-rescan reference
+//! executor; the loop they all run on is the sweep driver of
+//! [`crate::sweep`].
 
 use std::time::Instant;
 
-use grom_data::{Instance, NullGenerator, Value};
-use grom_lang::{Bindings, Dependency, Term, Var};
-use grom_trace::{ActivationKind, ActivationRecord, Recorder};
+use grom_data::Instance;
+use grom_lang::{Bindings, Dependency};
+use grom_trace::{ActivationKind, ActivationRecord};
 
-use grom_engine::{disjunct_satisfied, evaluate_body_streaming, Control, Db};
+use grom_engine::{disjunct_satisfied, evaluate_body_streaming, find_violation, Control, Db};
 
-use crate::checkpoint::{Checkpoint, ResumeState};
-use crate::config::{ChaseConfig, InterruptReason};
-use crate::nullmap::{NullMap, Unify};
-use crate::result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats, Interrupted};
-use crate::scheduler::{trip_check, Pending};
+use crate::checkpoint::ResumeState;
+use crate::config::{ChaseConfig, InterruptReason, SchedulerMode};
+use crate::result::{ChaseError, ChaseOutcome, ChaseResult};
+use crate::sweep::{apply_disjunct, resolve_bindings, run_chase, RepairSink, Run, SweepEnd};
 
 /// Reject dependencies the standard chase cannot execute.
 pub(crate) fn check_executable(dep: &Dependency, allow_deds: bool) -> Result<(), ChaseError> {
@@ -62,141 +65,26 @@ pub(crate) fn collect_violations(db: &impl Db, dep: &Dependency) -> Vec<Bindings
     out
 }
 
-/// Resolve every value of a binding through the null map (bindings become
-/// stale when egds merge nulls after the match was found).
-pub(crate) fn resolve_bindings(b: &Bindings, nm: &mut NullMap) -> Bindings {
-    let mut out = Bindings::new();
-    for (v, val) in b.iter() {
-        out.bind(v.clone(), nm.resolve(val));
-    }
-    out
-}
-
-/// Apply one disjunct to repair a violation. Returns `true` if any null
-/// merge happened (the caller must re-normalize the instance).
-/// The parallel executor's equality-free twin is `apply_group_disjunct`
-/// in [`crate::parallel`] — keep the comparison and atom semantics of the
-/// two in sync.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_disjunct(
-    inst: &mut Instance,
-    dep: &Dependency,
-    disjunct_idx: usize,
-    bindings: &Bindings,
-    nullmap: &mut NullMap,
-    nullgen: &mut NullGenerator,
-    stats: &mut ChaseStats,
-) -> Result<bool, ChaseError> {
-    let disjunct = &dep.disjuncts[disjunct_idx];
-
-    // Comparisons over premise variables: if they do not hold for this
-    // match, no repair can ever satisfy this disjunct.
-    for c in &disjunct.cmps {
-        if !bindings.eval_comparison(c).unwrap_or(false) {
-            return Err(ChaseError::Failure {
-                dependency: dep.name.clone(),
-                detail: format!("disjunct comparison `{c}` cannot be satisfied at {bindings}"),
-            });
-        }
-    }
-
-    let mut merged = false;
-
-    // Equalities: each one is an obligation routed through the union-find;
-    // the batched schedulers resolve the instance once per sweep, the
-    // full-rescan reference once per merging dependency.
-    for (l, r) in &disjunct.eqs {
-        let lv = eval_bound_term(l, bindings, dep)?;
-        let rv = eval_bound_term(r, bindings, dep)?;
-        stats.obligations_batched += 1;
-        match nullmap.unify(&lv, &rv) {
-            Unify::Noop => {}
-            Unify::Merged => {
-                merged = true;
-                stats.egd_merges += 1;
-            }
-            Unify::Clash(a, b) => return Err(ChaseError::clash(&dep.name, &a, &b)),
-        }
-    }
-
-    // Atoms: one fresh null per existential variable, shared across the
-    // disjunct's atoms.
-    if !disjunct.atoms.is_empty() {
-        let mut fresh: std::collections::BTreeMap<Var, Value> = Default::default();
-        for atom in &disjunct.atoms {
-            let mut row = Vec::with_capacity(atom.args.len());
-            for t in &atom.args {
-                let v = match t {
-                    Term::Const(c) => c.clone(),
-                    Term::Var(v) => match bindings.get(v) {
-                        Some(val) => nullmap.resolve(val),
-                        None => fresh
-                            .entry(v.clone())
-                            .or_insert_with(|| {
-                                stats.nulls_invented += 1;
-                                nullgen.fresh()
-                            })
-                            .clone(),
-                    },
-                };
-                row.push(v);
-            }
-            if inst.insert(&atom.predicate, row.into())? {
-                stats.tuples_inserted += 1;
-            }
-        }
-        stats.tgd_applications += 1;
-    }
-
-    Ok(merged)
-}
-
-pub(crate) fn eval_bound_term(
-    t: &Term,
-    bindings: &Bindings,
-    dep: &Dependency,
-) -> Result<Value, ChaseError> {
-    bindings
-        .eval_term(t)
-        .ok_or_else(|| ChaseError::NotExecutable {
-            dependency: dep.name.clone(),
-            reason: format!("equality term `{t}` is not bound by the premise"),
-        })
-}
-
 /// Run the standard chase over `start` with `deps`.
 ///
 /// `start` is the working database: for data-exchange scenarios this is the
 /// source instance (the chase adds target tuples into the same instance;
 /// source and target relation names are disjoint by construction).
 ///
-/// Dispatches on [`ChaseConfig::scheduler`]: the default delta-driven
-/// scheduler ([`crate::scheduler`]) seeds premise evaluation from the
-/// tuples inserted since each dependency was last checked; the parallel
-/// executor ([`crate::parallel`]) runs the same worklist in worker-pool
-/// sweeps over conflict-free dependency groups; the legacy full-rescan
-/// loop re-evaluates every premise against the whole instance each round.
-/// All produce the same solutions (up to the usual renaming of labeled
-/// nulls) and the same failure modes.
+/// Runs on the sweep driver of [`crate::sweep`] under
+/// [`ChaseConfig::scheduler`]: the default delta-driven scheduler seeds
+/// premise evaluation from the tuples inserted since each dependency was
+/// last checked, the parallel executor runs the same worklist in
+/// worker-pool sweeps over conflict-free dependency groups, the full-rescan
+/// reference re-evaluates every premise against the whole instance each
+/// round. All produce the same solutions (up to the usual renaming of
+/// labeled nulls) and the same failure modes.
 pub fn chase_standard(
     start: Instance,
     deps: &[Dependency],
     config: &ChaseConfig,
 ) -> Result<ChaseResult, ChaseError> {
-    // Wire up the composite join-key indexes the static premise analysis
-    // predicts, before the first sweep touches the instance. Relations the
-    // chase has yet to create pick their keys up on first insert.
-    let mut start = start;
-    crate::trigger::register_join_keys(&mut start, deps);
-    match config.scheduler {
-        crate::config::SchedulerMode::Delta => {
-            crate::scheduler::chase_standard_delta(start, deps, config)
-        }
-        crate::config::SchedulerMode::FullRescan => chase_standard_full_rescan(start, deps, config),
-        crate::config::SchedulerMode::Parallel { threads } => {
-            crate::parallel::chase_standard_parallel(start, deps, config, threads)
-        }
-    }
+    run_chase(ResumeState::fresh(start, deps), deps, config)
 }
 
 /// Budget-aware entry point: like [`chase_standard`], but a budget or
@@ -210,206 +98,93 @@ pub fn chase_standard_outcome(
     ChaseOutcome::from_run(chase_standard(start, deps, config))
 }
 
-/// The classical round-based chase loop: every round re-evaluates every
-/// dependency's premise against the entire instance. Kept as the reference
-/// implementation (the delta scheduler must agree with it — see the
-/// `property_delta` suite and the `e7_delta_scaling` bench) and as the
-/// explicit [`SchedulerMode::FullRescan`] escape hatch.
-///
-/// [`SchedulerMode::FullRescan`]: crate::config::SchedulerMode::FullRescan
+/// [`chase_standard`] pinned to [`SchedulerMode::FullRescan`], the
+/// reference the other modes must agree with (see the `property_delta`
+/// suite and the `e7_delta_scaling` bench).
 pub fn chase_standard_full_rescan(
     start: Instance,
     deps: &[Dependency],
     config: &ChaseConfig,
 ) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, false)?;
-    }
-    chase_full_rescan_loop(ResumeState::fresh(start, deps), deps, config)
+    let config = config.clone().with_scheduler(SchedulerMode::FullRescan);
+    chase_standard(start, deps, &config)
 }
 
-/// Continue a checkpointed run on the full-rescan loop. The pending
-/// worklist is ignored — every round rescans every premise anyway, so any
-/// sweep-aligned checkpoint resumes exactly here.
-pub(crate) fn chase_full_rescan_resume(
-    state: ResumeState,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, false)?;
-    }
-    chase_full_rescan_loop(state, deps, config)
-}
-
-fn chase_full_rescan_loop(
-    state: ResumeState,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    let ResumeState {
-        mut inst,
-        rounds,
-        next_null,
-        mut nullmap,
-        pending: _,
-    } = state;
-    let mut stats = ChaseStats {
-        rounds,
-        ..Default::default()
-    };
-    let mut nullgen = NullGenerator::starting_at(next_null);
-    let names: Vec<String> = deps.iter().map(|d| d.name.to_string()).collect();
-    let mut rec = Recorder::new(&names, "full_rescan", &config.trace);
-    let budget = config.budget.anchored();
-
-    // Checkpoints from this loop schedule every dependency Full: the next
-    // round would have rescanned everything regardless of provenance.
-    let interrupted = |reason: InterruptReason,
-                       inst: Instance,
-                       nullmap: &mut NullMap,
-                       stats: ChaseStats,
-                       rec: Recorder,
-                       next_null: u64|
-     -> Result<ChaseResult, ChaseError> {
-        let checkpoint = Checkpoint::capture(
-            "full_rescan",
-            stats.rounds,
-            next_null,
-            &inst,
-            nullmap,
-            vec![Pending::Full; deps.len()],
-        );
-        Err(ChaseError::Interrupted(Box::new(Interrupted {
-            reason,
-            instance: inst,
-            stats,
-            profile: rec.finish(),
-            checkpoint,
-        })))
-    };
-
-    loop {
-        if stats.rounds >= config.max_rounds {
-            let profile = Box::new(rec.finish());
-            return Err(ChaseError::RoundLimit {
-                rounds: stats.rounds,
-                stats: Box::new(stats),
-                profile,
-            });
-        }
-
-        // Round-start interruption point, before this round is counted.
-        let mut tripped = trip_check(&budget, &config.cancel, &stats);
-        if grom_fail::hit("sweep") {
-            tripped.get_or_insert(InterruptReason::Fault);
-        }
-        if let Some(reason) = tripped {
-            return interrupted(reason, inst, &mut nullmap, stats, rec, nullgen.peek_next());
-        }
-
-        stats.rounds += 1;
-        let sweep = stats.rounds as u64;
-        let mut progressed = false;
-        // Trips observed mid-round are recorded and acted on at the round
-        // boundary — a started round always completes (see the exactness
-        // note in `crate::scheduler`).
-        let mut tripped: Option<InterruptReason> = None;
-
-        for (k, dep) in deps.iter().enumerate() {
-            let t0 = Instant::now();
-            let tuples0 = stats.tuples_inserted;
-            let obligations0 = stats.obligations_batched;
-            if dep.is_denial() {
-                if let Some(v) = grom_engine::find_violation(&inst, dep) {
-                    return Err(ChaseError::Failure {
-                        dependency: dep.name.clone(),
-                        detail: format!("denial premise matched at {}", v.bindings),
-                    });
-                }
-                rec.activation(
-                    sweep,
-                    &ActivationRecord {
-                        dep: k,
-                        kind: ActivationKind::Full,
-                        seeded: 0,
-                        violations: 0,
-                        tuples: 0,
-                        obligations: 0,
-                        dedup_hits: 0,
-                        wall_ns: t0.elapsed().as_nanos() as u64,
-                    },
-                );
-                continue;
+/// One round of the classical chase, the [`SchedulerMode::FullRescan`]
+/// executor: every dependency's premise is re-evaluated against the entire
+/// instance, and a merging dependency is followed at once by its own
+/// substitution pass. Deliberately naive and deliberately its own text —
+/// no worklist, no deltas, no obligation batching, none of the shared
+/// activation body's rechecks — because it is the oracle the batched
+/// executors are compared against.
+pub(crate) fn rescan_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
+    let mut progressed = false;
+    let mut tripped: Option<InterruptReason> = None;
+    for (k, dep) in run.deps.iter().enumerate() {
+        let t0 = Instant::now();
+        let tuples0 = run.stats.tuples_inserted;
+        let obligations0 = run.stats.obligations_batched;
+        let mut violations = 0;
+        let mut any_merge = false;
+        if dep.is_denial() {
+            if let Some(v) = find_violation(&run.inst, dep) {
+                return Err(ChaseError::Failure {
+                    dependency: dep.name.clone(),
+                    detail: format!("denial premise matched at {}", v.bindings),
+                });
             }
+        } else {
             // `check_executable` guarantees exactly one disjunct here; a
             // trivially-true empty disjunct has no violations by definition.
-            let violations = collect_violations(&inst, dep);
-            let mut any_merge = false;
-            for b in &violations {
-                let b = resolve_bindings(b, &mut nullmap);
+            let found = collect_violations(&run.inst, dep);
+            violations = found.len();
+            let (mut sink, stats) = run.live();
+            for b in &found {
+                let b = resolve_bindings(b, &mut sink);
                 // Re-check: earlier repairs in this batch (or merges) may
                 // have satisfied this match already. Note the instance may
                 // still contain stale nulls mid-batch; that only makes this
                 // check conservative (it may repair redundantly, and the
-                // final substitution merges the duplicates).
-                if disjunct_satisfied(&inst, &dep.disjuncts[0], &b) {
+                // substitution below merges the duplicates).
+                if disjunct_satisfied(sink.db(), &dep.disjuncts[0], &b) {
                     continue;
                 }
-                let merged = apply_disjunct(
-                    &mut inst,
-                    dep,
-                    0,
-                    &b,
-                    &mut nullmap,
-                    &mut nullgen,
-                    &mut stats,
-                )?;
-                any_merge |= merged;
+                any_merge |= apply_disjunct(&mut sink, dep, 0, &b, stats)?;
                 progressed = true;
             }
-            rec.activation(
-                sweep,
-                &ActivationRecord {
-                    dep: k,
-                    kind: ActivationKind::Full,
-                    seeded: 0,
-                    violations: violations.len() as u64,
-                    tuples: (stats.tuples_inserted - tuples0) as u64,
-                    obligations: (stats.obligations_batched - obligations0) as u64,
-                    dedup_hits: 0,
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                },
-            );
-            if any_merge {
-                let ts = Instant::now();
-                let changed = inst.substitute_nulls(|id| nullmap.lookup(id));
-                stats.substitution_passes += 1;
-                rec.substitution(sweep, 0, changed.len(), ts.elapsed().as_nanos() as u64);
-                if grom_fail::hit("subst") {
-                    tripped.get_or_insert(InterruptReason::Fault);
-                }
-            }
-            if tripped.is_none() {
-                tripped = trip_check(&budget, &config.cancel, &stats);
+        }
+        run.rec.activation(
+            run.sweep,
+            &ActivationRecord {
+                dep: k,
+                kind: ActivationKind::Full,
+                seeded: 0,
+                violations: violations as u64,
+                tuples: (run.stats.tuples_inserted - tuples0) as u64,
+                obligations: (run.stats.obligations_batched - obligations0) as u64,
+                dedup_hits: 0,
+                wall_ns: t0.elapsed().as_nanos() as u64,
+            },
+        );
+        if any_merge {
+            let ts = Instant::now();
+            let nullmap = &mut run.nullmap;
+            let changed = run.inst.substitute_nulls(|id| nullmap.lookup(id));
+            run.stats.substitution_passes += 1;
+            run.rec
+                .substitution(run.sweep, 0, changed.len(), ts.elapsed().as_nanos() as u64);
+            if grom_fail::hit("subst") {
+                tripped.get_or_insert(InterruptReason::Fault);
             }
         }
-        rec.end_sweep(sweep, None, 0);
-
-        if !progressed {
-            // A reached fixpoint beats an interruption: the result is
-            // final, so there is nothing to resume.
-            break;
-        }
-        if let Some(reason) = tripped {
-            return interrupted(reason, inst, &mut nullmap, stats, rec, nullgen.peek_next());
+        if tripped.is_none() {
+            tripped = run.tripped();
         }
     }
-
-    Ok(ChaseResult {
-        instance: inst,
-        stats,
-        profile: rec.finish(),
+    Ok(SweepEnd {
+        tripped,
+        fixpoint: !progressed,
+        ..Default::default()
     })
 }
 
@@ -422,7 +197,7 @@ pub fn all_satisfied(inst: &Instance, deps: &[Dependency]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grom_data::Tuple;
+    use grom_data::{Tuple, Value};
     use grom_lang::parser::{parse_dependency, parse_program};
 
     fn inst(facts: &[(&str, &[i64])]) -> Instance {
@@ -655,5 +430,34 @@ mod tests {
         let u: Vec<_> = res.instance.tuples("U").collect();
         assert_eq!(u.len(), 1);
         assert_eq!(u[0].get(0), Some(&Value::int(9)));
+    }
+
+    #[test]
+    fn both_full_rescan_doors_register_the_same_join_keys() {
+        // The premise joins T and U on two columns, so the static analysis
+        // registers a composite key on each; the mode-pinning wrapper must
+        // install exactly what `chase_standard(.., FullRescan)` installs.
+        let p = parse_program(
+            "tgd m: S(x, y) -> T(x, y, z).\n\
+             tgd j: T(x, y, z), U(x, y) -> V(z).",
+        )
+        .unwrap();
+        let start = inst(&[("S", &[1, 2]), ("U", &[1, 2])]);
+        let pinned = cfg().with_scheduler(SchedulerMode::FullRescan);
+        let by_mode = chase_standard(start.clone(), &p.deps, &pinned).unwrap();
+        let by_name = chase_standard_full_rescan(start, &p.deps, &cfg()).unwrap();
+        let keys = |i: &Instance| -> Vec<(String, Vec<Vec<usize>>)> {
+            i.relation_names()
+                .map(|r| {
+                    let specs = i.relation(r).unwrap().key_specs();
+                    (r.to_string(), specs.map(<[usize]>::to_vec).collect())
+                })
+                .collect()
+        };
+        assert_eq!(keys(&by_mode.instance), keys(&by_name.instance));
+        assert!(keys(&by_name.instance)
+            .iter()
+            .any(|(_, specs)| !specs.is_empty()));
+        assert_eq!(by_name.profile.mode, "full_rescan");
     }
 }

@@ -1,0 +1,504 @@
+//! The sweep driver: the one loop every standard chase runs on.
+//!
+//! A chase run is a sequence of *sweeps* over a fixed dependency list. The
+//! driver (`run_chase`) owns everything that is the same under every
+//! [`SchedulerMode`]: the executability check and join-key registration,
+//! the run state (`Run`), the `max_rounds` limit, round counting, the
+//! interruption points, checkpoint capture and the final result. What
+//! happens *inside* one sweep is the executor's business, and there are
+//! three:
+//!
+//! * **inline** (`crate::scheduler::inline_sweep`, `Delta`): activates
+//!   the worklist in declaration order against the live instance, flushing
+//!   pending equality obligations before an atom-bearing dependency runs;
+//! * **pool** (`crate::parallel::PoolExecutor`, `Parallel`): claims the
+//!   worklist by conflict group, runs each group against a snapshot on the
+//!   worker pool, and unifies / merges / routes at the sweep barrier,
+//!   deferring where the inline executor flushes;
+//! * **rescan** (`crate::standard::rescan_sweep`, `FullRescan`): the
+//!   deliberately naive reference — every premise against the whole
+//!   instance every sweep, no worklist, no deltas.
+//!
+//! The inline and pool executors share one activation body (`activate`:
+//! claim → violations → denial check → satisfied-recheck → repair →
+//! record), generic over a `RepairSink` — the live
+//! `(Instance, NullMap, NullGenerator)` triple or a worker's shard view
+//! with its obligation overlay. All three executors (and the exhaustive
+//! ded chase) repair through the one `apply_disjunct`.
+//!
+//! ## Rounds, interruption, checkpoints
+//!
+//! Stated once, for every mode. A round is counted when its sweep starts;
+//! the worklist executors additionally count the final empty round that
+//! finds the worklist drained, the rescan reference its final no-progress
+//! round. Budget, cancellation and the `sweep` fault are polled **before**
+//! a sweep starts (that sweep is then not counted). Once started, a sweep
+//! always completes — skipping an activation mid-sweep would change which
+//! nulls later dependencies see — so a trip observed mid-sweep (per
+//! activation, by a worker, or at the `subst` / `barrier` faults) is
+//! reported by the executor in its `SweepEnd` and acted on here, at the
+//! sweep boundary: at most one sweep of overshoot. A reached fixpoint
+//! beats an interruption. The boundary is exactly the state a
+//! [`Checkpoint`] captures — obligations substituted, deltas routed into
+//! the worklist, null cursor past every allocated label — which is why any
+//! mode resumes any mode's checkpoint.
+
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Instant;
+
+use grom_data::{DataError, Instance, NullGenerator, Tuple, Value};
+use grom_engine::{disjunct_satisfied, find_violation, Db};
+use grom_lang::{Bindings, Dependency, Term, Var};
+use grom_trace::{ActivationKind, ActivationRecord, Recorder};
+
+use crate::checkpoint::{Checkpoint, ResumeState};
+use crate::config::{Budget, ChaseConfig, InterruptReason, SchedulerMode};
+use crate::nullmap::{NullMap, Unify};
+use crate::parallel::PoolExecutor;
+use crate::result::{ChaseError, ChaseResult, ChaseStats, Interrupted};
+use crate::scheduler::{delta_violations, idempotent_repair, inline_sweep, Pending, Scheduler};
+use crate::standard::{check_executable, collect_violations, rescan_sweep};
+
+/// The state of one standard-chase run, threaded through the driver and
+/// its executor.
+pub(crate) struct Run<'a> {
+    pub deps: &'a [Dependency],
+    pub config: &'a ChaseConfig,
+    /// The run budget, anchored at run start.
+    pub budget: Budget,
+    pub inst: Instance,
+    pub nullmap: NullMap,
+    pub nullgen: NullGenerator,
+    pub sched: Scheduler,
+    pub stats: ChaseStats,
+    pub rec: Recorder,
+    /// 1-based index of the sweep in flight.
+    pub sweep: u64,
+}
+
+/// What an executor reports back from one completed sweep.
+#[derive(Default)]
+pub(crate) struct SweepEnd {
+    /// A budget trip, cancellation or fault observed mid-sweep.
+    pub tripped: Option<InterruptReason>,
+    /// The sweep proved the fixpoint by itself (rescan: nothing repaired).
+    pub fixpoint: bool,
+    /// Evaluate-phase wall time when it is not the sum of the activation
+    /// walls (pool: barrier-to-barrier).
+    pub evaluate_ns: Option<u64>,
+    /// Barrier-merge wall time (pool only).
+    pub merge_ns: u64,
+}
+
+impl<'a> Run<'a> {
+    fn new(
+        state: ResumeState,
+        deps: &'a [Dependency],
+        config: &'a ChaseConfig,
+        mode: &str,
+    ) -> Self {
+        let names: Vec<String> = deps.iter().map(|d| d.name.to_string()).collect();
+        Run {
+            deps,
+            config,
+            budget: config.budget.anchored(),
+            inst: state.inst,
+            nullmap: state.nullmap,
+            nullgen: NullGenerator::starting_at(state.next_null),
+            sched: Scheduler::with_pending(deps, state.pending),
+            stats: ChaseStats {
+                rounds: state.rounds,
+                ..Default::default()
+            },
+            rec: Recorder::new(&names, mode, &config.trace),
+            sweep: 0,
+        }
+    }
+
+    /// The live repair sink over this run's instance, plus its counters.
+    pub fn live(&mut self) -> (LiveSink<'_>, &mut ChaseStats) {
+        let sink = LiveSink {
+            inst: &mut self.inst,
+            nullmap: &mut self.nullmap,
+            nullgen: &mut self.nullgen,
+        };
+        (sink, &mut self.stats)
+    }
+
+    /// Cooperative budget/cancellation check. Cancellation wins over
+    /// budget exhaustion so a Ctrl-C is reported as such even when a cap
+    /// tripped in the same activation.
+    pub fn tripped(&self) -> Option<InterruptReason> {
+        if self.config.cancel.is_cancelled() {
+            return Some(InterruptReason::Cancelled);
+        }
+        self.budget
+            .exceeded(self.stats.tuples_inserted, self.stats.nulls_invented)
+    }
+
+    /// Package a sweep-aligned interruption: everything the run produced
+    /// plus the checkpoint, as the internal `Err` the entry points surface
+    /// as [`crate::ChaseOutcome::Interrupted`].
+    fn interrupted(mut self, reason: InterruptReason) -> ChaseError {
+        self.inst.end_delta_tracking();
+        let profile = self.rec.finish();
+        let checkpoint = Checkpoint::capture(
+            &profile.mode,
+            self.stats.rounds,
+            self.nullgen.peek_next(),
+            &self.inst,
+            &mut self.nullmap,
+            self.sched.pending_snapshot(),
+        );
+        ChaseError::Interrupted(Box::new(Interrupted {
+            reason,
+            instance: self.inst,
+            stats: self.stats,
+            profile,
+            checkpoint,
+        }))
+    }
+}
+
+/// Run the standard chase from `state` — fresh or restored — under
+/// `config`'s scheduler mode.
+pub(crate) fn run_chase(
+    mut state: ResumeState,
+    deps: &[Dependency],
+    config: &ChaseConfig,
+) -> Result<ChaseResult, ChaseError> {
+    for dep in deps {
+        check_executable(dep, false)?;
+    }
+    // Wire up the composite join-key indexes the static premise analysis
+    // predicts, before the first sweep touches the instance. Relations the
+    // chase has yet to create pick their keys up on first insert.
+    crate::trigger::register_join_keys(&mut state.inst, deps);
+    match config.scheduler {
+        SchedulerMode::Delta => {
+            let mut run = Run::new(state, deps, config, "delta");
+            run.inst.begin_delta_tracking();
+            drive(run, inline_sweep)
+        }
+        SchedulerMode::FullRescan => {
+            // The reference never claims from the worklist. Pinned
+            // all-`Full`, the worklist reports work every round (the sweep
+            // itself detects the fixpoint) and checkpoints as "rescan
+            // everything", whatever a restored state carried.
+            state.pending = vec![Pending::Full; deps.len()];
+            drive(Run::new(state, deps, config, "full_rescan"), rescan_sweep)
+        }
+        SchedulerMode::Parallel { threads } => {
+            let mut run = Run::new(state, deps, config, &format!("parallel{threads}"));
+            let pool = PoolExecutor::new(&mut run, threads);
+            drive(run, |run| pool.sweep(run))
+        }
+    }
+}
+
+/// The sweep loop (see the module docs for the counting and interruption
+/// rules it implements).
+fn drive(
+    mut run: Run<'_>,
+    mut sweep: impl FnMut(&mut Run<'_>) -> Result<SweepEnd, ChaseError>,
+) -> Result<ChaseResult, ChaseError> {
+    loop {
+        if run.stats.rounds >= run.config.max_rounds {
+            return Err(ChaseError::RoundLimit {
+                rounds: run.stats.rounds,
+                stats: Box::new(run.stats),
+                profile: Box::new(run.rec.finish()),
+            });
+        }
+        if !run.sched.has_work() {
+            // The empty round that finds the worklist drained is counted.
+            run.stats.rounds += 1;
+            break;
+        }
+        let mut tripped = run.tripped();
+        if grom_fail::hit("sweep") {
+            tripped.get_or_insert(InterruptReason::Fault);
+        }
+        if let Some(reason) = tripped {
+            return Err(run.interrupted(reason));
+        }
+
+        run.stats.rounds += 1;
+        run.sweep = run.stats.rounds as u64;
+        let end = sweep(&mut run)?;
+        run.rec.end_sweep(run.sweep, end.evaluate_ns, end.merge_ns);
+        if end.fixpoint {
+            break;
+        }
+        if let Some(reason) = end.tripped {
+            return Err(run.interrupted(reason));
+        }
+    }
+    run.inst.end_delta_tracking();
+    Ok(ChaseResult {
+        instance: run.inst,
+        stats: run.stats,
+        profile: run.rec.finish(),
+    })
+}
+
+/// Where a repair lands: the database it reads, plus the write half —
+/// tuple inserts, equality enforcement, value resolution through pending
+/// equalities, fresh nulls. Two implementations: [`LiveSink`] (the master
+/// instance with the run-level union-find) and the pool workers' shard
+/// sink (snapshot ∪ insertion buffer with an obligation overlay).
+pub(crate) trait RepairSink {
+    type Db: Db;
+
+    fn db(&self) -> &Self::Db;
+
+    /// Insert a conclusion tuple; `Ok(true)` iff it is new.
+    fn insert(&mut self, relation: &Arc<str>, tuple: Tuple) -> Result<bool, DataError>;
+
+    /// Is [`RepairSink::resolve`] currently the identity (no pending
+    /// equalities at all)? The egd-free common case.
+    fn clean(&self) -> bool;
+
+    /// Resolve a value through the pending equalities.
+    fn resolve(&mut self, value: &Value) -> Value;
+
+    /// Enforce `left = right` on behalf of `dep`, counting obligations (and
+    /// merges, where the sink itself unifies) in `stats`. Returns whether
+    /// the stored instance now needs a substitution pass.
+    fn equate(
+        &mut self,
+        dep: &Dependency,
+        left: Value,
+        right: Value,
+        stats: &mut ChaseStats,
+    ) -> Result<bool, ChaseError>;
+
+    fn fresh_null(&mut self) -> Value;
+
+    /// Insert attempts rejected as duplicates so far.
+    fn dedup_hits(&self) -> u64;
+}
+
+/// The live sink: repairs write straight into the instance, equalities
+/// unify in the run-level [`NullMap`] (a constant clash fails on the spot;
+/// the instance itself is rewritten later, by the executor).
+pub(crate) struct LiveSink<'a> {
+    pub inst: &'a mut Instance,
+    pub nullmap: &'a mut NullMap,
+    pub nullgen: &'a mut NullGenerator,
+}
+
+impl RepairSink for LiveSink<'_> {
+    type Db = Instance;
+
+    fn db(&self) -> &Instance {
+        self.inst
+    }
+
+    fn insert(&mut self, relation: &Arc<str>, tuple: Tuple) -> Result<bool, DataError> {
+        self.inst.insert(relation, tuple)
+    }
+
+    fn clean(&self) -> bool {
+        self.nullmap.is_empty()
+    }
+
+    fn resolve(&mut self, value: &Value) -> Value {
+        self.nullmap.resolve(value)
+    }
+
+    fn equate(
+        &mut self,
+        dep: &Dependency,
+        left: Value,
+        right: Value,
+        stats: &mut ChaseStats,
+    ) -> Result<bool, ChaseError> {
+        stats.obligations_batched += 1;
+        match self.nullmap.unify(&left, &right) {
+            Unify::Noop => Ok(false),
+            Unify::Merged => {
+                stats.egd_merges += 1;
+                Ok(true)
+            }
+            Unify::Clash(a, b) => Err(ChaseError::clash(&dep.name, &a, &b)),
+        }
+    }
+
+    fn fresh_null(&mut self) -> Value {
+        self.nullgen.fresh()
+    }
+
+    fn dedup_hits(&self) -> u64 {
+        0
+    }
+}
+
+/// Resolve every value of a binding through the sink's pending equalities
+/// (bindings go stale when egds merge nulls after the match was found).
+pub(crate) fn resolve_bindings(b: &Bindings, sink: &mut impl RepairSink) -> Bindings {
+    let mut out = Bindings::new();
+    for (v, val) in b.iter() {
+        out.bind(v.clone(), sink.resolve(val));
+    }
+    out
+}
+
+/// Apply one disjunct to repair a violation. Returns `true` if the sink
+/// merged nulls (the caller must re-normalize the instance).
+pub(crate) fn apply_disjunct<S: RepairSink>(
+    sink: &mut S,
+    dep: &Dependency,
+    disjunct_idx: usize,
+    bindings: &Bindings,
+    stats: &mut ChaseStats,
+) -> Result<bool, ChaseError> {
+    let disjunct = &dep.disjuncts[disjunct_idx];
+
+    // Comparisons over premise variables: if they do not hold for this
+    // match, no repair can ever satisfy this disjunct.
+    for c in &disjunct.cmps {
+        if !bindings.eval_comparison(c).unwrap_or(false) {
+            return Err(ChaseError::Failure {
+                dependency: dep.name.clone(),
+                detail: format!("disjunct comparison `{c}` cannot be satisfied at {bindings}"),
+            });
+        }
+    }
+
+    let mut merged = false;
+    for (l, r) in &disjunct.eqs {
+        let unbound = |t: &Term| ChaseError::NotExecutable {
+            dependency: dep.name.clone(),
+            reason: format!("equality term `{t}` is not bound by the premise"),
+        };
+        let lv = bindings.eval_term(l).ok_or_else(|| unbound(l))?;
+        let rv = bindings.eval_term(r).ok_or_else(|| unbound(r))?;
+        merged |= sink.equate(dep, lv, rv, stats)?;
+    }
+
+    // Atoms: one fresh null per existential variable, shared across the
+    // disjunct's atoms.
+    if !disjunct.atoms.is_empty() {
+        let mut fresh: BTreeMap<Var, Value> = BTreeMap::new();
+        for atom in &disjunct.atoms {
+            let mut row = Vec::with_capacity(atom.args.len());
+            for t in &atom.args {
+                row.push(match t {
+                    Term::Const(c) => c.clone(),
+                    Term::Var(v) => match bindings.get(v) {
+                        Some(val) => sink.resolve(val),
+                        None => fresh
+                            .entry(v.clone())
+                            .or_insert_with(|| {
+                                stats.nulls_invented += 1;
+                                sink.fresh_null()
+                            })
+                            .clone(),
+                    },
+                });
+            }
+            if sink.insert(&atom.predicate, row.into())? {
+                stats.tuples_inserted += 1;
+            }
+        }
+        stats.tgd_applications += 1;
+    }
+
+    Ok(merged)
+}
+
+/// One completed activation: its profile record, and whether its repairs
+/// left merges for the executor to substitute.
+pub(crate) struct Activated {
+    pub record: ActivationRecord,
+    pub merged: bool,
+}
+
+/// The activation body shared by the inline and pool executors: evaluate
+/// dependency `k`'s claimed worklist entry (full or delta-seeded), fail on
+/// a denial match, and repair the violations that are still unsatisfied
+/// under the pending equalities. `Ok(None)` for an idle entry. Equality
+/// repairs only go through [`RepairSink::equate`] — the stored instance is
+/// never rewritten here. Routing the inserted tuples, and what to do with
+/// a failure, is the executor's part.
+pub(crate) fn activate<S: RepairSink>(
+    sink: &mut S,
+    dep: &Dependency,
+    k: usize,
+    pending: Pending,
+    stats: &mut ChaseStats,
+) -> Result<Option<Activated>, ChaseError> {
+    let t0 = Instant::now();
+    let tuples0 = stats.tuples_inserted;
+    let obligations0 = stats.obligations_batched;
+    let dedup0 = sink.dedup_hits();
+    let (kind, seeded, violations) = match pending {
+        Pending::Idle => return Ok(None),
+        Pending::Full => {
+            stats.full_rescans += 1;
+            let found = if dep.is_denial() {
+                find_violation(sink.db(), dep).map_or_else(Vec::new, |v| vec![v.bindings])
+            } else {
+                collect_violations(sink.db(), dep)
+            };
+            (ActivationKind::Full, 0, found)
+        }
+        Pending::Delta(map) => {
+            stats.delta_activations += 1;
+            let seeded = map.values().map(Vec::len).sum::<usize>();
+            stats.delta_tuples_seeded += seeded;
+            let found = delta_violations(sink.db(), dep, &map, dep.is_denial(), stats);
+            (ActivationKind::Delta, seeded as u64, found)
+        }
+    };
+    if dep.is_denial() {
+        if let Some(b) = violations.first() {
+            return Err(ChaseError::Failure {
+                dependency: dep.name.clone(),
+                detail: format!("denial premise matched at {b}"),
+            });
+        }
+    }
+
+    // Idempotent repairs (ground single-disjunct conclusions) skip the
+    // recheck entirely: re-applying one is a dedup'd no-op, so the probe
+    // would only re-derive what the insert decides anyway. Such a
+    // dependency records no equalities, so a clean sink stays clean for
+    // the whole batch.
+    let direct = !violations.is_empty() && sink.clean() && idempotent_repair(dep);
+    let mut merged = false;
+    for b in &violations {
+        // Satisfied-under-pending-equalities recheck: earlier repairs in
+        // this batch may already satisfy the match even though the stored
+        // instance has not been rewritten yet. With a clean sink the
+        // resolution is the identity, so the raw bindings are checked —
+        // and applied — directly, skipping a clone-and-resolve pass per
+        // violation.
+        let b = if sink.clean() {
+            Cow::Borrowed(b)
+        } else {
+            Cow::Owned(resolve_bindings(b, sink))
+        };
+        if !direct && disjunct_satisfied(sink.db(), &dep.disjuncts[0], &b) {
+            continue;
+        }
+        merged |= apply_disjunct(sink, dep, 0, &b, stats)?;
+    }
+
+    Ok(Some(Activated {
+        record: ActivationRecord {
+            dep: k,
+            kind,
+            seeded,
+            violations: violations.len() as u64,
+            tuples: (stats.tuples_inserted - tuples0) as u64,
+            obligations: (stats.obligations_batched - obligations0) as u64,
+            dedup_hits: sink.dedup_hits() - dedup0,
+            wall_ns: t0.elapsed().as_nanos() as u64,
+        },
+        merged,
+    }))
+}

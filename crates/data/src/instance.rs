@@ -1363,10 +1363,7 @@ mod tests {
             newer.push(t.clone());
             true
         });
-        assert_eq!(
-            newer,
-            vec![Tuple::new(vec![v(3)]), Tuple::new(vec![v(4)])]
-        );
+        assert_eq!(newer, vec![Tuple::new(vec![v(3)]), Tuple::new(vec![v(4)])]);
     }
 
     #[test]
@@ -1375,6 +1372,7 @@ mod tests {
         inst.add("R", vec![Value::null(0)]).unwrap(); // slot 0, tombstoned
         inst.add("R", vec![v(10)]).unwrap(); // slot 1
         inst.add("R", vec![v(20)]).unwrap(); // slot 2
+
         // Substitution tombstones slot 0 and re-appends the rewrite at slot 3.
         inst.substitute_nulls(|id| (id == NullId(0)).then(|| v(30)));
         let rel = inst.relation("R").unwrap();
@@ -1419,12 +1417,8 @@ mod tests {
             let mut union = old.clone();
             union.extend(new.iter().cloned());
             assert_eq!(union, all);
-            assert!(new
-                .iter()
-                .all(|t| t.get(1).is_some_and(|x| *x >= v(6))));
-            assert!(old
-                .iter()
-                .all(|t| t.get(1).is_some_and(|x| *x < v(6))));
+            assert!(new.iter().all(|t| t.get(1).is_some_and(|x| *x >= v(6))));
+            assert!(old.iter().all(|t| t.get(1).is_some_and(|x| *x < v(6))));
         }
     }
 

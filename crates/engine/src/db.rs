@@ -23,10 +23,6 @@
 //! [`grom_data::RelId`]; composites pack one id per side). Tokens are only
 //! meaningful on the database that issued them and remain valid as long as
 //! that database is not mutated.
-//!
-//! The historical name-keyed methods (`scan_relation`, …) survive as
-//! default implementations over `resolve`, so existing callers and tests
-//! keep working; new code should resolve once and use the `_rel` forms.
 
 use grom_data::{Instance, RelId, Span, Tuple, Value};
 
@@ -61,8 +57,7 @@ pub enum Ver {
 ///
 /// Patterns follow [`grom_data::Relation::scan_each`]: `pattern[i] =
 /// Some(v)` constrains column `i` to equal `v`; `None` leaves it free.
-/// Absent relations behave as empty: [`Db::resolve`] returns `None`, and
-/// the name-keyed defaults yield nothing / `false` / zero.
+/// Absent relations behave as empty: [`Db::resolve`] returns `None`.
 pub trait Db {
     /// Resolve `relation` to an opaque token, or `None` if it is absent
     /// (and therefore empty). Resolve once per evaluation, not per probe.
@@ -122,37 +117,6 @@ pub trait Db {
 
     /// Number of tuples in `rel`.
     fn len_rel(&self, rel: DbRel) -> usize;
-
-    /// Tuples of `relation` matching `pattern`, collected into a `Vec`.
-    /// Name-keyed convenience over [`Db::resolve`] + [`Db::scan_rel`];
-    /// prefer the streaming form on hot paths.
-    fn scan_relation<'a>(&'a self, relation: &str, pattern: &[Option<Value>]) -> Vec<&'a Tuple> {
-        let mut out = Vec::new();
-        if let Some(rel) = self.resolve(relation) {
-            self.scan_rel(rel, pattern, &mut |t| {
-                out.push(t);
-                Control::Continue
-            });
-        }
-        out
-    }
-
-    /// Name-keyed convenience over [`Db::estimate_rel`].
-    fn estimate_relation(&self, relation: &str, pattern: &[Option<Value>]) -> usize {
-        self.resolve(relation)
-            .map_or(0, |rel| self.estimate_rel(rel, pattern))
-    }
-
-    /// Name-keyed convenience over [`Db::any_match_rel`].
-    fn any_match_relation(&self, relation: &str, pattern: &[Option<Value>]) -> bool {
-        self.resolve(relation)
-            .is_some_and(|rel| self.any_match_rel(rel, pattern))
-    }
-
-    /// Number of tuples in `relation` (0 if absent).
-    fn relation_len(&self, relation: &str) -> usize {
-        self.resolve(relation).map_or(0, |rel| self.len_rel(rel))
-    }
 }
 
 /// Translate an engine-level version into a slot [`Span`] for a single
@@ -178,7 +142,9 @@ impl Db for Instance {
         visit: &mut dyn FnMut(&'a Tuple) -> Control,
     ) {
         self.relation_by_id(RelId(rel.0 as u32))
-            .scan_each_v(pattern, span_of(ver), &mut |t| visit(t) == Control::Continue);
+            .scan_each_v(pattern, span_of(ver), &mut |t| {
+                visit(t) == Control::Continue
+            });
     }
 
     fn estimate_rel_v(&self, rel: DbRel, pattern: &[Option<Value>], ver: Ver) -> usize {
@@ -187,7 +153,10 @@ impl Db for Instance {
     }
 
     fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64 {
-        u64::from(self.relation_by_id(RelId(rel.0 as u32)).cursor_before_last(n))
+        u64::from(
+            self.relation_by_id(RelId(rel.0 as u32))
+                .cursor_before_last(n),
+        )
     }
 
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
@@ -249,7 +218,9 @@ impl Db for PairDb<'_> {
     ) {
         let (side, id) = self.decode(rel);
         side.relation_by_id(id)
-            .scan_each_v(pattern, span_of(ver), &mut |t| visit(t) == Control::Continue);
+            .scan_each_v(pattern, span_of(ver), &mut |t| {
+                visit(t) == Control::Continue
+            });
     }
 
     fn estimate_rel_v(&self, rel: DbRel, pattern: &[Option<Value>], ver: Ver) -> usize {
@@ -285,15 +256,22 @@ mod tests {
         let mut b = Instance::new();
         b.add("T", vec![Value::int(2)]).unwrap();
         let db = PairDb::new(&a, &b);
-        assert_eq!(db.scan_relation("S", &[None]).len(), 1);
-        assert_eq!(db.scan_relation("T", &[None]).len(), 1);
-        assert!(db.scan_relation("U", &[None]).is_empty());
-        assert!(db.any_match_relation("S", &[Some(Value::int(1))]));
-        assert!(!db.any_match_relation("S", &[Some(Value::int(9))]));
-        assert_eq!(db.relation_len("S"), 1);
-        assert_eq!(db.relation_len("U"), 0);
-        assert_eq!(db.estimate_relation("T", &[None]), 1);
-        assert_eq!(db.estimate_relation("U", &[None]), 0);
+        let (s, t) = (db.resolve("S").unwrap(), db.resolve("T").unwrap());
+        let scanned = |rel| {
+            let mut n = 0;
+            db.scan_rel(rel, &[None], &mut |_| {
+                n += 1;
+                Control::Continue
+            });
+            n
+        };
+        assert_eq!(scanned(s), 1);
+        assert_eq!(scanned(t), 1);
+        assert!(db.resolve("U").is_none());
+        assert!(db.any_match_rel(s, &[Some(Value::int(1))]));
+        assert!(!db.any_match_rel(s, &[Some(Value::int(9))]));
+        assert_eq!(db.len_rel(s), 1);
+        assert_eq!(db.estimate_rel(t, &[None]), 1);
     }
 
     #[test]

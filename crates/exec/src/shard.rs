@@ -136,14 +136,8 @@ fn decode(rel: DbRel) -> (Option<RelId>, Option<RelId>) {
 fn layer_spans(ver: Ver) -> (Span, Span) {
     match ver {
         Ver::All => (Span::All, Span::All),
-        Ver::Old(c) => (
-            Span::Below((c >> 32) as u32),
-            Span::Below(c as u32),
-        ),
-        Ver::New(c) => (
-            Span::AtLeast((c >> 32) as u32),
-            Span::AtLeast(c as u32),
-        ),
+        Ver::Old(c) => (Span::Below((c >> 32) as u32), Span::Below(c as u32)),
+        Ver::New(c) => (Span::AtLeast((c >> 32) as u32), Span::AtLeast(c as u32)),
     }
 }
 
@@ -186,7 +180,9 @@ impl Db for ShardView<'_> {
         base.map_or(0, |id| {
             self.base.relation_by_id(id).estimate_v(pattern, base_span)
         }) + local.map_or(0, |id| {
-            self.local.relation_by_id(id).estimate_v(pattern, local_span)
+            self.local
+                .relation_by_id(id)
+                .estimate_v(pattern, local_span)
         })
     }
 
@@ -204,7 +200,9 @@ impl Db for ShardView<'_> {
         } else {
             (
                 base.map_or(0, |id| {
-                    self.base.relation_by_id(id).cursor_before_last(n - local_len)
+                    self.base
+                        .relation_by_id(id)
+                        .cursor_before_last(n - local_len)
                 }),
                 0,
             )
@@ -250,18 +248,19 @@ mod tests {
         assert!(view.insert(&rel("S"), Tuple::new(vec![v(7)])).unwrap());
 
         // Union scan: base rows first, then buffered rows.
-        let rows: Vec<i64> = view
-            .scan_relation("R", &[None, None])
-            .iter()
-            .map(|t| t.get(0).unwrap().as_int().unwrap())
-            .collect();
+        let (r, s) = (view.resolve("R").unwrap(), view.resolve("S").unwrap());
+        let mut rows: Vec<i64> = Vec::new();
+        view.scan_rel(r, &[None, None], &mut |t| {
+            rows.push(t.get(0).unwrap().as_int().unwrap());
+            Control::Continue
+        });
         assert_eq!(rows, vec![1, 2, 3]);
-        assert_eq!(view.relation_len("R"), 3);
-        assert_eq!(view.relation_len("S"), 1);
-        assert_eq!(view.estimate_relation("R", &[Some(v(3)), None]), 1);
-        assert!(view.any_match_relation("R", &[Some(v(1)), None]));
-        assert!(view.any_match_relation("S", &[Some(v(7))]));
-        assert!(!view.any_match_relation("S", &[Some(v(8))]));
+        assert_eq!(view.len_rel(r), 3);
+        assert_eq!(view.len_rel(s), 1);
+        assert_eq!(view.estimate_rel(r, &[Some(v(3)), None]), 1);
+        assert!(view.any_match_rel(r, &[Some(v(1)), None]));
+        assert!(view.any_match_rel(s, &[Some(v(7))]));
+        assert!(!view.any_match_rel(s, &[Some(v(8))]));
     }
 
     #[test]

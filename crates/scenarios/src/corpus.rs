@@ -22,9 +22,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use grom_chase::{
-    chase_standard, chase_standard_full_rescan, Budget, ChaseConfig, ChaseError, SchedulerMode,
-};
+use grom_chase::{chase_standard, Budget, ChaseConfig, ChaseError, SchedulerMode};
 use grom_data::{canonical_render, Instance};
 use grom_lang::Dependency;
 
@@ -172,11 +170,7 @@ pub fn chase_mode(
     cfg: &ChaseConfig,
 ) -> Result<String, String> {
     let cfg = cfg.clone().with_scheduler(mode);
-    let run = match mode {
-        SchedulerMode::FullRescan => chase_standard_full_rescan(inst, deps, &cfg),
-        _ => chase_standard(inst, deps, &cfg),
-    };
-    match run {
+    match chase_standard(inst, deps, &cfg) {
         Ok(res) => Ok(canonical_render(&res.instance)),
         Err(e) => Err(error_class(&e).to_string()),
     }

@@ -141,7 +141,10 @@ fn any_mode_resumes_any_modes_checkpoint() {
     let generated = generate(&spec).parts().expect("generated scenario parses");
     for (what, (deps, inst)) in [("kill-window", kill_window_scenario()), ("egd", generated)] {
         assert!(
-            what != "egd" || deps.iter().any(|d| !d.disjuncts[0].eqs.is_empty()),
+            what != "egd"
+                || deps
+                    .iter()
+                    .any(|d| d.disjuncts.iter().any(|j| !j.eqs.is_empty())),
             "the generated scenario must bear egds"
         );
         let base = ChaseConfig::default().with_max_rounds(200);
