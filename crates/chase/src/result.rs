@@ -41,8 +41,8 @@ pub struct ChaseStats {
     pub delta_activations: usize,
     /// Delta scheduler: total delta tuples used to seed premise evaluation.
     pub delta_tuples_seeded: usize,
-    /// Delta scheduler: delta tuples skipped by the anchor arity check in
-    /// `evaluate_body_from_delta` (stale entries from an arity-drifted
+    /// Delta scheduler: delta tuples skipped by the anchor arity check of
+    /// `DepPlan::violations_from_delta` (stale entries from an arity-drifted
     /// relation; counted once per stale tuple, regardless of how many
     /// anchor positions its relation has).
     pub stale_delta_skipped: usize,

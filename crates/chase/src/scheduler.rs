@@ -9,12 +9,12 @@
 //!   premise reads it;
 //! * the instance records the tuples each repair batch inserts (the
 //!   [`DeltaLog`] of `grom-data`);
-//! * premise evaluation is seeded from the delta tuples only
-//!   ([`grom_engine::evaluate_body_from_delta`] anchors one premise atom to
-//!   a delta tuple and joins the rest with the semi-naive old/new version
-//!   split: premise atoms before the anchor read only the *old* half of
-//!   their relation — everything except the claimed delta — so each match
-//!   is enumerated exactly once across anchor positions).
+//! * premise evaluation is seeded from the delta tuples only (the compiled
+//!   [`grom_engine::DepPlan`] anchors one premise atom to a delta tuple and
+//!   joins the rest with the semi-naive old/new version split: premise
+//!   atoms before the anchor read only the *old* half of their relation —
+//!   everything except the claimed delta — so each match is enumerated
+//!   exactly once across anchor positions).
 //!
 //! ## Old/new versioning and the claim-time promote
 //!
@@ -86,9 +86,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use grom_data::{DeltaLog, Tuple};
-use grom_lang::{Bindings, Dependency};
+use grom_lang::Dependency;
 
-use grom_engine::{disjunct_satisfied, evaluate_body_from_delta, Control, Db};
+use grom_engine::{Control, Db, DepPlan, Matches, Scratch};
 
 use crate::config::InterruptReason;
 use crate::result::{ChaseError, ChaseStats};
@@ -236,51 +236,54 @@ impl Scheduler {
     }
 }
 
-/// Violating premise matches of `dep` seeded from per-relation deltas, in
-/// deterministic order. With `stop_at_first` (denials) at most one match is
-/// returned. Generic over [`Db`] so the parallel executor can evaluate
-/// against snapshot views. Stale delta tuples skipped by the anchor arity
-/// check are counted in `stats` instead of being dropped silently.
+/// Violating premise matches of `plan`'s dependency seeded from
+/// per-relation deltas, in deterministic order. With `stop_at_first`
+/// (denials) at most one match is returned. Generic over [`Db`] so the
+/// parallel executor can evaluate against snapshot views. Stale delta tuples
+/// skipped by the anchor arity check are counted in `stats` instead of
+/// being dropped silently.
 ///
-/// The semi-naive version split in [`evaluate_body_from_delta`] enumerates
-/// each match exactly once across anchor positions, so no dedup set is
-/// needed on the hot path and each surviving match is cloned exactly once
-/// into the output. Debug builds keep the historical `seen` set as an
-/// assertion that the split holds.
+/// The semi-naive version split of [`DepPlan::violations_from_delta`]
+/// enumerates each match exactly once across anchor positions, so no dedup
+/// set is needed on the hot path and each surviving match is copied out of
+/// the registers exactly once. Debug builds keep the historical `seen` set
+/// as an assertion that the split holds.
 pub(crate) fn delta_violations(
     db: &impl Db,
-    dep: &Dependency,
+    plan: &DepPlan<'_>,
     delta: &BTreeMap<Arc<str>, Vec<Tuple>>,
     stop_at_first: bool,
     stats: &mut ChaseStats,
-) -> Vec<Bindings> {
+    scratch: &mut Scratch,
+) -> Matches {
     let deltas: Vec<(&str, &[Tuple])> = delta
         .iter()
         .map(|(rel, tuples)| (rel.as_ref(), tuples.as_slice()))
         .collect();
     #[cfg(debug_assertions)]
-    let mut seen: BTreeSet<Bindings> = BTreeSet::new();
-    let mut out: Vec<Bindings> = Vec::new();
-    stats.stale_delta_skipped += evaluate_body_from_delta(db, &dep.premise, &deltas, |b| {
-        if !dep.disjuncts.iter().any(|d| disjunct_satisfied(db, d, b)) {
-            #[cfg(debug_assertions)]
-            assert!(
-                seen.insert(b.clone()),
-                "semi-naive split enumerated a duplicate match for {}: {b}",
-                dep.name
-            );
-            out.push(b.clone());
-            if stop_at_first {
-                return Control::Stop;
-            }
-        }
+    let mut seen = BTreeSet::new();
+    let mut out = Matches::new(plan.width());
+    let after_match = if stop_at_first {
+        Control::Stop
+    } else {
         Control::Continue
+    };
+    stats.stale_delta_skipped += plan.violations_from_delta(db, scratch, &deltas, |regs| {
+        #[cfg(debug_assertions)]
+        assert!(
+            seen.insert(regs[..plan.width()].to_vec()),
+            "semi-naive split enumerated a duplicate match for {}: {}",
+            plan.dep.name,
+            plan.bindings(regs)
+        );
+        out.push(regs);
+        after_match
     });
     out
 }
 
 /// Does any disjunct of `dep` conclude atoms? Atom-bearing repairs embed
-/// their conclusion into the *stored* instance (`has_match`), which the
+/// their conclusion into the *stored* instance, which the
 /// pending-obligation resolution cannot see through: running one while
 /// obligations are pending could miss a match that only materializes after
 /// the substitution and insert a redundant fresh-null tuple the
@@ -340,7 +343,8 @@ pub(crate) fn apply_sweep_merges(run: &mut Run<'_>) -> bool {
 pub(crate) fn inline_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
     let mut tripped: Option<InterruptReason> = None;
     let mut merged = false;
-    for (k, dep) in run.deps.iter().enumerate() {
+    for (k, plan) in run.plans.iter().enumerate() {
+        let dep = plan.dep;
         // An atom-bearing dependency must not evaluate against an instance
         // with pending obligations (its embedding checks read stored
         // tuples the resolution cannot see through): flush first, exactly
@@ -354,8 +358,8 @@ pub(crate) fn inline_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
             merged = false;
         }
         let pending = run.sched.take(k);
-        let (mut sink, stats) = run.live();
-        if let Some(done) = activate(&mut sink, dep, k, pending, stats)? {
+        let (mut sink, stats, scratch) = run.live();
+        if let Some(done) = activate(&mut sink, plan, k, pending, stats, scratch)? {
             // Route everything; if this sweep turns out to be
             // merge-bearing, the invalidation after its substitution
             // re-marks every reader of a rewritten relation Full,

@@ -26,15 +26,15 @@
 use std::time::Instant;
 
 use grom_data::Instance;
-use grom_lang::{Bindings, Dependency};
+use grom_lang::Dependency;
 use grom_trace::{ActivationKind, ActivationRecord};
 
-use grom_engine::{disjunct_satisfied, evaluate_body_streaming, find_violation, Control, Db};
+use grom_engine::{Control, Db, DepPlan, Matches, Scratch};
 
 use crate::checkpoint::ResumeState;
 use crate::config::{ChaseConfig, InterruptReason, SchedulerMode};
 use crate::result::{ChaseError, ChaseOutcome, ChaseResult};
-use crate::sweep::{apply_disjunct, resolve_bindings, run_chase, RepairSink, Run, SweepEnd};
+use crate::sweep::{apply_disjunct, load_match, run_chase, RepairSink, Run, SweepEnd};
 
 /// Reject dependencies the standard chase cannot execute.
 pub(crate) fn check_executable(dep: &Dependency, allow_deds: bool) -> Result<(), ChaseError> {
@@ -53,14 +53,23 @@ pub(crate) fn check_executable(dep: &Dependency, allow_deds: bool) -> Result<(),
     Ok(())
 }
 
-/// Collect every violating premise match of `dep` in `db`.
-pub(crate) fn collect_violations(db: &impl Db, dep: &Dependency) -> Vec<Bindings> {
-    let mut out = Vec::new();
-    evaluate_body_streaming(db, &dep.premise, &Bindings::new(), |b| {
-        if !dep.disjuncts.iter().any(|d| disjunct_satisfied(db, d, b)) {
-            out.push(b.clone());
-        }
+/// Collect the violating premise matches of `plan`'s dependency in `db`:
+/// all of them, or just the first one.
+pub(crate) fn collect_violations(
+    db: &impl Db,
+    plan: &DepPlan<'_>,
+    stop_at_first: bool,
+    scratch: &mut Scratch,
+) -> Matches {
+    let mut out = Matches::new(plan.width());
+    let after_match = if stop_at_first {
+        Control::Stop
+    } else {
         Control::Continue
+    };
+    plan.violations(db, scratch, |regs| {
+        out.push(regs);
+        after_match
     });
     out
 }
@@ -120,36 +129,37 @@ pub fn chase_standard_full_rescan(
 pub(crate) fn rescan_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
     let mut progressed = false;
     let mut tripped: Option<InterruptReason> = None;
-    for (k, dep) in run.deps.iter().enumerate() {
+    for (k, plan) in run.plans.iter().enumerate() {
+        let dep = plan.dep;
         let t0 = Instant::now();
         let tuples0 = run.stats.tuples_inserted;
         let obligations0 = run.stats.obligations_batched;
         let mut violations = 0;
         let mut any_merge = false;
+        let found = collect_violations(&run.inst, plan, dep.is_denial(), &mut run.scratch);
         if dep.is_denial() {
-            if let Some(v) = find_violation(&run.inst, dep) {
+            if let Some(row) = found.rows().next() {
                 return Err(ChaseError::Failure {
                     dependency: dep.name.clone(),
-                    detail: format!("denial premise matched at {}", v.bindings),
+                    detail: format!("denial premise matched at {}", plan.bindings(row)),
                 });
             }
         } else {
             // `check_executable` guarantees exactly one disjunct here; a
             // trivially-true empty disjunct has no violations by definition.
-            let found = collect_violations(&run.inst, dep);
             violations = found.len();
-            let (mut sink, stats) = run.live();
-            for b in &found {
-                let b = resolve_bindings(b, &mut sink);
+            let (mut sink, stats, scratch) = run.live();
+            for row in found.rows() {
+                load_match(row, &mut sink, scratch);
                 // Re-check: earlier repairs in this batch (or merges) may
                 // have satisfied this match already. Note the instance may
                 // still contain stale nulls mid-batch; that only makes this
                 // check conservative (it may repair redundantly, and the
                 // substitution below merges the duplicates).
-                if disjunct_satisfied(sink.db(), &dep.disjuncts[0], &b) {
+                if plan.satisfied(0, sink.db(), scratch) {
                     continue;
                 }
-                any_merge |= apply_disjunct(&mut sink, dep, 0, &b, stats)?;
+                any_merge |= apply_disjunct(&mut sink, plan, 0, scratch, stats)?;
                 progressed = true;
             }
         }
@@ -459,5 +469,39 @@ mod tests {
             .iter()
             .any(|(_, specs)| !specs.is_empty()));
         assert_eq!(by_name.profile.mode, "full_rescan");
+    }
+
+    #[test]
+    fn relations_created_mid_run_are_seen_by_later_activations() {
+        // Only `Src` exists when the program is compiled. `c` is declared
+        // first, so its first activation finds `Mid` absent; `b` then
+        // creates it, and `c`'s next activation must read it. Within that
+        // activation the repair of Mid(1, 10) creates `Out`, and the recheck
+        // of Mid(1, 11) must already see Out(1, _) — one null per key, not
+        // one per match. `d` joins two relations created along the way.
+        let p = parse_program(
+            "tgd c: Mid(x, y) -> Out(x, z).\n\
+             tgd b: Src(x, y) -> Mid(x, y).\n\
+             tgd d: Out(x, z), Mid(x, y) -> Fin(x, y).",
+        )
+        .unwrap();
+        let start = inst(&[("Src", &[1, 10]), ("Src", &[1, 11]), ("Src", &[2, 20])]);
+        let modes = [
+            SchedulerMode::Delta,
+            SchedulerMode::Parallel { threads: 2 },
+            SchedulerMode::FullRescan,
+        ];
+        let mut renders = Vec::new();
+        for mode in modes {
+            let config = cfg().with_scheduler(mode);
+            let res = chase_standard(start.clone(), &p.deps, &config).unwrap();
+            assert_eq!(res.instance.tuples("Mid").count(), 3, "{mode:?}");
+            assert_eq!(res.instance.tuples("Out").count(), 2, "{mode:?}");
+            assert_eq!(res.stats.nulls_invented, 2, "{mode:?}");
+            assert_eq!(res.instance.tuples("Fin").count(), 3, "{mode:?}");
+            assert!(all_satisfied(&res.instance, &p.deps), "{mode:?}");
+            renders.push(grom_data::canonical_render(&res.instance));
+        }
+        assert!(renders.windows(2).all(|w| w[0] == w[1]));
     }
 }

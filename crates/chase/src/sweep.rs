@@ -3,6 +3,8 @@
 //! A chase run is a sequence of *sweeps* over a fixed dependency list. The
 //! driver (`run_chase`) owns everything that is the same under every
 //! [`SchedulerMode`]: the executability check and join-key registration,
+//! the program compiled once into [`DepPlan`]s (the pool's workers share
+//! them by reference; only relation tokens are resolved per activation),
 //! the run state (`Run`), the `max_rounds` limit, round counting, the
 //! interruption points, checkpoint capture and the final result. What
 //! happens *inside* one sweep is the executor's business, and there are
@@ -43,14 +45,12 @@
 //! the worklist, null cursor past every allocated label — which is why any
 //! mode resumes any mode's checkpoint.
 
-use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use grom_data::{DataError, Instance, NullGenerator, Tuple, Value};
-use grom_engine::{disjunct_satisfied, find_violation, Db};
-use grom_lang::{Bindings, Dependency, Term, Var};
+use grom_engine::{Cell, Db, DepPlan, Scratch};
+use grom_lang::{Dependency, Term};
 use grom_trace::{ActivationKind, ActivationRecord, Recorder};
 
 use crate::checkpoint::{Checkpoint, ResumeState};
@@ -65,6 +65,11 @@ use crate::standard::{check_executable, collect_violations, rescan_sweep};
 /// its executor.
 pub(crate) struct Run<'a> {
     pub deps: &'a [Dependency],
+    /// `deps` compiled, index-aligned: once per run, shared by reference
+    /// with the pool's workers.
+    pub plans: &'a [DepPlan<'a>],
+    /// The coordinator's register file and scan buffers.
+    pub scratch: Scratch,
     pub config: &'a ChaseConfig,
     /// The run budget, anchored at run start.
     pub budget: Budget,
@@ -96,12 +101,15 @@ impl<'a> Run<'a> {
     fn new(
         state: ResumeState,
         deps: &'a [Dependency],
+        plans: &'a [DepPlan<'a>],
         config: &'a ChaseConfig,
         mode: &str,
     ) -> Self {
         let names: Vec<String> = deps.iter().map(|d| d.name.to_string()).collect();
         Run {
             deps,
+            plans,
+            scratch: Scratch::default(),
             config,
             budget: config.budget.anchored(),
             inst: state.inst,
@@ -117,14 +125,15 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// The live repair sink over this run's instance, plus its counters.
-    pub fn live(&mut self) -> (LiveSink<'_>, &mut ChaseStats) {
+    /// The live repair sink over this run's instance, plus its counters
+    /// and the coordinator's scratch.
+    pub fn live(&mut self) -> (LiveSink<'_>, &mut ChaseStats, &mut Scratch) {
         let sink = LiveSink {
             inst: &mut self.inst,
             nullmap: &mut self.nullmap,
             nullgen: &mut self.nullgen,
         };
-        (sink, &mut self.stats)
+        (sink, &mut self.stats, &mut self.scratch)
     }
 
     /// Cooperative budget/cancellation check. Cancellation wins over
@@ -176,9 +185,12 @@ pub(crate) fn run_chase(
     // predicts, before the first sweep touches the instance. Relations the
     // chase has yet to create pick their keys up on first insert.
     crate::trigger::register_join_keys(&mut state.inst, deps);
+    // The program is fixed for the whole run: compile it once.
+    let plans: Vec<DepPlan<'_>> = deps.iter().map(DepPlan::compile).collect();
+    let plans = plans.as_slice();
     match config.scheduler {
         SchedulerMode::Delta => {
-            let mut run = Run::new(state, deps, config, "delta");
+            let mut run = Run::new(state, deps, plans, config, "delta");
             run.inst.begin_delta_tracking();
             drive(run, inline_sweep)
         }
@@ -188,10 +200,11 @@ pub(crate) fn run_chase(
             // itself detects the fixpoint) and checkpoints as "rescan
             // everything", whatever a restored state carried.
             state.pending = vec![Pending::Full; deps.len()];
-            drive(Run::new(state, deps, config, "full_rescan"), rescan_sweep)
+            let run = Run::new(state, deps, plans, config, "full_rescan");
+            drive(run, rescan_sweep)
         }
         SchedulerMode::Parallel { threads } => {
-            let mut run = Run::new(state, deps, config, &format!("parallel{threads}"));
+            let mut run = Run::new(state, deps, plans, config, &format!("parallel{threads}"));
             let pool = PoolExecutor::new(&mut run, threads);
             drive(run, |run| pool.sweep(run))
         }
@@ -336,76 +349,86 @@ impl RepairSink for LiveSink<'_> {
     }
 }
 
-/// Resolve every value of a binding through the sink's pending equalities
-/// (bindings go stale when egds merge nulls after the match was found).
-pub(crate) fn resolve_bindings(b: &Bindings, sink: &mut impl RepairSink) -> Bindings {
-    let mut out = Bindings::new();
-    for (v, val) in b.iter() {
-        out.bind(v.clone(), sink.resolve(val));
+/// Load a stored premise match back into the register file, every value
+/// resolved through the sink's pending equalities (matches go stale when
+/// egds merge nulls after they were found). With a clean sink the
+/// resolution is the identity and the values are copied as they are.
+pub(crate) fn load_match(row: &[Option<Value>], sink: &mut impl RepairSink, scratch: &mut Scratch) {
+    let regs = &mut scratch.regs_mut()[..row.len()];
+    if sink.clean() {
+        regs.clone_from_slice(row);
+    } else {
+        for (reg, value) in regs.iter_mut().zip(row) {
+            *reg = value.as_ref().map(|v| sink.resolve(v));
+        }
     }
-    out
 }
 
-/// Apply one disjunct to repair a violation. Returns `true` if the sink
-/// merged nulls (the caller must re-normalize the instance).
+/// Apply one disjunct to repair the premise match held by `scratch`'s
+/// registers. Returns `true` if the sink merged nulls (the caller must
+/// re-normalize the instance).
 pub(crate) fn apply_disjunct<S: RepairSink>(
     sink: &mut S,
-    dep: &Dependency,
+    plan: &DepPlan<'_>,
     disjunct_idx: usize,
-    bindings: &Bindings,
+    scratch: &mut Scratch,
     stats: &mut ChaseStats,
 ) -> Result<bool, ChaseError> {
-    let disjunct = &dep.disjuncts[disjunct_idx];
+    let dep = plan.dep;
+    let source = &dep.disjuncts[disjunct_idx];
+    let disjunct = &plan.disjuncts[disjunct_idx];
 
     // Comparisons over premise variables: if they do not hold for this
     // match, no repair can ever satisfy this disjunct.
-    for c in &disjunct.cmps {
-        if !bindings.eval_comparison(c).unwrap_or(false) {
+    for (cmp, c) in disjunct.cmps.iter().zip(&source.cmps) {
+        if !cmp.holds(scratch.regs()) {
             return Err(ChaseError::Failure {
                 dependency: dep.name.clone(),
-                detail: format!("disjunct comparison `{c}` cannot be satisfied at {bindings}"),
+                detail: format!(
+                    "disjunct comparison `{c}` cannot be satisfied at {}",
+                    plan.bindings(scratch.regs())
+                ),
             });
         }
     }
 
     let mut merged = false;
-    for (l, r) in &disjunct.eqs {
+    for ((l, r), (lt, rt)) in disjunct.eqs.iter().zip(&source.eqs) {
         let unbound = |t: &Term| ChaseError::NotExecutable {
             dependency: dep.name.clone(),
             reason: format!("equality term `{t}` is not bound by the premise"),
         };
-        let lv = bindings.eval_term(l).ok_or_else(|| unbound(l))?;
-        let rv = bindings.eval_term(r).ok_or_else(|| unbound(r))?;
+        let lv = l.eval(scratch.regs()).ok_or_else(|| unbound(lt))?.clone();
+        let rv = r.eval(scratch.regs()).ok_or_else(|| unbound(rt))?.clone();
         merged |= sink.equate(dep, lv, rv, stats)?;
     }
 
     // Atoms: one fresh null per existential variable, shared across the
     // disjunct's atoms.
-    if !disjunct.atoms.is_empty() {
-        let mut fresh: BTreeMap<Var, Value> = BTreeMap::new();
-        for atom in &disjunct.atoms {
-            let mut row = Vec::with_capacity(atom.args.len());
-            for t in &atom.args {
-                row.push(match t {
-                    Term::Const(c) => c.clone(),
-                    Term::Var(v) => match bindings.get(v) {
-                        Some(val) => sink.resolve(val),
-                        None => fresh
-                            .entry(v.clone())
-                            .or_insert_with(|| {
-                                stats.nulls_invented += 1;
-                                sink.fresh_null()
-                            })
-                            .clone(),
-                    },
-                });
-            }
-            if sink.insert(&atom.predicate, row.into())? {
-                stats.tuples_inserted += 1;
-            }
+    let (regs, fresh) = scratch.repair(plan.fresh());
+    let mut applied = false;
+    for (relation, cells) in plan.rows(disjunct_idx) {
+        let row: Vec<Value> = cells
+            .map(|cell| match cell {
+                Cell::Const(c) => c.clone(),
+                Cell::Reg(r) => {
+                    let bound = regs[r].as_ref();
+                    sink.resolve(bound.expect("a premise match binds every premise register"))
+                }
+                Cell::Fresh(i) => fresh[i]
+                    .get_or_insert_with(|| {
+                        stats.nulls_invented += 1;
+                        sink.fresh_null()
+                    })
+                    .clone(),
+            })
+            .collect();
+        if sink.insert(relation, row.into())? {
+            stats.tuples_inserted += 1;
         }
-        stats.tgd_applications += 1;
+        applied = true;
     }
+    stats.tgd_applications += usize::from(applied);
 
     Ok(merged)
 }
@@ -426,39 +449,38 @@ pub(crate) struct Activated {
 /// a failure, is the executor's part.
 pub(crate) fn activate<S: RepairSink>(
     sink: &mut S,
-    dep: &Dependency,
+    plan: &DepPlan<'_>,
     k: usize,
     pending: Pending,
     stats: &mut ChaseStats,
+    scratch: &mut Scratch,
 ) -> Result<Option<Activated>, ChaseError> {
+    let dep = plan.dep;
     let t0 = Instant::now();
     let tuples0 = stats.tuples_inserted;
     let obligations0 = stats.obligations_batched;
     let dedup0 = sink.dedup_hits();
+    // A denial fails on its first match; there is nothing to collect past it.
     let (kind, seeded, violations) = match pending {
         Pending::Idle => return Ok(None),
         Pending::Full => {
             stats.full_rescans += 1;
-            let found = if dep.is_denial() {
-                find_violation(sink.db(), dep).map_or_else(Vec::new, |v| vec![v.bindings])
-            } else {
-                collect_violations(sink.db(), dep)
-            };
+            let found = collect_violations(sink.db(), plan, dep.is_denial(), scratch);
             (ActivationKind::Full, 0, found)
         }
         Pending::Delta(map) => {
             stats.delta_activations += 1;
             let seeded = map.values().map(Vec::len).sum::<usize>();
             stats.delta_tuples_seeded += seeded;
-            let found = delta_violations(sink.db(), dep, &map, dep.is_denial(), stats);
+            let found = delta_violations(sink.db(), plan, &map, dep.is_denial(), stats, scratch);
             (ActivationKind::Delta, seeded as u64, found)
         }
     };
     if dep.is_denial() {
-        if let Some(b) = violations.first() {
+        if let Some(row) = violations.rows().next() {
             return Err(ChaseError::Failure {
                 dependency: dep.name.clone(),
-                detail: format!("denial premise matched at {b}"),
+                detail: format!("denial premise matched at {}", plan.bindings(row)),
             });
         }
     }
@@ -470,22 +492,15 @@ pub(crate) fn activate<S: RepairSink>(
     // the whole batch.
     let direct = !violations.is_empty() && sink.clean() && idempotent_repair(dep);
     let mut merged = false;
-    for b in &violations {
+    for row in violations.rows() {
         // Satisfied-under-pending-equalities recheck: earlier repairs in
         // this batch may already satisfy the match even though the stored
-        // instance has not been rewritten yet. With a clean sink the
-        // resolution is the identity, so the raw bindings are checked —
-        // and applied — directly, skipping a clone-and-resolve pass per
-        // violation.
-        let b = if sink.clean() {
-            Cow::Borrowed(b)
-        } else {
-            Cow::Owned(resolve_bindings(b, sink))
-        };
-        if !direct && disjunct_satisfied(sink.db(), &dep.disjuncts[0], &b) {
+        // instance has not been rewritten yet.
+        load_match(row, sink, scratch);
+        if !direct && plan.satisfied(0, sink.db(), scratch) {
             continue;
         }
-        merged |= apply_disjunct(sink, dep, 0, &b, stats)?;
+        merged |= apply_disjunct(sink, plan, 0, scratch, stats)?;
     }
 
     Ok(Some(Activated {

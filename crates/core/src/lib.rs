@@ -57,7 +57,7 @@ pub use grom_chase::{Budget, CancelToken, ChaseConfig, Checkpoint, SchedulerMode
 pub use grom_trace::{ChaseProfile, TraceHandle};
 pub use pipeline::{intern_dependencies, ExchangeResult, PipelineError, PipelineOptions};
 pub use scenario::MappingScenario;
-pub use validate::{validate_solution, ValidationReport};
+pub use validate::{validate_solution, validate_with_source_extents, ValidationReport};
 
 /// One-stop imports for applications.
 pub mod prelude {

@@ -12,7 +12,7 @@ use grom_lang::{Atom, Comparison, Dependency, Disjunct, LangError, Literal, Term
 use grom_rewrite::{rewrite_program, RewriteError, RewriteOptions, RewriteOutput};
 
 use crate::scenario::MappingScenario;
-use crate::validate::{validate_solution, ValidationReport};
+use crate::validate::{validate_with_source_extents, ValidationReport};
 
 /// Options for [`MappingScenario::run`].
 #[derive(Debug, Clone)]
@@ -271,6 +271,7 @@ impl MappingScenario {
         let result = if options.interning {
             let mut table = SymbolTable::new();
             let interned = working.intern_strings(&mut table);
+            drop(working);
             let deps = intern_dependencies(&rewritten.deps, &mut table);
             match chase_with_deds(interned, &deps, &options.chase) {
                 Ok(r) => r,
@@ -285,8 +286,10 @@ impl MappingScenario {
         };
 
         // 5. Extract the target instance: target-schema relations only,
-        //    un-interned back to string constants.
+        //    un-interned back to string constants. Nothing reads the chased
+        //    instance after this.
         let mut target = self.extract_target(&result.instance)?;
+        drop(result.instance);
 
         // 5b. Optional core minimization of the universal solution.
         let core_stats = options
@@ -297,7 +300,12 @@ impl MappingScenario {
         let validation = if options.skip_validation {
             None
         } else {
-            Some(validate_solution(self, source, &target)?)
+            Some(validate_with_source_extents(
+                self,
+                source,
+                &source_view_extents,
+                &target,
+            )?)
         };
 
         Ok(ExchangeResult {

@@ -8,14 +8,14 @@
 //! and the oracle for the repository's property-based soundness tests.
 //!
 //! Procedure: materialize the source views over `I_S` and the target views
-//! over `J_T`, take the union of all four instances (relation names are
-//! disjoint by scenario validation), and evaluate every original mapping
-//! and target constraint over it.
+//! over `J_T`, and evaluate every original mapping and target constraint
+//! over the four instances read as one database — by reference
+//! ([`LayeredDb`]): nothing is copied or re-indexed.
 
 use std::fmt;
 
 use grom_data::Instance;
-use grom_engine::{instance_satisfies, materialize_views};
+use grom_engine::{instance_satisfies, materialize_views, LayeredDb};
 
 use crate::pipeline::PipelineError;
 use crate::scenario::MappingScenario;
@@ -54,19 +54,24 @@ pub fn validate_solution(
     target: &Instance,
 ) -> Result<ValidationReport, PipelineError> {
     let source_extents = materialize_views(&scenario.source_views, source)?;
+    validate_with_source_extents(scenario, source, &source_extents, target)
+}
+
+/// [`validate_solution`] for a caller that already holds `Υ_S(source)` —
+/// the pipeline materializes it as its first step.
+pub fn validate_with_source_extents(
+    scenario: &MappingScenario,
+    source: &Instance,
+    source_extents: &Instance,
+    target: &Instance,
+) -> Result<ValidationReport, PipelineError> {
     let target_extents = materialize_views(&scenario.target_views, target)?;
-
-    let mut combined = source.clone();
-    combined.absorb(&source_extents)?;
-    combined.absorb(target)?;
-    combined.absorb(&target_extents)?;
-
-    let deps: Vec<_> = scenario.all_dependencies().cloned().collect();
-    let violations = instance_satisfies(&combined, deps.iter());
+    let layers = [source, source_extents, target, &target_extents];
+    let violations = instance_satisfies(&LayeredDb::new(&layers), scenario.all_dependencies());
     Ok(ValidationReport {
         ok: violations.is_empty(),
         violations: violations.iter().map(|v| v.to_string()).collect(),
-        checked: deps.len(),
+        checked: scenario.all_dependencies().count(),
     })
 }
 

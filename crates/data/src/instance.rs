@@ -761,6 +761,13 @@ impl Instance {
         self.names.keys()
     }
 
+    /// Number of relations. Relations are created on first insert and never
+    /// dropped, so [`RelId`]s resolved earlier stay valid and this number
+    /// only moves when a lookup that failed before may now succeed.
+    pub fn relation_count(&self) -> usize {
+        self.store.len()
+    }
+
     /// All facts, grouped by relation (sorted) and then insertion order.
     pub fn facts(&self) -> impl Iterator<Item = Fact> + '_ {
         self.names.iter().flat_map(|(name, &id)| {

@@ -1,30 +1,31 @@
 //! The database abstraction the engine evaluates over.
 //!
-//! Source-to-target dependencies read two instances at once (the source
-//! `I_S` and the growing target `J_T`); views read one; the parallel chase
-//! executor reads an immutable snapshot *overlaid* with a worker's private
-//! insertion buffer. [`Db`] abstracts over all of them so the same join
-//! code serves every caller.
+//! The chase reads one growing instance; validation reads the source, the
+//! target and both sets of view extents at once; view materialization reads
+//! the base under the extents it is building; the parallel chase executor
+//! reads an immutable snapshot *overlaid* with a worker's private insertion
+//! buffer. [`Db`] abstracts over all of them so the same plans
+//! ([`crate::plan`]) serve every caller.
 //!
 //! The trait deliberately exposes *query* primitives (scan / estimate /
 //! existence) rather than handing out `&Relation`: a composite database —
-//! [`PairDb`], or the shard views of `grom-exec` — has no single relation
-//! object to return for a name stored on both sides, but it can always
-//! answer a pattern query by combining its parts.
+//! [`LayeredDb`], or the shard views of `grom-exec` — has no single
+//! relation object to return for a name stored in several parts, but it can
+//! always answer a pattern query by combining them.
 //!
 //! ## Resolved tokens and streaming scans
 //!
-//! The hot path resolves a relation name **once** per evaluation into an
-//! opaque [`DbRel`] token ([`Db::resolve`]) and then addresses the relation
-//! by token: [`Db::scan_rel`] streams matching tuples into a callback with
-//! no intermediate `Vec`, [`Db::estimate_rel`] / [`Db::any_match_rel`] /
-//! [`Db::len_rel`] answer planner queries. Token encodings are private to
-//! each implementation (an [`Instance`] packs its dense
-//! [`grom_data::RelId`]; composites pack one id per side). Tokens are only
-//! meaningful on the database that issued them and remain valid as long as
-//! that database is not mutated.
+//! A plan run resolves each relation name **once** into an opaque
+//! [`DbRel`] token ([`Db::resolve`]) and then addresses the relation by
+//! token: [`Db::scan_rel_v`] streams matching tuples into a callback with
+//! no intermediate `Vec`, [`Db::estimate_rel_v`] / [`Db::any_match_rel`]
+//! answer the two run-time planning questions. Token encodings are private
+//! to each implementation (an [`Instance`] packs its dense
+//! [`grom_data::RelId`]; composites add a part index). Tokens are only
+//! meaningful on the database that issued them, and stay valid while
+//! [`Db::rel_count`] does.
 
-use grom_data::{Instance, RelId, Span, Tuple, Value};
+use grom_data::{Instance, RelId, Relation, Span, Tuple, Value};
 
 /// Flow control for streaming evaluation and scans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +63,12 @@ pub trait Db {
     /// Resolve `relation` to an opaque token, or `None` if it is absent
     /// (and therefore empty). Resolve once per evaluation, not per probe.
     fn resolve(&self, relation: &str) -> Option<DbRel>;
+
+    /// How many relations the database stores, over all its parts. Tokens
+    /// — and `None` resolutions — stay valid exactly as long as this number
+    /// does: relations are created, never dropped, so a caller that
+    /// interleaves writes with reads re-resolves when it moved.
+    fn rel_count(&self) -> usize;
 
     /// Stream the tuples of `rel` matching `pattern` into `visit`, in
     /// insertion order, stopping early when `visit` returns
@@ -114,9 +121,6 @@ pub trait Db {
         });
         found
     }
-
-    /// Number of tuples in `rel`.
-    fn len_rel(&self, rel: DbRel) -> usize;
 }
 
 /// Translate an engine-level version into a slot [`Span`] for a single
@@ -132,6 +136,10 @@ fn span_of(ver: Ver) -> Span {
 impl Db for Instance {
     fn resolve(&self, relation: &str) -> Option<DbRel> {
         self.rel_id(relation).map(|RelId(id)| DbRel(u64::from(id)))
+    }
+
+    fn rel_count(&self) -> usize {
+        self.relation_count()
     }
 
     fn scan_rel_v<'a>(
@@ -162,51 +170,80 @@ impl Db for Instance {
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
         self.relation_by_id(RelId(rel.0 as u32)).any_match(pattern)
     }
-
-    fn len_rel(&self, rel: DbRel) -> usize {
-        self.relation_by_id(RelId(rel.0 as u32)).len()
-    }
 }
 
-/// Two instances viewed as one database. Relation names must not overlap
-/// (GROM enforces distinct source/target relation names, cf. the `S-`/`T-`
-/// prefixes of the paper); if they do, the first instance wins.
+/// Several borrowed instances viewed as one database: a relation reads as
+/// the union of its extents in every layer that stores it (first layer
+/// first, a tuple an earlier layer already holds is not repeated). Nothing
+/// is copied or re-indexed — this is how validation reads `source ∪ source
+/// extents ∪ target ∪ target extents`, and view materialization `base ∪
+/// extents`.
 ///
-/// Token encoding: bit 32 selects the side (0 = first, 1 = second), the low
-/// 32 bits are the side's dense [`RelId`].
+/// Token encoding: the low 32 bits are the dense [`RelId`] in the first
+/// layer that stores the relation, bits 32..48 that layer's index, and the
+/// top bit is set when a later layer stores the name too (those layers
+/// are then looked up by name per query — GROM's scenarios keep layer
+/// vocabularies disjoint, so this is the rare path). Cursors are positions
+/// in the layer-by-layer scan order: `layer << 32 | slot`.
 #[derive(Debug, Clone, Copy)]
-pub struct PairDb<'a> {
-    pub first: &'a Instance,
-    pub second: &'a Instance,
+pub struct LayeredDb<'a> {
+    layers: &'a [&'a Instance],
 }
 
-const SIDE_BIT: u64 = 1 << 32;
+const SHARED: u64 = 1 << 63;
 
-impl<'a> PairDb<'a> {
-    pub fn new(first: &'a Instance, second: &'a Instance) -> Self {
-        Self { first, second }
+impl<'a> LayeredDb<'a> {
+    pub fn new(layers: &'a [&'a Instance]) -> Self {
+        Self { layers }
     }
 
-    /// Decode a token into the owning instance and its local [`RelId`].
-    fn decode(&self, rel: DbRel) -> (&'a Instance, RelId) {
-        let side = if rel.0 & SIDE_BIT == 0 {
-            self.first
-        } else {
-            self.second
-        };
-        (side, RelId(rel.0 as u32))
+    /// The stored relations behind a token, with their layer index.
+    fn parts(&self, rel: DbRel) -> impl Iterator<Item = (usize, &'a Relation)> {
+        let layers = self.layers;
+        let first = (rel.0 >> 32) as u16 as usize;
+        let id = RelId(rel.0 as u32);
+        let later = (rel.0 & SHARED != 0).then(|| layers[first].rel_name(id));
+        let later = layers[first + 1..]
+            .iter()
+            .enumerate()
+            .filter_map(move |(k, layer)| Some((first + 1 + k, layer.relation(later?)?)));
+        std::iter::once((first, layers[first].relation_by_id(id))).chain(later)
     }
 }
 
-impl Db for PairDb<'_> {
+/// The slot span `ver` selects in layer `layer`; `None` if it selects
+/// nothing there.
+fn layer_span(ver: Ver, layer: usize) -> Option<Span> {
+    let split = |cursor: u64| ((cursor >> 32) as usize, cursor as u32);
+    match ver {
+        Ver::All => Some(Span::All),
+        Ver::Old(c) => match split(c) {
+            (cut, _) if layer < cut => Some(Span::All),
+            (cut, slot) if layer == cut => Some(Span::Below(slot)),
+            _ => None,
+        },
+        Ver::New(c) => match split(c) {
+            (cut, _) if layer > cut => Some(Span::All),
+            (cut, slot) if layer == cut => Some(Span::AtLeast(slot)),
+            _ => None,
+        },
+    }
+}
+
+impl Db for LayeredDb<'_> {
     fn resolve(&self, relation: &str) -> Option<DbRel> {
-        if let Some(RelId(id)) = self.first.rel_id(relation) {
-            Some(DbRel(u64::from(id)))
-        } else {
-            self.second
-                .rel_id(relation)
-                .map(|RelId(id)| DbRel(SIDE_BIT | u64::from(id)))
-        }
+        let mut stored = self
+            .layers
+            .iter()
+            .enumerate()
+            .filter_map(|(l, layer)| Some((l, layer.rel_id(relation)?)));
+        let (layer, RelId(id)) = stored.next()?;
+        let shared = if stored.next().is_some() { SHARED } else { 0 };
+        Some(DbRel(shared | (layer as u64) << 32 | u64::from(id)))
+    }
+
+    fn rel_count(&self) -> usize {
+        self.layers.iter().map(|l| l.relation_count()).sum()
     }
 
     fn scan_rel_v<'b>(
@@ -216,31 +253,42 @@ impl Db for PairDb<'_> {
         ver: Ver,
         visit: &mut dyn FnMut(&'b Tuple) -> Control,
     ) {
-        let (side, id) = self.decode(rel);
-        side.relation_by_id(id)
-            .scan_each_v(pattern, span_of(ver), &mut |t| {
-                visit(t) == Control::Continue
-            });
+        let mut earlier: Vec<&Relation> = Vec::new();
+        for (layer, part) in self.parts(rel) {
+            if let Some(span) = layer_span(ver, layer) {
+                let completed = part.scan_each_v(pattern, span, &mut |t| {
+                    earlier.iter().any(|e| e.contains(t)) || visit(t) == Control::Continue
+                });
+                if !completed {
+                    return;
+                }
+            }
+            earlier.push(part);
+        }
     }
 
     fn estimate_rel_v(&self, rel: DbRel, pattern: &[Option<Value>], ver: Ver) -> usize {
-        let (side, id) = self.decode(rel);
-        side.relation_by_id(id).estimate_v(pattern, span_of(ver))
+        self.parts(rel)
+            .filter_map(|(layer, part)| Some(part.estimate_v(pattern, layer_span(ver, layer)?)))
+            .sum()
     }
 
+    /// `n` counts stored rows from the last layer backwards; a row an
+    /// earlier layer repeats belongs to that earlier layer's half.
     fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64 {
-        let (side, id) = self.decode(rel);
-        u64::from(side.relation_by_id(id).cursor_before_last(n))
+        let parts: Vec<(usize, &Relation)> = self.parts(rel).collect();
+        let mut n = n;
+        for &(layer, part) in parts.iter().rev() {
+            if n <= part.len() {
+                return (layer as u64) << 32 | u64::from(part.cursor_before_last(n));
+            }
+            n -= part.len();
+        }
+        (parts[0].0 as u64) << 32
     }
 
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
-        let (side, id) = self.decode(rel);
-        side.relation_by_id(id).any_match(pattern)
-    }
-
-    fn len_rel(&self, rel: DbRel) -> usize {
-        let (side, id) = self.decode(rel);
-        side.relation_by_id(id).len()
+        self.parts(rel).any(|(_, part)| part.any_match(pattern))
     }
 }
 
@@ -249,29 +297,31 @@ mod tests {
     use super::*;
     use grom_data::Value;
 
+    fn count(db: &impl Db, rel: DbRel, pattern: &[Option<Value>], ver: Ver) -> usize {
+        let mut n = 0;
+        db.scan_rel_v(rel, pattern, ver, &mut |_| {
+            n += 1;
+            Control::Continue
+        });
+        n
+    }
+
     #[test]
     fn pair_db_resolves_both_sides() {
         let mut a = Instance::new();
         a.add("S", vec![Value::int(1)]).unwrap();
         let mut b = Instance::new();
         b.add("T", vec![Value::int(2)]).unwrap();
-        let db = PairDb::new(&a, &b);
+        let layers = [&a, &b];
+        let db = LayeredDb::new(&layers);
         let (s, t) = (db.resolve("S").unwrap(), db.resolve("T").unwrap());
-        let scanned = |rel| {
-            let mut n = 0;
-            db.scan_rel(rel, &[None], &mut |_| {
-                n += 1;
-                Control::Continue
-            });
-            n
-        };
-        assert_eq!(scanned(s), 1);
-        assert_eq!(scanned(t), 1);
+        assert_eq!(count(&db, s, &[None], Ver::All), 1);
+        assert_eq!(count(&db, t, &[None], Ver::All), 1);
         assert!(db.resolve("U").is_none());
         assert!(db.any_match_rel(s, &[Some(Value::int(1))]));
         assert!(!db.any_match_rel(s, &[Some(Value::int(9))]));
-        assert_eq!(db.len_rel(s), 1);
         assert_eq!(db.estimate_rel(t, &[None]), 1);
+        assert_eq!(db.rel_count(), 2);
     }
 
     #[test]
@@ -281,10 +331,10 @@ mod tests {
             a.add("S", vec![Value::int(i)]).unwrap();
         }
         let b = Instance::new();
-        let db = PairDb::new(&a, &b);
+        let layers = [&a, &b];
+        let db = LayeredDb::new(&layers);
         assert!(db.resolve("U").is_none());
         let s = db.resolve("S").unwrap();
-        assert_eq!(db.len_rel(s), 5);
         assert_eq!(db.estimate_rel(s, &[None]), 5);
         assert!(db.any_match_rel(s, &[Some(Value::int(3))]));
         let mut seen = 0;
@@ -306,7 +356,8 @@ mod tests {
             a.add("S", vec![Value::int(i)]).unwrap();
         }
         let b = Instance::new();
-        let db = PairDb::new(&a, &b);
+        let layers = [&a, &b];
+        let db = LayeredDb::new(&layers);
         let s = db.resolve("S").unwrap();
         let c = db.cursor_before_last_rel(s, 2);
         let collect = |ver: Ver| {
@@ -332,10 +383,10 @@ mod tests {
         let a = Instance::new();
         let mut b = Instance::new();
         b.add("T", vec![Value::int(2), Value::int(3)]).unwrap();
-        let db = PairDb::new(&a, &b);
+        let layers = [&a, &b];
+        let db = LayeredDb::new(&layers);
         let t = db.resolve("T").unwrap();
-        assert_ne!(t.0 & SIDE_BIT, 0);
-        assert_eq!(db.len_rel(t), 1);
+        assert_eq!(t.0 >> 32, 1);
         let mut hits = 0;
         db.scan_rel(t, &[Some(Value::int(2)), None], &mut |tu| {
             assert_eq!(tu.get(1), Some(&Value::int(3)));
@@ -343,5 +394,45 @@ mod tests {
             Control::Continue
         });
         assert_eq!(hits, 1);
+    }
+
+    #[test]
+    fn a_relation_in_several_layers_reads_as_their_union() {
+        // R is stored in layers 0 and 2; (2) is in both and must read once.
+        let mut a = Instance::new();
+        a.add("R", vec![Value::int(1)]).unwrap();
+        a.add("R", vec![Value::int(2)]).unwrap();
+        let mut b = Instance::new();
+        b.add("Other", vec![Value::int(7)]).unwrap();
+        let mut c = Instance::new();
+        c.add("R", vec![Value::int(2)]).unwrap();
+        c.add("R", vec![Value::int(3)]).unwrap();
+        let layers = [&a, &b, &c];
+        let db = LayeredDb::new(&layers);
+        let r = db.resolve("R").unwrap();
+        let collect = |ver: Ver| {
+            let mut out = Vec::new();
+            db.scan_rel_v(r, &[None], ver, &mut |t| {
+                out.push(t.get(0).and_then(Value::as_int).unwrap());
+                Control::Continue
+            });
+            out
+        };
+        assert_eq!(collect(Ver::All), vec![1, 2, 3]);
+        assert!(db.any_match_rel(r, &[Some(Value::int(3))]));
+        assert!(db.estimate_rel(r, &[None]) >= 3);
+        // Old and new partition the union for every cursor.
+        for n in 0..=4 {
+            let cur = db.cursor_before_last_rel(r, n);
+            let (mut old, new) = (collect(Ver::Old(cur)), collect(Ver::New(cur)));
+            old.extend(new);
+            assert_eq!(old, vec![1, 2, 3], "n = {n}");
+        }
+        assert_eq!(collect(Ver::New(db.cursor_before_last_rel(r, 1))), vec![3]);
+        // A relation stored once still resolves to a plain token.
+        assert_eq!(
+            count(&db, db.resolve("Other").unwrap(), &[None], Ver::All),
+            1
+        );
     }
 }

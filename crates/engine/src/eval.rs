@@ -1,149 +1,40 @@
-//! Backtracking evaluation of conjunctions of literals.
+//! Evaluation of conjunctions of literals: the public, [`Bindings`]-level
+//! entry points over the compiled plans of [`crate::plan`].
 //!
-//! The evaluator enumerates all [`Bindings`] of the body variables such
-//! that, over the given [`Db`]:
+//! A solution is an assignment of the body variables such that, over the
+//! given [`Db`]:
 //!
 //! * every positive atom matches a stored tuple,
 //! * no negated atom matches any stored tuple (variables local to the
 //!   negation are wildcards — the safe-Datalog `¬∃` reading), and
 //! * every comparison holds under [`CmpOp::eval`] semantics.
 //!
-//! Strategy: a greedy join order recomputed at every step. Comparisons and
-//! negations run as soon as their variables are bound (cheap filters first);
-//! among positive atoms the evaluator picks the one with the smallest
-//! index-based cardinality estimate under the current bindings
-//! ([`grom_data::Relation::estimate`]) and probes it through the instance's
-//! per-column indexes.
-//!
-//! Every entry point resolves the body's predicates to [`DbRel`] tokens
-//! **once** ([`Db::resolve`]) and streams tuples through
-//! [`Db::scan_rel`] — no per-probe name hashing and no per-scan `Vec`
-//! allocation.
+//! Each function here compiles its body into a [`BodyPlan`] — registers,
+//! per-step bound/free masks, filters placed on the step that binds their
+//! last variable — runs it, and materializes a [`Bindings`] per solution,
+//! because that is the type these signatures promise. Callers that evaluate
+//! the same body repeatedly (the chase, view materialization, validation)
+//! hold a plan instead and never see a `Bindings`.
 //!
 //! [`CmpOp::eval`]: grom_lang::CmpOp::eval
 
-use std::collections::{BTreeMap, BTreeSet};
+use grom_lang::{Bindings, Literal};
 
-use grom_lang::{Atom, Bindings, Literal, Term, Var};
-
-use crate::db::{Db, DbRel, Ver};
+use crate::db::Db;
+use crate::plan::{BodyPlan, Scratch};
 
 pub use crate::db::Control;
-
-/// Predicate name → resolved token (`None` = the relation is absent, i.e.
-/// empty), computed once per evaluation. Databases are immutable for the
-/// duration of an evaluation call, so tokens cannot go stale mid-solve.
-type RelMap<'b> = BTreeMap<&'b str, Option<DbRel>>;
-
-fn resolve_body<'b>(db: &impl Db, body: &'b [Literal]) -> RelMap<'b> {
-    let mut rels = RelMap::new();
-    for lit in body {
-        let atom = match lit {
-            Literal::Pos(a) | Literal::Neg(a) => a,
-            Literal::Cmp(_) => continue,
-        };
-        rels.entry(atom.predicate.as_ref())
-            .or_insert_with(|| db.resolve(&atom.predicate));
-    }
-    rels
-}
 
 /// Evaluate `body` over `db`, starting from `seed` bindings, collecting all
 /// solutions.
 pub fn evaluate_body(db: &impl Db, body: &[Literal], seed: &Bindings) -> Vec<Bindings> {
+    let plan = BodyPlan::compile(body, seed);
     let mut out = Vec::new();
-    evaluate_body_streaming(db, body, seed, |b| {
-        out.push(b.clone());
+    plan.run(db, &mut Scratch::default(), seed, |regs| {
+        out.push(plan.bindings(regs));
         Control::Continue
     });
     out
-}
-
-/// Is there at least one solution? Stops at the first.
-pub fn has_match(db: &impl Db, body: &[Literal], seed: &Bindings) -> bool {
-    let mut found = false;
-    evaluate_body_streaming(db, body, seed, |_| {
-        found = true;
-        Control::Stop
-    });
-    found
-}
-
-/// Do `atoms` (a conjunction of positive atoms) embed into `db` under
-/// `seed`?
-///
-/// This is the restricted-chase satisfaction check for a disjunct's
-/// conclusion atoms, and it runs once per premise match of every
-/// dependency — the hottest query the chase issues. It skips the general
-/// evaluator's setup (no filters to order, no bindable-set, no seed
-/// clone): atoms whose pattern is fully bound under the seed are decided
-/// by a single index probe, and only the rest fall back to a recursive
-/// join.
-pub fn embed_atoms(db: &impl Db, atoms: &[grom_lang::Atom], seed: &Bindings) -> bool {
-    let mut pattern: Vec<Option<grom_data::Value>> = Vec::new();
-    let mut open: Vec<(&grom_lang::Atom, DbRel)> = Vec::new();
-    for atom in atoms {
-        let Some(rel) = db.resolve(&atom.predicate) else {
-            return false; // absent relation: nothing embeds
-        };
-        seed.atom_pattern_into(atom, &mut pattern);
-        if pattern.iter().all(Option::is_some) {
-            if !db.any_match_rel(rel, &pattern) {
-                return false;
-            }
-        } else {
-            open.push((atom, rel));
-        }
-    }
-    if open.is_empty() {
-        return true;
-    }
-    let mut bindings = seed.clone();
-    embed_open(db, &mut open, &mut bindings)
-}
-
-/// Recursive join over the not-fully-bound conclusion atoms: pick the atom
-/// with the smallest index estimate, scan it, bind, recurse.
-fn embed_open(
-    db: &impl Db,
-    open: &mut Vec<(&grom_lang::Atom, DbRel)>,
-    bindings: &mut Bindings,
-) -> bool {
-    if open.is_empty() {
-        return true;
-    }
-    let mut pattern: Vec<Option<grom_data::Value>> = Vec::new();
-    let mut best = 0;
-    if open.len() > 1 {
-        let mut best_estimate = usize::MAX;
-        for (i, (atom, rel)) in open.iter().enumerate() {
-            bindings.atom_pattern_into(atom, &mut pattern);
-            let e = db.estimate_rel(*rel, &pattern);
-            if e < best_estimate {
-                best_estimate = e;
-                best = i;
-            }
-        }
-    }
-    let (atom, rel) = open.swap_remove(best);
-    bindings.atom_pattern_into(atom, &mut pattern);
-    let mut found = false;
-    db.scan_rel(rel, &pattern, &mut |tuple| {
-        if let Some(bound_here) = bind_tuple(atom, tuple, bindings) {
-            found = embed_open(db, open, bindings);
-            for v in &bound_here {
-                bindings.unbind(v);
-            }
-            if found {
-                return Control::Stop;
-            }
-        }
-        Control::Continue
-    });
-    open.push((atom, rel));
-    let i = open.len() - 1;
-    open.swap(best, i);
-    found
 }
 
 /// Streaming evaluation: `visit` is called on every solution and may stop
@@ -154,309 +45,58 @@ pub fn evaluate_body_streaming(
     seed: &Bindings,
     mut visit: impl FnMut(&Bindings) -> Control,
 ) {
-    // Variables that *can* ever be bound: seed variables plus variables of
-    // positive atoms. Variables of negated atoms outside this set are local
-    // wildcards.
-    let mut bindable: BTreeSet<Var> = seed.iter().map(|(v, _)| v.clone()).collect();
-    for lit in body {
-        if let Literal::Pos(a) = lit {
-            a.collect_vars(&mut bindable);
-        }
-    }
-
-    let rels = resolve_body(db, body);
-    let mut remaining: Vec<(&Literal, Ver)> = body.iter().map(|l| (l, Ver::All)).collect();
-    let mut bindings = seed.clone();
-    solve(
-        db,
-        &mut remaining,
-        &mut bindings,
-        &rels,
-        &bindable,
-        &mut visit,
-    );
+    let plan = BodyPlan::compile(body, seed);
+    plan.run(db, &mut Scratch::default(), seed, |regs| {
+        visit(&plan.bindings(regs))
+    });
 }
 
 /// Delta-seeded semi-naive evaluation: enumerate solutions of `body` that
 /// use at least one tuple of `deltas` in a positive atom, each solution
 /// exactly once.
 ///
-/// `deltas` maps relation names to the tuples inserted since the premise
-/// was last checked. For every positive atom whose predicate has a delta
+/// `deltas` maps relation names to the tuples inserted since the body was
+/// last evaluated. For every positive atom whose predicate has a delta
 /// entry, each delta tuple is bound to that atom (the *anchor*) and the
 /// remaining literals are joined with the semi-naive version split:
 /// positive atoms **before** the anchor that read a delta relation see only
-/// that relation's *old* half ([`Ver::Old`] of the cursor that excludes the
-/// delta), atoms after the anchor and non-delta atoms see everything, and
-/// negations/comparisons always check the full database. A solution whose
-/// first (in body position order) new tuple sits at position `p` is
-/// therefore enumerated only with `p` as the anchor — at any later anchor,
-/// position `p` reads the old half, which excludes its tuple. No caller-side
-/// deduplication is needed; the chase scheduler asserts this in debug
-/// builds.
+/// that relation's *old* half ([`crate::Ver::Old`] of the cursor that
+/// excludes the delta), atoms after the anchor and non-delta atoms see
+/// everything, and negations/comparisons always check the full database. A
+/// solution whose first (in body position order) new tuple sits at position
+/// `p` is therefore enumerated only with `p` as the anchor — at any later
+/// anchor, position `p` reads the old half, which excludes its tuple.
 ///
 /// The versioning relies on the scheduler's claim discipline: each delta
 /// list holds exactly the relation's most recently inserted tuples, so
 /// [`Db::cursor_before_last_rel`] of the list length separates the relation
 /// into "everything except this delta" and "this delta".
 ///
-/// This is the entry point of the delta-driven chase scheduler in
-/// `grom-chase`: instead of rescanning a dependency's premise against the
-/// whole instance every round, the scheduler seeds evaluation from the
-/// tuples inserted since the premise was last checked.
+/// The chase does not call this function — it holds a compiled
+/// [`crate::DepPlan`] and runs [`crate::DepPlan::violations_from_delta`],
+/// the same anchors with the satisfaction check fused in.
 ///
 /// Returns the number of delta tuples skipped by the anchor arity check —
-/// stale entries logged before their relation's arity drifted. Callers
-/// surface this in their statistics (`ChaseStats::stale_delta_skipped` in
-/// the chase) instead of dropping the tuples silently; each stale tuple
-/// counts once, regardless of how many anchor positions its relation has.
+/// stale entries logged before their relation's arity drifted; each stale
+/// tuple counts once, regardless of how many anchor positions its relation
+/// has.
 pub fn evaluate_body_from_delta(
     db: &impl Db,
     body: &[Literal],
     deltas: &[(&str, &[grom_data::Tuple])],
     mut visit: impl FnMut(&Bindings) -> Control,
 ) -> usize {
-    let mut bindable: BTreeSet<Var> = BTreeSet::new();
-    for lit in body {
-        if let Literal::Pos(a) = lit {
-            a.collect_vars(&mut bindable);
-        }
-    }
-
-    let rels = resolve_body(db, body);
-    // Old/new cursor per delta relation, computed once against the current
-    // database state. Absent relations get no cursor; their premise atoms
-    // cannot match stored tuples anyway, so they keep the unversioned view.
-    let cursors: BTreeMap<&str, u64> = deltas
-        .iter()
-        .filter_map(|(name, tuples)| {
-            let rel = rels.get(name).copied().flatten()?;
-            Some((*name, db.cursor_before_last_rel(rel, tuples.len())))
-        })
-        .collect();
-
-    let mut stale_skipped = 0;
-    let mut counted: BTreeSet<&str> = BTreeSet::new();
-    let mut bindings = Bindings::new();
-    for anchor in 0..body.len() {
-        let Literal::Pos(atom) = &body[anchor] else {
-            continue;
-        };
-        let Some((_, delta_tuples)) = deltas
-            .iter()
-            .find(|(name, _)| *name == atom.predicate.as_ref())
-        else {
-            continue;
-        };
-        // Stale tuples are counted at their relation's first anchor
-        // position only, so the count reflects tuples, not re-visits.
-        let count_stale_here = counted.insert(atom.predicate.as_ref());
-        let mut remaining: Vec<(&Literal, Ver)> = body
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != anchor)
-            .map(|(i, l)| {
-                let ver = match l {
-                    Literal::Pos(a) if i < anchor => cursors
-                        .get(a.predicate.as_ref())
-                        .map_or(Ver::All, |&c| Ver::Old(c)),
-                    _ => Ver::All,
-                };
-                (l, ver)
-            })
-            .collect();
-        for tuple in *delta_tuples {
-            if tuple.arity() != atom.args.len() {
-                // Stale delta from an arity-drifted relation: counted, not
-                // silently dropped.
-                if count_stale_here {
-                    stale_skipped += 1;
-                }
-                continue;
-            }
-            // One Bindings reused across delta tuples: cleared (keeping its
-            // allocation) instead of rebuilt, and there is nothing to
-            // unwind after the solve — the solve restores everything it
-            // binds beyond the anchor.
-            bindings.clear();
-            if bind_tuple(atom, tuple, &mut bindings).is_none() {
-                continue;
-            }
-            if solve(
-                db,
-                &mut remaining,
-                &mut bindings,
-                &rels,
-                &bindable,
-                &mut visit,
-            ) == Control::Stop
-            {
-                return stale_skipped;
-            }
-        }
-    }
-    stale_skipped
-}
-
-/// Is `lit` ready to run as a filter under `bindings`?
-fn filter_ready(lit: &Literal, bindings: &Bindings, bindable: &BTreeSet<Var>) -> bool {
-    match lit {
-        Literal::Cmp(c) => c.variables().iter().all(|v| bindings.contains(v)),
-        Literal::Neg(a) => a
-            .variables()
-            .iter()
-            .all(|v| bindings.contains(v) || !bindable.contains(v)),
-        Literal::Pos(_) => false,
-    }
-}
-
-/// Run a ready filter literal. `true` = passes.
-fn run_filter(db: &impl Db, lit: &Literal, bindings: &Bindings, rels: &RelMap<'_>) -> bool {
-    match lit {
-        Literal::Cmp(c) => bindings.eval_comparison(c).unwrap_or(false),
-        Literal::Neg(a) => {
-            // Absent relations are empty, so the negation holds.
-            let Some(Some(rel)) = rels.get(a.predicate.as_ref()) else {
-                return true;
-            };
-            let pattern = bindings.atom_pattern(a);
-            !db.any_match_rel(*rel, &pattern)
-        }
-        Literal::Pos(_) => unreachable!("positive atoms are not filters"),
-    }
-}
-
-/// Extend `bindings` with the columns of `tuple` matched against `atom`'s
-/// arguments; undo-list returned for backtracking. `None` if inconsistent
-/// (repeated variable bound to two different values, or constant mismatch —
-/// the latter is already excluded by the scan pattern but re-checked for
-/// safety).
-fn bind_tuple(atom: &Atom, tuple: &grom_data::Tuple, bindings: &mut Bindings) -> Option<Vec<Var>> {
-    let mut bound_here = Vec::new();
-    for (term, value) in atom.args.iter().zip(tuple.values()) {
-        match term {
-            Term::Const(c) => {
-                if c != value {
-                    for v in &bound_here {
-                        bindings.unbind(v);
-                    }
-                    return None;
-                }
-            }
-            Term::Var(v) => match bindings.get(v) {
-                Some(existing) if existing == value => {}
-                Some(_) => {
-                    for v in &bound_here {
-                        bindings.unbind(v);
-                    }
-                    return None;
-                }
-                None => {
-                    bindings.bind(v.clone(), value.clone());
-                    bound_here.push(v.clone());
-                }
-            },
-        }
-    }
-    Some(bound_here)
-}
-
-/// Each remaining literal carries the version half its scans are restricted
-/// to: [`Ver::All`] everywhere except the semi-naive delta path, where
-/// pre-anchor atoms over delta relations read [`Ver::Old`]. Filters
-/// (negations, comparisons) ignore the version — they always check the full
-/// database.
-fn solve(
-    db: &impl Db,
-    remaining: &mut Vec<(&Literal, Ver)>,
-    bindings: &mut Bindings,
-    rels: &RelMap<'_>,
-    bindable: &BTreeSet<Var>,
-    visit: &mut impl FnMut(&Bindings) -> Control,
-) -> Control {
-    if remaining.is_empty() {
-        return visit(bindings);
-    }
-
-    // 1. Run any ready filter (comparison / negation) first.
-    if let Some(i) = remaining
-        .iter()
-        .position(|(l, _)| filter_ready(l, bindings, bindable))
-    {
-        let entry = remaining.remove(i);
-        let ctrl = if run_filter(db, entry.0, bindings, rels) {
-            solve(db, remaining, bindings, rels, bindable, visit)
-        } else {
-            Control::Continue
-        };
-        remaining.insert(i, entry);
-        return ctrl;
-    }
-
-    // 2. Pick the cheapest positive atom to expand, by index-based
-    //    cardinality estimate under the current bindings (the smallest
-    //    index bucket among bound columns, or the relation size when
-    //    nothing is bound yet). Absent relations estimate to zero and
-    //    short-circuit the whole conjunction.
-    let mut best: Option<(usize, Option<DbRel>, usize)> = None; // (idx, token, estimate)
-    let mut scratch: Vec<Option<grom_data::Value>> = Vec::new();
-    for (i, (lit, ver)) in remaining.iter().enumerate() {
-        if let Literal::Pos(a) = lit {
-            let rel = rels.get(a.predicate.as_ref()).copied().flatten();
-            let estimate = match rel {
-                Some(rel) => {
-                    bindings.atom_pattern_into(a, &mut scratch);
-                    db.estimate_rel_v(rel, &scratch, *ver)
-                }
-                None => 0,
-            };
-            if best.as_ref().is_none_or(|&(_, _, be)| estimate < be) {
-                best = Some((i, rel, estimate));
-            }
-        }
-    }
-
-    let Some((i, rel, _)) = best else {
-        // No positive atom and no ready filter: the body has an unsafe
-        // comparison or negation over never-bound variables. Safety checks
-        // upstream should prevent this; treat as no solution.
-        return Control::Continue;
-    };
-    let Some(rel) = rel else {
-        // The cheapest atom reads an absent (empty) relation: no solution.
-        return Control::Continue;
-    };
-
-    let entry = remaining.remove(i);
-    let (atom, ver) = match entry {
-        (Literal::Pos(a), ver) => (a, ver),
-        _ => unreachable!(),
-    };
-    bindings.atom_pattern_into(atom, &mut scratch);
-    let pattern = scratch;
-    let mut ctrl = Control::Continue;
-    db.scan_rel_v(rel, &pattern, ver, &mut |tuple| {
-        if let Some(bound_here) = bind_tuple(atom, tuple, bindings) {
-            let c = solve(db, remaining, bindings, rels, bindable, visit);
-            for v in &bound_here {
-                bindings.unbind(v);
-            }
-            if c == Control::Stop {
-                ctrl = Control::Stop;
-                return Control::Stop;
-            }
-        }
-        Control::Continue
-    });
-    remaining.insert(i, entry);
-    ctrl
+    let plan = BodyPlan::compile(body, &Bindings::new());
+    plan.run_delta(db, &mut Scratch::default(), deltas, |regs| {
+        visit(&plan.bindings(regs))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use grom_data::{Instance, Value};
-    use grom_lang::{CmpOp, Comparison};
+    use grom_lang::{Atom, CmpOp, Comparison, Term};
 
     fn atom(p: &str, vars: &[&str]) -> Atom {
         Atom::new(p, vars.iter().map(Term::var).collect())
@@ -570,15 +210,6 @@ mod tests {
         for s in &sols {
             assert_eq!(s.get(&"x".into()), Some(&Value::int(1)));
         }
-    }
-
-    #[test]
-    fn has_match_stops_early() {
-        let inst = db();
-        let body = vec![Literal::Pos(atom("E", &["x", "y"]))];
-        assert!(has_match(&inst, &body, &Bindings::new()));
-        let body = vec![Literal::Pos(atom("Absent", &["x"]))];
-        assert!(!has_match(&inst, &body, &Bindings::new()));
     }
 
     #[test]
@@ -782,5 +413,10 @@ mod tests {
             }
         });
         assert_eq!(count, 2);
+        // A positive atom over an absent relation has no solution to stop at.
+        let body = vec![Literal::Pos(atom("Absent", &["x"]))];
+        evaluate_body_streaming(&inst, &body, &Bindings::new(), |_| {
+            panic!("an absent relation matched")
+        });
     }
 }

@@ -2,10 +2,13 @@
 //!
 //! Evaluates the logic of `grom-lang` over the instances of `grom-data`:
 //!
-//! * [`eval`] — backtracking join evaluation of conjunctions of literals
-//!   (positive atoms, negated atoms, comparison atoms) with index lookups
-//!   and greedy literal ordering. This is the workhorse shared by view
-//!   materialization, the chase's violation search and the validator.
+//! * [`plan`] — the one evaluator: a conjunction of literals (positive
+//!   atoms, negated atoms, comparison atoms) is compiled once into a
+//!   register-file plan and run as an index-probing backtracking join. The
+//!   chase's violation search, view materialization and the validator all
+//!   hold compiled plans for as long as their program is fixed.
+//! * [`eval`] — the public `evaluate_body*` functions: compile, run,
+//!   materialize [`grom_lang::Bindings`] per solution.
 //! * [`materialize`] — stratified materialization of non-recursive
 //!   Datalog-with-negation view sets: the operator `Υ(I)` of the paper
 //!   (applied to the source in the composition reduction of §3, and to the
@@ -14,28 +17,24 @@
 //!   matches that violate a tgd/egd/ded, or certify that an instance
 //!   satisfies a set of dependencies.
 //!
-//! The engine evaluates over a [`Db`]: either a single [`Instance`] or a
-//! pair of instances (source + target), since source-to-target dependencies
-//! read both databases.
+//! The engine evaluates over a [`Db`]: a single [`Instance`], or several
+//! borrowed ones read as their union ([`LayeredDb`]) — validation reads the
+//! source, the target and both sets of view extents without copying any.
 //!
 //! [`Instance`]: grom_data::Instance
 
 pub mod db;
 pub mod eval;
 pub mod materialize;
+pub mod plan;
 pub mod query;
 pub mod satisfy;
 
-pub use db::{Db, DbRel, PairDb, Ver};
-pub use eval::{
-    embed_atoms, evaluate_body, evaluate_body_from_delta, evaluate_body_streaming, has_match,
-    Control,
-};
+pub use db::{Db, DbRel, LayeredDb, Ver};
+pub use eval::{evaluate_body, evaluate_body_from_delta, evaluate_body_streaming, Control};
 pub use materialize::{
     materialize_views, materialize_views_tracked, MaterializeError, ViewMaterialization,
 };
+pub use plan::{BodyPlan, Cell, DepPlan, DisjunctPlan, Matches, Scratch, Slot};
 pub use query::Query;
-pub use satisfy::{
-    dependency_satisfied, disjunct_satisfied, disjunct_satisfied_resolved, find_violation,
-    instance_satisfies, Violation,
-};
+pub use satisfy::{dependency_satisfied, find_violation, instance_satisfies, Violation};

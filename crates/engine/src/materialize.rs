@@ -4,14 +4,18 @@
 //! (definitions before uses), so when a rule body references another view —
 //! positively or under negation — that view's extent is already available.
 //! Non-recursion makes this a single pass; no fixpoint is needed.
+//!
+//! Each rule is compiled once into a [`BodyPlan`] and evaluated once, over
+//! the borrowed layers `base ∪ extents-so-far` ([`LayeredDb`]); head tuples
+//! are projected straight from the plan's registers.
 
 use std::fmt;
 
-use grom_data::{DataError, Instance};
-use grom_lang::{Bindings, LangError, Term, ViewSet};
+use grom_data::{DataError, Instance, Tuple};
+use grom_lang::{Bindings, LangError, ViewSet};
 
-use crate::db::PairDb;
-use crate::eval::evaluate_body;
+use crate::db::{Control, LayeredDb};
+use crate::plan::{BodyPlan, Scratch};
 
 /// Errors raised during materialization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,15 +82,29 @@ pub fn materialize_views_tracked(
 ) -> Result<ViewMaterialization, MaterializeError> {
     let order = views.validate()?;
     let mut extents = Instance::new();
+    let mut scratch = Scratch::default();
+    let no_seed = Bindings::new();
     for view in &order {
         for rule in views.rules_of(view) {
-            // Rule bodies may read base tables and previously materialized
-            // views; expose both through a PairDb.
-            let db = PairDb::new(base, &extents);
-            let solutions = evaluate_body(&db, &rule.body, &Bindings::new());
-            for sol in solutions {
-                let tuple = project_head(&sol, &rule.head.args);
-                extents.insert(&rule.head.predicate, tuple.into())?;
+            let plan = BodyPlan::compile(&rule.body, &no_seed);
+            let head = plan
+                .head_slots(&rule.head)
+                .expect("safety guarantees head variables occur in the body");
+            // The heads are collected before they are inserted: the scan
+            // borrows the extents the inserts grow.
+            let mut derived: Vec<Tuple> = Vec::new();
+            let layers = [base, &extents];
+            plan.run(&LayeredDb::new(&layers), &mut scratch, &no_seed, |regs| {
+                let values = head.iter().map(|slot| {
+                    slot.eval(regs)
+                        .expect("safety guarantees head variables are bound")
+                        .clone()
+                });
+                derived.push(Tuple::new(values.collect()));
+                Control::Continue
+            });
+            for tuple in derived {
+                extents.insert(&rule.head.predicate, tuple)?;
             }
         }
     }
@@ -103,21 +121,11 @@ pub fn materialize_views_tracked(
     Ok(ViewMaterialization { extents, per_view })
 }
 
-/// Project a solution onto the head argument list.
-fn project_head(sol: &Bindings, args: &[Term]) -> Vec<grom_data::Value> {
-    args.iter()
-        .map(|t| {
-            sol.eval_term(t)
-                .expect("safety guarantees head variables are bound")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grom_data::{Tuple, Value};
-    use grom_lang::{Atom, Literal, ViewRule};
+    use grom_data::Value;
+    use grom_lang::{Atom, Literal, Term, ViewRule};
 
     fn atom(p: &str, vars: &[&str]) -> Atom {
         Atom::new(p, vars.iter().map(Term::var).collect())

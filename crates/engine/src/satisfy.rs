@@ -6,18 +6,20 @@
 //! (existential variables may map to any stored value, including labeled
 //! nulls). A denial (`k = 0`) is satisfied when the premise never matches.
 //!
-//! These checks serve three callers:
-//! * the chase, to decide whether a dependency still has violations,
-//! * the validator in `grom` (the soundness certificate: `V_T(J_T)` must
-//!   satisfy the original semantic mapping), and
-//! * tests comparing greedy and exhaustive ded-chase results.
+//! The check itself is [`DepPlan::violations`]: the premise plan with the
+//! per-disjunct checks run on the register file of every match. The chase
+//! holds one [`DepPlan`] per dependency for a whole run; the functions here
+//! serve callers that check a dependency once — the validator in `grom`
+//! (the soundness certificate: `V_T(J_T)` must satisfy the original semantic
+//! mapping) and the tests comparing chase results — so they compile per
+//! dependency per call and hand the witness out as [`Bindings`].
 
 use std::fmt;
 
-use grom_lang::{Bindings, Dependency, Disjunct};
+use grom_lang::{Bindings, Dependency};
 
-use crate::db::Db;
-use crate::eval::{embed_atoms, evaluate_body_streaming, Control};
+use crate::db::{Control, Db};
+use crate::plan::{DepPlan, Scratch};
 
 /// A witness that a dependency is violated: the premise match for which no
 /// disjunct can be satisfied.
@@ -37,77 +39,22 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Is `disjunct` satisfied in `db` under the premise match `bindings`?
-pub fn disjunct_satisfied(db: &impl Db, disjunct: &Disjunct, bindings: &Bindings) -> bool {
-    // Equalities: both sides must be bound (safety) and equal.
-    for (l, r) in &disjunct.eqs {
-        let (Some(lv), Some(rv)) = (bindings.eval_term(l), bindings.eval_term(r)) else {
-            return false;
-        };
-        if lv != rv {
-            return false;
-        }
-    }
-    // Comparisons: must be bound and hold.
-    for c in &disjunct.cmps {
-        if !bindings.eval_comparison(c).unwrap_or(false) {
-            return false;
-        }
-    }
-    // Atoms: embed as a conjunctive query seeded with the premise match.
-    if disjunct.atoms.is_empty() {
-        return true;
-    }
-    embed_atoms(db, &disjunct.atoms, bindings)
-}
-
-/// Is `disjunct` satisfied under `bindings` once every bound value is
-/// resolved through `resolve`?
-///
-/// This is the *satisfied-under-pending-obligations* recheck of the chase's
-/// sweep-level egd batching: equality obligations are recorded in a
-/// union-find but the instance is only rewritten once per sweep, so a
-/// violation matched against the un-rewritten instance may carry nulls
-/// that already have pending replacements. Resolving the bound values
-/// before the check lets such stale violations be skipped without an
-/// instance rewrite. A satisfied verdict is always genuine, because
-/// substitution is a homomorphism and never destroys an embedding. The
-/// converse does not hold: stored tuples are *not* resolved, so a
-/// disjunct with conclusion atoms can test unsatisfied even though the
-/// pending rewrite would satisfy it — repairing it then invents a
-/// redundant fresh null the substitution cannot merge away. Callers must
-/// not apply atom-bearing repairs while obligations are pending (the
-/// chase flushes or defers them first); for equality- and comparison-only
-/// disjuncts the check is exact.
-pub fn disjunct_satisfied_resolved(
-    db: &impl Db,
-    disjunct: &Disjunct,
-    bindings: &Bindings,
-    resolve: &mut impl FnMut(&grom_data::Value) -> grom_data::Value,
-) -> bool {
-    let mut resolved = Bindings::new();
-    for (var, val) in bindings.iter() {
-        resolved.bind(var.clone(), resolve(val));
-    }
-    disjunct_satisfied(db, disjunct, &resolved)
+fn first_violation(db: &impl Db, dep: &Dependency, s: &mut Scratch) -> Option<Violation> {
+    let plan = DepPlan::compile(dep);
+    let mut found = None;
+    plan.violations(db, s, |regs| {
+        found = Some(Violation {
+            dependency: dep.name.clone(),
+            bindings: plan.bindings(regs),
+        });
+        Control::Stop
+    });
+    found
 }
 
 /// Find the first violation of `dep` in `db`, if any.
 pub fn find_violation(db: &impl Db, dep: &Dependency) -> Option<Violation> {
-    let mut found = None;
-    evaluate_body_streaming(db, &dep.premise, &Bindings::new(), |b| {
-        let ok = dep.disjuncts.iter().any(|d| disjunct_satisfied(db, d, b));
-        if ok {
-            Control::Continue
-        } else {
-            found = Some(Violation {
-                dependency: dep.name.clone(),
-                bindings: b.clone(),
-            });
-            Control::Stop
-        }
-    });
-    found
+    first_violation(db, dep, &mut Scratch::default())
 }
 
 /// Does `db` satisfy `dep`?
@@ -121,8 +68,9 @@ pub fn instance_satisfies<'d>(
     db: &impl Db,
     deps: impl IntoIterator<Item = &'d Dependency>,
 ) -> Vec<Violation> {
+    let mut s = Scratch::default();
     deps.into_iter()
-        .filter_map(|d| find_violation(db, d))
+        .filter_map(|d| first_violation(db, d, &mut s))
         .collect()
 }
 
@@ -222,41 +170,6 @@ mod tests {
         assert!(dependency_satisfied(&db, &dep));
         let db = inst(&[("S", &[1])]);
         assert!(!dependency_satisfied(&db, &dep));
-    }
-
-    #[test]
-    fn resolved_recheck_sees_pending_obligations() {
-        // egd disjunct y1 = y2: the raw bindings carry two distinct nulls,
-        // but under a pending-obligation resolver mapping N1 -> N0 the
-        // equality holds and the violation is stale.
-        let dep = parse_dependency("egd e: T(x, y1), T(x, y2) -> y1 = y2.").unwrap();
-        let db = Instance::new();
-        let mut b = Bindings::new();
-        b.bind("x".into(), Value::int(1));
-        b.bind("y1".into(), Value::null(0));
-        b.bind("y2".into(), Value::null(1));
-        assert!(!disjunct_satisfied(&db, &dep.disjuncts[0], &b));
-        let mut resolve = |v: &Value| {
-            if v == &Value::null(1) {
-                Value::null(0)
-            } else {
-                v.clone()
-            }
-        };
-        assert!(disjunct_satisfied_resolved(
-            &db,
-            &dep.disjuncts[0],
-            &b,
-            &mut resolve
-        ));
-        // An identity resolver changes nothing.
-        let mut id = |v: &Value| v.clone();
-        assert!(!disjunct_satisfied_resolved(
-            &db,
-            &dep.disjuncts[0],
-            &b,
-            &mut id
-        ));
     }
 
     #[test]

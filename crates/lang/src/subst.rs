@@ -98,10 +98,11 @@ impl fmt::Display for TermSubst {
 ///
 /// Backed by a `Vec` kept sorted by variable name: premise matches bind a
 /// handful of variables, and at that size a sorted vector beats a tree map
-/// on every operation the join's inner loop performs (bind, unbind, get) —
-/// no per-entry node allocation, one contiguous block to clone. Iteration
-/// is in variable order, exactly as with the previous `BTreeMap` backing,
-/// so renderings and dedup keys are unchanged.
+/// on every operation (bind, unbind, get) — no per-entry node allocation,
+/// one contiguous block to clone. Iteration is in variable order, so
+/// renderings and dedup keys do not depend on binding order. The engine's
+/// join loop runs on a register file, not on this type; a `Bindings` is
+/// what a match looks like once it leaves the engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Bindings {
     map: Vec<(Var, Value)>,
@@ -180,18 +181,23 @@ impl Bindings {
         let rhs = self.eval_term(&cmp.rhs)?;
         Some(cmp.op.eval(&lhs, &rhs))
     }
+}
 
-    /// Instantiate an atom into a lookup pattern: bound positions become
-    /// `Some(value)`, unbound variables become `None`.
-    pub fn atom_pattern(&self, atom: &Atom) -> Vec<Option<Value>> {
-        atom.args.iter().map(|t| self.eval_term(t)).collect()
-    }
-
-    /// [`Bindings::atom_pattern`] into a caller-owned buffer, so hot loops
-    /// can reuse one allocation across probes.
-    pub fn atom_pattern_into(&self, atom: &Atom, buf: &mut Vec<Option<Value>>) {
-        buf.clear();
-        buf.extend(atom.args.iter().map(|t| self.eval_term(t)));
+/// Collect `(variable, value)` pairs; a variable given twice keeps its last
+/// value. Pairs that arrive in variable order — the engine's compiled plans
+/// export their registers that way — are taken as they are, in one
+/// allocation.
+impl FromIterator<(Var, Value)> for Bindings {
+    fn from_iter<I: IntoIterator<Item = (Var, Value)>>(pairs: I) -> Self {
+        let map: Vec<(Var, Value)> = pairs.into_iter().collect();
+        if map.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Bindings { map };
+        }
+        let mut out = Bindings::new();
+        for (var, value) in map {
+            out.bind(var, value);
+        }
+        out
     }
 }
 
@@ -257,14 +263,17 @@ mod tests {
     }
 
     #[test]
-    fn atom_pattern_mixes_bound_and_unbound() {
-        let mut b = Bindings::new();
-        b.bind("x".into(), Value::int(3));
-        let atom = Atom::new("R", vec![Term::var("x"), Term::var("y"), Term::cons(7i64)]);
-        assert_eq!(
-            b.atom_pattern(&atom),
-            vec![Some(Value::int(3)), None, Some(Value::int(7))]
-        );
+    fn bindings_collect_sorts_and_keeps_the_last_value() {
+        let pair = |v: &str, i: i64| (Var::from(v), Value::int(i));
+        let sorted: Bindings = [pair("a", 1), pair("b", 2)].into_iter().collect();
+        let mut expected = Bindings::new();
+        expected.bind("a".into(), Value::int(1));
+        expected.bind("b".into(), Value::int(2));
+        assert_eq!(sorted, expected);
+        let shuffled: Bindings = [pair("b", 9), pair("a", 1), pair("b", 2)]
+            .into_iter()
+            .collect();
+        assert_eq!(shuffled, expected);
     }
 
     #[test]
