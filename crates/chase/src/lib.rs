@@ -84,5 +84,5 @@ pub use grom_fail as fail;
 // depending on `grom-trace` directly.
 pub use grom_trace::{
     render_report, ChaseProfile, DepProfile, GroupProfile, JsonlSink, MemorySink, ReportOptions,
-    TraceHandle, TraceSink,
+    StorageGauge, TraceHandle, TraceSink,
 };

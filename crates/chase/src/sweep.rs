@@ -51,7 +51,7 @@ use std::time::Instant;
 use grom_data::{DataError, Instance, NullGenerator, Tuple, Value};
 use grom_engine::{Cell, Db, DepPlan, Scratch};
 use grom_lang::{Dependency, Term};
-use grom_trace::{ActivationKind, ActivationRecord, Recorder};
+use grom_trace::{ActivationKind, ActivationRecord, ChaseProfile, Recorder, StorageGauge};
 
 use crate::checkpoint::{Checkpoint, ResumeState};
 use crate::config::{Budget, ChaseConfig, InterruptReason, SchedulerMode};
@@ -152,7 +152,7 @@ impl<'a> Run<'a> {
     /// as [`crate::ChaseOutcome::Interrupted`].
     fn interrupted(mut self, reason: InterruptReason) -> ChaseError {
         self.inst.end_delta_tracking();
-        let profile = self.rec.finish();
+        let profile = finish(self.rec, &self.inst);
         let checkpoint = Checkpoint::capture(
             &profile.mode,
             self.stats.rounds,
@@ -222,7 +222,7 @@ fn drive(
             return Err(ChaseError::RoundLimit {
                 rounds: run.stats.rounds,
                 stats: Box::new(run.stats),
-                profile: Box::new(run.rec.finish()),
+                profile: Box::new(finish(run.rec, &run.inst)),
             });
         }
         if !run.sched.has_work() {
@@ -251,10 +251,32 @@ fn drive(
     }
     run.inst.end_delta_tracking();
     Ok(ChaseResult {
+        profile: finish(run.rec, &run.inst),
         instance: run.inst,
         stats: run.stats,
-        profile: run.rec.finish(),
     })
+}
+
+/// Close the recording with the storage gauges of the instance the run
+/// hands back: which columns its probes ever bound is only known now.
+fn finish(rec: Recorder, inst: &Instance) -> ChaseProfile {
+    let mut profile = rec.finish();
+    profile.storage = inst
+        .storage_report()
+        .into_iter()
+        .map(|r| StorageGauge {
+            relation: r.relation.to_string(),
+            live_rows: r.live_rows as u64,
+            tombstones: r.tombstones as u64,
+            indexes: r
+                .indexes
+                .into_iter()
+                .map(|(cols, entries)| (cols, entries as u64))
+                .collect(),
+            approx_bytes: r.approx_bytes as u64,
+        })
+        .collect();
+    profile
 }
 
 /// Where a repair lands: the database it reads, plus the write half —

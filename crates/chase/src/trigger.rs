@@ -70,8 +70,11 @@ impl TriggerIndex {
 /// positions the evaluator's scan patterns bind when that atom is joined
 /// last. For a disjunct (conclusion) atom, the probe keys are constants and
 /// universal variables: satisfaction checks scan conclusions with premise
-/// bindings seeded. Only sets of ≥ 2 positions are reported; single
-/// columns are already covered by the per-column indexes.
+/// bindings seeded. Only sets of ≥ 2 positions are reported: a single
+/// column needs no registration (its index is built by the first probe
+/// that binds it), and a set of *all* of a relation's columns, though
+/// reported here, is dropped by [`Instance::register_key`] — the
+/// membership table answers fully bound probes.
 pub fn join_keys(deps: &[Dependency]) -> BTreeMap<Arc<str>, BTreeSet<Vec<usize>>> {
     let mut out: BTreeMap<Arc<str>, BTreeSet<Vec<usize>>> = BTreeMap::new();
     let add =
@@ -131,10 +134,11 @@ pub fn join_keys(deps: &[Dependency]) -> BTreeMap<Arc<str>, BTreeSet<Vec<usize>>
     out
 }
 
-/// Install the [`join_keys`] of `deps` as composite-key indexes on `inst`.
-/// Relations that do not exist yet remember the registration and build the
-/// index when first created (see [`Instance::register_key`]). The chase
-/// dispatcher calls this once per run, before the first sweep.
+/// Register the [`join_keys`] of `deps` as composite-key indexes on `inst`.
+/// Relations that do not exist yet remember the registration and apply it
+/// when first created (see [`Instance::register_key`]); a registered key is
+/// built by the first probe that binds its columns. The chase dispatcher
+/// calls this once per run, before the first sweep.
 pub fn register_join_keys(inst: &mut Instance, deps: &[Dependency]) {
     for (rel, keys) in join_keys(deps) {
         for cols in keys {
@@ -194,13 +198,16 @@ mod tests {
 
     #[test]
     fn register_join_keys_installs_indexes_eagerly_and_lazily() {
-        let p = parse_program("tgd a: R(x, y), S(y, x) -> T(x, y).").unwrap();
+        let p = parse_program("tgd a: R(x, y, u), S(y, x) -> T(x, y, z).").unwrap();
         let mut inst = Instance::new();
-        inst.add("R", vec![1.into(), 2.into()]).unwrap();
+        inst.add("R", vec![1.into(), 2.into(), 3.into()]).unwrap();
+        inst.add("S", vec![2.into(), 1.into()]).unwrap();
         register_join_keys(&mut inst, &p.deps);
         assert!(inst.relation("R").unwrap().key_specs().any(|k| k == [0, 1]));
+        // S's join key is all of its columns: the membership table's job.
+        assert_eq!(inst.relation("S").unwrap().key_specs().count(), 0);
         // T does not exist yet; the key appears when it is created.
-        inst.add("T", vec![1.into(), 2.into()]).unwrap();
+        inst.add("T", vec![1.into(), 2.into(), 3.into()]).unwrap();
         assert!(inst.relation("T").unwrap().key_specs().any(|k| k == [0, 1]));
     }
 }

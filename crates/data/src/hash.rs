@@ -1,6 +1,6 @@
 //! A fast, non-cryptographic hasher for the storage-internal maps.
 //!
-//! The relation index maps, the tuple membership map and the symbol table
+//! The relation index maps, the tuple membership table and the symbol table
 //! hash on every insert and every probe — the hottest loops of the whole
 //! engine. They key on data the engine generated itself (tuples, values,
 //! interned symbols), so the HashDoS resistance of the std `SipHash`

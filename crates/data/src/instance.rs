@@ -1,12 +1,17 @@
 //! In-memory database instances.
 //!
 //! An [`Instance`] maps relation names to [`Relation`]s: deduplicated,
-//! insertion-ordered tuple sets with eager per-column hash indexes plus
-//! optional **composite-key indexes** on the join-key position sets the
-//! chase's static trigger analysis knows about. The indexes are what make
-//! the nested-loop joins of `grom-engine` and the violation search of
-//! `grom-chase` tolerable on instances with hundreds of thousands of
-//! tuples.
+//! insertion-ordered tuple sets that carry only what something reads. Each
+//! tuple is stored once; membership is a table of row ids over that one
+//! copy; per-column indexes, and **composite-key indexes** on the join-key
+//! position sets the chase's static trigger analysis registers, come into
+//! being with the first probe that binds their columns. An instance that is
+//! only built and iterated — a parsed source, the pipeline's working copy,
+//! an extracted target — never pays for an index; the chased instance ends
+//! up with exactly the ones its joins used ([`Instance::storage_report`]
+//! lists them). The indexes are what make the nested-loop joins of
+//! `grom-engine` and the violation search of `grom-chase` tolerable on
+//! instances with hundreds of thousands of tuples.
 //!
 //! Relation names resolve once to a dense [`RelId`]; hot-path callers (the
 //! redesigned `Db` trait in `grom-engine`) resolve a name a single time per
@@ -16,10 +21,9 @@
 //! assigned in first-insert order; sorted-by-name iteration is preserved
 //! for every rendering path.
 //!
-//! Null substitution is *surgical*: only null-bearing rows are rewritten
-//! (located through the column indexes), leaving tombstones behind instead
-//! of rebuilding whole relations; a junk counter triggers compaction when
-//! tombstones and stale index entries accumulate.
+//! Null substitution is *surgical*: only null-bearing rows are rewritten,
+//! leaving tombstones behind instead of rebuilding whole relations;
+//! compaction runs when tombstones outweigh live rows.
 //!
 //! Instances are *schema-less* at this layer: the first tuple inserted into
 //! a relation fixes its arity, and later inserts are checked against it.
@@ -30,7 +34,8 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::mem::size_of;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::DataError;
 use crate::hash::{FxHashMap, FxHasher};
@@ -65,20 +70,33 @@ pub enum Span {
     AtLeast(u32),
 }
 
-/// A composite-key hash index over a set of column positions.
+impl Span {
+    fn covers(self, row: u32) -> bool {
+        match self {
+            Span::All => true,
+            Span::Below(c) => row < c,
+            Span::AtLeast(c) => row >= c,
+        }
+    }
+}
+
+/// The membership hash of a tuple: what [`Relation`] deduplicates by.
 ///
-/// Buckets are keyed by a 64-bit hash of the key values rather than the
-/// values themselves: no allocation or `Value` clone per insert/probe, at
-/// the price of possible collisions — which are safe, because every reader
-/// re-checks the full pattern against the live tuple (the same contract
-/// stale buckets already impose).
-#[derive(Debug, Clone)]
-struct KeyIndex {
-    /// Sorted, deduplicated column positions (always ≥ 2 of them; single
-    /// columns are covered by the per-column indexes).
-    cols: Vec<usize>,
-    /// Hash of the values at `cols` (in order) → row ids.
-    map: FxHashMap<u64, Vec<u32>>,
+/// A pure function of the tuple's values, so one hash serves every layer a
+/// tuple is checked against — [`Instance::insert_hashed`] and
+/// [`Relation::contains_hashed`] take it instead of hashing again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TupleHash(u32);
+
+impl TupleHash {
+    pub fn of(tuple: &Tuple) -> Self {
+        Self::of_values(tuple.values().iter())
+    }
+
+    fn of_values<'a>(values: impl Iterator<Item = &'a Value>) -> Self {
+        // FxHash ends in a multiplication: the high half is the mixed one.
+        TupleHash((composite_hash(values) >> 32) as u32)
+    }
 }
 
 /// Hash a sequence of key values into one composite bucket key.
@@ -90,21 +108,159 @@ fn composite_hash<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
     h.finish()
 }
 
-impl KeyIndex {
-    fn key_of(&self, tuple: &Tuple) -> u64 {
-        composite_hash(self.cols.iter().map(|&c| &tuple.values()[c]))
+/// The membership table of a relation: open addressing with linear probing
+/// over `(hash, row id)` pairs. It stores no tuple — a hit is confirmed
+/// against the relation's `rows` by the caller's `is_row` predicate — and
+/// growing it re-places the stored hashes without touching a tuple.
+#[derive(Debug, Clone, Default)]
+struct Members {
+    /// Empty, or a power of two long; `VACANT` in the row half marks a free
+    /// slot. At most three quarters full.
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+const VACANT: u32 = u32::MAX;
+
+impl Members {
+    fn find(&self, hash: TupleHash, mut is_row: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash.0 as usize & mask;
+        loop {
+            let (h, row) = self.slots[i];
+            if row == VACANT {
+                return None;
+            }
+            if h == hash.0 && is_row(row) {
+                return Some(row);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Record `row` under `hash`. The caller has checked it is absent.
+    fn insert(&mut self, hash: TupleHash, row: u32) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let grown = (self.slots.len() * 2).max(8);
+            let old = std::mem::replace(&mut self.slots, vec![(0, VACANT); grown]);
+            for (h, r) in old {
+                if r != VACANT {
+                    self.place(h, r);
+                }
+            }
+        }
+        self.place(hash.0, row);
+        self.len += 1;
+    }
+
+    fn place(&mut self, hash: u32, row: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.slots[i].1 != VACANT {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = (hash, row);
+    }
+
+    /// Forget `row` (stored under `hash`), closing the probe sequence behind
+    /// it by shifting later entries back, so no deleted-marker is needed.
+    fn remove(&mut self, hash: TupleHash, row: u32) {
+        let mask = self.slots.len() - 1;
+        let mut hole = hash.0 as usize & mask;
+        while self.slots[hole].1 != row {
+            assert_ne!(self.slots[hole].1, VACANT, "row {row} is not a member");
+            hole = (hole + 1) & mask;
+        }
+        let mut next = hole;
+        loop {
+            next = (next + 1) & mask;
+            let (h, r) = self.slots[next];
+            if r == VACANT {
+                break;
+            }
+            // An entry may move back into the hole unless its home slot lies
+            // cyclically in (hole, next].
+            let home = h as usize & mask;
+            let stays = if hole <= next {
+                hole < home && home <= next
+            } else {
+                hole < home || home <= next
+            };
+            if !stays {
+                self.slots[hole] = (h, r);
+                hole = next;
+            }
+        }
+        self.slots[hole] = (0, VACANT);
+        self.len -= 1;
     }
 }
 
-/// One relation: an insertion-ordered set of tuples plus per-column and
-/// composite-key indexes.
+/// Hash of the key values → ids of the rows that hold (or held) them, in
+/// ascending slot order.
+///
+/// Buckets are keyed by a 64-bit hash of the key values rather than the
+/// values themselves: no allocation or `Value` clone per insert/probe, at
+/// the price of possible collisions — which are safe, because every reader
+/// re-checks the full pattern against the live tuple (the same contract
+/// stale buckets already impose).
+type Buckets = FxHashMap<u64, Vec<u32>>;
+
+/// An index over a set of column positions that does not exist until the
+/// first probe binds those columns, and is kept up to date from then on.
+/// `OnceLock` lets the first probe come through a shared reference — the
+/// pool executor's workers all read one snapshot.
+#[derive(Debug, Clone, Default)]
+struct LazyIndex(OnceLock<Buckets>);
+
+fn key_of(cols: &[usize], tuple: &Tuple) -> u64 {
+    composite_hash(cols.iter().map(|&c| &tuple.values()[c]))
+}
+
+fn build_buckets(rows: &[Option<Tuple>], cols: &[usize]) -> Buckets {
+    let mut buckets = Buckets::default();
+    for (r, slot) in rows.iter().enumerate() {
+        if let Some(t) = slot {
+            buckets.entry(key_of(cols, t)).or_default().push(r as u32);
+        }
+    }
+    buckets
+}
+
+impl LazyIndex {
+    /// The bucket for `key`, building the index over `rows` if this is the
+    /// first probe.
+    fn bucket<'a>(&'a self, rows: &[Option<Tuple>], cols: &[usize], key: u64) -> &'a [u32] {
+        let buckets = self.0.get_or_init(|| build_buckets(rows, cols));
+        buckets.get(&key).map_or(&[], Vec::as_slice)
+    }
+
+    /// Keep a built index current with a row appended at slot `row`.
+    fn note(&mut self, cols: &[usize], tuple: &Tuple, row: u32) {
+        if let Some(buckets) = self.0.get_mut() {
+            buckets.entry(key_of(cols, tuple)).or_default().push(row);
+        }
+    }
+}
+
+/// One relation: an insertion-ordered set of tuples, stored once.
+///
+/// `rows` is the only copy of a tuple. Membership is a table of row ids
+/// that compares against `rows`; per-column indexes and the registered
+/// composite keys are built by the first probe that binds their columns, so
+/// a relation that is only iterated — a parsed source, a working copy, an
+/// extracted target — never carries one. A fully bound pattern is answered
+/// by the membership table.
 ///
 /// Rows live in a slot vector; null substitution tombstones rewritten slots
 /// (`None`) instead of rebuilding, so row ids referenced by index buckets
 /// stay valid. Buckets may contain *stale* entries (tombstoned slots, or
-/// live rows whose value changed); every reader re-checks the full pattern
-/// against the live tuple, and a junk counter triggers a full compaction
-/// when stale state outweighs live rows.
+/// hash collisions); every reader re-checks the full pattern against the
+/// live tuple, and a full compaction runs when tombstones outweigh live
+/// rows.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     /// Tuple slots in insertion order; `None` is a tombstone left by null
@@ -112,14 +268,12 @@ pub struct Relation {
     rows: Vec<Option<Tuple>>,
     /// Number of live (non-tombstone) slots.
     live: usize,
-    /// Tombstones + rewritten rows whose old index entries are stale.
-    junk: usize,
-    /// Tuple → slot in `rows`, for O(1) membership tests.
-    positions: FxHashMap<Tuple, u32>,
-    /// `indexes[c][v]` = row ids whose column `c` holds (or held) value `v`.
-    indexes: Vec<FxHashMap<Value, Vec<u32>>>,
+    /// The live slots of `rows`, by tuple hash.
+    members: Members,
+    /// `columns[c]` indexes column `c` alone.
+    columns: Vec<LazyIndex>,
     /// Composite-key indexes registered via [`Relation::register_key`].
-    keys: Vec<KeyIndex>,
+    keys: Vec<(Vec<usize>, LazyIndex)>,
     /// Key registrations received before the arity was known.
     requested_keys: Vec<Vec<usize>>,
     arity: Option<usize>,
@@ -144,15 +298,37 @@ impl Relation {
     }
 
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.positions.contains_key(tuple)
+        self.contains_hashed(TupleHash::of(tuple), tuple)
+    }
+
+    /// [`Relation::contains`] for a caller that already hashed `tuple`.
+    pub fn contains_hashed(&self, hash: TupleHash, tuple: &Tuple) -> bool {
+        debug_assert_eq!(hash, TupleHash::of(tuple));
+        self.members
+            .find(hash, |r| self.rows[r as usize].as_ref() == Some(tuple))
+            .is_some()
+    }
+
+    /// The slot of the live row equal to a fully bound `pattern`.
+    fn row_of(&self, pattern: &[Option<Value>]) -> Option<u32> {
+        let hash = TupleHash::of_values(pattern.iter().flatten());
+        self.members.find(hash, |r| {
+            self.rows[r as usize].as_ref().is_some_and(|t| {
+                t.values()
+                    .iter()
+                    .map(Some)
+                    .eq(pattern.iter().map(Option::as_ref))
+            })
+        })
     }
 
     /// Register a composite-key index over `cols` (column positions of this
-    /// relation). Positions are sorted and deduplicated; sets of fewer than
-    /// two columns are ignored (the per-column indexes already cover them),
-    /// as are duplicates of an existing key and positions beyond the arity.
-    /// Existing rows are backfilled. Returns whether a new index was
-    /// installed (or queued, when the arity is not yet known).
+    /// relation), to be built by the first probe that binds all of them.
+    /// Positions are sorted and deduplicated. Ignored: sets of fewer than
+    /// two columns (every column has its own index), a set of *all* columns
+    /// (the membership table answers fully bound probes), duplicates of an
+    /// existing key and positions beyond the arity. Returns whether a new
+    /// key was registered (or queued, when the arity is not yet known).
     pub fn register_key(&mut self, cols: &[usize]) -> bool {
         let mut cols: Vec<usize> = cols.to_vec();
         cols.sort_unstable();
@@ -173,22 +349,13 @@ impl Relation {
     }
 
     fn install_key(&mut self, cols: Vec<usize>, arity: usize) -> bool {
-        if cols.last().is_some_and(|&c| c >= arity) {
+        if cols.len() >= arity || cols.last().is_some_and(|&c| c >= arity) {
             return false;
         }
-        if self.keys.iter().any(|k| k.cols == cols) {
+        if self.keys.iter().any(|(k, _)| *k == cols) {
             return false;
         }
-        let mut key = KeyIndex {
-            cols,
-            map: FxHashMap::default(),
-        };
-        for (r, slot) in self.rows.iter().enumerate() {
-            if let Some(t) = slot {
-                key.map.entry(key.key_of(t)).or_default().push(r as u32);
-            }
-        }
-        self.keys.push(key);
+        self.keys.push((cols, LazyIndex::default()));
         true
     }
 
@@ -197,19 +364,24 @@ impl Relation {
     pub fn key_specs(&self) -> impl Iterator<Item = &[usize]> {
         self.keys
             .iter()
-            .map(|k| k.cols.as_slice())
+            .map(|(cols, _)| cols.as_slice())
             .chain(self.requested_keys.iter().map(Vec::as_slice))
     }
 
     /// Insert a tuple. Returns `Ok(true)` if it was new, `Ok(false)` if it
     /// was already present, and an arity error if it does not match the
     /// relation's fixed width.
-    fn insert(&mut self, relation: &Arc<str>, tuple: Tuple) -> Result<bool, DataError> {
+    fn insert(
+        &mut self,
+        relation: &Arc<str>,
+        tuple: Tuple,
+        hash: TupleHash,
+    ) -> Result<bool, DataError> {
         match self.arity {
             None => {
                 let a = tuple.arity();
                 self.arity = Some(a);
-                self.indexes = vec![FxHashMap::default(); a];
+                self.columns = vec![LazyIndex::default(); a];
                 for cols in std::mem::take(&mut self.requested_keys) {
                     self.install_key(cols, a);
                 }
@@ -223,32 +395,55 @@ impl Relation {
             }
             Some(_) => {}
         }
-        if self.positions.contains_key(&tuple) {
+        if self.contains_hashed(hash, &tuple) {
             return Ok(false);
         }
-        let row_id = self.rows.len() as u32;
-        self.place(row_id, tuple, true);
+        self.append(tuple, hash);
         Ok(true)
     }
 
-    /// Record `tuple` at slot `row_id` in every index. With `append`, the
-    /// slot is pushed; otherwise `rows[row_id]` is overwritten.
-    fn place(&mut self, row_id: u32, tuple: Tuple, append: bool) {
-        for (c, v) in tuple.values().iter().enumerate() {
-            self.indexes[c].entry(v.clone()).or_default().push(row_id);
+    /// Push `tuple` (absent, hashing to `hash`) as the newest row.
+    fn append(&mut self, tuple: Tuple, hash: TupleHash) {
+        let row = self.rows.len() as u32;
+        assert_ne!(row, VACANT, "relation is full");
+        for (c, index) in self.columns.iter_mut().enumerate() {
+            index.note(&[c], &tuple, row);
         }
-        for i in 0..self.keys.len() {
-            let key = self.keys[i].key_of(&tuple);
-            self.keys[i].map.entry(key).or_default().push(row_id);
+        for (cols, index) in &mut self.keys {
+            index.note(cols, &tuple, row);
         }
-        self.positions.insert(tuple.clone(), row_id);
-        if append {
-            debug_assert_eq!(row_id as usize, self.rows.len());
-            self.rows.push(Some(tuple));
-        } else {
-            self.rows[row_id as usize] = Some(tuple);
-        }
+        self.members.insert(hash, row);
+        self.rows.push(Some(tuple));
         self.live += 1;
+    }
+
+    /// This relation's storage gauges (see [`Instance::storage_report`]).
+    fn storage(&self, relation: &Arc<str>) -> RelationStorage {
+        let columns = self.columns.iter().enumerate().map(|(c, ix)| (vec![c], ix));
+        let keys = self.keys.iter().map(|(cols, ix)| (cols.clone(), ix));
+        let mut index_bytes = 0;
+        let indexes = columns
+            .chain(keys)
+            .filter_map(|(cols, ix)| {
+                let buckets = ix.0.get()?;
+                let entries: usize = buckets.values().map(Vec::len).sum();
+                index_bytes +=
+                    buckets.len() * size_of::<(u64, Vec<u32>)>() + entries * size_of::<u32>();
+                Some((cols, entries))
+            })
+            .collect();
+        RelationStorage {
+            relation: relation.clone(),
+            live_rows: self.live,
+            tombstones: self.tombstones(),
+            indexes,
+            // From lengths, not capacities: a clone reports what its
+            // original does.
+            approx_bytes: self.rows.len() * size_of::<Option<Tuple>>()
+                + self.live * self.arity.unwrap_or(0) * size_of::<Value>()
+                + self.members.slots.len() * size_of::<(u32, u32)>()
+                + index_bytes,
+        }
     }
 
     /// Iterate over live tuples in insertion order.
@@ -289,53 +484,40 @@ impl Relation {
         0
     }
 
-    /// Row ids whose column `col` equals (or once equaled) `value`. May
-    /// contain stale entries; readers re-check the live tuple.
-    fn rows_with(&self, col: usize, value: &Value) -> &[u32] {
-        self.indexes
-            .get(col)
-            .and_then(|ix| ix.get(value))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// The smallest index bucket usable for `pattern`: the best single
-    /// bound column, or a composite-key bucket when a registered key is
-    /// fully bound. `None` means the pattern is entirely unbound (full
-    /// scan).
-    fn best_bucket(&self, pattern: &[Option<Value>]) -> Option<&[u32]> {
+    /// The smallest index bucket usable for a partly bound `pattern`: the
+    /// best single bound column, or a composite-key bucket when a
+    /// registered key is fully bound. Every index the pattern binds is
+    /// consulted — and built, if this is its first probe. `None` means the
+    /// pattern is entirely unbound (full scan).
+    fn best_bucket<'a>(&'a self, pattern: &[Option<Value>]) -> Option<&'a [u32]> {
         let mut best: Option<&[u32]> = None;
-        for (c, slot) in pattern.iter().enumerate() {
-            if let Some(v) = slot {
-                let b = self.rows_with(c, v);
-                if best.is_none_or(|x| b.len() < x.len()) {
-                    best = Some(b);
-                }
+        let mut offer = |index: &'a LazyIndex, cols: &[usize]| {
+            let key = composite_hash(cols.iter().filter_map(|&c| pattern[c].as_ref()));
+            let bucket = index.bucket(&self.rows, cols, key);
+            if best.is_none_or(|b| bucket.len() < b.len()) {
+                best = Some(bucket);
+            }
+        };
+        for (c, index) in self.columns.iter().enumerate() {
+            if pattern.get(c).is_some_and(Option::is_some) {
+                offer(index, &[c]);
             }
         }
-        for k in &self.keys {
-            if k.cols
+        for (cols, index) in &self.keys {
+            if cols
                 .iter()
                 .all(|&c| pattern.get(c).is_some_and(Option::is_some))
             {
-                let key = composite_hash(
-                    k.cols
-                        .iter()
-                        .map(|&c| pattern[c].as_ref().expect("checked bound")),
-                );
-                let b = k.map.get(&key).map(Vec::as_slice).unwrap_or(&[]);
-                if best.is_none_or(|x| b.len() < x.len()) {
-                    best = Some(b);
-                }
+                offer(index, cols);
             }
         }
         best
     }
 
     /// Stream the tuples matching `pattern` into `visit`, using the most
-    /// selective available index bucket (composite keys included) and no
-    /// intermediate allocation. `visit` returns `false` to stop early;
-    /// `scan_each` returns whether the scan ran to completion.
+    /// selective index bucket the pattern binds (composite keys included)
+    /// and no intermediate allocation. `visit` returns `false` to stop
+    /// early; `scan_each` returns whether the scan ran to completion.
     ///
     /// `pattern[i] = Some(v)` requires column `i` to equal `v`; `None`
     /// leaves it unconstrained.
@@ -350,7 +532,8 @@ impl Relation {
     /// [`Relation::scan_each`] restricted to one version half. Index
     /// buckets hold row ids in ascending slot order (rows only append), so
     /// a bucket is narrowed to the span with one `partition_point` — the
-    /// composite-key indexes stay coherent across both halves for free.
+    /// composite-key indexes stay coherent across both halves for free. A
+    /// fully bound pattern is one membership lookup and builds no index.
     pub fn scan_each_v<'a>(
         &'a self,
         pattern: &[Option<Value>],
@@ -358,6 +541,16 @@ impl Relation {
         visit: &mut dyn FnMut(&'a Tuple) -> bool,
     ) -> bool {
         debug_assert_eq!(Some(pattern.len()), self.arity.or(Some(pattern.len())));
+        if pattern.iter().all(Option::is_some) {
+            return match self.row_of(pattern).filter(|&r| span.covers(r)) {
+                Some(r) => visit(
+                    self.rows[r as usize]
+                        .as_ref()
+                        .expect("member rows are live"),
+                ),
+                None => true,
+            };
+        }
         let matches = |t: &Tuple| {
             pattern
                 .iter()
@@ -412,7 +605,8 @@ impl Relation {
     /// bucket among bound columns and fully-bound composite keys, or the
     /// live row count when the pattern is entirely unbound. The join
     /// planner in `grom-engine` uses this as its cardinality estimate.
-    /// Stale entries may inflate the bound; never undercounts.
+    /// Stale entries may inflate the bound; never undercounts. Exact (0 or
+    /// 1, from the membership table) when every column is bound.
     pub fn estimate(&self, pattern: &[Option<Value>]) -> usize {
         self.estimate_v(pattern, Span::All)
     }
@@ -422,6 +616,9 @@ impl Relation {
     /// scan uses; the unbound bound is the slot count of the half (which,
     /// like `live`, may overcount by tombstones — never undercounts).
     pub fn estimate_v(&self, pattern: &[Option<Value>], span: Span) -> usize {
+        if pattern.iter().all(Option::is_some) {
+            return usize::from(self.row_of(pattern).is_some_and(|r| span.covers(r)));
+        }
         match self.best_bucket(pattern) {
             Some(bucket) => match span {
                 Span::All => bucket.len(),
@@ -443,35 +640,37 @@ impl Relation {
     }
 
     /// Rows (ascending slot order) whose tuple mentions a null mapped by
-    /// `map`. Probes the null buckets of the column indexes when the map is
-    /// small relative to the relation; falls back to a row sweep otherwise.
+    /// `map`. Probes the null buckets of the column indexes when every
+    /// column already has one and the map is small relative to the
+    /// relation; sweeps the rows otherwise — substitution builds no index.
     fn affected_rows(&self, map: &HashMap<NullId, Value>) -> Vec<u32> {
-        let Some(arity) = self.arity else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
-        let probe_cost = map.len().saturating_mul(arity.max(1));
-        if probe_cost < self.rows.len() {
-            let mut seen = BTreeSet::new();
-            for id in map.keys() {
-                let needle = Value::Null(*id);
-                for c in 0..arity {
-                    seen.extend(self.rows_with(c, &needle).iter().copied());
+        let built: Option<Vec<&Buckets>> = self.columns.iter().map(|ix| ix.0.get()).collect();
+        let probe_cost = map.len().saturating_mul(self.columns.len().max(1));
+        match built {
+            Some(columns) if probe_cost < self.rows.len() => {
+                let mut seen = BTreeSet::new();
+                for id in map.keys() {
+                    let key = composite_hash(std::iter::once(&Value::Null(*id)));
+                    for buckets in &columns {
+                        seen.extend(buckets.get(&key).into_iter().flatten().copied());
+                    }
                 }
-            }
-            for r in seen {
-                // Buckets may be stale: re-check the live tuple.
-                if let Some(t) = self.rows[r as usize].as_ref() {
-                    if t.nulls().any(|n| map.contains_key(&n)) {
-                        out.push(r);
+                for r in seen {
+                    // Buckets may be stale: re-check the live tuple.
+                    if let Some(t) = self.rows[r as usize].as_ref() {
+                        if t.nulls().any(|n| map.contains_key(&n)) {
+                            out.push(r);
+                        }
                     }
                 }
             }
-        } else {
-            for (r, slot) in self.rows.iter().enumerate() {
-                if let Some(t) = slot {
-                    if t.nulls().any(|n| map.contains_key(&n)) {
-                        out.push(r as u32);
+            _ => {
+                for (r, slot) in self.rows.iter().enumerate() {
+                    if let Some(t) = slot {
+                        if t.nulls().any(|n| map.contains_key(&n)) {
+                            out.push(r as u32);
+                        }
                     }
                 }
             }
@@ -488,13 +687,12 @@ impl Relation {
             return false;
         }
         // Phase 1: lift every affected row out, so phase 2's merge checks
-        // see a consistent membership map.
+        // see a consistent membership table.
         let mut taken: Vec<Tuple> = Vec::with_capacity(affected.len());
         for &r in &affected {
             let t = self.rows[r as usize].take().expect("affected row is live");
-            self.positions.remove(&t);
+            self.members.remove(TupleHash::of(&t), r);
             self.live -= 1;
-            self.junk += 1;
             taken.push(t);
         }
         // Phase 2: rewrite and re-append in the old slot order; tuples that
@@ -502,41 +700,77 @@ impl Relation {
         // tombstone).
         for old in taken {
             let (new, _) = old.substitute_nulls(&mut |id| map.get(&id).cloned());
-            if self.positions.contains_key(&new) {
-                continue;
+            let hash = TupleHash::of(&new);
+            if !self.contains_hashed(hash, &new) {
+                self.append(new, hash);
             }
-            let row_id = self.rows.len() as u32;
-            self.place(row_id, new, true);
         }
         self.maybe_compact();
         true
     }
 
+    /// Slots emptied by null substitution, each of which left stale
+    /// entries in the built indexes.
+    fn tombstones(&self) -> usize {
+        self.rows.len() - self.live
+    }
+
     fn maybe_compact(&mut self) {
-        if self.junk > 64 && self.junk > self.live {
+        if self.tombstones() > 64 && self.tombstones() > self.live {
             self.compact();
         }
     }
 
-    /// Rebuild rows, membership and every index from the live tuples,
-    /// dropping tombstones and stale bucket entries. Insertion order of the
-    /// survivors is preserved.
+    /// Drop the tombstones and renumber the survivors, insertion order
+    /// preserved. The membership table is renumbered in place (hashes do
+    /// not change); the indexes some probe had built are rebuilt without
+    /// their stale entries, the others stay unbuilt.
     fn compact(&mut self) {
-        let arity = self.arity.unwrap_or(0);
-        let old_rows = std::mem::take(&mut self.rows);
-        self.positions.clear();
-        self.indexes = vec![FxHashMap::default(); arity];
-        for k in &mut self.keys {
-            k.map.clear();
+        let mut renumbered = vec![VACANT; self.rows.len()];
+        let mut next = 0u32;
+        for (old, slot) in self.rows.iter().enumerate() {
+            if slot.is_some() {
+                renumbered[old] = next;
+                next += 1;
+            }
         }
-        self.live = 0;
-        self.junk = 0;
-        self.rows = Vec::with_capacity(self.positions.capacity());
-        for t in old_rows.into_iter().flatten() {
-            let row_id = self.rows.len() as u32;
-            self.place(row_id, t, true);
+        for (_, row) in &mut self.members.slots {
+            if *row != VACANT {
+                *row = renumbered[*row as usize];
+            }
+        }
+        self.rows.retain(Option::is_some);
+        let rows = &self.rows;
+        let rebuild = |cols: &[usize], index: &mut LazyIndex| {
+            if let Some(buckets) = index.0.get_mut() {
+                *buckets = build_buckets(rows, cols);
+            }
+        };
+        for (c, index) in self.columns.iter_mut().enumerate() {
+            rebuild(&[c], index);
+        }
+        for (cols, index) in &mut self.keys {
+            rebuild(cols, index);
         }
     }
+}
+
+/// What one relation holds, in counts: one row of
+/// [`Instance::storage_report`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RelationStorage {
+    pub relation: Arc<str>,
+    pub live_rows: usize,
+    /// Slots emptied by null substitution and not yet compacted away.
+    pub tombstones: usize,
+    /// The indexes some probe has built — single columns first, then
+    /// registered keys — as (column positions, bucket entries). Entries
+    /// count stale ones. A column or key that is absent was never probed.
+    pub indexes: Vec<(Vec<usize>, usize)>,
+    /// Bytes held by the row slots, the tuples' value arrays, the
+    /// membership table and the built indexes. String payloads are shared
+    /// between tuples and not counted.
+    pub approx_bytes: usize,
 }
 
 /// A log of tuples inserted into an [`Instance`] while delta tracking is
@@ -651,6 +885,19 @@ impl Instance {
 
     /// Insert a tuple into `relation`; returns whether it was new.
     pub fn insert(&mut self, relation: &Arc<str>, tuple: Tuple) -> Result<bool, DataError> {
+        let hash = TupleHash::of(&tuple);
+        self.insert_hashed(relation, tuple, hash)
+    }
+
+    /// [`Instance::insert`] for a caller that already hashed `tuple` — a
+    /// [`TupleHash`] is the same in every instance, so a tuple checked
+    /// against one layer and inserted into another is hashed once.
+    pub fn insert_hashed(
+        &mut self,
+        relation: &Arc<str>,
+        tuple: Tuple,
+        hash: TupleHash,
+    ) -> Result<bool, DataError> {
         let id = match self.names.get(relation.as_ref()) {
             Some(&id) => id,
             None => {
@@ -667,27 +914,21 @@ impl Instance {
             }
         };
         let rel = &mut self.store[id.0 as usize].1;
-        let Some(delta) = &mut self.delta else {
-            return rel.insert(relation, tuple);
-        };
-        // With tracking on, duplicates are the common case on the chase's
-        // hot path (re-derivations); skip the log clone for them.
-        if rel.contains(&tuple) {
-            return Ok(false);
-        }
-        let logged = tuple.clone();
-        let new = rel.insert(relation, tuple)?;
-        if new {
-            delta.record(relation, logged);
+        let new = rel.insert(relation, tuple, hash)?;
+        if let (true, Some(delta)) = (new, &mut self.delta) {
+            let newest = rel.rows.last().and_then(Option::as_ref);
+            delta.record(relation, newest.expect("just appended").clone());
         }
         Ok(new)
     }
 
     /// Register a composite-key index on `relation` over column positions
-    /// `cols`. If the relation does not exist yet, the registration is
-    /// remembered and applied when it is first created — the chase wires up
-    /// the join keys its trigger analysis discovered before any conclusion
-    /// relation is materialized.
+    /// `cols` (see [`Relation::register_key`] for what is ignored; the
+    /// index itself is built by the first probe that binds `cols`). If the
+    /// relation does not exist yet, the registration is remembered and
+    /// applied when it is first created — the chase wires up the join keys
+    /// its trigger analysis discovered before any conclusion relation is
+    /// materialized.
     pub fn register_key(&mut self, relation: &str, cols: &[usize]) {
         match self.names.get(relation) {
             Some(&id) => {
@@ -776,6 +1017,16 @@ impl Instance {
                 tuple: t.clone(),
             })
         })
+    }
+
+    /// Storage gauges per relation (sorted by name): live rows, tombstones,
+    /// which columns and keys were ever probed — those are the ones that
+    /// hold an index — with their entry counts, and approximate bytes.
+    pub fn storage_report(&self) -> Vec<RelationStorage> {
+        self.names
+            .iter()
+            .map(|(name, &id)| self.store[id.0 as usize].1.storage(name))
+            .collect()
     }
 
     /// Total number of tuples across all relations.
@@ -881,9 +1132,9 @@ impl Instance {
     /// surgical pass: `map` sends each mapped label directly to its final
     /// value (no chains — the caller collapses them once, e.g. with the
     /// chase's `NullMap::flatten`). Only the rows that actually mention a
-    /// mapped null are rewritten — located through the column indexes —
-    /// instead of rebuilding whole relations; tuples that become equal
-    /// after substitution merge, leaving tombstones that compaction reclaims.
+    /// mapped null are rewritten instead of rebuilding whole relations;
+    /// tuples that become equal after substitution merge, leaving
+    /// tombstones that compaction reclaims.
     ///
     /// This is the entry point of sweep-level egd batching: the chase
     /// accumulates a whole sweep's equality obligations in its union-find
@@ -1080,18 +1331,20 @@ mod tests {
     #[test]
     fn keys_registered_late_backfill() {
         let mut inst = Instance::new();
-        for i in 0..10 {
-            inst.add("R", vec![v(i % 2), v(i % 3)]).unwrap();
+        for i in 0..30 {
+            inst.add("R", vec![v(i % 2), v(i % 3), v(i)]).unwrap();
         }
         inst.register_key("R", &[0, 1]);
         let rel = inst.relation("R").unwrap();
-        let hits = rel.scan(&[Some(v(1)), Some(v(2))]);
+        let hits = rel.scan(&[Some(v(1)), Some(v(2)), None]);
         let linear: Vec<&Tuple> = rel
             .iter()
             .filter(|t| t.get(0) == Some(&v(1)) && t.get(1) == Some(&v(2)))
             .collect();
         assert_eq!(hits, linear);
-        assert!(!hits.is_empty());
+        assert_eq!(hits.len(), 5);
+        // The composite bucket is exact; each column alone holds 10 or 15.
+        assert_eq!(rel.estimate(&[Some(v(1)), Some(v(2)), None]), 5);
     }
 
     #[test]
@@ -1099,10 +1352,91 @@ mod tests {
         let mut inst = Instance::new();
         inst.register_key("R", &[1, 1]); // dedups to one column: ignored
         inst.register_key("R", &[0, 5]); // out of range once arity known
+        inst.register_key("R", &[0, 1]); // every column: the membership table
         inst.add("R", vec![v(1), v(2)]).unwrap();
+        inst.register_key("R", &[1, 0]); // the same, arity known
         let rel = inst.relation("R").unwrap();
         assert_eq!(rel.key_specs().count(), 0);
         assert!(rel.any_match(&[Some(v(1)), Some(v(2))]));
+    }
+
+    /// The (column positions, entries) of the indexes `rel` holds.
+    fn built(inst: &Instance, rel: &str) -> Vec<(Vec<usize>, usize)> {
+        let report = inst.storage_report();
+        let row = report.iter().find(|r| r.relation.as_ref() == rel).unwrap();
+        row.indexes.clone()
+    }
+
+    #[test]
+    fn fully_bound_probes_answer_from_the_membership_table() {
+        let mut inst = Instance::new();
+        inst.register_key("R", &[0, 1]);
+        for i in 0..6 {
+            inst.add("R", vec![v(i % 2), v(i), v(-i)]).unwrap();
+        }
+        let rel = inst.relation("R").unwrap();
+        let hit = [Some(v(1)), Some(v(3)), Some(v(-3))]; // slot 3
+        let miss = [Some(v(1)), Some(v(3)), Some(v(3))];
+        for (span, expect) in [
+            (Span::All, true),
+            (Span::Below(3), false),
+            (Span::Below(4), true),
+            (Span::AtLeast(3), true),
+            (Span::AtLeast(4), false),
+        ] {
+            let mut seen = Vec::new();
+            assert!(rel.scan_each_v(&hit, span, &mut |t| {
+                seen.push(t.clone());
+                true
+            }));
+            let want: Vec<Tuple> = expect
+                .then(|| Tuple::new(vec![v(1), v(3), v(-3)]))
+                .into_iter()
+                .collect();
+            assert_eq!(seen, want, "{span:?}");
+            assert_eq!(rel.estimate_v(&hit, span), usize::from(expect), "{span:?}");
+            assert_eq!(rel.estimate_v(&miss, span), 0);
+            assert!(rel.scan_each_v(&miss, span, &mut |_| panic!("no such row")));
+        }
+        assert!(rel.any_match(&hit));
+        assert!(!rel.any_match(&miss));
+        // An early stop is reported like any other scan's.
+        assert!(!rel.scan_each(&hit, &mut |_| false));
+        // None of that built an index; the first partly bound probe builds
+        // exactly the ones it binds.
+        assert_eq!(built(&inst, "R"), vec![]);
+        assert_eq!(rel.scan(&[Some(v(1)), None, None]).len(), 3);
+        assert_eq!(built(&inst, "R"), vec![(vec![0], 6)]);
+        assert_eq!(rel.scan(&[Some(v(1)), Some(v(3)), None]).len(), 1);
+        assert_eq!(
+            built(&inst, "R"),
+            vec![(vec![0], 6), (vec![1], 6), (vec![0, 1], 6)]
+        );
+    }
+
+    #[test]
+    fn built_indexes_follow_inserts_substitution_and_compaction() {
+        let mut inst = Instance::new();
+        for i in 0..100u64 {
+            inst.add("R", vec![Value::null(i), v(0)]).unwrap();
+        }
+        let probe = |inst: &Instance| inst.relation("R").unwrap().scan(&[None, Some(v(0))]).len();
+        assert_eq!(probe(&inst), 100); // builds column 1 only
+        inst.add("R", vec![v(7), v(0)]).unwrap();
+        assert_eq!(probe(&inst), 101);
+        // Fold every null onto one constant: 100 tombstones, one survivor
+        // beside (7, 0) — more tombstones than live rows, so the relation compacts.
+        let map: HashMap<NullId, Value> = (0..100).map(|i| (NullId(i), v(8))).collect();
+        inst.substitute_nulls_batch(&map);
+        assert_eq!(probe(&inst), 2);
+        let report = inst.storage_report();
+        assert_eq!(report[0].live_rows, 2);
+        assert_eq!(report[0].tombstones, 0);
+        // The probed column's index was rebuilt without stale entries; the
+        // unprobed one still does not exist.
+        assert_eq!(report[0].indexes, vec![(vec![1], 2)]);
+        assert!(inst.contains_fact("R", &Tuple::new(vec![v(8), v(0)])));
+        assert!(!inst.contains_fact("R", &Tuple::new(vec![Value::null(3), v(0)])));
     }
 
     #[test]
@@ -1229,8 +1563,8 @@ mod tests {
     #[test]
     fn intern_and_unintern_round_trip() {
         let mut inst = Instance::new();
-        inst.add("R", vec![Value::str("a"), v(1)]).unwrap();
-        inst.add("R", vec![Value::str("b"), v(2)]).unwrap();
+        inst.add("R", vec![Value::str("a"), v(1), v(0)]).unwrap();
+        inst.add("R", vec![Value::str("b"), v(2), v(0)]).unwrap();
         inst.add("S", vec![Value::str("a"), Value::null(3)])
             .unwrap();
         inst.register_key("R", &[0, 1]);
@@ -1254,7 +1588,7 @@ mod tests {
             interned
                 .relation("R")
                 .unwrap()
-                .scan(&[Some(sym_a), None])
+                .scan(&[Some(sym_a), None, None])
                 .len(),
             1
         );

@@ -44,13 +44,7 @@ fn parse_value(token: &str, line: usize) -> Result<Value, ReadError> {
     if (t.starts_with('"') && t.ends_with('"') && t.len() >= 2)
         || (t.starts_with('\'') && t.ends_with('\'') && t.len() >= 2)
     {
-        let inner = &t[1..t.len() - 1];
-        return Ok(Value::str(
-            inner
-                .replace("\\\"", "\"")
-                .replace("\\'", "'")
-                .replace("\\\\", "\\"),
-        ));
+        return Ok(unescape(&t[1..t.len() - 1]));
     }
     Err(ReadError::Syntax {
         line,
@@ -58,34 +52,51 @@ fn parse_value(token: &str, line: usize) -> Result<Value, ReadError> {
     })
 }
 
-/// Split a comma-separated argument list, honoring quotes.
-fn split_args(body: &str, line: usize) -> Result<Vec<String>, ReadError> {
-    let mut out = Vec::new();
-    let mut current = String::new();
-    let mut quote: Option<char> = None;
+/// The string constant written between the quotes as `inner`: a backslash
+/// before a quote or a backslash is dropped, any other stays.
+fn unescape(inner: &str) -> Value {
+    if !inner.contains('\\') {
+        return Value::str(inner);
+    }
+    let mut out = String::with_capacity(inner.len());
+    let mut chars = inner.chars().peekable();
+    while let Some(c) = chars.next() {
+        match chars.peek() {
+            Some(&next @ ('"' | '\'' | '\\')) if c == '\\' => {
+                out.push(next);
+                chars.next();
+            }
+            _ => out.push(c),
+        }
+    }
+    Value::from(out)
+}
+
+/// Split a comma-separated argument list into `out`, honoring quotes. The
+/// delimiters are ASCII, so the scan can go byte by byte.
+fn split_args<'a>(body: &'a str, line: usize, out: &mut Vec<&'a str>) -> Result<(), ReadError> {
+    out.clear();
+    let mut start = 0;
+    let mut quote: Option<u8> = None;
     let mut escaped = false;
-    for c in body.chars() {
+    for (i, b) in body.bytes().enumerate() {
         match quote {
             Some(q) => {
-                current.push(c);
                 if escaped {
                     escaped = false;
-                } else if c == '\\' {
+                } else if b == b'\\' {
                     escaped = true;
-                } else if c == q {
+                } else if b == q {
                     quote = None;
                 }
             }
-            None => match c {
-                '"' | '\'' => {
-                    quote = Some(c);
-                    current.push(c);
+            None => match b {
+                b'"' | b'\'' => quote = Some(b),
+                b',' => {
+                    out.push(&body[start..i]);
+                    start = i + 1;
                 }
-                ',' => {
-                    out.push(std::mem::take(&mut current));
-                    continue;
-                }
-                _ => current.push(c),
+                _ => {}
             },
         }
     }
@@ -95,16 +106,20 @@ fn split_args(body: &str, line: usize) -> Result<Vec<String>, ReadError> {
             message: "unterminated string".into(),
         });
     }
-    if !current.trim().is_empty() || !out.is_empty() {
-        out.push(current);
+    let last = &body[start..];
+    if !last.trim().is_empty() || !out.is_empty() {
+        out.push(last);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Read an instance from fact-per-line text. Blank lines and `#`/`//`
 /// comments are ignored; the trailing `.` is optional.
 pub fn read_instance(text: &str) -> Result<Instance, ReadError> {
     let mut inst = Instance::new();
+    // Facts of one relation come in runs: share the name between them.
+    let mut rel: Option<Arc<str>> = None;
+    let mut args = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -122,19 +137,23 @@ pub fn read_instance(text: &str) -> Result<Instance, ReadError> {
                 message: "expected closing `)`".into(),
             });
         }
-        let rel: Arc<str> = Arc::from(line[..open].trim());
-        if rel.is_empty() {
+        let name = line[..open].trim();
+        if name.is_empty() {
             return Err(ReadError::Syntax {
                 line: line_no,
                 message: "missing relation name".into(),
             });
         }
-        let body = &line[open + 1..line.len() - 1];
-        let mut values = Vec::new();
-        for token in split_args(body, line_no)? {
-            values.push(parse_value(&token, line_no)?);
-        }
-        inst.insert(&rel, values.into())
+        let rel = match &mut rel {
+            Some(last) if **last == *name => last,
+            other => other.insert(Arc::from(name)),
+        };
+        split_args(&line[open + 1..line.len() - 1], line_no, &mut args)?;
+        let values = args
+            .iter()
+            .map(|token| parse_value(token, line_no))
+            .collect::<Result<Vec<Value>, _>>()?;
+        inst.insert(rel, values.into())
             .map_err(|e| e.at_line(line_no))?;
     }
     Ok(inst)
@@ -289,6 +308,59 @@ mod tests {
         let t: Vec<_> = inst.tuples("R").collect();
         assert_eq!(t[0].get(0), Some(&Value::str("a, b")));
         assert_eq!(t[0].get(1), Some(&Value::str("say \"hi\"")));
+    }
+
+    #[test]
+    fn quotes_and_backslashes_round_trip() {
+        let strings = [
+            r#"say "hi""#,
+            r"back\slash",
+            r#"\"#,
+            r#"\""#,
+            r#""\"\\""#,     // nothing but escapes
+            r#"é"ü\日"#,     // multi-byte characters next to escapes
+            "it's, (fine).", // the other quote, a comma, the line's own syntax
+            "",
+        ];
+        let mut inst = Instance::new();
+        for (i, s) in strings.iter().enumerate() {
+            inst.add("R", vec![Value::int(i as i64), Value::str(s)])
+                .unwrap();
+        }
+        let back = read_instance(&write_instance(&inst)).unwrap();
+        let read: Vec<_> = back.tuples("R").collect();
+        assert_eq!(read.len(), strings.len());
+        for (t, s) in read.iter().zip(strings) {
+            assert_eq!(t.get(1), Some(&Value::str(s)));
+        }
+    }
+
+    #[test]
+    fn malformed_lines_are_errors_with_their_line() {
+        for (text, needle) in [
+            ("R(1).\nR(1,).", "empty value"),
+            ("R(1).\nR(,).", "empty value"),
+            ("R(1).\nR(1, 'open).", "unterminated"),
+            ("R(1).\nR(bare, \"open).", "unterminated"),
+            ("R(1).\n(1).", "missing relation name"),
+            ("R(1).\nR(1", "closing"),
+            ("R(1).\nR 1).", "expected `Relation"),
+            ("R(1).\nR(\"a\"b).", "quote strings"),
+            ("R(1).\nR(é).", "quote strings"),
+        ] {
+            let err = read_instance(text).unwrap_err();
+            assert_eq!(err.line(), Some(2), "{text:?}");
+            assert!(err.to_string().contains(needle), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn relation_names_are_shared_along_a_run() {
+        let inst = read_instance("R(1).\nR(2).\nS(1).\nR(3).").unwrap();
+        assert_eq!(inst.relation("R").unwrap().len(), 3);
+        assert_eq!(inst.relation("S").unwrap().len(), 1);
+        let names: Vec<_> = inst.facts().map(|f| f.relation).collect();
+        assert!(Arc::ptr_eq(&names[0], &names[2]));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! This crate implements the "physical databases" of the GROM architecture
 //! (Figure 2 of the paper): typed relational schemas, tuples over a small
-//! value domain extended with *labeled nulls*, and in-memory instances with
-//! per-column hash indexes.
+//! value domain extended with *labeled nulls*, and in-memory instances whose
+//! hash indexes are built by the probes that need them.
 //!
 //! Everything above this crate (the mapping language, the evaluation engine,
 //! the chase and the rewriter) manipulates these objects:
@@ -13,9 +13,9 @@
 //!   chase when it witnesses existential quantifiers.
 //! * [`Schema`] / [`RelationSchema`] — named relations with typed columns.
 //! * [`Tuple`] and [`Fact`] — rows, and rows tagged with their relation.
-//! * [`Instance`] — a deduplicated, insertion-ordered set of facts with
-//!   per-column secondary indexes, plus the null-substitution operation the
-//!   egd chase relies on.
+//! * [`Instance`] — a deduplicated, insertion-ordered set of facts, each
+//!   stored once, with secondary indexes on the columns that get probed,
+//!   plus the null-substitution operation the egd chase relies on.
 //!
 //! The design goals, in order: deterministic iteration (tests and the greedy
 //! ded chase must be reproducible), cheap cloning of values (`Arc<str>`
@@ -32,7 +32,7 @@ pub mod value;
 
 pub use error::{DataError, GromError};
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
-pub use instance::{DeltaLog, Instance, RelId, Relation, Span};
+pub use instance::{DeltaLog, Instance, RelId, Relation, RelationStorage, Span, TupleHash};
 pub use io::{canonical_render, read_instance, write_instance, ReadError};
 pub use schema::{ColumnSchema, ColumnType, RelationSchema, Schema};
 pub use symbol::{Sym, SymbolTable};

@@ -157,16 +157,21 @@ impl fmt::Display for Value {
 /// the rendered form survives a `write_instance`/`read_instance` round
 /// trip (checkpoints embed instances as text).
 fn write_quoted(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    use fmt::Write as _;
-    f.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            c => f.write_char(c)?,
-        }
+    f.write_str("\"")?;
+    // Both escaped characters are ASCII, so the runs between them can be
+    // found byte by byte and written whole.
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\') {
+        f.write_str(&rest[..i])?;
+        f.write_str(if rest.as_bytes()[i] == b'"' {
+            "\\\""
+        } else {
+            "\\\\"
+        })?;
+        rest = &rest[i + 1..];
     }
-    f.write_char('"')
+    f.write_str(rest)?;
+    f.write_str("\"")
 }
 
 impl From<i64> for Value {
@@ -360,6 +365,17 @@ mod tests {
         assert_eq!(Value::str("ab").to_string(), "\"ab\"");
         assert_eq!(Value::bool(false).to_string(), "false");
         assert_eq!(Value::null(12).to_string(), "N12");
+    }
+
+    #[test]
+    fn quoting_escapes_quotes_and_backslashes_only() {
+        assert_eq!(Value::str(r#"say "hi""#).to_string(), r#""say \"hi\"""#);
+        assert_eq!(Value::str(r"a\b").to_string(), r#""a\\b""#);
+        // Nothing but escapes.
+        assert_eq!(Value::str(r#""\\""#).to_string(), r#""\"\\\\\"""#);
+        // A multi-byte character on either side of an escape.
+        assert_eq!(Value::str(r#"é"ü\日"#).to_string(), r#""é\"ü\\日""#);
+        assert_eq!(Value::str("").to_string(), r#""""#);
     }
 
     #[test]

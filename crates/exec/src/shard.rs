@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use grom_data::{DataError, DeltaLog, Instance, RelId, Span, Tuple, Value};
+use grom_data::{DataError, DeltaLog, Instance, RelId, Span, Tuple, TupleHash, Value};
 use grom_engine::{Control, Db, DbRel, Ver};
 
 /// An instance snapshot plus a private write buffer, presented as one
@@ -60,22 +60,24 @@ impl<'a> ShardView<'a> {
     }
 
     /// Insert a tuple. Returns `Ok(true)` iff it is new to *both* layers.
-    /// Arity is checked against whichever layer already fixed it.
+    /// Arity is checked against whichever layer already fixed it; the
+    /// tuple is hashed once for both membership tests.
     pub fn insert(&mut self, relation: &Arc<str>, tuple: Tuple) -> Result<bool, DataError> {
-        if let Some(arity) = self.base.relation(relation).and_then(|r| r.arity()) {
-            if arity != tuple.arity() {
+        let hash = TupleHash::of(&tuple);
+        if let Some(base) = self.base.relation(relation) {
+            if let Some(arity) = base.arity().filter(|&a| a != tuple.arity()) {
                 return Err(DataError::ArityMismatch {
                     relation: relation.clone(),
                     expected: arity,
                     actual: tuple.arity(),
                 });
             }
+            if base.contains_hashed(hash, &tuple) {
+                self.dedup_hits += 1;
+                return Ok(false);
+            }
         }
-        if self.base.contains_fact(relation, &tuple) {
-            self.dedup_hits += 1;
-            return Ok(false);
-        }
-        let fresh = self.local.insert(relation, tuple)?;
+        let fresh = self.local.insert_hashed(relation, tuple, hash)?;
         if !fresh {
             self.dedup_hits += 1;
         }

@@ -31,7 +31,7 @@ pub mod recorder;
 pub mod report;
 pub mod sink;
 
-pub use profile::{ChaseProfile, DepProfile, GroupProfile};
+pub use profile::{ChaseProfile, DepProfile, GroupProfile, StorageGauge};
 pub use recorder::{ActivationKind, ActivationRecord, Recorder, WorkerRecorder};
 pub use report::{render_report, ReportOptions};
 pub use sink::{JsonlSink, MemorySink, TraceHandle, TraceSink};

@@ -67,6 +67,22 @@ pub struct GroupProfile {
     pub busy_ns: u64,
 }
 
+/// What one relation of the chased instance holds when the chase returns.
+/// Counts only — a deterministic function of the scenario and the
+/// scheduler mode, like every other counter here.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StorageGauge {
+    pub relation: String,
+    pub live_rows: u64,
+    /// Slots emptied by null substitution and not yet compacted away.
+    pub tombstones: u64,
+    /// The indexes some probe built, as (column positions, bucket entries);
+    /// a column or registered key that is absent was never probed.
+    pub indexes: Vec<(Vec<usize>, u64)>,
+    /// Rows, membership table and indexes; shared string payloads excluded.
+    pub approx_bytes: u64,
+}
+
 /// The whole-run profile.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaseProfile {
@@ -92,6 +108,9 @@ pub struct ChaseProfile {
     pub groups: Vec<GroupProfile>,
     /// Wall time of the whole chase run.
     pub total_ns: u64,
+    /// Storage gauges per relation (sorted by name) of the instance the run
+    /// returned.
+    pub storage: Vec<StorageGauge>,
 }
 
 impl ChaseProfile {
@@ -139,10 +158,15 @@ impl ChaseProfile {
     /// Fold another run's profile into this one (greedy scenario retries,
     /// exhaustive node closures). Dependencies are merged **by name** —
     /// scenario-derived dependency sets can differ run to run — and groups
-    /// by index. An empty profile adopts the other's mode label.
+    /// by index. An empty profile adopts the other's mode label. Storage
+    /// gauges describe an instance, not work done: the later run's replace
+    /// the earlier's.
     pub fn absorb(&mut self, other: &ChaseProfile) {
         if self.mode.is_empty() {
             self.mode = other.mode.clone();
+        }
+        if !other.storage.is_empty() {
+            self.storage = other.storage.clone();
         }
         for od in &other.deps {
             let slot = match self.deps.iter_mut().find(|d| d.name == od.name) {

@@ -3,9 +3,10 @@
 //! Takes a finished [`ChaseProfile`] and renders a plain-text report:
 //! where the wall time went per dependency (with full/delta splits and
 //! delta-hit rates), how the sweep phases break down, how busy each
-//! conflict group kept the pool in parallel mode, and a rewrite hint when
-//! a single group (or, sequentially, a single dependency) holds more than
-//! 80% of the work.
+//! conflict group kept the pool in parallel mode, what each relation of the
+//! chased instance holds (rows, tombstones, which columns were ever probed
+//! and so carry an index), and a rewrite hint when a single group (or,
+//! sequentially, a single dependency) holds more than 80% of the work.
 
 use std::fmt::Write as _;
 
@@ -17,7 +18,8 @@ const DOMINANCE_THRESHOLD: f64 = 0.8;
 /// Rendering knobs for [`render_report`].
 #[derive(Debug, Clone)]
 pub struct ReportOptions {
-    /// How many dependencies to list (by wall time).
+    /// How many dependencies (by wall time) and relations (by bytes) to
+    /// list.
     pub top: usize,
 }
 
@@ -123,6 +125,53 @@ pub fn render_report(profile: &ChaseProfile, opts: &ReportOptions) -> String {
         }
     }
 
+    // --- Storage gauges, largest relations first. ---
+    if !profile.storage.is_empty() {
+        let mut by_size: Vec<_> = profile.storage.iter().collect();
+        by_size.sort_by(|a, b| {
+            b.approx_bytes
+                .cmp(&a.approx_bytes)
+                .then_with(|| a.relation.cmp(&b.relation))
+        });
+        let total: u64 = profile.storage.iter().map(|g| g.approx_bytes).sum();
+        let shown = by_size.len().min(opts.top.max(1));
+        let _ = writeln!(
+            out,
+            "storage: top {shown} of {} relations by size, {:.1} KiB in all \
+             (indexes are built by the first probe that binds them):",
+            by_size.len(),
+            total as f64 / 1024.0
+        );
+        let _ = writeln!(
+            out,
+            "  {:<24} {:>8} {:>6} {:>9}  indexes (columns:entries)",
+            "relation", "rows", "tombs", "KiB"
+        );
+        for g in by_size.into_iter().take(shown) {
+            let indexes: Vec<String> = g
+                .indexes
+                .iter()
+                .map(|(cols, entries)| {
+                    let cols: Vec<String> = cols.iter().map(usize::to_string).collect();
+                    format!("{}:{entries}", cols.join(","))
+                })
+                .collect();
+            let _ = writeln!(
+                out,
+                "  {:<24} {:>8} {:>6} {:>9.1}  {}",
+                g.relation,
+                g.live_rows,
+                g.tombstones,
+                g.approx_bytes as f64 / 1024.0,
+                if indexes.is_empty() {
+                    "-".to_string()
+                } else {
+                    indexes.join(" ")
+                }
+            );
+        }
+    }
+
     // --- Rewrite hint: one group (or one dependency) dominates. ---
     if !profile.groups.is_empty() {
         if let Some(top) = profile
@@ -167,7 +216,7 @@ pub fn render_report(profile: &ChaseProfile, opts: &ReportOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{DepProfile, GroupProfile};
+    use crate::profile::{DepProfile, GroupProfile, StorageGauge};
 
     fn dep(name: &str, wall_ns: u64) -> DepProfile {
         DepProfile {
@@ -200,6 +249,36 @@ mod tests {
         assert!(r.contains("hit=100%"));
         // 9/10 of the dep wall > 80% → sequential dominance hint fires.
         assert!(r.contains("hint: dependency big holds 90%"), "{r}");
+    }
+
+    #[test]
+    fn storage_table_lists_relations_by_size_with_their_indexes() {
+        let gauge = |relation: &str, approx_bytes, indexes| StorageGauge {
+            relation: relation.into(),
+            live_rows: 10,
+            tombstones: 2,
+            indexes,
+            approx_bytes,
+        };
+        let p = ChaseProfile {
+            mode: "delta".into(),
+            storage: vec![
+                gauge("Iterated", 1024, vec![]),
+                gauge("Probed", 4096, vec![(vec![0], 12), (vec![0, 2], 12)]),
+                gauge("Small", 10, vec![]),
+            ],
+            ..Default::default()
+        };
+        let r = render_report(&p, &ReportOptions { top: 2 });
+        assert!(r.contains("storage: top 2 of 3 relations"), "{r}");
+        let probed = r.find("Probed").unwrap();
+        let iterated = r.find("Iterated").unwrap();
+        assert!(probed < iterated, "{r}");
+        assert!(r.contains("0:12 0,2:12"), "{r}");
+        assert!(!r.contains("Small"), "{r}");
+        // A profile without gauges (a failed run) prints no table.
+        let r = render_report(&ChaseProfile::default(), &ReportOptions::default());
+        assert!(!r.contains("storage:"), "{r}");
     }
 
     #[test]
