@@ -2,24 +2,34 @@
 //!
 //! The sweep driver ([`crate::sweep`]) interrupts only at a sweep boundary,
 //! under every scheduler mode: the sweep's equality obligations have been
-//! substituted into the instance, the delta logs have been routed into the
-//! scheduler worklist, and the null generator cursor is past every
+//! substituted into the instance, every insert sits in the master instance
+//! past its readers' watermarks, and the null generator cursor is past every
 //! allocated label. A [`Checkpoint`] captures exactly that state —
 //! instance, per-dependency pending work, flattened `NullMap`, null cursor,
 //! and the round count — and [`chase_resume`] continues from it to a final
 //! instance that is `canonical_render`-identical to an uninterrupted run.
 //!
-//! Checkpoints serialize through the hand-rolled JSON layer of
-//! `grom-trace`; instances and delta tuples ride inside JSON strings in
-//! the fact-per-line text format of `grom_data::write_instance`, so the
-//! file stays greppable and the value grammar lives in one place.
+//! ## The envelope
+//!
+//! Checkpoints serialize through the JSON layer of `grom-trace`; the
+//! instance rides inside a JSON string in the fact-per-line text format of
+//! `grom_data::write_instance`, so the file stays greppable and the value
+//! grammar lives in one place. Writing an instance drops its tombstones and
+//! renumbers its slots, so the worklist is stored slot-free: envelope
+//! **v3** holds, per dependency, `idle`, `full`, or `delta` with the
+//! **count of trailing rows** of each premise relation the dependency has
+//! yet to see (`"new":{"R":3}`). Versions 1 and 2 carried those rows as
+//! tuple text (v2 with the counts beside them); they still load, each list
+//! reduced to its length once it is checked to be the relation's trailing
+//! rows. No input can panic the loader: an unknown version, a count for a
+//! relation the dependency does not read, a count larger than the
+//! relation, or a list that is not a suffix of its relation is an `Err`.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use grom_data::{read_instance, write_instance, Instance, NullId, Tuple, Value};
-use grom_lang::Dependency;
-use grom_trace::json::{self, JsonValue};
+use grom_data::{read_instance, write_instance, Instance, NullId, Relation, Value};
+use grom_lang::{Dependency, Literal};
+use grom_trace::json::{self, JsonObject, JsonValue};
 
 use crate::config::ChaseConfig;
 use crate::nullmap::NullMap;
@@ -91,36 +101,44 @@ impl Checkpoint {
     }
 
     /// Map interned symbols back to plain strings everywhere a value can
-    /// hide: the instance, the null map and the pending delta tuples.
+    /// hide: the instance and the null map (the worklist holds counts).
     pub(crate) fn unintern(&mut self) {
         self.instance = self.instance.unintern_strings();
         for (_, v) in &mut self.nullmap {
             *v = v.unintern();
         }
-        for p in &mut self.pending {
-            if let Pending::Delta(map) = p {
-                for tuples in map.values_mut() {
-                    for t in tuples.iter_mut() {
-                        *t = Tuple::new(t.values().iter().map(Value::unintern).collect());
-                    }
-                }
-            }
-        }
     }
 
     /// Rebuild the loop state this checkpoint froze. Fails when the
-    /// checkpoint's worklist is not index-aligned with `deps` (a resume
-    /// against a different program).
+    /// checkpoint's worklist does not fit `deps` (a resume against a
+    /// different program): another number of dependencies, or new rows
+    /// counted for a relation the dependency's premise does not read.
     pub(crate) fn restore(&self, deps: &[Dependency]) -> Result<ResumeState, ChaseError> {
+        let misfit = |reason: String| ChaseError::NotExecutable {
+            dependency: Arc::from("__checkpoint"),
+            reason,
+        };
         if self.pending.len() != deps.len() {
-            return Err(ChaseError::NotExecutable {
-                dependency: Arc::from("__checkpoint"),
-                reason: format!(
-                    "checkpoint worklist covers {} dependencies, program has {}",
-                    self.pending.len(),
-                    deps.len()
-                ),
-            });
+            return Err(misfit(format!(
+                "checkpoint worklist covers {} dependencies, program has {}",
+                self.pending.len(),
+                deps.len()
+            )));
+        }
+        for (dep, pending) in deps.iter().zip(&self.pending) {
+            let reads = |rel: &Arc<str>| {
+                let mut premise = dep.premise.iter();
+                premise.any(|l| matches!(l, Literal::Pos(a) if a.predicate == *rel))
+            };
+            let Pending::New(counts) = pending else {
+                continue;
+            };
+            if let Some((rel, _)) = counts.iter().find(|(rel, _)| !reads(rel)) {
+                return Err(misfit(format!(
+                    "checkpoint counts new rows of `{rel}` for `{}`, whose premise does not read it",
+                    dep.name
+                )));
+            }
         }
         let mut nullmap = NullMap::new();
         for (label, v) in &self.nullmap {
@@ -141,147 +159,120 @@ impl Checkpoint {
     // ------------------------------------------------------------- json --
 
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"version\":2");
-        let _ = write!(
-            out,
-            ",\"mode\":\"{}\",\"rounds\":{},\"next_null\":{}",
-            json::escape(&self.mode),
-            self.rounds,
-            self.next_null
-        );
-        let _ = write!(
-            out,
-            ",\"instance\":\"{}\"",
-            json::escape(&write_instance(&self.instance))
-        );
-        let _ = write!(
-            out,
-            ",\"nullmap\":\"{}\"",
-            json::escape(&write_instance(&nullmap_to_instance(&self.nullmap)))
-        );
-        out.push_str(",\"pending\":[");
-        for (i, p) in self.pending.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let pending = self.pending.iter().map(|p| {
+            let mut entry = JsonObject::new();
             match p {
-                Pending::Idle => out.push_str("{\"kind\":\"idle\"}"),
-                Pending::Full => out.push_str("{\"kind\":\"full\"}"),
-                Pending::Delta(map) => {
-                    // v2 records the old/new partition of each delta entry
-                    // alongside the tuples. Every pending tuple is *new*
-                    // (unclaimed work awaiting its semi-naive anchor scan),
-                    // so the partition is the per-relation count of the
-                    // serialized lists — written explicitly so a reader can
-                    // validate the claim-time cursor arithmetic against the
-                    // checkpoint instead of trusting it.
-                    let di = delta_to_instance(map);
-                    let _ = write!(
-                        out,
-                        "{{\"kind\":\"delta\",\"tuples\":\"{}\",\"new\":{{",
-                        json::escape(&write_instance(&di))
-                    );
-                    for (j, rel) in di.relation_names().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "\"{}\":{}", json::escape(rel), di.tuples(rel).count());
+                Pending::Full => entry.str("kind", "full"),
+                Pending::New(counts) if counts.is_empty() => entry.str("kind", "idle"),
+                Pending::New(counts) => {
+                    let mut new = JsonObject::new();
+                    for (rel, n) in counts {
+                        new.usize(rel, *n);
                     }
-                    out.push_str("}}");
+                    entry.str("kind", "delta").object("new", new)
                 }
-            }
-        }
-        out.push_str("]}");
-        out
+            };
+            entry
+        });
+        let mut out = JsonObject::new();
+        out.u64("version", 3)
+            .str("mode", &self.mode)
+            .usize("rounds", self.rounds)
+            .u64("next_null", self.next_null)
+            .str("instance", &write_instance(&self.instance))
+            .str(
+                "nullmap",
+                &write_instance(&nullmap_to_instance(&self.nullmap)),
+            )
+            .array("pending", pending);
+        out.finish()
     }
 
     pub fn from_json(text: &str) -> Result<Checkpoint, String> {
         let v = json::parse(text)?;
-        let version = v
-            .get("version")
-            .and_then(JsonValue::as_u64)
-            .ok_or("checkpoint has no version")?;
-        // v1 carries the same payload without the partition record; all its
-        // checkpointed delta tuples are treated as new, which is what they
-        // are (pending work is never half-promoted at a sweep boundary).
-        if version != 1 && version != 2 {
+        let field = |key: &str| v.get(key).ok_or(format!("checkpoint has no {key}"));
+        let number = |key: &str| {
+            let n = field(key)?.as_u64();
+            n.ok_or(format!("checkpoint {key} is not a count"))
+        };
+        let text = |key: &str| {
+            let s = field(key)?.as_str();
+            s.ok_or(format!("checkpoint {key} is not a string"))
+        };
+        let version = number("version")?;
+        if !(1..=3).contains(&version) {
             return Err(format!("unsupported checkpoint version {version}"));
         }
-        let mode = v
-            .get("mode")
-            .and_then(JsonValue::as_str)
-            .ok_or("checkpoint has no mode")?
-            .to_string();
-        let rounds = v
-            .get("rounds")
-            .and_then(JsonValue::as_u64)
-            .ok_or("checkpoint has no rounds")? as usize;
-        let next_null = v
-            .get("next_null")
-            .and_then(JsonValue::as_u64)
-            .ok_or("checkpoint has no next_null")?;
-        let inst_text = v
-            .get("instance")
-            .and_then(JsonValue::as_str)
-            .ok_or("checkpoint has no instance")?;
-        let instance = read_instance(inst_text).map_err(|e| format!("checkpoint instance: {e}"))?;
-        let nm_text = v
-            .get("nullmap")
-            .and_then(JsonValue::as_str)
-            .ok_or("checkpoint has no nullmap")?;
-        let nm_inst = read_instance(nm_text).map_err(|e| format!("checkpoint nullmap: {e}"))?;
-        let nullmap = instance_to_nullmap(&nm_inst)?;
-        let pending_json = match v.get("pending") {
-            Some(JsonValue::Arr(items)) => items,
-            _ => return Err("checkpoint has no pending array".into()),
+        let instance =
+            read_instance(text("instance")?).map_err(|e| format!("checkpoint instance: {e}"))?;
+        let nullmap =
+            read_instance(text("nullmap")?).map_err(|e| format!("checkpoint nullmap: {e}"))?;
+        let JsonValue::Arr(items) = field("pending")? else {
+            return Err("checkpoint pending is not an array".into());
         };
-        let mut pending = Vec::with_capacity(pending_json.len());
-        for item in pending_json {
-            let kind = item
-                .get("kind")
-                .and_then(JsonValue::as_str)
-                .ok_or("pending entry has no kind")?;
-            pending.push(match kind {
-                "idle" => Pending::Idle,
+        let mut pending = Vec::with_capacity(items.len());
+        for item in items {
+            let kind = item.get("kind").and_then(JsonValue::as_str);
+            pending.push(match kind.ok_or("pending entry has no kind")? {
+                "idle" => Pending::New(Vec::new()),
                 "full" => Pending::Full,
-                "delta" => {
-                    let text = item
-                        .get("tuples")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("delta pending entry has no tuples")?;
-                    let di = read_instance(text).map_err(|e| format!("checkpoint delta: {e}"))?;
-                    let map = instance_to_delta(&di);
-                    // v2 checkpoints record the partition; validate it
-                    // against the parsed lists so a truncated or edited
-                    // tuple block cannot silently shift the old/new split.
-                    if let Some(JsonValue::Obj(counts)) = item.get("new") {
-                        for (rel, count) in counts {
-                            let have = map.get(rel.as_str()).map_or(0, Vec::len) as u64;
-                            if count.as_u64() != Some(have) {
-                                return Err(format!(
-                                    "delta partition mismatch for `{rel}`: \
-                                     recorded {count:?} new tuples, parsed {have}"
-                                ));
-                            }
-                        }
-                    } else if version >= 2 {
-                        return Err("v2 delta pending entry has no partition record".into());
-                    }
-                    Pending::Delta(map)
-                }
+                "delta" if version == 3 => Pending::New(new_row_counts(item, &instance)?),
+                "delta" => Pending::New(trailing_rows(item, &instance)?),
                 other => return Err(format!("unknown pending kind `{other}`")),
             });
         }
         Ok(Checkpoint {
-            mode,
-            rounds,
-            next_null,
+            mode: text("mode")?.to_string(),
+            rounds: number("rounds")? as usize,
+            next_null: number("next_null")?,
             instance,
-            nullmap,
+            nullmap: instance_to_nullmap(&nullmap)?,
             pending,
         })
     }
+}
+
+/// A v3 delta entry: `"new":{relation: count}`, no count beyond what the
+/// relation holds.
+fn new_row_counts(item: &JsonValue, instance: &Instance) -> Result<Vec<(Arc<str>, usize)>, String> {
+    let Some(JsonValue::Obj(new)) = item.get("new") else {
+        return Err("delta pending entry has no counts".into());
+    };
+    let mut counts = Vec::with_capacity(new.len());
+    for (rel, n) in new {
+        let n = n
+            .as_u64()
+            .ok_or(format!("new-row count of `{rel}` is not a count"))?;
+        let stored = instance.relation(rel).map_or(0, Relation::len);
+        if n > stored as u64 {
+            return Err(format!(
+                "checkpoint counts {n} new rows of `{rel}`, which holds {stored}"
+            ));
+        }
+        counts.push((Arc::from(rel.as_str()), n as usize));
+    }
+    Ok(counts)
+}
+
+/// A v1/v2 delta entry: the unseen rows as tuple text, which must be the
+/// trailing rows of their relation; reduced to their number.
+fn trailing_rows(item: &JsonValue, instance: &Instance) -> Result<Vec<(Arc<str>, usize)>, String> {
+    let text = item.get("tuples").and_then(JsonValue::as_str);
+    let text = text.ok_or("delta pending entry has no tuples")?;
+    let lists = read_instance(text).map_err(|e| format!("checkpoint delta: {e}"))?;
+    let mut counts = Vec::new();
+    for rel in lists.relation_names() {
+        let n = lists.tuples(rel).count();
+        let stored = instance.relation(rel).map_or(0, Relation::len);
+        let tail = instance.tuples(rel).skip(stored.saturating_sub(n));
+        if n > stored || !tail.eq(lists.tuples(rel)) {
+            return Err(format!(
+                "the {n} pending tuples of `{rel}` are not the relation's trailing rows"
+            ));
+        }
+        counts.push((rel.clone(), n));
+    }
+    Ok(counts)
 }
 
 /// Run state rebuilt from a checkpoint (or built fresh at chase entry):
@@ -329,31 +320,6 @@ fn instance_to_nullmap(inst: &Instance) -> Result<Vec<(u64, Value)>, String> {
     Ok(out)
 }
 
-fn delta_to_instance(map: &BTreeMap<Arc<str>, Vec<Tuple>>) -> Instance {
-    let mut out = Instance::new();
-    for (rel, tuples) in map {
-        for t in tuples {
-            // Scheduler delta lists are duplicate-free (the delta log only
-            // records genuinely new inserts), so this dedup is a no-op; it
-            // also guards the trailing-rows invariant the semi-naive split
-            // relies on, since a duplicate would inflate the claimed count.
-            let _ = out.insert(rel, t.clone());
-        }
-    }
-    out
-}
-
-fn instance_to_delta(inst: &Instance) -> BTreeMap<Arc<str>, Vec<Tuple>> {
-    let mut out = BTreeMap::new();
-    for rel in inst.relation_names() {
-        let tuples: Vec<Tuple> = inst.tuples(rel).cloned().collect();
-        if !tuples.is_empty() {
-            out.insert(rel.clone(), tuples);
-        }
-    }
-    out
-}
-
 /// Continue an interrupted chase from `checkpoint` under `config`'s
 /// scheduler mode (any mode resumes any checkpoint: the pending worklist
 /// is mode-agnostic, and the full-rescan reference simply rescans). `deps` must
@@ -374,9 +340,12 @@ pub fn chase_resume(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grom_lang::parser::parse_program;
 
     fn sample() -> Checkpoint {
         let mut inst = Instance::new();
+        inst.add("S", vec![Value::int(0), Value::str("old")])
+            .unwrap();
         inst.add("S", vec![Value::int(1), Value::str("a\"b")])
             .unwrap();
         inst.add("T", vec![Value::null(3), Value::bool(true)])
@@ -384,20 +353,15 @@ mod tests {
         let mut nullmap = NullMap::new();
         let _ = nullmap.unify(&Value::null(5), &Value::int(9));
         let _ = nullmap.unify(&Value::null(7), &Value::null(2));
-        let mut delta = BTreeMap::new();
-        delta.insert(
-            Arc::from("S"),
-            vec![Tuple::new(vec![Value::int(1), Value::str("a\"b")])],
-        );
-        Checkpoint::capture(
-            "delta",
-            4,
-            11,
-            &inst,
-            &mut nullmap,
-            vec![Pending::Idle, Pending::Full, Pending::Delta(delta)],
-        )
+        let unseen = Pending::New(vec![(Arc::from("S"), 1)]);
+        let pending = vec![Pending::New(Vec::new()), Pending::Full, unseen];
+        Checkpoint::capture("delta", 4, 11, &inst, &mut nullmap, pending)
     }
+
+    /// A program the sample's worklist fits: the third dependency reads S.
+    const FITTING: &str = "tgd a: S(x, y) -> T(x, y).\n\
+                           tgd b: T(x, y) -> U(x).\n\
+                           tgd c: S(x, y), U(x) -> V(x).";
 
     #[test]
     fn json_round_trip_preserves_everything() {
@@ -405,48 +369,55 @@ mod tests {
         let text = cp.to_json();
         // The envelope is valid JSON for the trace-layer parser.
         assert!(json::parse(&text).is_ok());
+        assert!(
+            text.starts_with("{\"version\":3,\"mode\":\"delta\""),
+            "{text}"
+        );
+        // The worklist carries counts, never tuple text.
+        let pending = &text[text.find("\"pending\"").unwrap()..];
+        assert_eq!(
+            pending,
+            "\"pending\":[{\"kind\":\"idle\"},{\"kind\":\"full\"},\
+             {\"kind\":\"delta\",\"new\":{\"S\":1}}]}"
+        );
         let back = Checkpoint::from_json(&text).unwrap();
         assert_eq!(back.mode, cp.mode);
         assert_eq!(back.rounds, cp.rounds);
         assert_eq!(back.next_null, cp.next_null);
         assert_eq!(back.nullmap, cp.nullmap);
         assert_eq!(write_instance(&back.instance), write_instance(&cp.instance));
-        assert_eq!(back.pending.len(), cp.pending.len());
-        assert!(matches!(back.pending[0], Pending::Idle));
-        assert!(matches!(back.pending[1], Pending::Full));
-        match (&back.pending[2], &cp.pending[2]) {
-            (Pending::Delta(a), Pending::Delta(b)) => assert_eq!(a, b),
-            other => panic!("delta slot did not round-trip: {other:?}"),
-        }
+        assert_eq!(back.pending, cp.pending);
     }
 
     #[test]
     fn restore_rejects_misaligned_programs() {
-        use grom_lang::parser::parse_program;
         let cp = sample();
         let p = parse_program("tgd a: S(x, y) -> T(x, y).").unwrap();
         assert!(matches!(
             cp.restore(&p.deps),
             Err(ChaseError::NotExecutable { .. })
         ));
+        // Right length, but the third dependency does not read S.
+        let p = parse_program(&FITTING.replace("S(x, y), U(x)", "U(x)")).unwrap();
+        match cp.restore(&p.deps) {
+            Err(ChaseError::NotExecutable { reason, .. }) => {
+                assert!(reason.contains("does not read"), "{reason}")
+            }
+            other => panic!("a count for an unread relation restored: {:?}", other.err()),
+        }
     }
 
     #[test]
     fn restore_reinstalls_the_null_map() {
-        use grom_lang::parser::parse_program;
         let cp = sample();
-        let p = parse_program(
-            "tgd a: S(x, y) -> T(x, y).\n\
-             tgd b: T(x, y) -> U(x).\n\
-             tgd c: U(x) -> V(x).",
-        )
-        .unwrap();
+        let p = parse_program(FITTING).unwrap();
         let state = cp.restore(&p.deps).unwrap();
         let mut nm = state.nullmap;
         assert_eq!(nm.resolve(&Value::null(5)), Value::int(9));
         assert_eq!(nm.resolve(&Value::null(7)), Value::null(2));
         assert_eq!(state.rounds, 4);
         assert_eq!(state.next_null, 11);
+        assert_eq!(state.pending, cp.pending);
     }
 
     #[test]
@@ -455,41 +426,55 @@ mod tests {
         assert!(Checkpoint::from_json("{\"version\":2}").is_err());
         assert!(Checkpoint::from_json("{\"version\":3}").is_err());
         assert!(Checkpoint::from_json("not json").is_err());
-        let cp = sample();
-        let truncated = &cp.to_json()[..40];
-        assert!(Checkpoint::from_json(truncated).is_err());
+        let text = sample().to_json();
+        assert!(Checkpoint::from_json(&text[..40]).is_err());
+        let unknown = text.replace("{\"version\":3", "{\"version\":4");
+        let err = Checkpoint::from_json(&unknown).unwrap_err();
+        assert!(err.contains("unsupported checkpoint version 4"), "{err}");
+        // A count beyond what the relation holds, or no counts at all.
+        let err = Checkpoint::from_json(&text.replace("{\"S\":1}", "{\"S\":3}")).unwrap_err();
+        assert!(err.contains("3 new rows of `S`, which holds 2"), "{err}");
+        let err = Checkpoint::from_json(&text.replace("{\"S\":1}", "{\"Q\":1}")).unwrap_err();
+        assert!(err.contains("`Q`, which holds 0"), "{err}");
+        assert!(Checkpoint::from_json(&text.replace(",\"new\":{\"S\":1}", "")).is_err());
+        assert!(Checkpoint::from_json(&text.replace("{\"S\":1}", "{\"S\":-1}")).is_err());
     }
 
-    #[test]
-    fn v2_envelope_records_and_validates_the_partition() {
-        let cp = sample();
-        let text = cp.to_json();
-        assert!(text.starts_with("{\"version\":2"));
-        // The sample's one delta entry holds one new S tuple.
-        assert!(text.contains("\"new\":{\"S\":1}"), "{text}");
-        // Tampering with the recorded partition is detected.
-        let tampered = text.replace("\"new\":{\"S\":1}", "\"new\":{\"S\":7}");
-        let err = Checkpoint::from_json(&tampered).unwrap_err();
-        assert!(err.contains("partition mismatch"), "{err}");
-        // A v2 delta entry without a partition record is rejected.
-        let stripped = text.replace(",\"new\":{\"S\":1}", "");
-        assert!(Checkpoint::from_json(&stripped).is_err());
+    /// The sample in the v2 envelope (v1 without the `new` record): the
+    /// unseen rows as tuple text.
+    fn older(version: u32, tuples: &str) -> String {
+        let new = if version == 2 {
+            ",\"new\":{\"S\":1}"
+        } else {
+            ""
+        };
+        let delta = format!(
+            "{{\"kind\":\"delta\",\"tuples\":\"{}\"{new}}}",
+            json::escape(tuples)
+        );
+        sample()
+            .to_json()
+            .replace("{\"version\":3", &format!("{{\"version\":{version}"))
+            .replace("{\"kind\":\"delta\",\"new\":{\"S\":1}}", &delta)
     }
 
+    /// Every tuple a v1 (or v2) delta list holds is new: the list loads as
+    /// its length, once it is known to be its relation's trailing rows.
     #[test]
     fn v1_checkpoints_read_as_all_new() {
-        // A v1 envelope is a v2 envelope without partition records; every
-        // checkpointed delta tuple is treated as new.
-        let cp = sample();
-        let v1 = cp
-            .to_json()
-            .replace("{\"version\":2", "{\"version\":1")
-            .replace(",\"new\":{\"S\":1}", "");
-        let back = Checkpoint::from_json(&v1).unwrap();
-        assert_eq!(back.mode, cp.mode);
-        match (&back.pending[2], &cp.pending[2]) {
-            (Pending::Delta(a), Pending::Delta(b)) => assert_eq!(a, b),
-            other => panic!("v1 delta slot did not read back: {other:?}"),
+        let trailing = "S(1, \"a\\\"b\").\n";
+        for version in [1, 2] {
+            let back = Checkpoint::from_json(&older(version, trailing)).unwrap();
+            assert_eq!(back.pending, sample().pending, "v{version}");
         }
+        // A list that is not the relation's trailing rows is refused: an
+        // older row, a row the relation does not hold, a relation it lacks.
+        for stray in ["S(0, \"old\").\n", "S(9, \"x\").\n", "Q(1).\n"] {
+            let err = Checkpoint::from_json(&older(2, stray)).unwrap_err();
+            assert!(err.contains("not the relation's trailing rows"), "{err}");
+        }
+        let both = "S(0, \"old\").\nS(1, \"a\\\"b\").\n";
+        let back = Checkpoint::from_json(&older(1, both)).unwrap();
+        assert_eq!(back.pending[2], Pending::New(vec![(Arc::from("S"), 2)]));
     }
 }

@@ -20,10 +20,11 @@
 //!   activation body over a repair-sink trait, and the one repair applier
 //!   every chase variant uses.
 //! * [`trigger`] / [`scheduler`] — the delta worklist and the **inline
-//!   executor** (the default): a static trigger index routes newly inserted
-//!   tuples to the dependencies whose premises read them, and premise
-//!   evaluation is seeded from those deltas instead of rescanning the whole
-//!   instance every round.
+//!   executor** (the default): the worklist keeps, per dependency and
+//!   premise relation, the slot up to which the dependency has seen the
+//!   relation, and premise evaluation is seeded from the rows past it
+//!   instead of rescanning the whole instance every round; a static trigger
+//!   index finds the readers of a relation a null substitution rewrote.
 //! * [`partition`] / [`parallel`] — the **pool executor**: the worklist is
 //!   partitioned into conflict-free dependency groups (egds included — they
 //!   are pure readers within a sweep) and each sweep's activations run on

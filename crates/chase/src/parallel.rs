@@ -26,15 +26,18 @@
 //!    sets **deterministically** — concatenated in job order and stably
 //!    sorted by declaration index, so the unification order (and any
 //!    constant-clash report) is a function of the job contents, never of
-//!    thread scheduling — then merges the insertion buffers in job order
-//!    and routes the merged deltas. If anything merged, it applies **one**
-//!    combined substitution pass and one targeted reader invalidation for
-//!    the whole sweep (`apply_sweep_merges`).
+//!    thread scheduling — then absorbs the insertion buffers in job order
+//!    and puts the jobs' worklist entries back. If anything merged, it
+//!    applies **one** combined substitution pass and one targeted reader
+//!    invalidation for the whole sweep (`apply_sweep_merges`).
 //!
-//! Within a group, a worker routes its own insertions to later
-//! dependencies of the same job via the [`TriggerIndex`], mirroring the
-//! same-sweep cascading of the inline executor — including its
-//! atom-bearing flush rule: once a job holds pending obligations, a later
+//! Within a group, a worker claims each entry *at its turn* against its
+//! shard view — the snapshot rows past the entry's watermarks plus every
+//! row the job has buffered so far — mirroring the same-sweep cascading of
+//! the inline executor. The watermark the claim leaves behind is already
+//! the right one for the master after the barrier (see invariant 3 of
+//! [`crate::scheduler`]). The inline executor's atom-bearing flush rule
+//! carries over too: once a job holds pending obligations, a later
 //! atom-bearing dependency of the same job is *deferred* (the coordinator
 //! re-marks it `Full`) so its embedding checks run after the barrier
 //! substitution, never against stale stored tuples. The result is
@@ -56,7 +59,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use grom_data::{DataError, DeltaLog, Instance, StridedNullGenerator, Tuple, Value};
+use grom_data::{DataError, Instance, StridedNullGenerator, Tuple, Value};
 use grom_engine::{DepPlan, Scratch};
 use grom_lang::Dependency;
 use grom_trace::WorkerRecorder;
@@ -67,9 +70,8 @@ use crate::config::{CancelToken, InterruptReason};
 use crate::nullmap::{NullMap, Unify};
 use crate::partition::Partition;
 use crate::result::{ChaseError, ChaseStats};
-use crate::scheduler::{apply_sweep_merges, concludes_atoms, Pending};
+use crate::scheduler::{apply_sweep_merges, concludes_atoms, Entry, Mark};
 use crate::sweep::{activate, RepairSink, Run, SweepEnd};
-use crate::trigger::TriggerIndex;
 
 /// The worker-observable slice of the run budget: cancellation and the
 /// anchored wall-clock deadline. Tuple/null caps are coordinator-side only
@@ -91,24 +93,23 @@ impl TripWatch {
     }
 }
 
-/// One worker job: the claimed worklist entries of one conflict group
-/// within one sweep, in dependency order.
+/// One worker job: the worklist entries of one conflict group within one
+/// sweep, in dependency order. The job claims them at their turn and hands
+/// them back with its outcome.
+#[derive(Default)]
 struct GroupJob {
     /// The conflict-group index, for per-group utilization accounting.
     group: usize,
-    work: Vec<(usize, Pending)>,
+    work: Vec<(usize, Entry)>,
 }
 
 /// What a job hands back at the barrier.
 #[derive(Default)]
 struct GroupOutcome {
+    /// The job, its entries claimed (or, where deferred, untouched).
+    job: GroupJob,
     /// Everything the job inserted, in per-relation insertion order.
-    delta: DeltaLog,
-    /// `(dep, relation) -> count`: how many of `delta`'s leading tuples of
-    /// `relation` the worker already routed to `dep` in-sweep (worker-local
-    /// cascading). The barrier posts only the remainders, so no activation
-    /// sees the same tuple twice.
-    consumed: BTreeMap<(usize, Arc<str>), usize>,
+    buffer: Instance,
     /// Equality obligations collected by the job's egd repairs, tagged
     /// with their dependency index, in collection order. Kept on failure
     /// too: obligations recorded before the failing dependency are
@@ -119,12 +120,10 @@ struct GroupOutcome {
     /// already recorded obligations: their embedding checks read stored
     /// tuples the overlay resolution cannot see through, so they must run
     /// after the barrier substitution. The coordinator re-schedules them
-    /// `Full` (which subsumes the claimed work).
+    /// `Full` (which subsumes the pending work).
     deferred: Vec<usize>,
     /// Partial counters (rounds stay zero; the coordinator owns them).
     stats: ChaseStats,
-    /// The job's conflict-group index, echoed back for the profile.
-    group: usize,
     /// The worker-local activation records, folded into the run [`Recorder`]
     /// at the barrier in job order — so the profile (and the event stream)
     /// is deterministic under any thread schedule.
@@ -155,6 +154,13 @@ struct ShardSink<'a> {
     /// its later violations see the pending merges.
     local: NullMap,
     nulls: StridedNullGenerator,
+}
+
+impl ShardSink<'_> {
+    /// How far `mark`'s relation has grown in this job's view.
+    fn frontier(&self, mark: &Mark) -> u64 {
+        self.view.frontier(mark.id, &mark.rel)
+    }
 }
 
 impl<'a> RepairSink for ShardSink<'a> {
@@ -207,40 +213,40 @@ impl<'a> RepairSink for ShardSink<'a> {
     }
 }
 
-/// Run one group's claimed work against a snapshot: the shared activation
-/// body per claimed entry, with the pool-specific parts around it —
-/// deferral instead of a mid-sweep flush, failures packaged by dependency
-/// index instead of raised, and freshly inserted tuples routed *locally*
-/// to later dependencies of the same job (cross-group routing happens at
-/// the barrier — by construction no other group can read them).
+/// Run one group's entries against a snapshot: the shared activation body
+/// per entry, claimed at its turn, with the pool-specific parts around it —
+/// deferral instead of a mid-sweep flush, and failures packaged by
+/// dependency index instead of raised. What the job inserts reaches its
+/// later entries through the view (cross-group routing does not exist — by
+/// construction no other group can read these relations).
 fn run_group_job(
     base: &Instance,
     plans: &[DepPlan<'_>],
-    triggers: &TriggerIndex,
     base_nulls: &NullMap,
     watch: &TripWatch,
-    mut job: GroupJob,
+    job: GroupJob,
     nulls: StridedNullGenerator,
 ) -> GroupOutcome {
     let mut out = GroupOutcome {
-        group: job.group,
+        job,
         ..Default::default()
     };
     // Job-entry interruption point: the `worker` fault (a panic here is
     // contained by the pool's `run_timed_caught`) and the cancellation /
     // deadline watch. A job that observes either *before doing any work*
-    // defers wholesale — every claimed entry is handed back for a Full
-    // rescan. That is exact: conflict-free groups do not interact within a
-    // sweep, so deferring the whole job is equivalent to the scheduler
-    // having claimed it one sweep later.
+    // defers wholesale — every entry with pending work is handed back for
+    // a Full rescan. That is exact: conflict-free groups do not interact
+    // within a sweep, so deferring the whole job is equivalent to the
+    // scheduler having claimed it one sweep later.
     out.observed = if grom_fail::hit("worker") {
         Some(InterruptReason::Fault)
     } else {
         watch.check()
     };
     if out.observed.is_some() {
-        let claimed = job.work.iter().filter(|(_, p)| !matches!(p, Pending::Idle));
-        out.deferred = claimed.map(|(k, _)| *k).collect();
+        let work = out.job.work.iter();
+        let pending = work.filter(|(_, entry)| entry.pending(|m| m.stored(base)));
+        out.deferred = pending.map(|(k, _)| *k).collect();
         return out;
     }
 
@@ -251,33 +257,30 @@ fn run_group_job(
         nulls,
     };
     let mut scratch = Scratch::default();
-    for slot in 0..job.work.len() {
-        // Between claimed entries the watch is observe-only: a claimed job
+    for slot in 0..out.job.work.len() {
+        // Between entries the watch is observe-only: a started job
         // completes its work (mid-job skips would break exactness), and
         // the coordinator acts on the observation at the sweep barrier.
         if out.observed.is_none() {
             out.observed = watch.check();
         }
-        let (k, pending) = std::mem::replace(&mut job.work[slot], (0, Pending::Idle));
+        let (k, entry) = &mut out.job.work[slot];
+        let k = *k;
         // The inline executor flushes here; a worker cannot rewrite the
         // snapshot, so once this job holds pending obligations an
         // atom-bearing dependency is deferred past the barrier
         // substitution instead (the coordinator re-marks it Full).
         if !out.obligations.is_empty()
             && concludes_atoms(plans[k].dep)
-            && !matches!(pending, Pending::Idle)
+            && entry.pending(|m| sink.frontier(m))
         {
             out.deferred.push(k);
             continue;
         }
-        let result = activate(
-            &mut sink,
-            &plans[k],
-            k,
-            pending,
-            &mut out.stats,
-            &mut scratch,
-        );
+        // The claim at its turn: snapshot rows past the entry's watermarks
+        // plus everything this job has buffered so far.
+        let claim = entry.claim(|m| sink.frontier(m));
+        let result = activate(&mut sink, &plans[k], k, claim, &mut out.stats, &mut scratch);
         // Kept on failure too: obligations recorded before the failing
         // repair are genuine, and the coordinator may find an earlier
         // constant clash in them.
@@ -285,36 +288,16 @@ fn run_group_job(
         out.obligations
             .extend(recorded.into_iter().map(|(l, r)| (k, l, r)));
         match result {
-            Ok(None) => continue,
+            Ok(None) => {}
             Ok(Some(done)) => out.trace.record(done.record),
             Err(e) => {
                 out.failure = Some((k, e));
                 return out;
             }
         }
-
-        let log = sink.view.take_delta();
-        // Same-sweep cascading within the job: route to *later* entries
-        // only; earlier ones were already processed, exactly as in the
-        // inline sweep, and will see these tuples via the barrier.
-        // Per-relation logs accumulate into `delta` in slot order, so the
-        // tuples delivered to a later entry are exactly a prefix of the
-        // job delta — recorded in `consumed` so the barrier post routes
-        // only the remainder to that dependency.
-        for (rel, tuples) in log.relations() {
-            for &target in triggers.triggered_by(rel) {
-                if let Some((_, later)) = job.work[slot + 1..]
-                    .iter_mut()
-                    .find(|(kk, _)| *kk == target)
-                {
-                    later.add_delta(rel, tuples);
-                    *out.consumed.entry((target, rel.clone())).or_default() += tuples.len();
-                }
-            }
-        }
-        out.delta.absorb(&log);
     }
     out.max_null = sink.nulls.max_allocated();
+    out.buffer = sink.view.into_buffer();
     out
 }
 
@@ -344,24 +327,29 @@ impl PoolExecutor {
     /// One sweep: claim, snapshot-execute on the pool, then the barrier.
     pub(crate) fn sweep(&self, run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
         let (deps, plans) = (run.deps, run.plans);
-        // Claim the whole sweep's worklist, bucketed by conflict group.
-        let mut buckets: BTreeMap<usize, Vec<(usize, Pending)>> = BTreeMap::new();
+        // The conflict groups with pending work become jobs, each taking
+        // all of its group's worklist entries.
+        let mut jobs: BTreeMap<usize, GroupJob> = BTreeMap::new();
         for k in 0..deps.len() {
-            let group = buckets.entry(self.partition.group_of(k)).or_default();
-            group.push((k, run.sched.take(k)));
+            if run.sched.has_pending(k, &run.inst) {
+                let group = self.partition.group_of(k);
+                let work = Vec::new();
+                jobs.entry(group).or_insert(GroupJob { group, work });
+            }
         }
-        let jobs: Vec<GroupJob> = buckets
-            .into_iter()
-            .filter(|(_, work)| work.iter().any(|(_, p)| !matches!(p, Pending::Idle)))
-            .map(|(group, work)| GroupJob { group, work })
-            .collect();
+        for k in 0..deps.len() {
+            if let Some(job) = jobs.get_mut(&self.partition.group_of(k)) {
+                job.work.push((k, run.sched.take(k)));
+            }
+        }
+        let jobs: Vec<GroupJob> = jobs.into_values().collect();
 
         // Snapshot-execute the sweep. Null ranges and result order are
         // functions of the job index, so the sweep is deterministic under
         // any thread schedule.
         let base_label = run.nullgen.peek_next();
         let stride = jobs.len() as u64;
-        let (snapshot, frozen_nulls, triggers) = (&run.inst, &run.nullmap, run.sched.triggers());
+        let (snapshot, frozen_nulls) = (&run.inst, &run.nullmap);
         let t_eval = Instant::now();
         // A worker panic is contained by the pool (every thread is still
         // joined); surface it as a hard error instead of aborting the
@@ -370,15 +358,7 @@ impl PoolExecutor {
             .pool
             .run_timed_caught(jobs, |j, job| {
                 let nulls = StridedNullGenerator::new(base_label, j as u64, stride);
-                run_group_job(
-                    snapshot,
-                    plans,
-                    triggers,
-                    frozen_nulls,
-                    &self.watch,
-                    job,
-                    nulls,
-                )
+                run_group_job(snapshot, plans, frozen_nulls, &self.watch, job, nulls)
             })
             .map_err(|detail| ChaseError::WorkerPanicked { detail })?;
         let evaluate_ns = t_eval.elapsed().as_nanos() as u64;
@@ -432,21 +412,22 @@ impl PoolExecutor {
             return Err(e);
         }
 
-        // Barrier, step 3 — merge buffers into the master in job order
-        // and route the merged deltas (the group logs already carry every
-        // inserted tuple, so the master itself is never delta-tracked in
-        // this mode). Worker trace buffers fold into the run recorder
-        // here, in job order, so the profile is
-        // thread-schedule-independent.
+        // Barrier, step 3 — absorb the buffers into the master in job
+        // order and put the entries back: a buffered row lands in the slot
+        // the job's view gave it, so the watermarks the workers left are
+        // exact. Worker trace buffers fold into the run recorder here, in
+        // job order, so the profile is thread-schedule-independent.
         for (o, busy) in outcomes {
             run.stats.absorb(&o.stats);
-            run.rec.group_job(o.group, busy.as_nanos() as u64);
+            run.rec.group_job(o.job.group, busy.as_nanos() as u64);
             run.rec.merge_worker(run.sweep, o.trace);
             if let Some(m) = o.max_null {
                 run.nullgen.advance_to(m + 1);
             }
-            run.inst.absorb_delta(&o.delta)?;
-            run.sched.post_job(&o.delta, &o.consumed);
+            run.inst.absorb(&o.buffer)?;
+            for (k, entry) in o.job.work {
+                run.sched.put(k, entry);
+            }
             // Deps a worker deferred past the barrier substitution run as
             // full rescans next sweep, on the rewritten instance.
             for &k in &o.deferred {
@@ -479,6 +460,7 @@ mod tests {
     use super::*;
     use crate::config::{ChaseConfig, SchedulerMode};
     use crate::standard::{all_satisfied, chase_standard, chase_standard_full_rescan};
+    use crate::trigger::TriggerIndex;
     use grom_data::canonical_render;
     use grom_lang::parser::{parse_dependency, parse_program};
 
@@ -660,7 +642,7 @@ mod tests {
 
     #[test]
     fn same_group_cascade_completes_within_a_sweep() {
-        // Forward-declared chain: worker-local routing lets the whole
+        // Forward-declared chain: claims at their turn let the whole
         // chain cascade inside one sweep, like the sequential round.
         let p = parse_program(
             "tgd t0: L0(x) -> L1(x).\n\
@@ -674,8 +656,8 @@ mod tests {
         assert_eq!(seq.instance.to_string(), parl.instance.to_string());
         assert_eq!(parl.instance.tuples("L3").count(), 2);
         // The cascade needs no extra sweeps beyond the sequential rounds,
-        // and the barrier must not re-activate dependencies on tuples the
-        // worker-local routing already delivered.
+        // and the barrier must not re-activate dependencies on tuples
+        // their in-job claims already saw.
         assert_eq!(parl.stats.rounds, seq.stats.rounds);
         assert_eq!(parl.stats.delta_activations, seq.stats.delta_activations);
     }

@@ -41,11 +41,6 @@ pub struct ChaseStats {
     pub delta_activations: usize,
     /// Delta scheduler: total delta tuples used to seed premise evaluation.
     pub delta_tuples_seeded: usize,
-    /// Delta scheduler: delta tuples skipped by the anchor arity check of
-    /// `DepPlan::violations_from_delta` (stale entries from an arity-drifted
-    /// relation; counted once per stale tuple, regardless of how many
-    /// anchor positions its relation has).
-    pub stale_delta_skipped: usize,
     /// Instance-wide null substitution passes applied on behalf of egd
     /// enforcement. The batched Delta/Parallel schedulers apply exactly
     /// one per merge-bearing sweep; the full-rescan reference loop one per
@@ -73,7 +68,6 @@ impl ChaseStats {
         self.full_rescans += other.full_rescans;
         self.delta_activations += other.delta_activations;
         self.delta_tuples_seeded += other.delta_tuples_seeded;
-        self.stale_delta_skipped += other.stale_delta_skipped;
         self.substitution_passes += other.substitution_passes;
         self.obligations_batched += other.obligations_batched;
     }
@@ -85,7 +79,7 @@ impl fmt::Display for ChaseStats {
             f,
             "rounds={} tgd_apps={} inserted={} nulls={} merges={} \
              scenarios={}(failed {}) nodes={} leaves={} branches_failed={} \
-             rescans={} delta_acts={} delta_seeded={} stale_skipped={} \
+             rescans={} delta_acts={} delta_seeded={} \
              subst_passes={} obligations={}",
             self.rounds,
             self.tgd_applications,
@@ -100,7 +94,6 @@ impl fmt::Display for ChaseStats {
             self.full_rescans,
             self.delta_activations,
             self.delta_tuples_seeded,
-            self.stale_delta_skipped,
             self.substitution_passes,
             self.obligations_batched
         )
@@ -299,7 +292,6 @@ mod tests {
         let b = ChaseStats {
             rounds: 3,
             egd_merges: 4,
-            stale_delta_skipped: 5,
             substitution_passes: 1,
             obligations_batched: 6,
             ..Default::default()
@@ -308,7 +300,6 @@ mod tests {
         assert_eq!(a.rounds, 4);
         assert_eq!(a.tgd_applications, 2);
         assert_eq!(a.egd_merges, 4);
-        assert_eq!(a.stale_delta_skipped, 5);
         assert_eq!(a.substitution_passes, 1);
         assert_eq!(a.obligations_batched, 6);
     }
@@ -318,13 +309,11 @@ mod tests {
         let s = ChaseStats {
             branches_failed: 7,
             delta_tuples_seeded: 8,
-            stale_delta_skipped: 9,
             ..Default::default()
         };
         let text = s.to_string();
         assert!(text.contains("branches_failed=7"), "{text}");
         assert!(text.contains("delta_seeded=8"), "{text}");
-        assert!(text.contains("stale_skipped=9"), "{text}");
     }
 
     #[test]

@@ -3,44 +3,48 @@
 //! The classical chase loop re-evaluates every dependency's premise against
 //! the *entire* instance each round, so its cost grows with rounds ×
 //! instance size even when a round changes almost nothing. This module
-//! replaces that loop with a worklist of `(dependency, delta)` pairs:
+//! replaces that loop with a worklist that keeps, per dependency and
+//! premise relation, **one integer** — a *watermark*: the relation's
+//! frontier (the slot its next row goes to) when the dependency last
+//! claimed its work — plus one `full` flag per dependency. A claim compares
+//! watermarks with frontiers: nothing moved is `Idle`; otherwise the rows
+//! from the watermark on are the dependency's delta, and the compiled
+//! [`grom_engine::DepPlan`] anchors one premise atom to them and joins the
+//! rest with the semi-naive old/new split (atoms before the anchor read
+//! only the rows *below* their relation's watermark, so each match is
+//! enumerated exactly once across anchor positions; debug builds assert it
+//! with a `seen` set). Nothing is routed and nothing is copied: a tuple
+//! exists once, in its relation, and what is new for a dependency is a slot
+//! range. Full scans remain for a dependency's first activation and for the
+//! readers of a relation a null unification rewrote.
 //!
-//! * a static [`TriggerIndex`] maps each relation to the dependencies whose
-//!   premise reads it;
-//! * the instance records the tuples each repair batch inserts (the
-//!   [`DeltaLog`] of `grom-data`);
-//! * premise evaluation is seeded from the delta tuples only (the compiled
-//!   [`grom_engine::DepPlan`] anchors one premise atom to a delta tuple and
-//!   joins the rest with the semi-naive old/new version split: premise
-//!   atoms before the anchor read only the *old* half of their relation —
-//!   everything except the claimed delta — so each match is enumerated
-//!   exactly once across anchor positions).
+//! ## The three invariants watermarks rest on
 //!
-//! ## Old/new versioning and the claim-time promote
+//! 1. **Slots only append.** A relation's rows live in a slot vector that
+//!    grows at the end only, so what a dependency has not seen is the slots
+//!    from its watermark to the frontier, in insertion order — the order a
+//!    routed list would have had.
+//! 2. **A substitution resets the readers of what it rewrites.** Null
+//!    substitution alone tombstones slots, re-appends rewritten rows and
+//!    may compact (renumber) a relation. It reports the relations it
+//!    rewrote, and [`Scheduler::invalidate_readers`] marks their readers
+//!    `full`; a `full` claim scans the whole premise and moves every
+//!    watermark to the current frontier, so no watermark outlives a
+//!    renumbering. Untouched relations keep their slots, and their readers
+//!    their deltas.
+//! 3. **One job writes a relation.** Dependencies that conclude a relation,
+//!    or read what another concludes, share a conflict group
+//!    ([`crate::partition`]), so under the pool executor a relation's new
+//!    rows all sit in one worker's buffer, and the barrier absorbs it in
+//!    insertion order: buffer row `i` lands in master slot `frontier + i`.
+//!    A shard view numbers its rows the same way, so an entry claimed at
+//!    its turn sees the snapshot rows past its watermark plus every row
+//!    buffered so far (the in-job cascade), and the watermark that claim
+//!    leaves (`ShardView::frontier`) is exact after the barrier.
 //!
-//! The version split leans on a storage invariant instead of stored
-//! promotion state: relation rows only append (`grom-data` tombstones and
-//! re-appends on null substitution), and a claimed delta's tuples for a
-//! relation are exactly that relation's most recently inserted live rows.
-//! This holds because substitution re-marks every reader of a rewritten
-//! relation `Full` (dropping its deltas), conclusion-overlapping
-//! dependencies share a conflict group (so only one writer appends to a
-//! relation between claims), and worklist routing only ever appends to or
-//! trims the front of a pending list. `delta_violations` therefore
-//! "promotes" implicitly: at claim time it asks the storage for the cursor
-//! splitting off the last `n` rows ([`grom_engine::Db::cursor_before_last_rel`]);
-//! everything below is old, and the next claim recomputes the cursor
-//! against the rows appended since. Debug builds assert the exactly-once
-//! guarantee with the `seen`-set check the split made redundant.
-//!
-//! Full premise rescans remain in exactly two places, both required for
-//! correctness: every dependency's **first** activation (the initial
-//! instance is one big delta), and — after an **egd-driven null
-//! unification** — the dependencies whose premise reads a relation the
-//! substitution actually rewrote. [`grom_data::Instance::substitute_nulls_batch`]
-//! reports the rewritten relations, so deltas of dependencies reading only
-//! untouched relations survive the merge
-//! ([`Scheduler::invalidate_readers`]).
+//! A checkpoint cannot keep slots — serialization drops tombstones and
+//! renumbers — so it stores counts of trailing unseen rows (`Pending`);
+//! `Scheduler::with_pending` turns them back into slots.
 //!
 //! ## Sweep-level egd batching
 //!
@@ -79,145 +83,234 @@
 //! [`crate::core_min`] reuses the same changed-relation reporting to keep
 //! its null-occurrence index incremental.
 
-use std::collections::BTreeMap;
 #[cfg(debug_assertions)]
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use grom_data::{DeltaLog, Tuple};
-use grom_lang::Dependency;
+use grom_data::{Instance, RelId};
+use grom_lang::{Dependency, Literal};
 
 use grom_engine::{Control, Db, DepPlan, Matches, Scratch};
 
 use crate::config::InterruptReason;
-use crate::result::{ChaseError, ChaseStats};
+use crate::result::ChaseError;
 use crate::sweep::{activate, Run, SweepEnd};
 use crate::trigger::TriggerIndex;
 
-/// Pending work for one dependency.
-#[derive(Debug, Clone)]
+/// A dependency's unclaimed work as a checkpoint holds it: independent of
+/// slot numbers, which serialization does not preserve.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Pending {
-    /// Nothing new since the premise was last evaluated.
-    Idle,
     /// Evaluate the premise against the full instance (first activation, or
-    /// after a null unification invalidated the deltas).
+    /// a null unification rewrote a premise relation).
     Full,
-    /// Evaluate seeded from these per-relation delta tuples only.
-    Delta(BTreeMap<Arc<str>, Vec<Tuple>>),
+    /// Per premise relation, how many of its trailing rows the dependency
+    /// has not seen. Relations with none are left out; none at all is idle.
+    New(Vec<(Arc<str>, usize)>),
 }
 
-impl Pending {
-    /// Fold freshly routed tuples of `rel` into this slot. `Full` already
-    /// subsumes any delta; `Idle` wakes up.
-    pub(crate) fn add_delta(&mut self, rel: &Arc<str>, tuples: &[Tuple]) {
-        match self {
-            Pending::Full => {}
-            Pending::Delta(map) => {
-                map.entry(rel.clone())
-                    .or_default()
-                    .extend(tuples.iter().cloned());
+/// One premise relation of one dependency, and how much of it the
+/// dependency has seen.
+#[derive(Debug, Clone)]
+pub(crate) struct Mark {
+    pub rel: Arc<str>,
+    /// The relation's id in the master instance, once it exists there.
+    /// Resolved once: ids are stable.
+    pub id: Option<RelId>,
+    /// The watermark: the relation's frontier at the dependency's last claim.
+    seen: u64,
+}
+
+impl Mark {
+    /// The relation's frontier in the master instance.
+    pub fn stored(&self, inst: &Instance) -> u64 {
+        self.id
+            .map_or(0, |id| u64::from(inst.relation_by_id(id).frontier()))
+    }
+}
+
+/// One dependency's worklist entry.
+#[derive(Debug, Default)]
+pub(crate) struct Entry {
+    full: bool,
+    /// One mark per relation the premise reads positively.
+    marks: Vec<Mark>,
+}
+
+/// What a claimed entry asks its dependency to evaluate.
+#[derive(Debug)]
+pub(crate) enum Claim {
+    /// No premise relation grew since the last claim.
+    Idle,
+    Full,
+    /// Seed the premise from the rows at or past these cursors — the
+    /// relations that grew, each with its previous watermark — `seeded`
+    /// rows in all.
+    Delta {
+        since: Vec<(Arc<str>, u64)>,
+        seeded: usize,
+    },
+}
+
+impl Entry {
+    /// Is there anything to evaluate? `frontier` tells how far a premise
+    /// relation has grown in the database the dependency would run on.
+    pub fn pending(&self, frontier: impl Fn(&Mark) -> u64) -> bool {
+        self.full || self.marks.iter().any(|m| frontier(m) != m.seen)
+    }
+
+    /// Claim the entry's work: every watermark moves up to `frontier`, and
+    /// what lay in between is the dependency's delta.
+    pub fn claim(&mut self, frontier: impl Fn(&Mark) -> u64) -> Claim {
+        let full = std::mem::take(&mut self.full);
+        let mut since = Vec::new();
+        let mut seeded = 0;
+        for m in &mut self.marks {
+            let now = frontier(m);
+            if !full && now != m.seen {
+                since.push((m.rel.clone(), m.seen));
+                seeded += (now - m.seen) as usize;
             }
-            slot @ Pending::Idle => {
-                let mut map = BTreeMap::new();
-                map.insert(rel.clone(), tuples.to_vec());
-                *slot = Pending::Delta(map);
-            }
+            m.seen = now;
+        }
+        match (full, since.is_empty()) {
+            (true, _) => Claim::Full,
+            (false, true) => Claim::Idle,
+            (false, false) => Claim::Delta { since, seeded },
         }
     }
 }
 
-/// The worklist: per-dependency pending state plus the trigger index that
-/// routes deltas to dependencies.
+/// The worklist: per-dependency watermarks, plus the trigger index that
+/// finds the readers of a relation.
 #[derive(Debug)]
 pub struct Scheduler {
     triggers: TriggerIndex,
-    pending: Vec<Pending>,
+    entries: Vec<Entry>,
+    /// How many of the master instance's relations `resolve` has seen.
+    resolved: usize,
 }
 
 impl Scheduler {
     /// A scheduler over `deps`, with every dependency initially scheduled
     /// for a full scan (round one of the classical chase).
     pub fn new(deps: &[Dependency]) -> Self {
-        Self::with_pending(deps, vec![Pending::Full; deps.len()])
+        Self::with_pending(deps, &Instance::new(), &vec![Pending::Full; deps.len()])
     }
 
-    /// A scheduler over `deps` resuming a checkpointed worklist. `pending`
-    /// must be index-aligned with `deps` (validated by
-    /// [`Checkpoint::restore`](crate::Checkpoint)).
-    pub(crate) fn with_pending(deps: &[Dependency], pending: Vec<Pending>) -> Self {
+    /// A scheduler over `deps` resuming a checkpointed worklist against
+    /// the restored `inst`: counts of trailing rows become watermarks.
+    /// `pending` must be index-aligned with `deps` and count only rows
+    /// that exist (validated by [`Checkpoint::restore`](crate::Checkpoint)).
+    pub(crate) fn with_pending(deps: &[Dependency], inst: &Instance, pending: &[Pending]) -> Self {
         debug_assert_eq!(pending.len(), deps.len());
+        let entry = |(dep, pending): (&Dependency, &Pending)| {
+            let mut marks: Vec<Mark> = Vec::with_capacity(dep.premise.len());
+            for lit in &dep.premise {
+                let Literal::Pos(atom) = lit else { continue };
+                let rel = &atom.predicate;
+                if marks.iter().any(|m| m.rel == *rel) {
+                    continue;
+                }
+                let seen = match pending {
+                    Pending::Full => 0,
+                    Pending::New(counts) => inst.relation(rel).map_or(0, |stored| {
+                        let unseen = counts.iter().find(|(r, _)| r == rel);
+                        stored.cursor_before_last(unseen.map_or(0, |(_, n)| *n))
+                    }),
+                };
+                marks.push(Mark {
+                    rel: rel.clone(),
+                    id: None,
+                    seen: u64::from(seen),
+                });
+            }
+            let full = *pending == Pending::Full;
+            Entry { full, marks }
+        };
         Self {
             triggers: TriggerIndex::build(deps),
-            pending,
+            entries: deps.iter().zip(pending).map(entry).collect(),
+            resolved: 0,
         }
     }
 
-    /// Clone the worklist for a checkpoint. Sweep-aligned by construction:
-    /// the driver only captures between sweeps, when every routed delta has
-    /// been folded into these slots.
-    pub(crate) fn pending_snapshot(&self) -> Vec<Pending> {
-        self.pending.clone()
+    /// Give the marks of the relations `inst` created since the last call
+    /// their ids. Ids are dense and stable, so this is an integer compare
+    /// when nothing was created and one trigger lookup per new relation
+    /// otherwise — never a name lookup per dependency.
+    fn resolve(&mut self, inst: &Instance) {
+        for id in (self.resolved..inst.relation_count()).map(|i| RelId(i as u32)) {
+            let name = inst.rel_name(id);
+            for &k in self.triggers.triggered_by(name) {
+                let marks = &mut self.entries[k].marks;
+                if let Some(mark) = marks.iter_mut().find(|m| m.rel == *name) {
+                    mark.id = Some(id);
+                }
+            }
+        }
+        self.resolved = inst.relation_count();
     }
 
-    /// Is any dependency scheduled?
-    pub fn has_work(&self) -> bool {
-        !self.pending.iter().all(|p| matches!(p, Pending::Idle))
+    /// The worklist in checkpoint form. Sweep-aligned by construction: the
+    /// driver only captures between sweeps.
+    pub(crate) fn pending_snapshot(&mut self, inst: &Instance) -> Vec<Pending> {
+        self.resolve(inst);
+        let unseen = |m: &Mark| {
+            let n = (m.stored(inst) - m.seen) as usize;
+            (n > 0).then(|| (m.rel.clone(), n))
+        };
+        let pending = |e: &Entry| {
+            if e.full {
+                Pending::Full
+            } else {
+                Pending::New(e.marks.iter().filter_map(unseen).collect())
+            }
+        };
+        self.entries.iter().map(pending).collect()
     }
 
-    /// The trigger index routing relations to their premise readers.
+    /// Is any dependency scheduled, given how far `inst` has grown?
+    pub fn has_work(&mut self, inst: &Instance) -> bool {
+        self.resolve(inst);
+        self.entries.iter().any(|e| e.pending(|m| m.stored(inst)))
+    }
+
+    /// The trigger index: relations to their premise readers.
     pub fn triggers(&self) -> &TriggerIndex {
         &self.triggers
     }
 
-    /// Claim dependency `k`'s pending work, leaving it idle.
-    pub(crate) fn take(&mut self, k: usize) -> Pending {
-        std::mem::replace(&mut self.pending[k], Pending::Idle)
+    /// Does dependency `k` have pending work against `inst`?
+    pub(crate) fn has_pending(&mut self, k: usize, inst: &Instance) -> bool {
+        self.resolve(inst);
+        self.entries[k].pending(|m| m.stored(inst))
     }
 
-    /// Does dependency `k` have pending work?
-    pub(crate) fn has_pending(&self, k: usize) -> bool {
-        !matches!(self.pending[k], Pending::Idle)
+    /// Claim dependency `k`'s pending work against `inst`, leaving it idle.
+    pub(crate) fn claim(&mut self, k: usize, inst: &Instance) -> Claim {
+        self.resolve(inst);
+        self.entries[k].claim(|m| m.stored(inst))
+    }
+
+    /// Move dependency `k`'s entry out, for a pool job to claim at its
+    /// turn against a shard view; [`Scheduler::put`] brings it back.
+    pub(crate) fn take(&mut self, k: usize) -> Entry {
+        std::mem::take(&mut self.entries[k])
+    }
+
+    pub(crate) fn put(&mut self, k: usize, entry: Entry) {
+        self.entries[k] = entry;
     }
 
     /// Re-schedule dependency `k` for a full rescan. Used by the parallel
     /// executor when a worker *defers* an atom-bearing dependency whose
     /// claimed work collided with pending equality obligations: `Full`
-    /// subsumes whatever delta was claimed, and the rescan runs after the
+    /// subsumes whatever delta was pending, and the rescan runs after the
     /// barrier substitution on the rewritten instance.
     pub(crate) fn reschedule_full(&mut self, k: usize) {
-        self.pending[k] = Pending::Full;
-    }
-
-    /// Route a batch of newly inserted tuples to the dependencies their
-    /// relations trigger.
-    pub fn post(&mut self, delta: &DeltaLog) {
-        debug_assert!(!delta.invalidated(), "stale deltas must invalidate");
-        for (rel, tuples) in delta.relations() {
-            for &k in self.triggers.triggered_by(rel) {
-                self.pending[k].add_delta(rel, tuples);
-            }
-        }
-    }
-
-    /// Route a parallel job's delta batch, skipping per-dependency prefixes
-    /// the job already delivered in-sweep: `consumed[(k, rel)] = c` means
-    /// dependency `k` consumed the first `c` tuples of `rel` through the
-    /// worker-local routing, so only the remainder is posted to it.
-    pub(crate) fn post_job(
-        &mut self,
-        delta: &DeltaLog,
-        consumed: &BTreeMap<(usize, Arc<str>), usize>,
-    ) {
-        debug_assert!(!delta.invalidated(), "stale deltas must invalidate");
-        for (rel, tuples) in delta.relations() {
-            for &k in self.triggers.triggered_by(rel) {
-                let skip = consumed.get(&(k, rel.clone())).copied().unwrap_or(0);
-                if skip < tuples.len() {
-                    self.pending[k].add_delta(rel, &tuples[skip..]);
-                }
-            }
-        }
+        self.entries[k].full = true;
     }
 
     /// Schedule a full rescan for every dependency whose premise reads one
@@ -226,22 +319,21 @@ impl Scheduler {
     /// [`grom_data::Instance::substitute_nulls`]. Deltas of dependencies reading only
     /// untouched relations stay valid: a relation is only *unchanged* when
     /// the substitution mapped none of the nulls occurring in it, so every
-    /// tuple logged for it is still stored verbatim.
+    /// one of its slots holds what it held.
     pub fn invalidate_readers(&mut self, changed: &[Arc<str>]) {
         for rel in changed {
             for &k in self.triggers.triggered_by(rel) {
-                self.pending[k] = Pending::Full;
+                self.entries[k].full = true;
             }
         }
     }
 }
 
-/// Violating premise matches of `plan`'s dependency seeded from
-/// per-relation deltas, in deterministic order. With `stop_at_first`
-/// (denials) at most one match is returned. Generic over [`Db`] so the
-/// parallel executor can evaluate against snapshot views. Stale delta tuples
-/// skipped by the anchor arity check are counted in `stats` instead of
-/// being dropped silently.
+/// Violating premise matches of `plan`'s dependency seeded from the rows
+/// its premise relations gained `since` their cursors, in deterministic
+/// order. With `stop_at_first` (denials) at most one match is returned.
+/// Generic over [`Db`] so the parallel executor can evaluate against
+/// snapshot views.
 ///
 /// The semi-naive version split of [`DepPlan::violations_from_delta`]
 /// enumerates each match exactly once across anchor positions, so no dedup
@@ -251,15 +343,10 @@ impl Scheduler {
 pub(crate) fn delta_violations(
     db: &impl Db,
     plan: &DepPlan<'_>,
-    delta: &BTreeMap<Arc<str>, Vec<Tuple>>,
+    since: &[(Arc<str>, u64)],
     stop_at_first: bool,
-    stats: &mut ChaseStats,
     scratch: &mut Scratch,
 ) -> Matches {
-    let deltas: Vec<(&str, &[Tuple])> = delta
-        .iter()
-        .map(|(rel, tuples)| (rel.as_ref(), tuples.as_slice()))
-        .collect();
     #[cfg(debug_assertions)]
     let mut seen = BTreeSet::new();
     let mut out = Matches::new(plan.width());
@@ -268,7 +355,7 @@ pub(crate) fn delta_violations(
     } else {
         Control::Continue
     };
-    stats.stale_delta_skipped += plan.violations_from_delta(db, scratch, &deltas, |regs| {
+    plan.violations_from_delta(db, scratch, since, |regs| {
         #[cfg(debug_assertions)]
         assert!(
             seen.insert(regs[..plan.width()].to_vec()),
@@ -323,7 +410,6 @@ pub(crate) fn apply_sweep_merges(run: &mut Run<'_>) -> bool {
     let t0 = Instant::now();
     let map = run.nullmap.flatten();
     let changed = run.inst.substitute_nulls_batch(&map);
-    run.inst.take_delta(); // discard the invalidation marker, if tracking
     run.stats.substitution_passes += 1;
     run.sched.invalidate_readers(&changed);
     run.rec.substitution(
@@ -337,9 +423,9 @@ pub(crate) fn apply_sweep_merges(run: &mut Run<'_>) -> bool {
 
 /// One sweep of the delta-driven scheduler, the
 /// [`SchedulerMode::Delta`](crate::config::SchedulerMode::Delta) executor:
-/// activate the worklist in declaration order against the live (delta-
-/// tracked) instance, routing each activation's inserts straight back into
-/// the worklist so later dependencies of the same sweep see them.
+/// activate the worklist in declaration order against the live instance.
+/// Each claim reads the frontiers as they are at its turn, so later
+/// dependencies of the same sweep see what earlier ones inserted.
 pub(crate) fn inline_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
     let mut tripped: Option<InterruptReason> = None;
     let mut merged = false;
@@ -351,23 +437,18 @@ pub(crate) fn inline_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
         // where the declaration-ordered reference would have substituted.
         // Runs of obligation-recording dependencies — the egd-heavy case —
         // still share one combined pass.
-        if merged && concludes_atoms(dep) && run.sched.has_pending(k) {
+        if merged && concludes_atoms(dep) && run.sched.has_pending(k, &run.inst) {
             if apply_sweep_merges(run) {
                 tripped.get_or_insert(InterruptReason::Fault);
             }
             merged = false;
         }
-        let pending = run.sched.take(k);
+        let claim = run.sched.claim(k, &run.inst);
         let (mut sink, stats, scratch) = run.live();
-        if let Some(done) = activate(&mut sink, plan, k, pending, stats, scratch)? {
-            // Route everything; if this sweep turns out to be
-            // merge-bearing, the invalidation after its substitution
-            // re-marks every reader of a rewritten relation Full,
-            // subsuming any stale tuples routed here.
-            let log = run.inst.take_delta();
-            if !log.is_empty() {
-                run.sched.post(&log);
-            }
+        // If this sweep turns out to be merge-bearing, the invalidation
+        // after its substitution re-marks every reader of a rewritten
+        // relation Full, whatever rows it had yet to see.
+        if let Some(done) = activate(&mut sink, plan, k, claim, stats, scratch)? {
             run.rec.activation(run.sweep, &done.record);
             merged |= done.merged;
         }
@@ -398,6 +479,17 @@ mod tests {
         ChaseConfig::default().with_scheduler(SchedulerMode::Delta)
     }
 
+    /// Relation name, watermark and row count of a delta claim.
+    fn delta_of(claim: Claim) -> (Vec<(String, u64)>, usize) {
+        match claim {
+            Claim::Delta { since, seeded } => {
+                let since = since.iter().map(|(r, c)| (r.to_string(), *c));
+                (since.collect(), seeded)
+            }
+            other => panic!("expected a delta claim, got {other:?}"),
+        }
+    }
+
     #[test]
     fn scheduler_routes_deltas_by_trigger() {
         let p = parse_program(
@@ -405,23 +497,27 @@ mod tests {
              tgd b: A(x) -> B(x).",
         )
         .unwrap();
+        let mut inst = Instance::new();
+        inst.add("A", vec![Value::int(0)]).unwrap();
         let mut sched = Scheduler::new(&p.deps);
-        assert!(sched.has_work()); // everything starts Full
+        assert!(sched.has_work(&inst)); // everything starts Full
 
         // Drain the initial Full work.
         for k in 0..p.deps.len() {
-            sched.take(k);
+            assert!(matches!(sched.claim(k, &inst), Claim::Full));
         }
-        assert!(!sched.has_work());
+        assert!(!sched.has_work(&inst));
 
-        // A delta on A wakes only dependency b.
-        let mut inst = Instance::new();
-        inst.begin_delta_tracking();
+        // Rows added to A wake only dependency b, from its watermark on.
         inst.add("A", vec![Value::int(1)]).unwrap();
-        let log = inst.take_delta();
-        sched.post(&log);
-        assert!(matches!(sched.take(0), Pending::Idle));
-        assert!(matches!(sched.take(1), Pending::Delta(_)));
+        inst.add("A", vec![Value::int(2)]).unwrap();
+        assert!(sched.has_work(&inst));
+        assert!(matches!(sched.claim(0, &inst), Claim::Idle));
+        assert_eq!(delta_of(sched.claim(1, &inst)), (vec![("A".into(), 1)], 2));
+        assert!(!sched.has_work(&inst));
+        // A relation created after the scheduler was built is picked up too.
+        inst.add("S", vec![Value::int(7)]).unwrap();
+        assert_eq!(delta_of(sched.claim(0, &inst)), (vec![("S".into(), 0)], 1));
     }
 
     #[test]
@@ -431,21 +527,74 @@ mod tests {
              tgd b: B(x) -> B2(x).",
         )
         .unwrap();
+        let mut inst = Instance::new();
+        inst.add("B", vec![Value::int(0)]).unwrap();
         let mut sched = Scheduler::new(&p.deps);
         for k in 0..p.deps.len() {
-            sched.take(k);
+            sched.claim(k, &inst);
         }
-        // Both dependencies hold pending deltas...
-        let mut inst = Instance::new();
-        inst.begin_delta_tracking();
+        // Both dependencies have rows to see...
         inst.add("A", vec![Value::int(1)]).unwrap();
         inst.add("B", vec![Value::int(2)]).unwrap();
-        sched.post(&inst.take_delta());
         // ...then a substitution rewrites only A: its reader goes Full,
-        // B's reader keeps its delta.
+        // B's reader keeps its delta — exactly the row added.
         sched.invalidate_readers(&[Arc::from("A")]);
-        assert!(matches!(sched.take(0), Pending::Full));
-        assert!(matches!(sched.take(1), Pending::Delta(_)));
+        assert!(matches!(sched.claim(0, &inst), Claim::Full));
+        assert_eq!(delta_of(sched.claim(1, &inst)), (vec![("B".into(), 1)], 1));
+    }
+
+    #[test]
+    fn a_checkpointed_worklist_restores_to_the_same_claims() {
+        let p = parse_program("tgd a: A(x), B(x) -> C(x).").unwrap();
+        let mut inst = Instance::new();
+        for i in 0..3 {
+            inst.add("A", vec![Value::int(i)]).unwrap();
+        }
+        let mut sched = Scheduler::new(&p.deps);
+        assert_eq!(sched.pending_snapshot(&inst), vec![Pending::Full]);
+        sched.claim(0, &inst);
+        assert_eq!(sched.pending_snapshot(&inst), vec![Pending::New(vec![])]);
+        inst.add("A", vec![Value::int(3)]).unwrap();
+        inst.add("B", vec![Value::int(3)]).unwrap();
+        let pending = sched.pending_snapshot(&inst);
+        let counts = vec![(Arc::from("A"), 1), (Arc::from("B"), 1)];
+        assert_eq!(pending, vec![Pending::New(counts)]);
+        // Counts become watermarks again, against whatever slots the
+        // restored instance has.
+        let mut restored = Scheduler::with_pending(&p.deps, &inst, &pending);
+        assert_eq!(
+            delta_of(restored.claim(0, &inst)),
+            (vec![("A".into(), 3), ("B".into(), 0)], 2)
+        );
+    }
+
+    #[test]
+    fn anchored_premise_constants_filter_the_slot_range_without_an_index() {
+        // Consumers declared before their producers: every premise that
+        // carries a constant is only ever evaluated delta-seeded. The
+        // anchor must filter its slot range with the atom's own pattern; a
+        // probe would build a column index the copy chain never needed.
+        let p = parse_program(
+            "tgd t2: L2(x, 1) -> L3(x, 1).\n\
+             tgd t1: L1(x, 1) -> L2(x, 1).\n\
+             tgd t0: L0(x) -> L1(x, 1), L1(x, 2).",
+        )
+        .unwrap();
+        let mut start = Instance::new();
+        for i in 0..20 {
+            start.add("L0", vec![Value::int(i)]).unwrap();
+        }
+        for mode in [SchedulerMode::Delta, SchedulerMode::Parallel { threads: 2 }] {
+            let cfg = ChaseConfig::default().with_scheduler(mode);
+            let res = chase_standard(start.clone(), &p.deps, &cfg).unwrap();
+            let len = |rel: &str| res.instance.tuples(rel).count();
+            assert_eq!((len("L1"), len("L2"), len("L3")), (40, 20, 20), "{mode:?}");
+            assert_eq!(res.stats.delta_activations, 2, "{mode:?}");
+            assert_eq!(res.stats.delta_tuples_seeded, 60, "{mode:?}");
+            for relation in res.instance.storage_report() {
+                assert!(relation.indexes.is_empty(), "{mode:?}: {relation:?}");
+            }
+        }
     }
 
     #[test]

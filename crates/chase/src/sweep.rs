@@ -41,9 +41,10 @@
 //! reported by the executor in its `SweepEnd` and acted on here, at the
 //! sweep boundary: at most one sweep of overshoot. A reached fixpoint
 //! beats an interruption. The boundary is exactly the state a
-//! [`Checkpoint`] captures — obligations substituted, deltas routed into
-//! the worklist, null cursor past every allocated label — which is why any
-//! mode resumes any mode's checkpoint.
+//! [`Checkpoint`] captures — obligations substituted, every insert in the
+//! master instance where the worklist's watermarks can see it, null cursor
+//! past every allocated label — which is why any mode resumes any mode's
+//! checkpoint.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,7 +59,9 @@ use crate::config::{Budget, ChaseConfig, InterruptReason, SchedulerMode};
 use crate::nullmap::{NullMap, Unify};
 use crate::parallel::PoolExecutor;
 use crate::result::{ChaseError, ChaseResult, ChaseStats, Interrupted};
-use crate::scheduler::{delta_violations, idempotent_repair, inline_sweep, Pending, Scheduler};
+use crate::scheduler::{
+    delta_violations, idempotent_repair, inline_sweep, Claim, Pending, Scheduler,
+};
 use crate::standard::{check_executable, collect_violations, rescan_sweep};
 
 /// The state of one standard-chase run, threaded through the driver and
@@ -106,6 +109,7 @@ impl<'a> Run<'a> {
         mode: &str,
     ) -> Self {
         let names: Vec<String> = deps.iter().map(|d| d.name.to_string()).collect();
+        let sched = Scheduler::with_pending(deps, &state.inst, &state.pending);
         Run {
             deps,
             plans,
@@ -115,7 +119,7 @@ impl<'a> Run<'a> {
             inst: state.inst,
             nullmap: state.nullmap,
             nullgen: NullGenerator::starting_at(state.next_null),
-            sched: Scheduler::with_pending(deps, state.pending),
+            sched,
             stats: ChaseStats {
                 rounds: state.rounds,
                 ..Default::default()
@@ -151,7 +155,6 @@ impl<'a> Run<'a> {
     /// plus the checkpoint, as the internal `Err` the entry points surface
     /// as [`crate::ChaseOutcome::Interrupted`].
     fn interrupted(mut self, reason: InterruptReason) -> ChaseError {
-        self.inst.end_delta_tracking();
         let profile = finish(self.rec, &self.inst);
         let checkpoint = Checkpoint::capture(
             &profile.mode,
@@ -159,7 +162,7 @@ impl<'a> Run<'a> {
             self.nullgen.peek_next(),
             &self.inst,
             &mut self.nullmap,
-            self.sched.pending_snapshot(),
+            self.sched.pending_snapshot(&self.inst),
         );
         ChaseError::Interrupted(Box::new(Interrupted {
             reason,
@@ -190,8 +193,7 @@ pub(crate) fn run_chase(
     let plans = plans.as_slice();
     match config.scheduler {
         SchedulerMode::Delta => {
-            let mut run = Run::new(state, deps, plans, config, "delta");
-            run.inst.begin_delta_tracking();
+            let run = Run::new(state, deps, plans, config, "delta");
             drive(run, inline_sweep)
         }
         SchedulerMode::FullRescan => {
@@ -225,7 +227,7 @@ fn drive(
                 profile: Box::new(finish(run.rec, &run.inst)),
             });
         }
-        if !run.sched.has_work() {
+        if !run.sched.has_work(&run.inst) {
             // The empty round that finds the worklist drained is counted.
             run.stats.rounds += 1;
             break;
@@ -249,7 +251,6 @@ fn drive(
             return Err(run.interrupted(reason));
         }
     }
-    run.inst.end_delta_tracking();
     Ok(ChaseResult {
         profile: finish(run.rec, &run.inst),
         instance: run.inst,
@@ -463,17 +464,18 @@ pub(crate) struct Activated {
 }
 
 /// The activation body shared by the inline and pool executors: evaluate
-/// dependency `k`'s claimed worklist entry (full or delta-seeded), fail on
-/// a denial match, and repair the violations that are still unsatisfied
-/// under the pending equalities. `Ok(None)` for an idle entry. Equality
-/// repairs only go through [`RepairSink::equate`] — the stored instance is
-/// never rewritten here. Routing the inserted tuples, and what to do with
-/// a failure, is the executor's part.
+/// dependency `k`'s claimed work (full or delta-seeded), fail on a denial
+/// match, and repair the violations that are still unsatisfied under the
+/// pending equalities. `Ok(None)` for an idle claim. Equality repairs only
+/// go through [`RepairSink::equate`] — the stored instance is never
+/// rewritten here. What to do with a failure is the executor's part; the
+/// inserted tuples need no routing — they sit past their readers'
+/// watermarks.
 pub(crate) fn activate<S: RepairSink>(
     sink: &mut S,
     plan: &DepPlan<'_>,
     k: usize,
-    pending: Pending,
+    claim: Claim,
     stats: &mut ChaseStats,
     scratch: &mut Scratch,
 ) -> Result<Option<Activated>, ChaseError> {
@@ -483,18 +485,17 @@ pub(crate) fn activate<S: RepairSink>(
     let obligations0 = stats.obligations_batched;
     let dedup0 = sink.dedup_hits();
     // A denial fails on its first match; there is nothing to collect past it.
-    let (kind, seeded, violations) = match pending {
-        Pending::Idle => return Ok(None),
-        Pending::Full => {
+    let (kind, seeded, violations) = match claim {
+        Claim::Idle => return Ok(None),
+        Claim::Full => {
             stats.full_rescans += 1;
             let found = collect_violations(sink.db(), plan, dep.is_denial(), scratch);
             (ActivationKind::Full, 0, found)
         }
-        Pending::Delta(map) => {
+        Claim::Delta { since, seeded } => {
             stats.delta_activations += 1;
-            let seeded = map.values().map(Vec::len).sum::<usize>();
             stats.delta_tuples_seeded += seeded;
-            let found = delta_violations(sink.db(), plan, &map, dep.is_denial(), stats, scratch);
+            let found = delta_violations(sink.db(), plan, &since, dep.is_denial(), scratch);
             (ActivationKind::Delta, seeded as u64, found)
         }
     };

@@ -278,13 +278,6 @@ fn cmd_run(path: &str, rest: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(e),
     };
-    let mut config = GromConfig::new()
-        .with_skip_validation(no_validate)
-        .with_core_minimize(core)
-        .with_trace(trace);
-    if let Some(n) = threads {
-        config = config.with_threads(n);
-    }
     let mut budget = Budget::none();
     if let Some(ms) = deadline_ms {
         budget = budget.with_deadline_ms(ms);
@@ -292,10 +285,21 @@ fn cmd_run(path: &str, rest: &[String]) -> ExitCode {
     if let Some(n) = max_tuples {
         budget = budget.with_max_tuples(n);
     }
-    config = config.with_budget(budget);
     let cancel = CancelToken::new();
     install_ctrl_c(&cancel);
-    config = config.with_cancel(cancel);
+    let mut chase = ChaseConfig::default()
+        .with_trace(trace)
+        .with_budget(budget)
+        .with_cancel(cancel);
+    if let Some(n) = threads {
+        chase = chase.with_threads(n);
+    }
+    let options = PipelineOptions {
+        chase,
+        skip_validation: no_validate,
+        core_minimize: core,
+        ..Default::default()
+    };
 
     if let Some(rp) = resume_path {
         if data_file.is_some() {
@@ -309,7 +313,6 @@ fn cmd_run(path: &str, rest: &[String]) -> ExitCode {
             Ok(c) => c,
             Err(e) => return fail(format!("{rp}: {e}")),
         };
-        let options: PipelineOptions = (&config).into();
         return match scenario.resume(&checkpoint, &options) {
             Ok(ChaseOutcome::Completed(res)) => {
                 let target = match scenario.extract_target(&res.instance) {
@@ -329,7 +332,7 @@ fn cmd_run(path: &str, rest: &[String]) -> ExitCode {
         };
     }
 
-    match scenario.run_with(&source, &config) {
+    match scenario.run(&source, &options) {
         Ok(result) => {
             print!("{}", result.target);
             if !quiet {
@@ -496,15 +499,16 @@ mod explain_cli {
             let extra = load_facts(f)?;
             source.absorb(&extra).map_err(|e| e.to_string())?;
         }
-        let mut config = GromConfig::new()
-            .with_skip_validation(true)
-            .with_trace(trace.clone());
+        let mut chase = ChaseConfig::default().with_trace(trace.clone());
         if let Some(n) = threads {
-            config = config.with_threads(n);
+            chase = chase.with_threads(n);
         }
-        let result = scenario
-            .run_with(&source, &config)
-            .map_err(|e| e.to_string())?;
+        let options = PipelineOptions {
+            chase,
+            skip_validation: true,
+            ..Default::default()
+        };
+        let result = scenario.run(&source, &options).map_err(|e| e.to_string())?;
         Ok(report(&result.chase_profile, &result.chase_stats, top))
     }
 

@@ -57,9 +57,10 @@ pub struct RelId(pub u32);
 /// relation: live slots `< c` are the old half, live slots `>= c` the new
 /// half. The semi-naive delta evaluator in `grom-engine` scans premise
 /// atoms before its anchor old-only and the anchor new-only, so each match
-/// is enumerated exactly once across anchor positions. Cursors come from
-/// [`Relation::cursor_before_last`]; they are positional and only
-/// meaningful against the relation state they were computed from.
+/// is enumerated exactly once across anchor positions. A cursor is a
+/// [`Relation::frontier`] taken earlier (or [`Relation::cursor_before_last`],
+/// when only a row count survived); it is positional and stays meaningful
+/// until a substitution rewrites the relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Span {
     /// All live rows (the unversioned view).
@@ -463,11 +464,10 @@ impl Relation {
     /// older. `n == 0` yields the [`Relation::frontier`] (nothing is new);
     /// `n >= len()` yields 0 (everything is new).
     ///
-    /// This is how the delta scheduler versions a relation at claim time:
-    /// a claimed delta of `n` tuples is, by the append-only row discipline,
-    /// exactly the relation's trailing `n` live rows, so the old/new split
-    /// needs no stored promotion state — "promote" is simply recomputing
-    /// the cursor against the next claim.
+    /// The count-to-slot conversion for a checkpointed worklist: the chase
+    /// keeps slot cursors ([`Relation::frontier`] at a dependency's last
+    /// claim), but serialization drops tombstones and renumbers slots, so a
+    /// checkpoint stores how many trailing rows were new instead.
     pub fn cursor_before_last(&self, n: usize) -> u32 {
         if n == 0 {
             return self.frontier();
@@ -773,63 +773,6 @@ pub struct RelationStorage {
     pub approx_bytes: usize,
 }
 
-/// A log of tuples inserted into an [`Instance`] while delta tracking is
-/// enabled, grouped by relation.
-///
-/// This is the bookkeeping half of the delta-driven (semi-naive) chase
-/// scheduler in `grom-chase`: after a batch of repairs, the scheduler
-/// drains the log with [`Instance::take_delta`] and feeds the new tuples —
-/// and only those — back into premise evaluation. Null substitution
-/// rewrites tuples in place, so [`Instance::substitute_nulls`] marks the
-/// log *invalidated* instead of trying to track the rewrite; consumers
-/// must fall back to a full rescan.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaLog {
-    tuples: BTreeMap<Arc<str>, Vec<Tuple>>,
-    invalidated: bool,
-}
-
-impl DeltaLog {
-    /// No new tuples and not invalidated?
-    pub fn is_empty(&self) -> bool {
-        !self.invalidated && self.tuples.is_empty()
-    }
-
-    /// Total number of logged tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.values().map(Vec::len).sum()
-    }
-
-    /// Was the log invalidated by a null substitution? Logged tuples may be
-    /// stale; consumers must fall back to a full rescan.
-    pub fn invalidated(&self) -> bool {
-        self.invalidated
-    }
-
-    /// The logged tuples, grouped by relation (sorted by name).
-    pub fn relations(&self) -> impl Iterator<Item = (&Arc<str>, &[Tuple])> {
-        self.tuples.iter().map(|(name, ts)| (name, ts.as_slice()))
-    }
-
-    fn record(&mut self, relation: &Arc<str>, tuple: Tuple) {
-        self.tuples.entry(relation.clone()).or_default().push(tuple);
-    }
-
-    /// Append all of `other`'s tuples to this log, preserving per-relation
-    /// order. Invalidation is sticky: absorbing an invalidated log marks
-    /// this one invalidated too. The parallel chase executor uses this to
-    /// fold one worker's per-dependency logs into its sweep output.
-    pub fn absorb(&mut self, other: &DeltaLog) {
-        for (rel, tuples) in other.relations() {
-            self.tuples
-                .entry(rel.clone())
-                .or_default()
-                .extend(tuples.iter().cloned());
-        }
-        self.invalidated |= other.invalidated;
-    }
-}
-
 /// A database instance: relation name → [`Relation`], with dense [`RelId`]
 /// resolution for hot-path callers.
 #[derive(Debug, Clone, Default)]
@@ -841,8 +784,6 @@ pub struct Instance {
     /// Composite-key registrations for relations that do not exist yet;
     /// applied when the relation is first created.
     pending_keys: BTreeMap<Arc<str>, Vec<Vec<usize>>>,
-    /// Delta log, present only while tracking is enabled.
-    delta: Option<DeltaLog>,
 }
 
 impl Instance {
@@ -913,13 +854,7 @@ impl Instance {
                 id
             }
         };
-        let rel = &mut self.store[id.0 as usize].1;
-        let new = rel.insert(relation, tuple, hash)?;
-        if let (true, Some(delta)) = (new, &mut self.delta) {
-            let newest = rel.rows.last().and_then(Option::as_ref);
-            delta.record(relation, newest.expect("just appended").clone());
-        }
-        Ok(new)
+        self.store[id.0 as usize].1.insert(relation, tuple, hash)
     }
 
     /// Register a composite-key index on `relation` over column positions
@@ -947,32 +882,6 @@ impl Instance {
                 }
             }
         }
-    }
-
-    /// Start recording newly inserted tuples into a [`DeltaLog`]. Clears any
-    /// previous log. Tracking stays on until [`Instance::end_delta_tracking`].
-    pub fn begin_delta_tracking(&mut self) {
-        self.delta = Some(DeltaLog::default());
-    }
-
-    /// Drain the current delta log, leaving tracking enabled with a fresh
-    /// empty log. Returns an empty log when tracking is off.
-    pub fn take_delta(&mut self) -> DeltaLog {
-        match &mut self.delta {
-            Some(delta) => std::mem::take(delta),
-            None => DeltaLog::default(),
-        }
-    }
-
-    /// Stop delta tracking and return the final log (empty if tracking was
-    /// never enabled).
-    pub fn end_delta_tracking(&mut self) -> DeltaLog {
-        self.delta.take().unwrap_or_default()
-    }
-
-    /// Is delta tracking currently enabled?
-    pub fn is_delta_tracking(&self) -> bool {
-        self.delta.is_some()
     }
 
     /// Convenience insert with a `&str` relation name and raw values.
@@ -1055,26 +964,6 @@ impl Instance {
         Ok(out)
     }
 
-    /// Insert every tuple of a [`DeltaLog`] into this instance, in the
-    /// log's deterministic order (relations sorted by name, tuples in
-    /// insertion order). Returns the number of tuples that were new.
-    ///
-    /// This is the sweep-barrier merge of the parallel chase executor:
-    /// workers buffer insertions against an immutable snapshot, and the
-    /// coordinator folds the buffers back in job order so the merged
-    /// instance is identical across runs regardless of thread scheduling.
-    pub fn absorb_delta(&mut self, delta: &DeltaLog) -> Result<usize, DataError> {
-        let mut added = 0;
-        for (rel, tuples) in delta.relations() {
-            for t in tuples {
-                if self.insert(rel, t.clone())? {
-                    added += 1;
-                }
-            }
-        }
-        Ok(added)
-    }
-
     /// The largest null label occurring anywhere, if any. Chase runs over an
     /// instance that already contains nulls start their generator above it.
     pub fn max_null_label(&self) -> Option<u64> {
@@ -1089,8 +978,7 @@ impl Instance {
     /// Replace every `Value::Str` constant with its interned
     /// [`Value::Sym`], interning through `table` in deterministic order
     /// (relations sorted by name, tuples in insertion order). Relation
-    /// structure, registered keys and insertion order carry over; delta
-    /// tracking state does not (the chase re-enables it).
+    /// structure, registered keys and insertion order carry over.
     pub fn intern_strings(&self, table: &mut SymbolTable) -> Instance {
         let mut out = Instance::new();
         for (name, &id) in &self.names {
@@ -1139,9 +1027,9 @@ impl Instance {
     /// This is the entry point of sweep-level egd batching: the chase
     /// accumulates a whole sweep's equality obligations in its union-find
     /// and applies them to the instance in one combined pass. Returns the
-    /// names of the relations that changed; any active delta log is marked
-    /// invalidated when a relation changes, exactly like
-    /// [`Instance::substitute_nulls`].
+    /// names of the relations that changed (sorted): a rewritten relation's
+    /// slots may have been renumbered, so whoever holds a slot cursor into
+    /// it must start over.
     pub fn substitute_nulls_batch(&mut self, map: &HashMap<NullId, Value>) -> Vec<Arc<str>> {
         if map.is_empty() {
             return Vec::new();
@@ -1153,11 +1041,6 @@ impl Instance {
             }
         }
         changed.sort();
-        if !changed.is_empty() {
-            if let Some(delta) = &mut self.delta {
-                delta.invalidated = true;
-            }
-        }
         changed
     }
 
@@ -1170,9 +1053,7 @@ impl Instance {
     /// calls this to normalize the instance. The lookup is memoized per
     /// label and the rewrite delegates to the surgical
     /// [`Instance::substitute_nulls_batch`] machinery, so unaffected rows
-    /// are never touched. Because rewritten tuples may alias tuples a
-    /// [`DeltaLog`] recorded earlier, any active delta log is marked
-    /// invalidated when a relation changes.
+    /// are never touched.
     pub fn substitute_nulls(
         &mut self,
         mut lookup: impl FnMut(NullId) -> Option<Value>,
@@ -1602,78 +1483,15 @@ mod tests {
     }
 
     #[test]
-    fn delta_tracking_records_new_tuples_only() {
-        let mut inst = Instance::new();
-        inst.add("R", vec![v(1)]).unwrap();
-        assert!(!inst.is_delta_tracking());
-        assert!(inst.take_delta().is_empty());
-
-        inst.begin_delta_tracking();
-        inst.add("R", vec![v(1)]).unwrap(); // duplicate: not logged
-        inst.add("R", vec![v(2)]).unwrap();
-        inst.add("S", vec![v(3)]).unwrap();
-        let delta = inst.take_delta();
-        assert_eq!(delta.len(), 2);
-        let rels: Vec<&str> = delta.relations().map(|(n, _)| n.as_ref()).collect();
-        assert_eq!(rels, vec!["R", "S"]);
-
-        // Draining leaves tracking on with a fresh log.
-        assert!(inst.is_delta_tracking());
-        assert!(inst.take_delta().is_empty());
-        inst.add("R", vec![v(4)]).unwrap();
-        let delta = inst.end_delta_tracking();
-        assert_eq!(delta.len(), 1);
-        assert!(!inst.is_delta_tracking());
-    }
-
-    #[test]
-    fn substitution_invalidates_delta_and_reports_changed_relations() {
+    fn substitution_reports_changed_relations() {
         let mut inst = Instance::new();
         inst.add("R", vec![Value::null(0), v(5)]).unwrap();
         inst.add("S", vec![v(1)]).unwrap();
-        inst.begin_delta_tracking();
         let changed = inst.substitute_nulls(|id| (id == NullId(0)).then(|| v(3)));
         assert_eq!(changed.len(), 1);
         assert_eq!(changed[0].as_ref(), "R");
-        let delta = inst.take_delta();
-        assert!(delta.invalidated());
-        assert!(!delta.is_empty());
-        // A no-op substitution neither changes relations nor invalidates.
-        let changed = inst.substitute_nulls(|_| None);
-        assert!(changed.is_empty());
-        assert!(!inst.take_delta().invalidated());
-    }
-
-    #[test]
-    fn absorb_delta_replays_log_and_counts_new() {
-        let mut src = Instance::new();
-        src.begin_delta_tracking();
-        src.add("R", vec![v(1)]).unwrap();
-        src.add("S", vec![v(2)]).unwrap();
-        let log = src.take_delta();
-
-        let mut dst = Instance::new();
-        dst.add("R", vec![v(1)]).unwrap(); // already present: not counted
-        dst.begin_delta_tracking();
-        assert_eq!(dst.absorb_delta(&log).unwrap(), 1);
-        assert!(dst.contains_fact("S", &Tuple::new(vec![v(2)])));
-        // The merge is itself tracked, so it can be re-routed downstream.
-        assert_eq!(dst.take_delta().len(), 1);
-    }
-
-    #[test]
-    fn delta_log_absorb_appends_and_keeps_invalidation() {
-        let mut a = DeltaLog::default();
-        let mut b = DeltaLog::default();
-        a.record(&Arc::from("R"), Tuple::new(vec![v(1)]));
-        b.record(&Arc::from("R"), Tuple::new(vec![v(2)]));
-        b.record(&Arc::from("S"), Tuple::new(vec![v(3)]));
-        a.absorb(&b);
-        assert_eq!(a.len(), 3);
-        assert!(!a.invalidated());
-        b.invalidated = true;
-        a.absorb(&b);
-        assert!(a.invalidated());
+        // A no-op substitution changes no relation.
+        assert!(inst.substitute_nulls(|_| None).is_empty());
     }
 
     #[test]

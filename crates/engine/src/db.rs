@@ -41,12 +41,12 @@ pub struct DbRel(pub u64);
 
 /// A version half of a relation, for semi-naive delta evaluation.
 ///
-/// The cursor payload is an opaque value from
-/// [`Db::cursor_before_last_rel`] — like [`DbRel`] tokens, cursors are only
-/// meaningful on the database that issued them, and only against the
-/// database state they were computed from. `Old(c)` selects tuples strictly
-/// older than the cursor, `New(c)` the cursor's trailing tuples, `All` the
-/// unversioned view (`Old(c) ∪ New(c)` for any valid `c`).
+/// The cursor is a position in the relation's insertion order, in the
+/// encoding of the database it is used on — for an [`Instance`] (and the
+/// shard views of `grom-exec`, which continue the snapshot's numbering) a
+/// [`grom_data::Relation::frontier`] taken earlier. `Old(c)` selects the
+/// tuples inserted before that point, `New(c)` the ones inserted since,
+/// `All` the unversioned view (`Old(c) ∪ New(c)` for any `c`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ver {
     All,
@@ -103,14 +103,6 @@ pub trait Db {
     /// [`Db::estimate_rel`] restricted to one version half.
     fn estimate_rel_v(&self, rel: DbRel, pattern: &[Option<Value>], ver: Ver) -> usize;
 
-    /// The version cursor that splits off the last `n` tuples of `rel` as
-    /// its *new* half: [`Ver::New`] of the returned cursor covers exactly
-    /// the `n` most recently inserted tuples, [`Ver::Old`] everything
-    /// older. This is how the delta scheduler versions a relation at claim
-    /// time — a claimed delta of `n` tuples is, by the append-only row
-    /// discipline, exactly the relation's trailing `n` tuples.
-    fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64;
-
     /// Does any tuple of `rel` match `pattern`? Cheaper than a scan when
     /// only existence matters (negated literals, denial checks).
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
@@ -158,13 +150,6 @@ impl Db for Instance {
     fn estimate_rel_v(&self, rel: DbRel, pattern: &[Option<Value>], ver: Ver) -> usize {
         self.relation_by_id(RelId(rel.0 as u32))
             .estimate_v(pattern, span_of(ver))
-    }
-
-    fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64 {
-        u64::from(
-            self.relation_by_id(RelId(rel.0 as u32))
-                .cursor_before_last(n),
-        )
     }
 
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
@@ -273,20 +258,6 @@ impl Db for LayeredDb<'_> {
             .sum()
     }
 
-    /// `n` counts stored rows from the last layer backwards; a row an
-    /// earlier layer repeats belongs to that earlier layer's half.
-    fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64 {
-        let parts: Vec<(usize, &Relation)> = self.parts(rel).collect();
-        let mut n = n;
-        for &(layer, part) in parts.iter().rev() {
-            if n <= part.len() {
-                return (layer as u64) << 32 | u64::from(part.cursor_before_last(n));
-            }
-            n -= part.len();
-        }
-        (parts[0].0 as u64) << 32
-    }
-
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
         self.parts(rel).any(|(_, part)| part.any_match(pattern))
     }
@@ -359,7 +330,7 @@ mod tests {
         let layers = [&a, &b];
         let db = LayeredDb::new(&layers);
         let s = db.resolve("S").unwrap();
-        let c = db.cursor_before_last_rel(s, 2);
+        let c = u64::from(a.relation("S").unwrap().cursor_before_last(2));
         let collect = |ver: Ver| {
             let mut out = Vec::new();
             db.scan_rel_v(s, &[None], ver, &mut |t| {
@@ -372,8 +343,8 @@ mod tests {
         assert_eq!(collect(Ver::Old(c)).len(), 4);
         assert_eq!(collect(Ver::All).len(), 6);
         assert_eq!(db.estimate_rel_v(s, &[None], Ver::New(c)), 2);
-        // n = 0 puts everything in the old half.
-        let frontier = db.cursor_before_last_rel(s, 0);
+        // At the frontier everything is in the old half.
+        let frontier = u64::from(a.relation("S").unwrap().frontier());
         assert!(collect(Ver::New(frontier)).is_empty());
         assert_eq!(collect(Ver::Old(frontier)).len(), 6);
     }
@@ -421,14 +392,15 @@ mod tests {
         assert_eq!(collect(Ver::All), vec![1, 2, 3]);
         assert!(db.any_match_rel(r, &[Some(Value::int(3))]));
         assert!(db.estimate_rel(r, &[None]) >= 3);
-        // Old and new partition the union for every cursor.
-        for n in 0..=4 {
-            let cur = db.cursor_before_last_rel(r, n);
+        // Old and new partition the union for every cursor `layer << 32 |
+        // slot`; the (2) layer 0 already holds stays in layer 0's half.
+        for (layer, slot) in [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2)] {
+            let cur = layer << 32 | slot;
             let (mut old, new) = (collect(Ver::Old(cur)), collect(Ver::New(cur)));
             old.extend(new);
-            assert_eq!(old, vec![1, 2, 3], "n = {n}");
+            assert_eq!(old, vec![1, 2, 3], "cursor {layer}:{slot}");
         }
-        assert_eq!(collect(Ver::New(db.cursor_before_last_rel(r, 1))), vec![3]);
+        assert_eq!(collect(Ver::New(2 << 32 | 1)), vec![3]);
         // A relation stored once still resolves to a plain token.
         assert_eq!(
             count(&db, db.resolve("Other").unwrap(), &[None], Ver::All),

@@ -51,43 +51,35 @@ pub fn evaluate_body_streaming(
     });
 }
 
-/// Delta-seeded semi-naive evaluation: enumerate solutions of `body` that
-/// use at least one tuple of `deltas` in a positive atom, each solution
+/// Delta-seeded semi-naive evaluation: enumerate the solutions of `body`
+/// that use at least one *new* tuple in a positive atom, each solution
 /// exactly once.
 ///
-/// `deltas` maps relation names to the tuples inserted since the body was
-/// last evaluated. For every positive atom whose predicate has a delta
-/// entry, each delta tuple is bound to that atom (the *anchor*) and the
-/// remaining literals are joined with the semi-naive version split:
-/// positive atoms **before** the anchor that read a delta relation see only
-/// that relation's *old* half ([`crate::Ver::Old`] of the cursor that
-/// excludes the delta), atoms after the anchor and non-delta atoms see
-/// everything, and negations/comparisons always check the full database. A
-/// solution whose first (in body position order) new tuple sits at position
-/// `p` is therefore enumerated only with `p` as the anchor — at any later
-/// anchor, position `p` reads the old half, which excludes its tuple.
-///
-/// The versioning relies on the scheduler's claim discipline: each delta
-/// list holds exactly the relation's most recently inserted tuples, so
-/// [`Db::cursor_before_last_rel`] of the list length separates the relation
-/// into "everything except this delta" and "this delta".
+/// `since` pairs a relation name with a cursor into it — on an
+/// [`grom_data::Instance`], the [`grom_data::Relation::frontier`] recorded
+/// when the body was last evaluated: the rows from the cursor on are new.
+/// Every positive atom over such a relation is in turn the *anchor*: it
+/// walks the new rows ([`crate::Ver::New`]) and the remaining literals are
+/// joined to each with the semi-naive version split — positive atoms
+/// **before** the anchor see only the rows before their relation's cursor
+/// ([`crate::Ver::Old`]), atoms after the anchor and atoms over other
+/// relations see everything, and negations/comparisons always check the full
+/// database. A solution whose first (in body position order) new tuple sits
+/// at position `p` is therefore enumerated only with `p` as the anchor — at
+/// any later anchor, position `p` reads the old half, which excludes its
+/// tuple.
 ///
 /// The chase does not call this function — it holds a compiled
 /// [`crate::DepPlan`] and runs [`crate::DepPlan::violations_from_delta`],
 /// the same anchors with the satisfaction check fused in.
-///
-/// Returns the number of delta tuples skipped by the anchor arity check —
-/// stale entries logged before their relation's arity drifted; each stale
-/// tuple counts once, regardless of how many anchor positions its relation
-/// has.
 pub fn evaluate_body_from_delta(
     db: &impl Db,
     body: &[Literal],
-    deltas: &[(&str, &[grom_data::Tuple])],
+    since: &[(impl AsRef<str>, u64)],
     mut visit: impl FnMut(&Bindings) -> Control,
-) -> usize {
+) {
     let plan = BodyPlan::compile(body, &Bindings::new());
-    plan.run_delta(db, &mut Scratch::default(), deltas, |regs| {
+    plan.run_delta(db, &mut Scratch::default(), since, |regs| {
         visit(&plan.bindings(regs))
     })
 }
@@ -262,85 +254,66 @@ mod tests {
         assert_eq!(sols[0].get(&"x".into()), Some(&Value::null(0)));
     }
 
-    #[test]
-    fn delta_seeding_restricts_to_new_tuples() {
-        let inst = db();
-        // Paths E(x,y), E(y,z) anchored at the new edge (2, 3): it can play
-        // either role, giving 1->2->3 and 2->3->4.
-        let body = vec![
-            Literal::Pos(atom("E", &["x", "y"])),
-            Literal::Pos(atom("E", &["y", "z"])),
-        ];
-        let delta = vec![grom_data::Tuple::new(vec![Value::int(2), Value::int(3)])];
-        let mut sols = Vec::new();
-        evaluate_body_from_delta(&inst, &body, &[("E", &delta)], |b| {
-            sols.push(b.clone());
-            Control::Continue
-        });
-        assert_eq!(sols.len(), 2);
-        for s in &sols {
-            let y = s.get(&"y".into()).unwrap().as_int().unwrap();
-            assert!(y == 2 || y == 3);
-        }
-        // A delta on an unrelated relation seeds nothing.
-        let mut count = 0;
-        evaluate_body_from_delta(&inst, &body, &[("L", &delta)], |_| {
-            count += 1;
-            Control::Continue
-        });
-        assert_eq!(count, 0);
+    /// The cursor past everything `rel` holds now: what is added next is new.
+    fn frontier(inst: &Instance, rel: &str) -> u64 {
+        inst.relation(rel).map_or(0, |r| u64::from(r.frontier()))
     }
 
     #[test]
-    fn delta_seeding_counts_stale_arity_skips() {
-        let inst = db();
-        // E has arity 2; a unary delta tuple is stale and must be counted
-        // once — not once per anchor position — and never silently dropped.
+    fn delta_seeding_restricts_to_new_tuples() {
+        let mut inst = db();
+        // Paths E(x,y), E(y,z) anchored at the new edge (4, 1): it can play
+        // either role, giving 3->4->1 and 4->1->2, 4->1->3.
         let body = vec![
             Literal::Pos(atom("E", &["x", "y"])),
             Literal::Pos(atom("E", &["y", "z"])),
         ];
-        let delta = vec![
-            grom_data::Tuple::new(vec![Value::int(2)]),
-            grom_data::Tuple::new(vec![Value::int(2), Value::int(3)]),
-        ];
-        let mut sols = 0;
-        let skipped = evaluate_body_from_delta(&inst, &body, &[("E", &delta)], |_| {
-            sols += 1;
+        let since = frontier(&inst, "E");
+        inst.add("E", vec![Value::int(4), Value::int(1)]).unwrap();
+        let mut sols = Vec::new();
+        evaluate_body_from_delta(&inst, &body, &[("E", since)], |b| {
+            sols.push(b.clone());
             Control::Continue
         });
-        assert_eq!(skipped, 1); // the stale tuple, once despite two anchors
-        assert_eq!(sols, 2); // the well-formed tuple still seeds matches
-        let skipped =
-            evaluate_body_from_delta(&inst, &body, &[("E", &delta[1..])], |_| Control::Continue);
-        assert_eq!(skipped, 0);
+        assert_eq!(sols.len(), 3);
+        for s in &sols {
+            let y = s.get(&"y".into()).unwrap().as_int().unwrap();
+            assert!(y == 4 || y == 1);
+        }
+        // A relation the body does not read seeds nothing, and neither does
+        // a cursor with nothing behind it.
+        for since in [("L", 0), ("E", frontier(&inst, "E"))] {
+            evaluate_body_from_delta(&inst, &body, &[since], |_| {
+                panic!("nothing is new from {since:?}")
+            });
+        }
     }
 
     #[test]
     fn delta_seeding_respects_constants_and_stop() {
-        let inst = db();
+        let mut inst = db();
         let body = vec![Literal::Pos(Atom::new(
             "L",
             vec![Term::var("n"), Term::cons("a")],
         ))];
-        // Two delta tuples; only the "a"-labeled one matches the constant.
-        let delta = vec![
-            grom_data::Tuple::new(vec![Value::int(1), Value::str("a")]),
-            grom_data::Tuple::new(vec![Value::int(2), Value::str("b")]),
-        ];
+        // Two new tuples; only the "a"-labeled one matches the constant.
+        let since = frontier(&inst, "L");
+        inst.add("L", vec![Value::int(5), Value::str("a")]).unwrap();
+        inst.add("L", vec![Value::int(6), Value::str("b")]).unwrap();
         let mut sols = Vec::new();
-        evaluate_body_from_delta(&inst, &body, &[("L", &delta)], |b| {
+        evaluate_body_from_delta(&inst, &body, &[("L", since)], |b| {
             sols.push(b.clone());
             Control::Continue
         });
         assert_eq!(sols.len(), 1);
-        assert_eq!(sols[0].get(&"n".into()), Some(&Value::int(1)));
+        assert_eq!(sols[0].get(&"n".into()), Some(&Value::int(5)));
+        // The anchor filtered the slot range by itself: no index was built.
+        assert!(inst.storage_report().iter().all(|r| r.indexes.is_empty()));
 
         // Early stop is honored across anchors and tuples.
         let body = vec![Literal::Pos(atom("E", &["x", "y"]))];
-        let delta: Vec<grom_data::Tuple> = inst.tuples("E").cloned().collect();
         let mut count = 0;
-        evaluate_body_from_delta(&inst, &body, &[("E", &delta)], |_| {
+        evaluate_body_from_delta(&inst, &body, &[("E", 0)], |_| {
             count += 1;
             Control::Stop
         });
@@ -349,25 +322,21 @@ mod tests {
 
     #[test]
     fn delta_seeding_enumerates_each_match_exactly_once() {
-        // E = (0,1), (1,2), (2,3); the trailing two rows are the delta. The
-        // path body E(x,y), E(y,z) has two anchors over E, and the match
-        // (1,2)-(2,3) uses delta tuples at *both* positions: the old
-        // per-anchor enumeration yielded it twice, the semi-naive split must
-        // yield it only at its first new position (anchor 0).
+        // E = (0,1) | (1,2), (2,3): the trailing two rows are new. The path
+        // body E(x,y), E(y,z) has two anchors over E, and the match
+        // (1,2)-(2,3) uses new tuples at *both* positions: a per-anchor
+        // enumeration would yield it twice, the semi-naive split must yield
+        // it only at its first new position (anchor 0).
         let mut inst = Instance::new();
         for (a, b) in [(0, 1), (1, 2), (2, 3)] {
             inst.add("E", vec![Value::int(a), Value::int(b)]).unwrap();
         }
-        let delta = vec![
-            grom_data::Tuple::new(vec![Value::int(1), Value::int(2)]),
-            grom_data::Tuple::new(vec![Value::int(2), Value::int(3)]),
-        ];
         let body = vec![
             Literal::Pos(atom("E", &["x", "y"])),
             Literal::Pos(atom("E", &["y", "z"])),
         ];
         let mut sols = Vec::new();
-        evaluate_body_from_delta(&inst, &body, &[("E", &delta)], |b| {
+        evaluate_body_from_delta(&inst, &body, &[("E", 1)], |b| {
             sols.push(b.clone());
             Control::Continue
         });
@@ -379,20 +348,17 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), sols.len(), "duplicate enumeration: {sols:?}");
 
-        // A multi-relation delta finds the cross-relation match exactly once
-        // as well: new-R at position 0 joined with new-S at position 1 is
-        // anchored at position 0 only.
+        // New rows in two relations: new-R at position 0 joined with new-S
+        // at position 1 is anchored at position 0 only.
         let mut inst = Instance::new();
         inst.add("R", vec![Value::int(1), Value::int(2)]).unwrap();
         inst.add("S", vec![Value::int(2), Value::int(3)]).unwrap();
-        let dr = vec![grom_data::Tuple::new(vec![Value::int(1), Value::int(2)])];
-        let ds = vec![grom_data::Tuple::new(vec![Value::int(2), Value::int(3)])];
         let body = vec![
             Literal::Pos(atom("R", &["x", "y"])),
             Literal::Pos(atom("S", &["y", "z"])),
         ];
         let mut count = 0;
-        evaluate_body_from_delta(&inst, &body, &[("R", &dr), ("S", &ds)], |_| {
+        evaluate_body_from_delta(&inst, &body, &[("R", 0), ("S", 0)], |_| {
             count += 1;
             Control::Continue
         });

@@ -37,10 +37,10 @@
 //! ties towards body order and prefer an atom with every column bound (a
 //! pure existence probe) without estimating; scans stream in insertion
 //! order, so enumeration is deterministic. A delta-seeded run uses the same
-//! heads as *anchors*: the head binds the delta tuples instead of scanning,
-//! and atoms that precede the anchor in the body read only the old half of
-//! their relation ([`Ver::Old`]) — each match is enumerated exactly once
-//! across anchors.
+//! heads as *anchors*: the head walks only the rows its relation gained
+//! since a cursor ([`Ver::New`]), and atoms that precede the anchor in the
+//! body read only the rows before it ([`Ver::Old`]) — each match is
+//! enumerated exactly once across anchors.
 //!
 //! ## What is resolved per activation
 //!
@@ -77,8 +77,8 @@ pub struct Scratch {
     rels: Vec<Option<DbRel>>,
     /// [`Db::rel_count`] when `rels` was resolved.
     rel_count: usize,
-    /// Per relation of the running plan: the old/new cursor, when a delta
-    /// run versions it.
+    /// Per relation of the running plan: the cursor a delta run versions it
+    /// at — rows from it on are new.
     old: Vec<Option<u64>>,
     /// Body position of the atom a delta run is anchored at (0 otherwise:
     /// no atom precedes it).
@@ -236,11 +236,16 @@ impl AtomPlan {
     }
 
     /// Match `tuple` against the atom under `pattern`, binding the free
-    /// registers. Bound columns are re-checked, so this also serves delta
-    /// tuples no scan pre-filtered. On `false` the registers of free columns
+    /// registers. Bound columns are re-checked and a constant is compared
+    /// even where the pattern leaves its column free, so this also filters
+    /// the rows of an anchor walk, which scans with nothing bound. A tuple
+    /// of another arity matches nothing. On `false` the registers of free columns
     /// may hold leftovers; nothing reads them before the next tuple rebinds
     /// them or [`AtomPlan::unbind`] clears them.
     fn bind(&self, pattern: &[Option<Value>], tuple: &Tuple, regs: &mut [Option<Value>]) -> bool {
+        if tuple.arity() != self.args.len() {
+            return false;
+        }
         for ((arg, slot), v) in self.args.iter().zip(pattern).zip(tuple.values()) {
             let ok = match (slot, arg) {
                 (Some(bound), _) => bound == v,
@@ -623,12 +628,15 @@ impl Join {
     }
 
     /// Scan `atom` under the current registers; on every tuple that binds
-    /// and passes the `ready` filters, continue with `inner`.
+    /// and passes the `ready` filters, continue with `inner`. With `since`
+    /// the atom is a delta run's anchor: it walks the rows from that cursor
+    /// on with nothing bound — a slot range, filtered by [`AtomPlan::bind`],
+    /// never an index probe.
     fn scan<D: Db>(
         &self,
         db: &D,
-        atom: usize,
-        ready: &[usize],
+        (atom, ready): (usize, &[usize]),
+        since: Option<u64>,
         buf: usize,
         s: &mut Scratch,
         inner: &mut dyn FnMut(&mut Scratch) -> Control,
@@ -637,9 +645,18 @@ impl Join {
         let Some(rel) = s.rels[atom.rel] else {
             return Control::Continue;
         };
-        let ver = atom.ver(s);
         let mut pattern = std::mem::take(&mut s.patterns[buf]);
-        atom.fill(&s.regs, &mut pattern);
+        let ver = match since {
+            Some(cursor) => {
+                pattern.clear();
+                pattern.resize(atom.args.len(), None);
+                Ver::New(cursor)
+            }
+            None => {
+                atom.fill(&s.regs, &mut pattern);
+                atom.ver(s)
+            }
+        };
         let mut ctrl = Control::Continue;
         db.scan_rel_v(rel, &pattern, ver, &mut |t| {
             if atom.bind(&pattern, t, &mut s.regs) && self.holds(ready, db, s) {
@@ -671,75 +688,47 @@ impl Join {
             1 => 0,
             n => self.cheapest(db, 0..n, self.base, s),
         };
-        self.scan(db, h, &self.heads[h].ready, self.base, s, &mut |s| {
+        let head = (h, &*self.heads[h].ready);
+        self.scan(db, head, None, self.base, s, &mut |s| {
             self.tail(db, h, s, visit)
         })
     }
 
-    /// Delta-seeded run: for every atom whose relation has an entry in
-    /// `deltas`, bind each delta tuple to it (the *anchor*) and join the
-    /// rest, atoms before the anchor reading the old half of a delta
-    /// relation. Returns the number of delta tuples skipped for their
-    /// arity, each counted at its relation's first anchor only.
+    /// Delta-seeded run: `since` names relations (`rels` are the running
+    /// plan's) with the cursor from which their rows are new. Every atom
+    /// over such a relation is in turn the *anchor* — it walks the new rows
+    /// and the rest is joined to each, atoms before the anchor reading only
+    /// the rows before their relation's cursor.
     fn run_delta<D: Db, V: FnMut(&mut Scratch) -> Control>(
         &self,
         db: &D,
         rels: &[Arc<str>],
         s: &mut Scratch,
-        deltas: &[(&str, &[Tuple])],
+        since: &[(impl AsRef<str>, u64)],
         visit: &mut V,
-    ) -> usize {
-        let delta_of = |rel: usize| {
-            deltas
-                .iter()
-                .find(|(name, _)| *name == rels[rel].as_ref())
-                .map(|(_, tuples)| *tuples)
-        };
-        // The claimed delta of a relation is its trailing rows, so one
-        // cursor per delta relation splits old from new. Absent relations
-        // get none; nothing stored can match them anyway.
-        for rel in 0..rels.len() {
-            s.old[rel] = delta_of(rel)
-                .zip(s.rels[rel])
-                .map(|(tuples, token)| db.cursor_before_last_rel(token, tuples.len()));
+    ) {
+        if self.never || !self.holds(&self.pre, db, s) {
+            return;
         }
-        let viable = !self.never && self.holds(&self.pre, db, s);
-        let mut stale = 0;
-        let mut counted: Vec<usize> = Vec::new();
-        let mut ctrl = Control::Continue;
+        for (rel, name) in rels.iter().enumerate() {
+            let named = since.iter().find(|(n, _)| n.as_ref() == name.as_ref());
+            s.old[rel] = named.map(|(_, cursor)| *cursor);
+        }
         for (h, atom) in self.atoms.iter().enumerate() {
-            let Some(tuples) = delta_of(atom.rel) else {
+            let Some(cursor) = s.old[atom.rel] else {
                 continue;
             };
-            let count_stale = !counted.contains(&atom.rel);
-            if count_stale {
-                counted.push(atom.rel);
-            }
             s.anchor = atom.pos;
-            let mut pattern = std::mem::take(&mut s.patterns[self.base]);
-            atom.fill(&s.regs, &mut pattern);
-            for tuple in tuples {
-                if tuple.arity() != atom.args.len() {
-                    stale += usize::from(count_stale);
-                } else if viable
-                    && atom.bind(&pattern, tuple, &mut s.regs)
-                    && self.holds(&self.heads[h].ready, db, s)
-                {
-                    ctrl = self.tail(db, h, s, visit);
-                    if ctrl == Control::Stop {
-                        break;
-                    }
-                }
-            }
-            atom.unbind(&pattern, &mut s.regs);
-            s.patterns[self.base] = pattern;
+            let head = (h, &*self.heads[h].ready);
+            let ctrl = self.scan(db, head, Some(cursor), self.base, s, &mut |s| {
+                self.tail(db, h, s, visit)
+            });
             if ctrl == Control::Stop {
                 break;
             }
         }
         s.old.fill(None);
         s.anchor = 0;
-        stale
     }
 
     /// Continue after `atoms[h]` ran first and bound: pick the tail (the
@@ -771,8 +760,8 @@ impl Join {
     ) -> Control {
         match order {
             [] => visit(s),
-            [(atom, ready)] => self.scan(db, *atom, ready, buf, s, visit),
-            [(atom, ready), rest @ ..] => self.scan(db, *atom, ready, buf, s, &mut |s| {
+            [(atom, ready)] => self.scan(db, (*atom, ready), None, buf, s, visit),
+            [(atom, ready), rest @ ..] => self.scan(db, (*atom, ready), None, buf, s, &mut |s| {
                 self.steps(db, rest, buf + 1, s, visit)
             }),
         }
@@ -850,12 +839,12 @@ impl BodyPlan {
         &self,
         db: &D,
         s: &mut Scratch,
-        deltas: &[(&str, &[Tuple])],
+        since: &[(impl AsRef<str>, u64)],
         mut visit: impl FnMut(&[Option<Value>]) -> Control,
-    ) -> usize {
+    ) {
         self.start(db, s, &Bindings::new());
         self.join
-            .run_delta(db, &self.frame.rels, s, deltas, &mut |s| visit(&s.regs))
+            .run_delta(db, &self.frame.rels, s, since, &mut |s| visit(&s.regs))
     }
 
     /// The solution held by `regs`, as bindings.
@@ -989,19 +978,20 @@ impl<'d> DepPlan<'d> {
             .run(db, s, &mut |s| self.check(db, s, &mut visit));
     }
 
-    /// [`DepPlan::violations`] seeded from per-relation deltas: only the
-    /// matches that use at least one delta tuple, each exactly once.
-    /// Returns the number of delta tuples skipped for their arity.
+    /// [`DepPlan::violations`] seeded from what the premise relations
+    /// gained: `since` pairs a relation with the cursor from which its rows
+    /// are new, and only the matches that use at least one new row are
+    /// enumerated, each exactly once.
     pub fn violations_from_delta<D: Db>(
         &self,
         db: &D,
         s: &mut Scratch,
-        deltas: &[(&str, &[Tuple])],
+        since: &[(impl AsRef<str>, u64)],
         mut visit: impl FnMut(&[Option<Value>]) -> Control,
-    ) -> usize {
+    ) {
         self.frame.prepare(db, s);
         self.premise
-            .run_delta(db, &self.frame.rels, s, deltas, &mut |s| {
+            .run_delta(db, &self.frame.rels, s, since, &mut |s| {
                 self.check(db, s, &mut visit)
             })
     }

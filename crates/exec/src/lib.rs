@@ -20,11 +20,13 @@
 //!    nulls come from disjoint per-worker strided ranges
 //!    ([`grom_data::StridedNullGenerator`]), so workers never race on
 //!    labels.
-//! 3. **Merge** — at the sweep barrier the coordinator folds each worker's
-//!    buffered [`DeltaLog`] back into the master instance *in job order*
-//!    ([`grom_data::Instance::absorb_delta`]) and unifies the merged
-//!    obligation buffers deterministically before the sweep's single null
-//!    substitution.
+//! 3. **Merge** — at the sweep barrier the coordinator absorbs each
+//!    worker's insertion buffer ([`ShardView::into_buffer`]) into the
+//!    master instance *in job order* ([`grom_data::Instance::absorb`]:
+//!    relations by name, rows in insertion order — so a buffered row lands
+//!    exactly where [`ShardView::frontier`] said it would) and unifies the
+//!    merged obligation buffers deterministically before the sweep's
+//!    single null substitution.
 //!
 //! ## Determinism guarantee
 //!
@@ -35,7 +37,6 @@
 //! instances; relative to single-threaded execution the result is
 //! identical up to the renaming of freshly invented nulls.
 //!
-//! [`DeltaLog`]: grom_data::DeltaLog
 //! [`Instance`]: grom_data::Instance
 
 pub mod pool;

@@ -6,8 +6,9 @@
 //! snapshot and the worker's own buffer — so a dependency's premise joins
 //! observe the repairs the *same worker* made earlier in the sweep, exactly
 //! like the sequential loop. Writes go only to the buffer, deduplicated
-//! against both layers, and are recorded in a [`DeltaLog`] the coordinator
-//! merges at the sweep barrier.
+//! against both layers; the worker hands the buffer back
+//! ([`ShardView::into_buffer`]) and the coordinator absorbs it into the
+//! master at the sweep barrier.
 //!
 //! Alongside the insertion buffer the view carries an **equality
 //! obligation buffer**: egd repairs running on a worker cannot rewrite the
@@ -18,10 +19,20 @@
 //! The two storage layers are disjoint by construction (a tuple already
 //! present in the snapshot is never added to the buffer), so union queries
 //! need no deduplication and tuple counts simply add.
+//!
+//! ## Version cursors
+//!
+//! A view continues the snapshot's slot numbering: buffer row `i` of a
+//! relation sits at `snapshot frontier + i`. A cursor into the snapshot
+//! relation is therefore a cursor into the view (everything buffered is
+//! newer), [`ShardView::frontier`] is where the relation's next row goes —
+//! and, because only one job writes a relation and the barrier absorbs its
+//! buffer in insertion order, that is also the master slot the row lands in.
+//! A watermark a worker takes mid-job stays exact after the barrier.
 
 use std::sync::Arc;
 
-use grom_data::{DataError, DeltaLog, Instance, RelId, Span, Tuple, TupleHash, Value};
+use grom_data::{DataError, Instance, RelId, Relation, Span, Tuple, TupleHash, Value};
 use grom_engine::{Control, Db, DbRel, Ver};
 
 /// An instance snapshot plus a private write buffer, presented as one
@@ -29,8 +40,7 @@ use grom_engine::{Control, Db, DbRel, Ver};
 #[derive(Debug)]
 pub struct ShardView<'a> {
     base: &'a Instance,
-    /// The worker's buffered insertions; always delta-tracked, always
-    /// disjoint from `base`.
+    /// The worker's buffered insertions; always disjoint from `base`.
     local: Instance,
     /// Equality obligations recorded by egd repairs, in collection order;
     /// unified by the coordinator at the sweep barrier.
@@ -44,11 +54,9 @@ pub struct ShardView<'a> {
 impl<'a> ShardView<'a> {
     /// A fresh view over `base` with an empty buffer.
     pub fn new(base: &'a Instance) -> Self {
-        let mut local = Instance::new();
-        local.begin_delta_tracking();
         Self {
             base,
-            local,
+            local: Instance::new(),
             obligations: Vec::new(),
             dedup_hits: 0,
         }
@@ -89,9 +97,23 @@ impl<'a> ShardView<'a> {
         self.dedup_hits
     }
 
-    /// Drain the log of insertions buffered since the last drain.
-    pub fn take_delta(&mut self) -> DeltaLog {
-        self.local.take_delta()
+    /// The cursor past every row of `relation` this view holds: the
+    /// snapshot relation's frontier (`base` is its id there, if it exists)
+    /// plus the rows buffered so far. See the module docs.
+    pub fn frontier(&self, base: Option<RelId>, relation: &str) -> u64 {
+        let buffered = self.local.relation(relation).map_or(0, Relation::frontier);
+        u64::from(self.edge(base)) + u64::from(buffered)
+    }
+
+    /// Where the snapshot relation `base` ends and the buffer's numbering
+    /// begins.
+    fn edge(&self, base: Option<RelId>) -> u32 {
+        base.map_or(0, |id| self.base.relation_by_id(id).frontier())
+    }
+
+    /// Hand the insertion buffer back, for the coordinator to absorb.
+    pub fn into_buffer(self) -> Instance {
+        self.local
     }
 
     /// Record an equality obligation `left = right` for the coordinator's
@@ -108,7 +130,7 @@ impl<'a> ShardView<'a> {
         std::mem::take(&mut self.obligations)
     }
 
-    /// Total buffered tuples (across all drains' worth still stored).
+    /// Total buffered tuples.
     pub fn buffered_len(&self) -> usize {
         self.local.len()
     }
@@ -132,14 +154,18 @@ fn decode(rel: DbRel) -> (Option<RelId>, Option<RelId>) {
     (hi.checked_sub(1).map(RelId), lo.checked_sub(1).map(RelId))
 }
 
-/// Split a packed [`ShardView`] version cursor into per-layer slot [`Span`]s.
-/// The cursor packs the snapshot cut in its high 32 bits and the buffer cut
-/// in its low 32 bits, mirroring the token encoding.
-fn layer_spans(ver: Ver) -> (Span, Span) {
-    match ver {
-        Ver::All => (Span::All, Span::All),
-        Ver::Old(c) => (Span::Below((c >> 32) as u32), Span::Below(c as u32)),
-        Ver::New(c) => (Span::AtLeast((c >> 32) as u32), Span::AtLeast(c as u32)),
+impl ShardView<'_> {
+    /// Split a version cursor into per-layer slot [`Span`]s: the buffer
+    /// continues the numbering of the snapshot relation `base`, so the cut
+    /// falls in the snapshot, or past all of it and into the buffer.
+    fn layer_spans(&self, base: Option<RelId>, ver: Ver) -> (Span, Span) {
+        let edge = u64::from(self.edge(base));
+        let split = |c: u64| (c.min(edge) as u32, c.saturating_sub(edge) as u32);
+        match ver {
+            Ver::All => (Span::All, Span::All),
+            Ver::Old(c) => (Span::Below(split(c).0), Span::Below(split(c).1)),
+            Ver::New(c) => (Span::AtLeast(split(c).0), Span::AtLeast(split(c).1)),
+        }
     }
 }
 
@@ -165,7 +191,7 @@ impl Db for ShardView<'_> {
         // the union, since everything in the buffer is newer. The layers
         // are disjoint by construction, so no deduplication is needed.
         let (base, local) = decode(rel);
-        let (base_span, local_span) = layer_spans(ver);
+        let (base_span, local_span) = self.layer_spans(base, ver);
         if let Some(id) = base {
             if !self
                 .base
@@ -184,7 +210,7 @@ impl Db for ShardView<'_> {
 
     fn estimate_rel_v(&self, rel: DbRel, pattern: &[Option<Value>], ver: Ver) -> usize {
         let (base, local) = decode(rel);
-        let (base_span, local_span) = layer_spans(ver);
+        let (base_span, local_span) = self.layer_spans(base, ver);
         base.map_or(0, |id| {
             self.base.relation_by_id(id).estimate_v(pattern, base_span)
         }) + local.map_or(0, |id| {
@@ -192,30 +218,6 @@ impl Db for ShardView<'_> {
                 .relation_by_id(id)
                 .estimate_v(pattern, local_span)
         })
-    }
-
-    fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64 {
-        // The trailing n tuples of the union are buffer rows first (the
-        // buffer holds everything newer than the snapshot), overflowing into
-        // the snapshot's trailing rows only when n exceeds the buffer.
-        let (base, local) = decode(rel);
-        let local_len = local.map_or(0, |id| self.local.relation_by_id(id).len());
-        let (base_cut, local_cut) = if n <= local_len {
-            (
-                base.map_or(0, |id| self.base.relation_by_id(id).frontier()),
-                local.map_or(0, |id| self.local.relation_by_id(id).cursor_before_last(n)),
-            )
-        } else {
-            (
-                base.map_or(0, |id| {
-                    self.base
-                        .relation_by_id(id)
-                        .cursor_before_last(n - local_len)
-                }),
-                0,
-            )
-        };
-        (u64::from(base_cut) << 32) | u64::from(local_cut)
     }
 
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
@@ -273,11 +275,10 @@ mod tests {
         assert!(!view.insert(&rel("R"), Tuple::new(vec![v(1)])).unwrap());
         assert!(view.insert(&rel("R"), Tuple::new(vec![v(2)])).unwrap());
         assert!(!view.insert(&rel("R"), Tuple::new(vec![v(2)])).unwrap());
-        let log = view.take_delta();
-        assert_eq!(log.len(), 1); // only the genuinely new tuple is logged
-        assert!(view.take_delta().is_empty());
         // One rejection per layer: the base hit and the buffer hit.
         assert_eq!(view.dedup_hits(), 2);
+        // Only the genuinely new tuple is buffered.
+        assert_eq!(view.into_buffer().len(), 1);
     }
 
     #[test]
@@ -362,24 +363,24 @@ mod tests {
             });
             out
         };
-        // n within the buffer: the split falls entirely in the local layer.
-        let c = view.cursor_before_last_rel(r, 2);
-        assert_eq!(collect(Ver::New(c)), vec![5, 6]);
-        assert_eq!(collect(Ver::Old(c)), vec![0, 1, 2, 3, 4]);
-        assert_eq!(view.estimate_rel_v(r, &[None], Ver::New(c)), 2);
-        // n crossing the boundary: the new half takes all buffer rows plus
-        // the snapshot's trailing rows.
-        let c = view.cursor_before_last_rel(r, 5);
-        assert_eq!(collect(Ver::New(c)), vec![2, 3, 4, 5, 6]);
-        assert_eq!(collect(Ver::Old(c)), vec![0, 1]);
-        // n == union length: everything is new.
-        let c = view.cursor_before_last_rel(r, 7);
-        assert_eq!(collect(Ver::New(c)).len(), 7);
-        assert!(collect(Ver::Old(c)).is_empty());
-        // n == 0: everything is old.
-        let c = view.cursor_before_last_rel(r, 0);
-        assert!(collect(Ver::New(c)).is_empty());
-        assert_eq!(collect(Ver::Old(c)).len(), 7);
+        // The buffer continues the snapshot's numbering: rows 0..4 are the
+        // snapshot's, 4..7 the buffer's.
+        let id = base.rel_id("R");
+        assert_eq!(view.frontier(id, "R"), 7);
+        assert_eq!(view.frontier(None, "Absent"), 0);
+        // A cut inside the buffer.
+        assert_eq!(collect(Ver::New(5)), vec![5, 6]);
+        assert_eq!(collect(Ver::Old(5)), vec![0, 1, 2, 3, 4]);
+        assert_eq!(view.estimate_rel_v(r, &[None], Ver::New(5)), 2);
+        // A cut inside the snapshot — a watermark taken before the job: the
+        // new half is the snapshot's trailing rows plus the whole buffer.
+        assert_eq!(collect(Ver::New(2)), vec![2, 3, 4, 5, 6]);
+        assert_eq!(collect(Ver::Old(2)), vec![0, 1]);
+        // Everything new; everything old.
+        assert_eq!(collect(Ver::New(0)).len(), 7);
+        assert!(collect(Ver::Old(0)).is_empty());
+        assert!(collect(Ver::New(7)).is_empty());
+        assert_eq!(collect(Ver::Old(7)).len(), 7);
     }
 
     #[test]
@@ -389,10 +390,14 @@ mod tests {
         let mut view = ShardView::new(&base);
         view.insert(&rel("R"), Tuple::new(vec![v(2)])).unwrap();
         view.insert(&rel("S"), Tuple::new(vec![v(3)])).unwrap();
-        let log = view.take_delta();
+        // Where the view says R's next row goes is where the barrier puts it.
+        let frontier = view.frontier(base.rel_id("R"), "R");
+        let buffer = view.into_buffer();
 
         let mut master = base.clone();
-        assert_eq!(master.absorb_delta(&log).unwrap(), 2);
+        master.absorb(&buffer).unwrap();
         assert_eq!(master.len(), 3);
+        let r = master.relation("R").unwrap();
+        assert_eq!(u64::from(r.frontier()), frontier);
     }
 }

@@ -2,9 +2,10 @@
 //! event stream and a minimal parser for round-tripping emitted lines.
 //!
 //! The workspace builds fully offline, so no serde. The writer covers
-//! exactly what the event schema needs (string, integer and float fields
-//! in one flat object); the parser covers full JSON values so tests can
-//! assert "every emitted line parses" without external crates.
+//! exactly what the event schema and the chase checkpoint need (string,
+//! integer and float fields, a nested object, an array of objects); the
+//! parser covers full JSON values so tests can assert "every emitted line
+//! parses" without external crates.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -28,7 +29,7 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Incremental writer for one flat JSON object (one event line).
+/// Incremental writer for one JSON object (one event line, one checkpoint).
 #[derive(Debug)]
 pub struct JsonObject {
     buf: String,
@@ -75,6 +76,27 @@ impl JsonObject {
         } else {
             self.buf.push_str("null");
         }
+        self
+    }
+
+    /// A nested object.
+    pub fn object(&mut self, key: &str, value: JsonObject) -> &mut Self {
+        self.key(key);
+        self.buf.push_str(&value.finish());
+        self
+    }
+
+    /// An array of objects.
+    pub fn array(&mut self, key: &str, items: impl IntoIterator<Item = JsonObject>) -> &mut Self {
+        self.key(key);
+        self.buf.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.buf.push(',');
+            }
+            self.buf.push_str(&item.finish());
+        }
+        self.buf.push(']');
         self
     }
 
@@ -317,6 +339,31 @@ mod tests {
         );
         assert_eq!(v.get("sweep").and_then(JsonValue::as_u64), Some(3));
         assert_eq!(v.get("rate").and_then(JsonValue::as_f64), Some(0.5));
+    }
+
+    #[test]
+    fn nested_objects_and_arrays_parse_back() {
+        let item = |n: u64| {
+            let mut o = JsonObject::new();
+            o.u64("n", n);
+            o
+        };
+        let mut obj = JsonObject::new();
+        obj.object("one", item(1))
+            .array("many", [item(2), item(3)])
+            .array("none", [])
+            .str("after", "x");
+        let line = obj.finish();
+        assert_eq!(
+            line,
+            r#"{"one":{"n":1},"many":[{"n":2},{"n":3}],"none":[],"after":"x"}"#
+        );
+        let v = parse(&line).unwrap();
+        assert_eq!(v.get("one").unwrap().get("n").unwrap().as_u64(), Some(1));
+        let Some(JsonValue::Arr(many)) = v.get("many") else {
+            panic!("no array: {v:?}")
+        };
+        assert_eq!(many.len(), 2);
     }
 
     #[test]

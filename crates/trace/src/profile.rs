@@ -96,7 +96,7 @@ pub struct ChaseProfile {
     /// modes, pool wall time (barrier to barrier) in parallel mode.
     pub evaluate_ns: u64,
     /// Wall time in the parallel barrier merge (obligation unification,
-    /// buffer absorption, delta routing); 0 in sequential modes.
+    /// buffer absorption, worklist hand-back); 0 in sequential modes.
     pub merge_ns: u64,
     /// Wall time in null-substitution passes.
     pub substitute_ns: u64,

@@ -90,13 +90,13 @@ fn resume_and_check(
     );
 }
 
-/// A kill landing *between* insertion and the sweep-boundary promotion of
-/// the inserted tuples: the consumer is declared before its producer, so
-/// the producer's sweep-1 inserts are routed to the consumer's worklist
-/// slot but claimed — and thereby folded into the old half — only in sweep
-/// 2. Interrupting before sweep 2 runs therefore checkpoints live
-/// `Pending::Delta` payloads whose tuples are all still *new*, and the v2
-/// envelope must round-trip that partition and resume to the uninterrupted
+/// A kill landing *between* insertion and the claim that would see the
+/// inserted tuples: the consumer is declared before its producer, so the
+/// producer's sweep-1 inserts sit past the consumer's watermark and are
+/// claimed — and thereby folded into the old half — only in sweep 2.
+/// Interrupting before sweep 2 runs therefore checkpoints live `delta`
+/// entries, and the v3 envelope must carry them as counts of trailing new
+/// rows — no tuple text in the worklist — and resume to the uninterrupted
 /// fixpoint.
 #[test]
 fn kill_between_insertion_and_promotion_round_trips_pending_deltas() {
@@ -110,18 +110,24 @@ fn kill_between_insertion_and_promotion_round_trips_pending_deltas() {
             .with_scheduler(mode);
         let want = clean_render(&inst, &deps, &cfg);
         let json = kill_before_sweep_2(&inst, &deps, &cfg);
+        assert!(json.starts_with("{\"version\":3,"), "{mode:?}: {json}");
+        let pending = &json[json.find("\"pending\":").expect("a worklist")..];
         if matches!(mode, SchedulerMode::Delta) {
-            // The window this test exists for: unclaimed delta payloads in
-            // the envelope, carrying their (all-new) partition record.
-            assert!(
-                json.contains("\"kind\":\"delta\""),
-                "{mode:?}: no pending delta checkpointed at the kill window: {json}"
-            );
-            assert!(
-                json.contains("\"new\":{"),
-                "{mode:?}: v2 envelope lacks the partition record: {json}"
+            // The window this test exists for: unclaimed work in the
+            // envelope. p's six B rows are past c's watermark (d's C has
+            // yet to be filled), as a count.
+            assert_eq!(
+                pending,
+                "\"pending\":[{\"kind\":\"delta\",\"new\":{\"B\":6}},\
+                 {\"kind\":\"idle\"},{\"kind\":\"idle\"}]}",
+                "{mode:?}: the kill window did not checkpoint c's unseen rows"
             );
         }
+        // Whatever the mode left pending, it is counts: no tuple text.
+        assert!(
+            !pending.contains("tuples") && !pending.contains('('),
+            "{mode:?}: tuple text in the worklist: {pending}"
+        );
         resume_and_check(&json, &deps, &cfg, &want, &format!("{mode:?}"));
     }
 }
@@ -129,8 +135,8 @@ fn kill_between_insertion_and_promotion_round_trips_pending_deltas() {
 /// "Any mode resumes any checkpoint": kill under mode A before sweep 2,
 /// round-trip the checkpoint through JSON, resume under mode B, and
 /// require the uninterrupted fixpoint — for all 4×4 (A, B) pairs, on the
-/// hand-written kill-window program (live `Pending::Delta` payloads cross
-/// the mode boundary) and on a generated egd-bearing scenario (a restored
+/// hand-written kill-window program (live `delta` entries cross the mode
+/// boundary) and on a generated egd-bearing scenario (a restored
 /// null map and post-merge `Full` slots cross it).
 #[test]
 fn any_mode_resumes_any_modes_checkpoint() {

@@ -203,18 +203,23 @@ fn uses_delta(body: &[Literal], b: &Bindings, delta: &BTreeMap<&'static str, Vec
 }
 
 /// Delta-seeded evaluation of `body`, every match in enumeration order.
+/// The engine is told only where each relation's new rows start: the
+/// cursor that cuts off as many trailing rows as the delta list is long.
 fn from_delta(
     inst: &Instance,
     body: &[Literal],
     delta: &BTreeMap<&'static str, Vec<Tuple>>,
 ) -> Vec<Bindings> {
-    let deltas: Vec<(&str, &[Tuple])> = delta.iter().map(|(r, t)| (*r, t.as_slice())).collect();
+    let cursor = |(rel, new): (&&'static str, &Vec<Tuple>)| {
+        let stored = inst.relation(rel).expect("a delta relation is stored");
+        (*rel, u64::from(stored.cursor_before_last(new.len())))
+    };
+    let since: Vec<(&str, u64)> = delta.iter().map(cursor).collect();
     let mut out = Vec::new();
-    let stale = evaluate_body_from_delta(inst, body, &deltas, |b| {
+    evaluate_body_from_delta(inst, body, &since, |b| {
         out.push(b.clone());
         Control::Continue
     });
-    assert_eq!(stale, 0);
     out
 }
 

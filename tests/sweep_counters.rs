@@ -43,13 +43,12 @@ fn render_run(out: &mut String, class: &str, stats: &ChaseStats, profile: &Chase
     let _ = writeln!(
         out,
         "  {class}: rounds={} full_rescans={} delta_activations={} delta_tuples_seeded={} \
-         stale_delta_skipped={} substitution_passes={} obligations_batched={} egd_merges={} \
+         substitution_passes={} obligations_batched={} egd_merges={} \
          tgd_applications={} tuples_inserted={} nulls_invented={}",
         stats.rounds,
         stats.full_rescans,
         stats.delta_activations,
         stats.delta_tuples_seeded,
-        stats.stale_delta_skipped,
         stats.substitution_passes,
         stats.obligations_batched,
         stats.egd_merges,
