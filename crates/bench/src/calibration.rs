@@ -1,19 +1,14 @@
-//! The bench-gate calibration workload.
+//! The ledger's calibration workload.
 //!
-//! `BENCH_baseline.json` stores wall times from whatever machine generated
-//! it; a CI runner from another hardware generation can be uniformly
-//! slower or faster without any code change. To make the regression gate
-//! portable, every harness run — and `bench_gate` itself — times one tiny
-//! **fixed** workload. The ratio between the local figure and the
-//! `calibration` record stored in the baseline estimates the machines'
-//! relative speed, and the gate scales the baseline by it before applying
-//! the threshold.
-//!
-//! The workload is a small deterministic chase (the reverse-declared copy
-//! chain of [`crate::workloads::delta_scaling_workload`]) run under the
-//! sequential delta scheduler: pure CPU + hashing, no I/O, no randomness,
-//! representative of what every gated workload actually does. Best-of-N
-//! keeps scheduler jitter out of the figure.
+//! `grombench` records `harness.calibration_ms` beside every result so two
+//! result files can be read knowing how fast the machine was when each was
+//! taken. The figure is the wall time of one tiny **fixed** workload: a
+//! small deterministic chase (the reverse-declared copy chain of
+//! [`crate::workloads::delta_scaling_workload`]) run under the sequential
+//! delta scheduler — pure CPU + hashing, no I/O, no randomness. Best-of-N
+//! keeps scheduler jitter out of the figure. Changing the workload breaks
+//! the comparability of every recorded figure, so its size is pinned by a
+//! test.
 
 use std::time::Instant;
 
@@ -22,13 +17,8 @@ use grom::prelude::ChaseConfig;
 
 use crate::workloads::delta_scaling_workload;
 
-/// The record name both the harness and the gate use for the calibration
-/// figure.
-pub const CALIBRATION_RECORD: &str = "calibration";
-
-/// Chain depth / width of the fixed workload. Small enough to add
-/// negligible time to a bench run, large enough (~10 ms on the reference
-/// machine) to sit above timer noise.
+/// Chain depth / width of the fixed workload: large enough to sit above
+/// timer noise, small enough to add nothing to a ledger run.
 const DEPTH: usize = 8;
 const WIDTH: usize = 400;
 const REPEATS: usize = 3;
@@ -58,5 +48,10 @@ mod tests {
     fn calibration_is_positive_and_finite() {
         let ms = calibration_ms();
         assert!(ms.is_finite() && ms > 0.0, "calibration_ms = {ms}");
+        // grombench's `harness.calibration_ms` is comparable across commits
+        // only while the workload is: `calibration_ms` checks every chase
+        // ends at (DEPTH + 1) * WIDTH tuples, this pins that to (8 + 1) * 400
+        // over three repeats.
+        assert_eq!((DEPTH, WIDTH, REPEATS), (8, 400, 3));
     }
 }

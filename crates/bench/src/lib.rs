@@ -1,23 +1,22 @@
-//! # grom-bench — workloads and the experiment harness
+//! # grom-bench — seeded workload generators
 //!
-//! Deterministic workload generators for the experiments of DESIGN.md
-//! (E1–E7), each reproducing a quantitative claim of the paper's §3–§4,
-//! plus a small fixed-width table printer used by the `experiments` binary
-//! and EXPERIMENTS.md.
+//! What the tests, the examples and the `grombench` ledger share: the
+//! paper's running example ([`workloads::RUNNING_EXAMPLE`]), one generator
+//! per quantitative claim of the paper's §3–§4 (asserted as exact counts in
+//! `tests/paper_claims.rs`), the scheduler/executor separation shapes, and
+//! the fixed calibration workload behind the ledger's
+//! `harness.calibration_ms`.
 //!
 //! All generators are seeded and pure: the same parameters produce the same
-//! scenario and instance, so criterion runs and the experiments binary are
-//! reproducible.
+//! scenario and instance. Nothing here measures anything — timing lives in
+//! `grombench/` (see `BENCHMARK.json`).
 
 pub mod calibration;
-pub mod report;
 pub mod workloads;
 
-pub use calibration::{calibration_ms, CALIBRATION_RECORD};
-pub use report::{flush_jsonl_env, record, BenchRecord, Table, BENCH_JSON_ENV};
+pub use calibration::calibration_ms;
 pub use workloads::{
-    conjunctive_family, delta_scaling_workload, egd_scaling_workload,
-    greedy_intricacy_attributable, greedy_intricacy_workload, negation_family,
-    parallel_scaling_workload, restriction_pair, running_example_scenario, running_example_source,
-    storage_scaling_workload, universal_model_workload, RunningExampleConfig,
+    conjunctive_family, delta_scaling_workload, egd_scaling_workload, greedy_intricacy_workload,
+    negation_family, parallel_scaling_workload, restriction_pair, running_example_scenario,
+    running_example_source, universal_model_workload, RunningExampleConfig,
 };

@@ -1,4 +1,7 @@
-//! Deterministic workload generators for experiments E1–E9.
+//! Deterministic workload generators: the paper's running example, the
+//! families behind its §3–§4 quantitative claims (E2–E6, asserted as exact
+//! counts in `tests/paper_claims.rs`) and the scheduler/executor separation
+//! shapes the profile tests chase.
 
 use grom::prelude::*;
 use rand::rngs::StdRng;
@@ -182,31 +185,7 @@ pub fn greedy_intricacy_workload(
     (prog.deps, inst)
 }
 
-/// E5b: like [`greedy_intricacy_workload`], but failures are *attributable*
-/// — the cheapest disjunct of each ded is an equality that clashes directly
-/// inside the derived dependency (`d{i}#0`) whenever the `P_i` fact is
-/// off-diagonal. The backjumping search can exploit the failure witness;
-/// the plain odometer cannot.
-pub fn greedy_intricacy_attributable(
-    k_deds: usize,
-    denied_frac: f64,
-    seed: u64,
-) -> (Vec<Dependency>, Instance) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut text = String::new();
-    let mut inst = Instance::new();
-    for i in 0..k_deds {
-        text.push_str(&format!("ded d{i}: P{i}(x, y) -> x = y | B{i}(x).\n"));
-        let denied = rng.gen_bool(denied_frac);
-        let y = if denied { 2 } else { 1 };
-        inst.add(format!("P{i}"), vec![Value::int(1), Value::int(y)])
-            .expect("fresh relation");
-    }
-    let prog = Program::parse(&text).expect("generated attributable workload parses");
-    (prog.deps, inst)
-}
-
-/// E7d: the delta-scheduling separation workload — a chain of copy tgds
+/// The delta-scheduling separation workload — a chain of copy tgds
 /// `L0 → L1 → … → L_depth` over `width` base tuples, with the dependencies
 /// *declared in reverse order* (`t_{depth-1}` first).
 ///
@@ -230,41 +209,7 @@ pub fn delta_scaling_workload(depth: usize, width: usize) -> (Vec<Dependency>, I
     (prog.deps, inst)
 }
 
-/// E12: the semi-naive separation workload — a chain of *multi-anchor*
-/// composition tgds
-///
-/// ```text
-/// c{i}:  E{i}(x, y), E{i}(y, z)  ->  E{i+1}(x, z)
-/// ```
-///
-/// over a path graph `E0 = {(v, v+1) | v < width}`, declared in reverse
-/// order as in [`delta_scaling_workload`]. Every premise reads the *same*
-/// relation at two positions, so each delta activation seeds **both**
-/// anchor positions: without old/new versioning the scheduler would
-/// enumerate each two-hop match once per anchor and need a dedup set to
-/// stay correct, while the semi-naive split (anchor scans new, earlier
-/// atoms scan old, later atoms scan old ∪ new) enumerates it exactly once.
-/// Level `k` holds the stride-`2^k` hops `(v, v + 2^k)` — the instance
-/// stays linear in `width` while every sweep is join-heavy. Constants
-/// only: all scheduler modes must produce byte-identical instances.
-pub fn seminaive_workload(levels: usize, width: usize) -> (Vec<Dependency>, Instance) {
-    let mut text = String::new();
-    for i in (0..levels).rev() {
-        text.push_str(&format!(
-            "tgd c{i}: E{i}(x, y), E{i}(y, z) -> E{}(x, z).\n",
-            i + 1
-        ));
-    }
-    let prog = Program::parse(&text).expect("generated semi-naive workload parses");
-    let mut inst = Instance::new();
-    for v in 0..width {
-        inst.add("E0", vec![Value::int(v as i64), Value::int(v as i64 + 1)])
-            .expect("fresh relation");
-    }
-    (prog.deps, inst)
-}
-
-/// E8: the parallel-executor separation workload — `partitions`
+/// The parallel-executor separation workload — `partitions`
 /// *independent* copy chains (disjoint relations `P{p}L{i}`, reverse
 /// declaration order as in [`delta_scaling_workload`]), each joining a
 /// small shared static relation `K` on the way down:
@@ -311,7 +256,7 @@ pub fn parallel_scaling_workload(
     (prog.deps, inst)
 }
 
-/// E9: the egd-heavy entity-resolution workload — sweep-level egd batching
+/// The egd-heavy entity-resolution workload — sweep-level egd batching
 /// vs the per-dependency substitution of the full-rescan reference.
 ///
 /// `clusters` chains of `chain` records each: every record `x` starts with
@@ -358,68 +303,6 @@ pub fn egd_scaling_workload(
                 .expect("fresh relation");
             }
         }
-    }
-    (prog.deps, inst)
-}
-
-/// E11: the storage-layer separation workload — string-keyed composite
-/// joins where the interned, hash-indexed tuple store earns its keep.
-///
-/// Two chained joins over long string keys:
-///
-/// ```text
-/// t0:  R(x, k, y), S(k, y, z)  ->  T(x, z)
-/// t1:  T(x, z), D(z, w)        ->  U(x, w)
-/// ```
-///
-/// `R` carries `width` rows whose second column is one of `keys` long,
-/// shared prefix strings (worst case for content hashing and equality);
-/// `S` joins on the **composite** `(k, y)` pair, so the static join-key
-/// analysis installs a two-column hash index, and every premise match
-/// probes it with a string component. Chasing the plain instance compares
-/// string contents at every probe; interning the instance and the
-/// dependencies first (`Instance::intern_strings` +
-/// `grom::intern_dependencies`) turns each comparison into a dense-id
-/// equality. Both runs must produce canonically identical instances.
-pub fn storage_scaling_workload(width: usize, keys: usize) -> (Vec<Dependency>, Instance) {
-    assert!(keys >= 1);
-    let text = "tgd t0: R(x, k, y), S(k, y, z) -> T(x, z).\n\
-                tgd t1: T(x, z), D(z, w) -> U(x, w).\n";
-    let prog = Program::parse(text).expect("generated storage-scaling workload parses");
-    // Long keys with a shared prefix: content comparison must walk the
-    // whole prefix before it can distinguish two keys. The carried id `x`
-    // is a (unique) string too, so the derived `T`/`U` tuples keep paying
-    // string hashing in the dedup maps unless the run is interned.
-    let key = |k: usize| format!("warehouse_partition_key_with_shared_prefix_{:06}", k % keys);
-    let id = |i: usize| format!("customer_record_identifier_with_shared_prefix_{i:08}");
-    let mut inst = Instance::new();
-    for i in 0..width {
-        inst.add(
-            "R",
-            vec![
-                Value::str(id(i)),
-                Value::str(key(i)),
-                Value::int((i % 7) as i64),
-            ],
-        )
-        .expect("fresh relation");
-    }
-    for k in 0..keys {
-        for m in 0..7i64 {
-            inst.add(
-                "S",
-                vec![
-                    Value::str(key(k)),
-                    Value::int(m),
-                    Value::int(k as i64 * 7 + m),
-                ],
-            )
-            .expect("fresh relation");
-        }
-    }
-    for z in 0..(keys as i64 * 7) {
-        inst.add("D", vec![Value::int(z), Value::int(z % 13)])
-            .expect("fresh relation");
     }
     (prog.deps, inst)
 }
@@ -545,24 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn attributable_workload_separates_strategies() {
-        let (deps, inst) = greedy_intricacy_attributable(8, 0.5, 3);
-        let plain =
-            grom::chase::chase_greedy(inst.clone(), &deps, &ChaseConfig::default()).unwrap();
-        let jump =
-            grom::chase::chase_greedy_backjump(inst, &deps, &ChaseConfig::default()).unwrap();
-        // Backjumping is linear in the number of denied branches; the
-        // plain odometer is exponential.
-        assert!(jump.stats.scenarios_tried < plain.stats.scenarios_tried);
-        assert!(jump.stats.scenarios_tried <= 9);
-        // Both deliver valid solutions.
-        for d in &deps {
-            assert!(grom::engine::dependency_satisfied(&plain.instance, d));
-            assert!(grom::engine::dependency_satisfied(&jump.instance, d));
-        }
-    }
-
-    #[test]
     fn delta_scaling_workload_separates_schedulers() {
         use grom::chase::{chase_standard, chase_standard_full_rescan};
         let (deps, inst) = delta_scaling_workload(6, 20);
@@ -582,30 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn seminaive_workload_agrees_across_schedulers() {
-        use grom::chase::{chase_standard, chase_standard_full_rescan};
-        let (deps, inst) = seminaive_workload(4, 20);
-        assert_eq!(deps.len(), 4);
-        let cfg = ChaseConfig::default();
-        let delta = chase_standard(inst.clone(), &deps, &cfg).unwrap();
-        let naive = chase_standard_full_rescan(inst, &deps, &cfg).unwrap();
-        // Constants only: byte-identical instances.
-        assert_eq!(delta.instance.to_string(), naive.instance.to_string());
-        // Level k holds the stride-2^k hops (v, v + 2^k): width - 2^k + 1
-        // tuples. 20 + 19 + 17 + 13 + 5.
-        assert_eq!(delta.instance.len(), 74);
-        // The multi-anchor deltas actually drive the run: every level past
-        // the seed activates on its predecessor's insertions.
-        assert!(delta.stats.delta_activations >= 3);
-    }
-
-    #[test]
     fn parallel_scaling_workload_partitions_are_independent() {
         use grom::chase::{chase_standard, Partition, SchedulerMode, TriggerIndex};
         let (deps, inst) = parallel_scaling_workload(4, 3, 15);
         assert_eq!(deps.len(), 12);
-        // One conflict-free group per chain: the parallelism the e8 bench
-        // exploits.
+        // One conflict-free group per chain: the parallelism a pool
+        // can exploit.
         let part = Partition::build(&deps, &TriggerIndex::build(&deps));
         assert_eq!(part.group_count(), 4);
 

@@ -228,9 +228,6 @@ pub struct ChaseConfig {
     pub max_scenarios: usize,
     /// Maximum number of tree nodes the exhaustive ded chase will expand.
     pub max_nodes: usize,
-    /// Maximum number of chase *steps* (single dependency applications) in
-    /// one branch of the exhaustive chase.
-    pub max_steps_per_branch: usize,
     /// Premise scheduling strategy for the standard chase (and therefore for
     /// every ded-chase scenario and exhaustive-chase node closure).
     pub scheduler: SchedulerMode,
@@ -252,7 +249,6 @@ impl Default for ChaseConfig {
             max_rounds: 10_000,
             max_scenarios: 4_096,
             max_nodes: 1_000_000,
-            max_steps_per_branch: 1_000_000,
             scheduler: SchedulerMode::default(),
             trace: TraceHandle::none(),
             budget: Budget::none(),

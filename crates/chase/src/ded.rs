@@ -12,8 +12,14 @@
 //! * [`chase_exhaustive`] — the complete tree chase: at every ded violation
 //!   fork one branch per disjunct; the successful leaves form the
 //!   **universal model set** (Deutsch–Nash–Remmel), whose size may be
-//!   exponential in the number of violations — the blow-up experiment E4
-//!   measures, and the reason GROM defaults to the greedy strategy.
+//!   exponential in the number of violations (2^k leaves for k independent
+//!   violations of a binary ded; `tests/paper_claims.rs` pins the counts),
+//!   and the reason GROM defaults to the greedy strategy.
+//!
+//! [`chase_greedy`] is the only scenario enumeration: a blind odometer over
+//! the deds' disjunct orderings that learns nothing from a failed scenario
+//! (`tests/paper_claims.rs` E5 pins what that costs as failing branches
+//! get denser).
 //!
 //! Both strategies close instances under the *standard* dependencies by
 //! delegating to [`chase_standard`], so every scenario run and every
@@ -193,99 +199,6 @@ pub fn chase_with_deds_outcome(
     config: &ChaseConfig,
 ) -> Result<ChaseOutcome, ChaseError> {
     ChaseOutcome::from_run(chase_with_deds(start, deps, config))
-}
-
-/// Ablation of the greedy strategy: **backjumping** scenario search.
-///
-/// The paper's greedy chase enumerates scenarios blindly; when scenario
-/// `(A, A, …, A)` fails because ded 7's branch is denied, the plain
-/// odometer still tries every combination of the *other* deds before
-/// flipping ded 7. This variant reads the failure witness (the derived
-/// dependency `name#i` that caused the chase failure), advances the
-/// odometer *at that ded's position* and resets everything after it.
-///
-/// The jump is a heuristic: a branch that failed under one combination
-/// might succeed under another (ded interactions through shared
-/// predicates), so this strategy can miss solutions the plain enumeration
-/// finds — it trades completeness-within-the-scenario-space for search
-/// time. Experiment E5b quantifies the trade-off.
-pub fn chase_greedy_backjump(
-    start: Instance,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, true)?;
-    }
-    let config = &campaign_config(config);
-    let (standard, deds) = split(deps);
-    if deds.is_empty() {
-        return chase_standard(start, &standard, config);
-    }
-
-    let orders = greedy_orders(&deds);
-    let mut stats = ChaseStats::default();
-    let standard_len = standard.len();
-    let mut scenario_deps = standard;
-    let mut odometer = vec![0usize; deds.len()];
-
-    loop {
-        if stats.scenarios_tried >= config.max_scenarios {
-            return Err(ChaseError::GreedyExhausted {
-                scenarios_tried: stats.scenarios_tried,
-                stats: Box::new(stats.clone()),
-                profile: Box::new(ChaseProfile::default()),
-            });
-        }
-        stats.scenarios_tried += 1;
-
-        let choice: Vec<usize> = odometer
-            .iter()
-            .enumerate()
-            .map(|(k, &o)| orders[k][o])
-            .collect();
-        scenario_deps.truncate(standard_len);
-        let derived = derive_scenario(&deds, &choice);
-        // name of the derived dep -> ded index, to locate failures.
-        let derived_names: Vec<std::sync::Arc<str>> =
-            derived.iter().map(|d| d.name.clone()).collect();
-        scenario_deps.extend(derived);
-
-        let failed_at = match chase_standard(start.clone(), &scenario_deps, config) {
-            Ok(mut result) => {
-                result.stats.scenarios_tried = stats.scenarios_tried;
-                result.stats.scenarios_failed = stats.scenarios_failed;
-                return Ok(result);
-            }
-            Err(ChaseError::Failure { dependency, .. }) => {
-                stats.scenarios_failed += 1;
-                derived_names.iter().position(|n| *n == dependency)
-            }
-            Err(other) => return Err(other),
-        };
-
-        // Backjump: advance at the failing ded (or the last position when
-        // the failure is not attributable), resetting later positions.
-        let mut k = failed_at.unwrap_or(deds.len() - 1);
-        for slot in odometer.iter_mut().skip(k + 1) {
-            *slot = 0;
-        }
-        loop {
-            odometer[k] += 1;
-            if odometer[k] < orders[k].len() {
-                break;
-            }
-            odometer[k] = 0;
-            if k == 0 {
-                return Err(ChaseError::GreedyExhausted {
-                    scenarios_tried: stats.scenarios_tried,
-                    stats: Box::new(stats.clone()),
-                    profile: Box::new(ChaseProfile::default()),
-                });
-            }
-            k -= 1;
-        }
-    }
 }
 
 /// Find the first ded violation in `inst`: `(ded index, premise match)`.
@@ -597,63 +510,6 @@ mod tests {
         assert!(all_hold(&greedy.instance, std::slice::from_ref(&d)));
         let ex = chase_exhaustive(start, std::slice::from_ref(&d), &cfg()).unwrap();
         assert!(!ex.solutions.is_empty());
-    }
-
-    #[test]
-    fn backjump_skips_ahead_on_attributable_failures() {
-        // d1's equality disjunct clashes directly (an attributable failure
-        // inside the derived dependency `d1#0`): the backjumper flips d1
-        // immediately instead of first cycling d2 through its options.
-        let p = parse_program(
-            "ded d0: P0(x, y) -> x = y | B0(x).\n\
-             ded d1: P1(x, y) -> x = y | B1(x).\n\
-             ded d2: P2(x, y) -> x = y | B2(x).",
-        )
-        .unwrap();
-        let mut start = Instance::new();
-        start.add("P0", vec![Value::int(1), Value::int(1)]).unwrap();
-        start.add("P1", vec![Value::int(1), Value::int(2)]).unwrap(); // clash
-        start.add("P2", vec![Value::int(1), Value::int(1)]).unwrap();
-        let plain = chase_greedy(start.clone(), &p.deps, &cfg()).unwrap();
-        let jump = chase_greedy_backjump(start, &p.deps, &cfg()).unwrap();
-        assert!(all_hold(&plain.instance, &p.deps));
-        assert!(all_hold(&jump.instance, &p.deps));
-        // Plain odometer: (eq,eq,eq) fail, (eq,eq,B2) fail, (eq,B1,eq) ok.
-        assert_eq!(plain.stats.scenarios_tried, 3);
-        // Backjump: (eq,eq,eq) fails at d1 -> flip d1 -> (eq,B1,eq) ok.
-        assert_eq!(jump.stats.scenarios_tried, 2);
-    }
-
-    #[test]
-    fn backjump_falls_back_when_failure_is_not_attributable() {
-        // The failure surfaces at a *denial*, not at a derived dependency:
-        // the backjumper degrades to plain odometer behaviour but still
-        // finds the solution.
-        let p = parse_program(
-            "ded d0: P0(x) -> A0(x) | B0(x).\n\
-             ded d1: P1(x) -> A1(x) | B1(x).\n\
-             dep n1: A1(x) -> false.",
-        )
-        .unwrap();
-        let mut start = Instance::new();
-        for i in 0..2 {
-            start.add(format!("P{i}"), vec![Value::int(1)]).unwrap();
-        }
-        let jump = chase_greedy_backjump(start, &p.deps, &cfg()).unwrap();
-        assert!(all_hold(&jump.instance, &p.deps));
-        assert!(jump.stats.scenarios_tried <= 4);
-    }
-
-    #[test]
-    fn backjump_exhausts_cleanly() {
-        let p = parse_program(
-            "ded d: P(x) -> Q(x) | R(x).\n\
-             dep nq: Q(x) -> false.\n\
-             dep nr: R(x) -> false.",
-        )
-        .unwrap();
-        let res = chase_greedy_backjump(inst(&[("P", &[1])]), &p.deps, &cfg());
-        assert!(matches!(res, Err(ChaseError::GreedyExhausted { .. })));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::scenario::MappingScenario;
 use crate::validate::{validate_with_source_extents, ValidationReport};
 
 /// Options for [`MappingScenario::run`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PipelineOptions {
     pub rewrite: RewriteOptions,
     pub chase: ChaseConfig,
@@ -31,25 +31,6 @@ pub struct PipelineOptions {
     /// example. The core of a universal solution is itself a universal
     /// solution, so validation still holds. Off by default (extra cost).
     pub core_minimize: bool,
-    /// Intern string constants before the chase (on by default): the
-    /// working instance and the rewritten dependencies pass through one
-    /// [`SymbolTable`], so premise joins compare dense symbol ids instead
-    /// of string contents. The target is un-interned on extraction, so
-    /// results are byte-identical either way.
-    pub interning: bool,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        Self {
-            rewrite: RewriteOptions::default(),
-            chase: ChaseConfig::default(),
-            skip_validation: false,
-            skip_typecheck: false,
-            core_minimize: false,
-            interning: true,
-        }
-    }
 }
 
 impl PipelineOptions {
@@ -60,13 +41,6 @@ impl PipelineOptions {
     /// (see [`grom_chase::SchedulerMode`]) and `grom run --threads`.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.chase = self.chase.with_threads(threads);
-        self
-    }
-
-    /// Enable or disable symbol interning for the chase (see
-    /// [`PipelineOptions::interning`]).
-    pub fn with_interning(mut self, interning: bool) -> Self {
-        self.interning = interning;
         self
     }
 }
@@ -249,15 +223,15 @@ impl MappingScenario {
         //    round budget).
         let wa_report = grom_chase::is_weakly_acyclic(&rewritten.deps);
 
-        // 4. Chase (greedy ded strategy when deds are present). With
-        //    interning on, the working instance and the dependency
-        //    constants pass through one symbol table first, so every join
-        //    and dedup inside the chase compares dense ids; the extraction
-        //    below folds the symbols back into plain strings. An
-        //    interrupted chase is un-interned the same way before it
-        //    propagates, so its checkpoint serializes plain strings and
-        //    resumes without the run's symbol table.
-        let result = if options.interning {
+        // 4. Chase (greedy ded strategy when deds are present). The
+        //    working instance and the dependency constants pass through one
+        //    symbol table first, so every join and dedup inside the chase
+        //    compares dense ids; the extraction below folds the symbols
+        //    back into plain strings. An interrupted chase is un-interned
+        //    the same way before it propagates, so its checkpoint
+        //    serializes plain strings and resumes without the run's symbol
+        //    table.
+        let result = {
             let mut table = SymbolTable::new();
             let interned = working.intern_strings(&mut table);
             drop(working);
@@ -270,8 +244,6 @@ impl MappingScenario {
                 }
                 Err(e) => return Err(e.into()),
             }
-        } else {
-            chase_with_deds(working, &rewritten.deps, &options.chase)?
         };
 
         // 5. Extract the target instance: target-schema relations only,
