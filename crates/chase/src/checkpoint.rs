@@ -103,9 +103,9 @@ impl Checkpoint {
     /// Map interned symbols back to plain strings everywhere a value can
     /// hide: the instance and the null map (the worklist holds counts).
     pub(crate) fn unintern(&mut self) {
-        self.instance = self.instance.unintern_strings();
+        self.instance.unintern();
         for (_, v) in &mut self.nullmap {
-            *v = v.unintern();
+            v.unintern();
         }
     }
 

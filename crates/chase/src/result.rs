@@ -131,7 +131,7 @@ impl Interrupted {
     /// carried instance and the checkpoint. The pipeline calls this when
     /// string interning was enabled for the run.
     pub fn unintern(&mut self) {
-        self.instance = self.instance.unintern_strings();
+        self.instance.unintern();
         self.checkpoint.unintern();
     }
 }

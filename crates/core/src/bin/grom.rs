@@ -199,6 +199,17 @@ fn report_interrupted(
     ExitCode::from(3)
 }
 
+/// Print an instance to stdout: rendered once, written once. (`print!`
+/// would stream `Display` through the line-buffered handle — one `write(2)`
+/// per fact.)
+fn print_instance(inst: &Instance) -> Result<(), String> {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    out.write_all(inst.to_string().as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write to stdout: {e}"))
+}
+
 fn cmd_run(path: &str, rest: &[String]) -> ExitCode {
     let mut data_file: Option<&str> = None;
     let mut core = false;
@@ -319,7 +330,9 @@ fn cmd_run(path: &str, rest: &[String]) -> ExitCode {
                     Ok(t) => t,
                     Err(e) => return fail(e),
                 };
-                print!("{target}");
+                if let Err(e) = print_instance(&target) {
+                    return fail(e);
+                }
                 if !quiet {
                     eprintln!("chase: {}", res.stats);
                 }
@@ -334,7 +347,9 @@ fn cmd_run(path: &str, rest: &[String]) -> ExitCode {
 
     match scenario.run(&source, &options) {
         Ok(result) => {
-            print!("{}", result.target);
+            if let Err(e) = print_instance(&result.target) {
+                return fail(e);
+            }
             if !quiet {
                 eprintln!("chase: {}", result.chase_stats);
                 eprintln!("termination: {}", result.wa_report);

@@ -23,10 +23,12 @@
 //!    are conjunctive, deds when negation requires them,
 //! 3. **chase** the source instance with the rewritten program
 //!    (`grom-chase`; greedy scenario search for deds),
-//! 4. extract the target instance `J_T`, and optionally
+//! 4. split the target relations `J_T` off the chased instance, and
+//!    optionally
 //! 5. **validate** the soundness contract: `Υ_T(J_T)` must satisfy the
 //!    original semantic mapping (the paper's soundness theorem, checked
-//!    instance by instance).
+//!    instance by instance) — on the chased, still interned relations;
+//!    `J_T` is handed back as plain strings afterwards.
 //!
 //! ```
 //! use grom::prelude::*;

@@ -1,6 +1,7 @@
-//! The GROM pipeline: materialize source views → rewrite → chase →
-//! extract the target instance → validate.
+//! The GROM pipeline: materialize source views → rewrite → intern → chase
+//! → split off the target → validate → un-intern in place.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use grom_chase::{
@@ -8,11 +9,13 @@ use grom_chase::{
 };
 use grom_data::{DataError, Instance, SymbolTable, Value};
 use grom_engine::MaterializeError;
-use grom_lang::{Atom, Comparison, Dependency, Disjunct, LangError, Literal, Term};
+use grom_lang::{
+    Atom, Comparison, Dependency, Disjunct, LangError, Literal, Term, ViewRule, ViewSet,
+};
 use grom_rewrite::{rewrite_program, RewriteError, RewriteOptions, RewriteOutput};
 
 use crate::scenario::MappingScenario;
-use crate::validate::{validate_with_source_extents, ValidationReport};
+use crate::validate::{validate_layers, ValidationReport};
 
 /// Options for [`MappingScenario::run`].
 #[derive(Debug, Clone, Default)]
@@ -51,54 +54,116 @@ impl PipelineOptions {
 /// calls this with the same table that interned the working instance —
 /// using a different table would silently break constant/instance joins.
 pub fn intern_dependencies(deps: &[Dependency], table: &mut SymbolTable) -> Vec<Dependency> {
-    fn value(v: &Value, table: &mut SymbolTable) -> Value {
-        match v {
-            Value::Str(s) => Value::Sym(table.intern(s)),
-            other => other.clone(),
-        }
+    deps.iter().map(|d| intern_dependency(d, table)).collect()
+}
+
+fn intern_term(t: &Term, table: &mut SymbolTable) -> Term {
+    match t {
+        Term::Const(Value::Str(s)) => Term::Const(Value::Sym(table.intern(s))),
+        other => other.clone(),
     }
-    fn term(t: &Term, table: &mut SymbolTable) -> Term {
-        match t {
-            Term::Const(v) => Term::Const(value(v, table)),
-            var => var.clone(),
-        }
+}
+
+fn intern_atom(a: &Atom, table: &mut SymbolTable) -> Atom {
+    Atom {
+        predicate: a.predicate.clone(),
+        args: a.args.iter().map(|t| intern_term(t, table)).collect(),
     }
-    fn atom(a: &Atom, table: &mut SymbolTable) -> Atom {
-        Atom {
-            predicate: a.predicate.clone(),
-            args: a.args.iter().map(|t| term(t, table)).collect(),
-        }
-    }
-    fn cmp(c: &Comparison, table: &mut SymbolTable) -> Comparison {
-        Comparison::new(c.op, term(&c.lhs, table), term(&c.rhs, table))
-    }
-    deps.iter()
-        .map(|d| Dependency {
-            name: d.name.clone(),
-            premise: d
-                .premise
-                .iter()
-                .map(|l| match l {
-                    Literal::Pos(a) => Literal::Pos(atom(a, table)),
-                    Literal::Neg(a) => Literal::Neg(atom(a, table)),
-                    Literal::Cmp(c) => Literal::Cmp(cmp(c, table)),
-                })
-                .collect(),
-            disjuncts: d
-                .disjuncts
-                .iter()
-                .map(|dj| Disjunct {
-                    atoms: dj.atoms.iter().map(|a| atom(a, table)).collect(),
-                    eqs: dj
-                        .eqs
-                        .iter()
-                        .map(|(l, r)| (term(l, table), term(r, table)))
-                        .collect(),
-                    cmps: dj.cmps.iter().map(|c| cmp(c, table)).collect(),
-                })
-                .collect(),
+}
+
+fn intern_cmp(c: &Comparison, table: &mut SymbolTable) -> Comparison {
+    Comparison::new(c.op, intern_term(&c.lhs, table), intern_term(&c.rhs, table))
+}
+
+fn intern_body(body: &[Literal], table: &mut SymbolTable) -> Vec<Literal> {
+    body.iter()
+        .map(|l| match l {
+            Literal::Pos(a) => Literal::Pos(intern_atom(a, table)),
+            Literal::Neg(a) => Literal::Neg(intern_atom(a, table)),
+            Literal::Cmp(c) => Literal::Cmp(intern_cmp(c, table)),
         })
         .collect()
+}
+
+fn intern_dependency(d: &Dependency, table: &mut SymbolTable) -> Dependency {
+    Dependency {
+        name: d.name.clone(),
+        premise: intern_body(&d.premise, table),
+        disjuncts: d
+            .disjuncts
+            .iter()
+            .map(|dj| Disjunct {
+                atoms: dj.atoms.iter().map(|a| intern_atom(a, table)).collect(),
+                eqs: dj
+                    .eqs
+                    .iter()
+                    .map(|(l, r)| (intern_term(l, table), intern_term(r, table)))
+                    .collect(),
+                cmps: dj.cmps.iter().map(|c| intern_cmp(c, table)).collect(),
+            })
+            .collect(),
+    }
+}
+
+fn intern_rule(r: &ViewRule, table: &mut SymbolTable) -> ViewRule {
+    ViewRule::new(intern_atom(&r.head, table), intern_body(&r.body, table))
+}
+
+fn is_str(t: &Term) -> bool {
+    matches!(t, Term::Const(Value::Str(_)))
+}
+
+fn atom_has_str(a: &Atom) -> bool {
+    a.args.iter().any(is_str)
+}
+
+fn cmp_has_str(c: &Comparison) -> bool {
+    is_str(&c.lhs) || is_str(&c.rhs)
+}
+
+fn body_has_str(body: &[Literal]) -> bool {
+    body.iter().any(|l| match l {
+        Literal::Pos(a) | Literal::Neg(a) => atom_has_str(a),
+        Literal::Cmp(c) => cmp_has_str(c),
+    })
+}
+
+fn dependency_has_str(d: &Dependency) -> bool {
+    body_has_str(&d.premise)
+        || d.disjuncts.iter().any(|dj| {
+            dj.atoms.iter().any(atom_has_str)
+                || dj.eqs.iter().any(|(l, r)| is_str(l) || is_str(r))
+                || dj.cmps.iter().any(cmp_has_str)
+        })
+}
+
+fn rule_has_str(r: &ViewRule) -> bool {
+    atom_has_str(&r.head) || body_has_str(&r.body)
+}
+
+/// [`intern_dependencies`] that copies only when there is something to
+/// intern: a program without a single string constant — most are, view
+/// ladders over keys and ratings — is handed on as it stands. (Per program,
+/// not per dependency: the chase reads one contiguous `&[Dependency]`.)
+fn interned_dependencies<'a>(
+    deps: &'a [Dependency],
+    table: &mut SymbolTable,
+) -> Cow<'a, [Dependency]> {
+    if deps.iter().any(dependency_has_str) {
+        Cow::Owned(intern_dependencies(deps, table))
+    } else {
+        Cow::Borrowed(deps)
+    }
+}
+
+/// [`interned_dependencies`] for a view set.
+fn interned_views<'a>(views: &'a ViewSet, table: &mut SymbolTable) -> Cow<'a, ViewSet> {
+    if views.rules().iter().any(rule_has_str) {
+        let rules = views.rules().iter().map(|r| intern_rule(r, table));
+        Cow::Owned(ViewSet::from_rules(rules).expect("interning keeps every head"))
+    } else {
+        Cow::Borrowed(views)
+    }
 }
 
 /// Everything the pipeline produces.
@@ -208,13 +273,11 @@ impl MappingScenario {
             self.typecheck_source(source)?;
         }
 
-        // 1. Materialize the source semantic schema (if any) and extend the
-        //    working database with its extents.
+        // 1. Materialize the source semantic schema (if any); its extents
+        //    join the source as chase input in step 4.
         let materialized = grom_engine::materialize_views_tracked(&self.source_views, source)?;
         let source_view_extents = materialized.extents;
         let source_view_counts = materialized.per_view;
-        let mut working = source.clone();
-        working.absorb(&source_view_extents)?;
 
         // 2. Rewrite against the target views.
         let rewritten = self.rewrite(&options.rewrite)?;
@@ -223,51 +286,73 @@ impl MappingScenario {
         //    round budget).
         let wa_report = grom_chase::is_weakly_acyclic(&rewritten.deps);
 
-        // 4. Chase (greedy ded strategy when deds are present). The
-        //    working instance and the dependency constants pass through one
-        //    symbol table first, so every join and dedup inside the chase
-        //    compares dense ids; the extraction below folds the symbols
-        //    back into plain strings. An interrupted chase is un-interned
-        //    the same way before it propagates, so its checkpoint
-        //    serializes plain strings and resumes without the run's symbol
-        //    table.
-        let result = {
-            let mut table = SymbolTable::new();
-            let interned = working.intern_strings(&mut table);
-            drop(working);
-            let deps = intern_dependencies(&rewritten.deps, &mut table);
-            match chase_with_deds(interned, &deps, &options.chase) {
-                Ok(r) => r,
-                Err(ChaseError::Interrupted(mut i)) => {
-                    i.unintern();
-                    return Err(PipelineError::Chase(ChaseError::Interrupted(i)));
-                }
-                Err(e) => return Err(e.into()),
+        // 4. Chase (greedy ded strategy when deds are present). Everything
+        //    the rest of the run compares against instance columns passes
+        //    through one symbol table first — source ∪ source extents
+        //    (interned straight into the chase input; their vocabularies are
+        //    disjoint, `validate` rejects a view named like a relation), the
+        //    rewritten program, and what step 5 validates with: the
+        //    scenario's own dependencies and target view rules — so every
+        //    join, dedup and check from here to step 6 compares dense ids.
+        //    An interrupted chase is un-interned before it propagates, so
+        //    its checkpoint serializes plain strings and resumes without
+        //    the run's symbol table.
+        let mut table = SymbolTable::new();
+        let interned = Instance::interned(&[source, &source_view_extents], &mut table);
+        let deps = interned_dependencies(&rewritten.deps, &mut table);
+        let certificate = (!options.skip_validation).then(|| {
+            (
+                interned_dependencies(&self.mappings, &mut table),
+                interned_dependencies(&self.target_constraints, &mut table),
+                interned_views(&self.target_views, &mut table),
+            )
+        });
+        drop(table);
+        let result = match chase_with_deds(interned, &deps, &options.chase) {
+            Ok(r) => r,
+            Err(ChaseError::Interrupted(mut i)) => {
+                i.unintern();
+                return Err(PipelineError::Chase(ChaseError::Interrupted(i)));
             }
+            Err(e) => return Err(e.into()),
         };
 
-        // 5. Extract the target instance: target-schema relations only,
-        //    un-interned back to string constants. Nothing reads the chased
-        //    instance after this.
-        let mut target = self.extract_target(&result.instance)?;
-        drop(result.instance);
-
-        // 5b. Optional core minimization of the universal solution.
+        // 5. The chased instance is source ∪ source extents ∪ target,
+        //    interned and indexed: split it by moving each relation whole
+        //    into `target` (target-schema names) or `rest`, minimize the
+        //    target towards its core when asked, and certify it as it
+        //    stands — `rest`, `target` and `Υ_T(target)` read as one
+        //    database, the chase's indexes still in place. Unless there
+        //    are target views: then `Υ_T(target)` is about to be allocated
+        //    beside all of it, and the indexes are the part that can be
+        //    given back first (validation rebuilds the few it probes) —
+        //    kept, they put the run's peak here instead of in the chase.
+        let (mut target, mut rest) = result
+            .instance
+            .partition(|name| self.target_schema.contains(name));
         let core_stats = options
             .core_minimize
             .then(|| grom_chase::core_minimize(&mut target));
-
-        // 6. Soundness certificate.
-        let validation = if options.skip_validation {
-            None
-        } else {
-            Some(validate_with_source_extents(
-                self,
-                source,
-                &source_view_extents,
-                &target,
-            )?)
+        let validation = match &certificate {
+            Some((mappings, constraints, views)) => {
+                if !views.is_empty() {
+                    target.forget_indexes();
+                    rest.forget_indexes();
+                }
+                Some(validate_layers(
+                    &[&rest],
+                    &target,
+                    views,
+                    mappings.iter().chain(constraints.iter()),
+                )?)
+            }
+            None => None,
         };
+        drop(rest);
+
+        // 6. Only now do the symbols turn back into plain strings, inside
+        //    the rows the chase built: no `Sym` reaches the caller.
+        target.unintern();
 
         Ok(ExchangeResult {
             target,
@@ -282,16 +367,12 @@ impl MappingScenario {
         })
     }
 
-    /// Project a chased instance down to the target schema, folding
-    /// interned symbols back into plain string constants.
+    /// Project a chased instance down to the target schema as plain
+    /// strings: a copy of the target relations, un-interned the way
+    /// [`MappingScenario::run`] un-interns the ones it owns.
     pub fn extract_target(&self, chased: &Instance) -> Result<Instance, PipelineError> {
-        let mut target = Instance::new();
-        for rel in self.target_schema.relations() {
-            for t in chased.tuples(rel.name()) {
-                let values: Vec<Value> = t.values().iter().map(Value::unintern).collect();
-                target.insert(rel.name(), values.into())?;
-            }
-        }
+        let mut target = chased.restricted(|name| self.target_schema.contains(name));
+        target.unintern();
         Ok(target)
     }
 
@@ -652,6 +733,109 @@ mod tests {
         let res = sc.run(&paper_source(), &opts).unwrap();
         assert_eq!(res.core_stats.unwrap().nulls_folded, 0);
         assert!(res.validation.unwrap().ok);
+    }
+
+    /// The dependencies a report names as violated.
+    fn violated(report: &ValidationReport) -> Vec<&str> {
+        let names = report.violations.iter().map(|v| v.split('`').nth(1));
+        names.map(|n| n.expect("`name` in a violation")).collect()
+    }
+
+    #[test]
+    fn interned_validation_names_what_string_validation_names() {
+        let prog = Program::parse(
+            r#"
+            schema source { S_Emp(name: string, dept: string); }
+            schema target { T_Emp(name: string, dept: string); T_Dept(dept: string, floor: int); }
+            view Works(n, d) <- T_Emp(n, d), T_Dept(d, f).
+            view Hq(n) <- T_Emp(n, "hq").
+            tgd m: S_Emp(n, d) -> Works(n, d).
+            tgd hq: S_Emp(n, "hq") -> Hq(n).
+            egd key: T_Emp(n, d1), T_Emp(n, d2) -> d1 = d2.
+            "#,
+        )
+        .unwrap();
+        let sc = MappingScenario::from_program(&prog).unwrap();
+        let mut source = Instance::new();
+        for (n, d) in [("ann", "db"), ("bob", "hq"), ("cy", "db")] {
+            source
+                .add("S_Emp", vec![Value::str(n), Value::str(d)])
+                .unwrap();
+        }
+
+        // `run` up to the chase, kept apart so that the chased instance
+        // can be tampered with before the tail sees it.
+        let rewritten = sc.rewrite(&RewriteOptions::default()).unwrap();
+        let mut table = SymbolTable::new();
+        let interned = Instance::interned(&[&source], &mut table);
+        let deps = interned_dependencies(&rewritten.deps, &mut table);
+        let mappings = interned_dependencies(&sc.mappings, &mut table);
+        let constraints = interned_dependencies(&sc.target_constraints, &mut table);
+        let views = interned_views(&sc.target_views, &mut table);
+        assert!(matches!(views, Cow::Owned(_)) && matches!(constraints, Cow::Borrowed(_)));
+        let chased = chase_with_deds(interned, &deps, &ChaseConfig::default())
+            .unwrap()
+            .instance;
+
+        // Both validations of one chased instance; they must name the same
+        // dependencies (witnesses may differ: the layers enumerate apart).
+        let verdict = |chased: Instance| -> Vec<String> {
+            let copy = sc.extract_target(&chased).unwrap();
+            let by_strings = crate::validate_solution(&sc, &source, &copy).unwrap();
+            let (target, rest) = chased.partition(|name| sc.target_schema.contains(name));
+            let own = mappings.iter().chain(constraints.iter());
+            let by_ids = validate_layers(&[&rest], &target, &views, own).unwrap();
+            assert_eq!(violated(&by_ids), violated(&by_strings));
+            assert_eq!(by_ids.checked, by_strings.checked);
+            assert_eq!(by_ids.ok, by_strings.ok);
+            violated(&by_ids).into_iter().map(String::from).collect()
+        };
+        assert_eq!(verdict(chased.clone()), Vec::<String>::new());
+
+        // Delete one target tuple: bob no longer works at the hq.
+        let sym = |table: &mut SymbolTable, s: &str| Value::Sym(table.intern(&s.into()));
+        let bob = Tuple::new(vec![sym(&mut table, "bob"), sym(&mut table, "hq")]);
+        assert!(chased.contains_fact("T_Emp", &bob));
+        let without = chased
+            .facts()
+            .filter(|f| !(f.relation.as_ref() == "T_Emp" && f.tuple == bob));
+        let without = Instance::from_facts(without).unwrap();
+        assert_eq!(without.len(), chased.len() - 1);
+        assert_eq!(verdict(without), ["m", "hq"]);
+
+        // Add one key-violating tuple: ann in a second department.
+        let mut doubled = chased.clone();
+        let moonlighting = vec![sym(&mut table, "ann"), sym(&mut table, "hq")];
+        assert!(doubled.add("T_Emp", moonlighting).unwrap());
+        assert_eq!(verdict(doubled), ["key"]);
+    }
+
+    #[test]
+    fn constant_free_programs_are_interned_without_a_copy() {
+        let sc = paper_scenario();
+        let rewritten = sc.rewrite(&RewriteOptions::default()).unwrap();
+        let mut table = SymbolTable::new();
+        // Ratings are ints: nothing to intern, nothing copied.
+        assert!(matches!(
+            interned_dependencies(&rewritten.deps, &mut table),
+            Cow::Borrowed(_)
+        ));
+        assert!(matches!(
+            interned_views(&sc.target_views, &mut table),
+            Cow::Borrowed(_)
+        ));
+        assert!(table.is_empty());
+        // One string constant anywhere and the program is interned whole,
+        // exactly as `intern_dependencies` does it.
+        let dep = grom_lang::parser::parse_dependency(r#"tgd t: S(x, "a") -> T(x, "b")."#).unwrap();
+        let program = [rewritten.deps[0].clone(), dep];
+        let interned = interned_dependencies(&program, &mut table);
+        assert!(matches!(interned, Cow::Owned(_)));
+        assert_eq!(
+            interned.as_ref(),
+            intern_dependencies(&program, &mut SymbolTable::new())
+        );
+        assert_eq!(table.len(), 2);
     }
 
     #[test]

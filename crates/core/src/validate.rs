@@ -7,15 +7,38 @@
 //! property on concrete instances — it is both a user-facing sanity report
 //! and the oracle for the repository's property-based soundness tests.
 //!
-//! Procedure: materialize the source views over `I_S` and the target views
-//! over `J_T`, and evaluate every original mapping and target constraint
-//! over the four instances read as one database — by reference
-//! ([`LayeredDb`]): nothing is copied or re-indexed.
+//! Procedure: materialize the target views over `J_T` and evaluate every
+//! original mapping and target constraint over the source side, `J_T` and
+//! `Υ_T(J_T)` read as one database — by reference ([`LayeredDb`]): nothing
+//! is copied or re-indexed. One body (`validate_layers`) serves both
+//! kinds of caller:
+//!
+//! * [`validate_solution`] / [`validate_with_source_extents`] hand it plain
+//!   instances: the caller's source, `Υ_S(source)`, a target read from
+//!   anywhere.
+//! * [`MappingScenario::run`] hands it the chased instance as it stands,
+//!   still interned: the chased source ∪ source extents as one layer, the
+//!   target relations split off it, and the scenario's dependencies and
+//!   view rules interned through the run's symbol table. The indexes the
+//!   chase built are the ones validation probes — unless there are target
+//!   views to materialize, when the run gives them back first to make room
+//!   for `Υ_T(J_T)`.
+//!
+//! The two read the same source unless the *source itself* holds labeled
+//! nulls that a target egd merges (`S(1, N5)` copied to `T(1, N5)`, a key on
+//! `T` equating `N5` with `7`). The chase substitutes a merged null
+//! everywhere, source relations included, so the run certifies the target
+//! against `S(1, 7)` — the source under the valuation the egd forced — and
+//! says *valid*; `validate_solution` with the caller's unchased
+//! `S(1, N5)` asks for a `T(1, N5)` that no longer exists and says
+//! *invalid*. A null in a source is a value the egds may fix, so the run's
+//! reading is the meaningful one (`tests/tail_equivalence.rs` pins both).
 
 use std::fmt;
 
 use grom_data::Instance;
 use grom_engine::{instance_satisfies, materialize_views, LayeredDb};
+use grom_lang::{Dependency, ViewSet};
 
 use crate::pipeline::PipelineError;
 use crate::scenario::MappingScenario;
@@ -57,21 +80,42 @@ pub fn validate_solution(
     validate_with_source_extents(scenario, source, &source_extents, target)
 }
 
-/// [`validate_solution`] for a caller that already holds `Υ_S(source)` —
-/// the pipeline materializes it as its first step.
+/// [`validate_solution`] for a caller that already holds `Υ_S(source)`.
 pub fn validate_with_source_extents(
     scenario: &MappingScenario,
     source: &Instance,
     source_extents: &Instance,
     target: &Instance,
 ) -> Result<ValidationReport, PipelineError> {
-    let target_extents = materialize_views(&scenario.target_views, target)?;
-    let layers = [source, source_extents, target, &target_extents];
-    let violations = instance_satisfies(&LayeredDb::new(&layers), scenario.all_dependencies());
+    validate_layers(
+        &[source, source_extents],
+        target,
+        &scenario.target_views,
+        scenario.all_dependencies(),
+    )
+}
+
+/// The validation body: do `dependencies` hold over `source_side ∪ target ∪
+/// Υ_T(target)`? Constants in `target_views` and `dependencies` must be of
+/// the kind the layers store (all plain, or all interned by one table).
+pub(crate) fn validate_layers<'d>(
+    source_side: &[&Instance],
+    target: &Instance,
+    target_views: &ViewSet,
+    dependencies: impl Iterator<Item = &'d Dependency>,
+) -> Result<ValidationReport, PipelineError> {
+    let target_extents = materialize_views(target_views, target)?;
+    let mut layers = source_side.to_vec();
+    layers.extend([target, &target_extents]);
+    let mut checked = 0;
+    let violations = instance_satisfies(
+        &LayeredDb::new(&layers),
+        dependencies.inspect(|_| checked += 1),
+    );
     Ok(ValidationReport {
         ok: violations.is_empty(),
         violations: violations.iter().map(|v| v.to_string()).collect(),
-        checked: scenario.all_dependencies().count(),
+        checked,
     })
 }
 

@@ -6,8 +6,8 @@
 //! copy; per-column indexes, and **composite-key indexes** on the join-key
 //! position sets the chase's static trigger analysis registers, come into
 //! being with the first probe that binds their columns. An instance that is
-//! only built and iterated — a parsed source, the pipeline's working copy,
-//! an extracted target — never pays for an index; the chased instance ends
+//! only built and iterated — a parsed source, the interned chase input, an
+//! un-interned target — never pays for an index; the chased instance ends
 //! up with exactly the ones its joins used ([`Instance::storage_report`]
 //! lists them). The indexes are what make the nested-loop joins of
 //! `grom-engine` and the violation search of `grom-chase` tolerable on
@@ -124,6 +124,19 @@ struct Members {
 const VACANT: u32 = u32::MAX;
 
 impl Members {
+    /// An empty table that takes `n` inserts without growing.
+    fn with_capacity(n: usize) -> Self {
+        let slots = if n == 0 {
+            0
+        } else {
+            (n * 4).div_ceil(3).next_power_of_two().max(8)
+        };
+        Members {
+            slots: vec![(0, VACANT); slots],
+            len: 0,
+        }
+    }
+
     fn find(&self, hash: TupleHash, mut is_row: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
@@ -252,8 +265,8 @@ impl LazyIndex {
 /// `rows` is the only copy of a tuple. Membership is a table of row ids
 /// that compares against `rows`; per-column indexes and the registered
 /// composite keys are built by the first probe that binds their columns, so
-/// a relation that is only iterated — a parsed source, a working copy, an
-/// extracted target — never carries one. A fully bound pattern is answered
+/// a relation that is only iterated — a parsed source, an un-interned
+/// target — never carries one. A fully bound pattern is answered
 /// by the membership table.
 ///
 /// Rows live in a slot vector; null substitution tombstones rewritten slots
@@ -753,6 +766,54 @@ impl Relation {
             rebuild(cols, index);
         }
     }
+
+    /// Give back every index some probe built; the next probe that binds
+    /// one rebuilds it. Registered keys stay registered.
+    fn forget_indexes(&mut self) {
+        self.columns.fill_with(LazyIndex::default);
+        for (_, index) in &mut self.keys {
+            *index = LazyIndex::default();
+        }
+    }
+
+    /// A copy that starts cold: the rows and the membership table, none of
+    /// the built indexes.
+    fn clone_cold(&self) -> Relation {
+        Relation {
+            rows: self.rows.clone(),
+            live: self.live,
+            members: self.members.clone(),
+            columns: vec![LazyIndex::default(); self.columns.len()],
+            keys: (self.keys.iter())
+                .map(|(cols, _)| (cols.clone(), LazyIndex::default()))
+                .collect(),
+            requested_keys: self.requested_keys.clone(),
+            arity: self.arity,
+        }
+    }
+
+    /// [`Instance::unintern`] for one relation, in one walk over the rows:
+    /// tombstones go, every surviving tuple is un-interned where it lies
+    /// and entered into a fresh membership table under its new hash. No
+    /// tuple is compared: distinct symbols of one table have distinct
+    /// texts, so rows that differed still differ. The built indexes are
+    /// forgotten (their keys hashed symbol ids). This is the last pass over
+    /// a relation that is about to be handed out, so it is also cut to
+    /// size.
+    fn unintern(&mut self) {
+        self.forget_indexes();
+        self.members = Members::with_capacity(self.live);
+        let members = &mut self.members;
+        let mut next = 0u32;
+        self.rows.retain_mut(|slot| {
+            let Some(tuple) = slot else { return false };
+            tuple.unintern();
+            members.insert(TupleHash::of(tuple), next);
+            next += 1;
+            true
+        });
+        self.rows.shrink_to_fit();
+    }
 }
 
 /// What one relation holds, in counts: one row of
@@ -980,12 +1041,30 @@ impl Instance {
     /// (relations sorted by name, tuples in insertion order). Relation
     /// structure, registered keys and insertion order carry over.
     pub fn intern_strings(&self, table: &mut SymbolTable) -> Instance {
+        Instance::interned(&[self], table)
+    }
+
+    /// The union of `parts`, interned as [`Instance::intern_strings`] would
+    /// intern it — same symbol ids, same relation and row order — without
+    /// building the union first. A relation stored by several parts reads
+    /// as their union, earlier parts first.
+    pub fn interned(parts: &[&Instance], table: &mut SymbolTable) -> Instance {
+        // Each part comes name-sorted; the (stable) sort merges the runs,
+        // and a name stored twice keeps its parts in order.
+        let mut relations: Vec<(&Arc<str>, &Relation)> = parts
+            .iter()
+            .flat_map(|part| {
+                let rel = |(name, id): (_, &RelId)| (name, &part.store[id.0 as usize].1);
+                part.names.iter().map(rel)
+            })
+            .collect();
+        relations.sort_by_key(|(name, _)| *name);
         let mut out = Instance::new();
-        for (name, &id) in &self.names {
-            for cols in self.store[id.0 as usize].1.key_specs() {
+        for (name, rel) in relations {
+            for cols in rel.key_specs() {
                 out.register_key(name, cols);
             }
-            for t in self.store[id.0 as usize].1.iter() {
+            for t in rel.iter() {
                 let values: Vec<Value> = t
                     .values()
                     .iter()
@@ -1001,19 +1080,63 @@ impl Instance {
         out
     }
 
-    /// Resolve every interned [`Value::Sym`] back to a plain `Value::Str`
-    /// constant. Inverse of [`Instance::intern_strings`] up to index
-    /// bookkeeping.
-    pub fn unintern_strings(&self) -> Instance {
+    /// Turn every interned [`Value::Sym`] back into a plain `Value::Str`,
+    /// in place: the inverse of [`Instance::intern_strings`]. Rows keep
+    /// their order, tombstones are compacted away, registered keys survive;
+    /// built indexes are dropped and come back with the next probe that
+    /// binds them. Slot cursors taken earlier are void.
+    ///
+    /// Relies on what interning guarantees — one table per database, no
+    /// `Str` beside a `Sym` of the same text — so no two rows become equal.
+    pub fn unintern(&mut self) {
+        for (_, rel) in &mut self.store {
+            rel.unintern();
+        }
+    }
+
+    /// Split into the relations `first` selects and the rest. Each
+    /// [`Relation`] moves whole — rows, membership table, built indexes —
+    /// into exactly one side, in first-insert order; [`RelId`]s are dense
+    /// per side, so ids resolved on `self` do not carry over.
+    pub fn partition(self, mut first: impl FnMut(&str) -> bool) -> (Instance, Instance) {
+        let mut sides = [Instance::new(), Instance::new()];
+        for (name, rel) in self.store {
+            sides[usize::from(!first(&name))].adopt(name, rel);
+        }
+        for (name, specs) in self.pending_keys {
+            sides[usize::from(!first(&name))]
+                .pending_keys
+                .insert(name, specs);
+        }
+        sides.into()
+    }
+
+    /// A copy of the relations `keep` selects (see [`Instance::partition`]
+    /// for the owning form), without the indexes some probe built.
+    pub fn restricted(&self, mut keep: impl FnMut(&str) -> bool) -> Instance {
         let mut out = Instance::new();
-        for (name, &id) in &self.names {
-            for t in self.store[id.0 as usize].1.iter() {
-                let values: Vec<Value> = t.values().iter().map(Value::unintern).collect();
-                out.insert(name, Tuple::new(values))
-                    .expect("uninterning preserves arity");
+        for (name, rel) in &self.store {
+            if keep(name) {
+                out.adopt(name.clone(), rel.clone_cold());
             }
         }
         out
+    }
+
+    /// Store `rel` under `name`, which must be new here.
+    fn adopt(&mut self, name: Arc<str>, rel: Relation) {
+        self.names
+            .insert(name.clone(), RelId(self.store.len() as u32));
+        self.store.push((name, rel));
+    }
+
+    /// Give back every index some probe built, in every relation: the
+    /// memory goes now, and a later probe rebuilds the index it binds.
+    /// Contents, row order, slot cursors and registered keys are untouched.
+    pub fn forget_indexes(&mut self) {
+        for (_, rel) in &mut self.store {
+            rel.forget_indexes();
+        }
     }
 
     /// Apply a *fully resolved* multi-mapping null substitution in one
@@ -1083,14 +1206,32 @@ impl Instance {
     }
 }
 
-impl fmt::Display for Instance {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Instance {
+    /// Every stored fact, relations sorted by name and rows in insertion
+    /// order, written as `Name(v1, v2, …)` + `end` into a line buffer that
+    /// is handed to `emit` once per fact and reused.
+    pub(crate) fn render_lines(
+        &self,
+        end: &str,
+        mut emit: impl FnMut(&str) -> fmt::Result,
+    ) -> fmt::Result {
+        let mut line = String::new();
         for (name, &id) in &self.names {
             for t in self.store[id.0 as usize].1.iter() {
-                writeln!(f, "{name}{t}")?;
+                line.clear();
+                line.push_str(name);
+                t.render(&mut line)?;
+                line.push_str(end);
+                emit(&line)?;
             }
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for Instance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.render_lines("\n", |line| f.write_str(line))
     }
 }
 
@@ -1474,8 +1615,12 @@ mod tests {
             1
         );
         // Round trip restores plain strings, byte for byte.
-        let back = interned.unintern_strings();
+        let mut back = interned.clone();
+        back.unintern();
         assert_eq!(back.to_string(), inst.to_string());
+        for f in back.facts() {
+            assert!(f.tuple.values().iter().all(|v| !matches!(v, Value::Sym(_))));
+        }
         assert_eq!(
             crate::io::canonical_render(&interned),
             crate::io::canonical_render(&inst)

@@ -164,10 +164,11 @@ pub fn read_instance(text: &str) -> Result<Instance, ReadError> {
 /// when no nulls are present).
 pub fn write_instance(inst: &Instance) -> String {
     let mut out = String::new();
-    for fact in inst.facts() {
-        out.push_str(&fact.to_string());
-        out.push_str(".\n");
-    }
+    inst.render_lines(".\n", |line| {
+        out.push_str(line);
+        Ok(())
+    })
+    .expect("writing into a String cannot fail");
     out
 }
 

@@ -9,15 +9,18 @@
 //!
 //! Interning is **opt-in and scoped to one run**: the pipeline interns the
 //! working instance and the rewritten program together at a single choke
-//! point, chases over `Value::Sym` constants, and resolves symbols back to
-//! plain strings when the target instance is extracted. Code that never
-//! interns (tests, examples, ad-hoc instances) keeps using `Value::Str` and
-//! the two kinds never mix inside one database.
+//! point, chases over `Value::Sym` constants, minimizes and validates the
+//! chased target while it is still interned, and only then turns its symbols
+//! back into plain strings — in place, inside the rows the chase built
+//! ([`crate::Instance::unintern`]). Code that never interns (tests,
+//! examples, ad-hoc instances) keeps using `Value::Str` and the two kinds
+//! never mix inside one database.
 //!
 //! Ids are deterministic: they are assigned in first-intern order, and the
 //! pipeline interns facts and program constants in a deterministic order
-//! (relations sorted by name, tuples in insertion order, then dependencies
-//! in declaration order), so the same scenario produces the same id
+//! (relations sorted by name, tuples in insertion order, then the rewritten
+//! dependencies, the scenario's own dependencies and its target view rules,
+//! each in declaration order), so the same scenario produces the same id
 //! assignment on every run and on every thread.
 
 use crate::hash::FxHashMap;
@@ -51,6 +54,12 @@ impl Sym {
 
     pub fn as_str(&self) -> &str {
         &self.text
+    }
+
+    /// Give up the id and keep the text: what un-interning moves into the
+    /// `Value::Str` that replaces this symbol.
+    pub fn into_text(self) -> Arc<str> {
+        self.text
     }
 }
 

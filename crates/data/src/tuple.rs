@@ -63,6 +63,24 @@ impl Tuple {
             .collect();
         (Tuple::new(values), changed)
     }
+
+    /// [`Value::unintern`] on every position.
+    pub(crate) fn unintern(&mut self) {
+        self.values.iter_mut().for_each(Value::unintern);
+    }
+
+    /// Write `(v1, v2, …)`, the way `Display` prints it (see
+    /// [`Value::render`]).
+    pub(crate) fn render(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_char('(')?;
+        for (i, v) in self.values.iter().enumerate() {
+            if i > 0 {
+                out.write_str(", ")?;
+            }
+            v.render(out)?;
+        }
+        out.write_char(')')
+    }
 }
 
 impl From<Vec<Value>> for Tuple {
@@ -73,14 +91,7 @@ impl From<Vec<Value>> for Tuple {
 
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("(")?;
-        for (i, v) in self.values.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            write!(f, "{v}")?;
-        }
-        f.write_str(")")
+        self.render(f)
     }
 }
 

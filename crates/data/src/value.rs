@@ -101,14 +101,28 @@ impl Value {
         }
     }
 
-    /// Resolve an interned symbol back to a plain string constant; every
-    /// other value is returned unchanged. The pipeline applies this to the
-    /// extracted target so downstream consumers (validation, rendering,
-    /// user code) only ever see `Str` constants.
-    pub fn unintern(&self) -> Value {
+    /// Turn an interned symbol back into the plain string constant it stands
+    /// for, in place; every other value is left alone. The symbol's text
+    /// moves into the `Str`, so nothing is allocated. The pipeline applies
+    /// this to the chased target after validation, so user code only ever
+    /// sees `Str` constants.
+    pub fn unintern(&mut self) {
+        *self = match std::mem::replace(self, Value::Bool(false)) {
+            Value::Sym(s) => Value::Str(s.into_text()),
+            other => other,
+        };
+    }
+
+    /// Write this value the way `Display` prints it. Generic over the
+    /// writer so that an instance rendering straight into a `String` skips
+    /// the formatter.
+    pub(crate) fn render(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Value::Sym(s) => Value::Str(s.text().clone()),
-            other => other.clone(),
+            Value::Int(i) => write!(out, "{i}"),
+            Value::Str(s) => write_quoted(out, s),
+            Value::Sym(s) => write_quoted(out, s.as_str()),
+            Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Value::Null(NullId(label)) => write!(out, "N{label}"),
         }
     }
 
@@ -143,20 +157,14 @@ impl Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Str(s) => write_quoted(f, s),
-            Value::Sym(s) => write_quoted(f, s.as_str()),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Null(id) => write!(f, "{id}"),
-        }
+        self.render(f)
     }
 }
 
 /// Quote a string constant, escaping embedded quotes and backslashes so
 /// the rendered form survives a `write_instance`/`read_instance` round
 /// trip (checkpoints embed instances as text).
-fn write_quoted(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+fn write_quoted(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     // Both escaped characters are ASCII, so the runs between them can be
     // found byte by byte and written whole.

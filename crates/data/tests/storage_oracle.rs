@@ -11,13 +11,18 @@
 //! through the later writes), a clone taken before any index existed and
 //! fed the same later writes (everything is built by the final check), and
 //! a clone taken after (it inherits built indexes and then diverges).
+//!
+//! A fourth copy lives interned — the same writes with every string a
+//! `Value::Sym` — and ends the way the pipeline ends a chased instance:
+//! split off by moving the relation whole, un-interned in place, and then
+//! held against the same plain-string model.
 
 use std::collections::HashMap;
 use std::sync::Barrier;
 
 use proptest::prelude::*;
 
-use grom_data::{Instance, NullId, Relation, Span, Tuple, Value};
+use grom_data::{Instance, NullId, Relation, Span, SymbolTable, Tuple, Value};
 
 const ARITY: usize = 3;
 
@@ -219,6 +224,69 @@ fn check_all(rel: &Relation, model: &[Tuple]) {
     }
 }
 
+fn intern_value(v: &Value, table: &mut SymbolTable) -> Value {
+    match v {
+        Value::Str(s) => Value::Sym(table.intern(s)),
+        other => other.clone(),
+    }
+}
+
+fn intern_tuple(t: &Tuple, table: &mut SymbolTable) -> Tuple {
+    Tuple::new(t.values().iter().map(|v| intern_value(v, table)).collect())
+}
+
+/// `write` as the interned copy receives it.
+fn intern_write(write: &Write, table: &mut SymbolTable) -> Write {
+    match write {
+        Write::Insert(t) => Write::Insert(intern_tuple(t, table)),
+        Write::Substitute(map) => Write::Substitute(
+            map.iter()
+                .map(|(n, v)| (*n, intern_value(v, table)))
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+/// The pipeline's tail on an interned instance that holds `R` (the twin of
+/// `model`, with whatever tombstones and built indexes its history left)
+/// beside another relation: split, un-intern in place, and every access
+/// path answers as the plain-string model says.
+fn check_split_and_unintern(interned: Instance, model: &[Tuple]) {
+    let keys = |inst: &Instance| -> Vec<Vec<usize>> {
+        let specs = inst.relation("R").unwrap().key_specs();
+        specs.map(<[usize]>::to_vec).collect()
+    };
+    let (built, registered) = (indexes_built(&interned), keys(&interned));
+    let (mut r, rest) = interned.partition(|name| name == "R");
+    let names =
+        |inst: &Instance| -> Vec<String> { inst.relation_names().map(|n| n.to_string()).collect() };
+    assert_eq!(
+        (names(&r), names(&rest)),
+        (vec!["R".into()], vec!["Other".into()])
+    );
+    assert_eq!(rest.len(), 1);
+    // Moved, not rebuilt: what some probe had built came along.
+    assert_eq!(indexes_built(&r), built);
+
+    r.unintern();
+    let report = r.storage_report();
+    assert_eq!(report.len(), 1);
+    assert_eq!(report[0].live_rows, model.len());
+    assert_eq!(report[0].tombstones, 0);
+    assert_eq!(report[0].indexes, vec![], "no index until the first probe");
+    assert_eq!(keys(&r), registered);
+    let rel = r.relation("R").unwrap();
+    assert!(rel
+        .iter()
+        .all(|t| !t.values().iter().any(|v| matches!(v, Value::Sym(_)))));
+    // `contains`, every bound-column mask (string columns among them)
+    // under every span, `any_match`, estimates — and the first partly
+    // bound probe rebuilds what it binds.
+    check_all(rel, model);
+    assert!(model.is_empty() || indexes_built(&r) >= ARITY);
+}
+
 fn indexes_built(inst: &Instance) -> usize {
     inst.storage_report().iter().map(|r| r.indexes.len()).sum()
 }
@@ -241,6 +309,9 @@ fn run_case(ops: &[(usize, [usize; ARITY])], eager_keys: bool) {
     // The never-probed twin: a clone taken before the first probe,
     // which then receives the same writes.
     let mut cold: Option<Instance> = None;
+    // The interned twin: the same history, strings as symbols.
+    let mut table = SymbolTable::new();
+    let mut interned = probed.clone();
     let mut model: Vec<Tuple> = Vec::new();
     for (kind, sels) in ops {
         match decode(*kind, sels) {
@@ -249,14 +320,22 @@ fn run_case(ops: &[(usize, [usize; ARITY])], eager_keys: bool) {
                 if let Some(cold) = &mut cold {
                     apply(cold, &write);
                 }
+                apply(&mut interned, &intern_write(&write, &mut table));
                 apply_model(&mut model, &write);
             }
             None => {
                 cold.get_or_insert_with(|| probed.clone());
                 // One mask only, so that some indexes exist and others
                 // do not while the later writes land.
+                let pattern = masked(&row(sels), sels[0] % (1 << ARITY));
                 if let Some(rel) = probed.relation("R") {
-                    let pattern = masked(&row(sels), sels[0] % (1 << ARITY));
+                    check_pattern(rel, &pattern, &[0, 1, rel.len()]);
+                }
+                if let Some(rel) = interned.relation("R") {
+                    let pattern: Vec<Option<Value>> = pattern
+                        .iter()
+                        .map(|v| v.as_ref().map(|v| intern_value(v, &mut table)))
+                        .collect();
                     check_pattern(rel, &pattern, &[0, 1, rel.len()]);
                 }
             }
@@ -274,6 +353,22 @@ fn run_case(ops: &[(usize, [usize; ARITY])], eager_keys: bool) {
         return;
     };
     check_all(rel, &model);
+    // Giving the built indexes back, or copying without them, changes no
+    // answer; `probed` keeps its own.
+    let mut forgotten = probed.clone();
+    forgotten.forget_indexes();
+    let cold_copy = probed.restricted(|name| name == "R");
+    for cold in [&forgotten, &cold_copy] {
+        assert_eq!(indexes_built(cold), 0);
+        check_all(cold.relation("R").unwrap(), &model);
+    }
+    assert!(probed.restricted(|name| name != "R").is_empty());
+    if !eager_keys {
+        interned.register_key("R", &[0, 1]);
+    }
+    let other = intern_value(&Value::str("a"), &mut table);
+    interned.add("Other", vec![other]).unwrap();
+    check_split_and_unintern(interned, &model);
 
     // A clone taken now inherits the built indexes...
     let mut warm = probed.clone();
@@ -313,6 +408,50 @@ proptest! {
     ) {
         run_case(&ops, eager_keys);
     }
+}
+
+/// The shape the egd chase leaves behind, spelled out: a probed, interned
+/// relation in which `substitute_nulls_batch` merged rows and left
+/// tombstones (too few to trigger compaction).
+#[test]
+fn split_and_unintern_after_a_substitution_left_tombstones() {
+    let mut table = SymbolTable::new();
+    let mut interned = Instance::new();
+    interned.register_key("R", &[0, 1]);
+    let mut model = Vec::new();
+    let writes = [
+        Write::Insert(row(&[4, 6, 0])), // ("a", N0, 0)
+        Write::Insert(row(&[4, 1, 0])), // ("a", 1, 0): N0 := 1 merges into it
+        Write::Insert(row(&[5, 7, 4])), // ("b", N1, "a")
+        Write::Insert(row(&[5, 5, 8])), // ("b", "b", N2)
+        Write::Insert(row(&[2, 2, 2])),
+    ];
+    for write in &writes {
+        apply(&mut interned, &intern_write(write, &mut table));
+        apply_model(&mut model, write);
+    }
+    let a = intern_value(&val(4), &mut table);
+    assert_eq!(
+        interned
+            .relation("R")
+            .unwrap()
+            .scan(&[Some(a), None, None])
+            .len(),
+        2
+    );
+    let merge = Write::Substitute(
+        [(NullId(0), val(1)), (NullId(1), val(5))]
+            .into_iter()
+            .collect(),
+    );
+    apply(&mut interned, &intern_write(&merge, &mut table));
+    apply_model(&mut model, &merge);
+    let report = interned.storage_report();
+    assert_eq!((report[0].live_rows, report[0].tombstones), (4, 2));
+    assert_eq!(report[0].indexes, vec![(vec![0], 6)]);
+    let other = intern_value(&val(5), &mut table);
+    interned.add("Other", vec![other]).unwrap();
+    check_split_and_unintern(interned, &model);
 }
 
 /// The pool executor's workers read one snapshot through `&Instance`: two
