@@ -34,7 +34,7 @@ use grom_engine::{DepPlan, Scratch};
 
 use crate::config::ChaseConfig;
 use crate::nullmap::NullMap;
-use crate::result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats};
+use crate::result::{ChaseError, ChaseResult, ChaseStats};
 use crate::standard::{chase_standard, check_executable, collect_violations};
 use crate::sweep::{apply_disjunct, load_match, LiveSink};
 
@@ -184,21 +184,6 @@ pub fn chase_with_deds(
     config: &ChaseConfig,
 ) -> Result<ChaseResult, ChaseError> {
     chase_greedy(start, deps, config)
-}
-
-/// Budget-aware form of [`chase_with_deds`]: a budget or cancellation stop
-/// in the underlying scenario run surfaces as
-/// [`ChaseOutcome::Interrupted`] with the instance-so-far and a resumable
-/// checkpoint. Note the checkpoint of a ded run is tied to the scenario's
-/// *derived* dependency set; `chase_resume` must be fed the same program
-/// that was actually chased (the pipeline handles this for ded-free
-/// programs — the common case for resume).
-pub fn chase_with_deds_outcome(
-    start: Instance,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseOutcome, ChaseError> {
-    ChaseOutcome::from_run(chase_with_deds(start, deps, config))
 }
 
 /// Find the first ded violation in `inst`: `(ded index, premise match)`.

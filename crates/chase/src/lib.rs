@@ -65,9 +65,7 @@ pub mod wa;
 pub use checkpoint::{chase_resume, Checkpoint};
 pub use config::{Budget, CancelToken, ChaseConfig, InterruptReason, SchedulerMode};
 pub use core_min::{core_minimize, CoreStats};
-pub use ded::{
-    chase_exhaustive, chase_greedy, chase_with_deds, chase_with_deds_outcome, ExhaustiveResult,
-};
+pub use ded::{chase_exhaustive, chase_greedy, chase_with_deds, ExhaustiveResult};
 pub use nullmap::NullMap;
 pub use partition::Partition;
 pub use result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats, Interrupted};

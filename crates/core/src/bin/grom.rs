@@ -132,8 +132,8 @@ fn cmd_analyze(path: &str) -> ExitCode {
         Ok(s) => s,
         Err(e) => return fail(e),
     };
-    let deps: Vec<Dependency> = scenario.all_dependencies().cloned().collect();
-    match analyze(&scenario.target_views, &deps, &RewriteOptions::default()) {
+    let deps = scenario.all_dependencies();
+    match analyze(&scenario.target_views, deps, &RewriteOptions::default()) {
         Ok((report, _)) => {
             print!("{report}");
             ExitCode::SUCCESS

@@ -25,9 +25,6 @@ pub struct PipelineOptions {
     /// Skip the post-hoc soundness validation (it re-materializes the
     /// target views; disable for large benchmark runs).
     pub skip_validation: bool,
-    /// Type-check the source instance against the source schema before
-    /// running (on by default).
-    pub skip_typecheck: bool,
     /// Minimize the chased target towards its **core** (Fagin–Kolaitis–
     /// Popa): fold away redundant labeled nulls such as the duplicate
     /// `T_Product` rows the `SoldAt` unfolding creates in the running
@@ -156,11 +153,13 @@ fn interned_dependencies<'a>(
     }
 }
 
-/// [`interned_dependencies`] for a view set.
+/// [`interned_dependencies`] for a view set. The copy is resolved again —
+/// the one place a run builds a [`ViewSet`], and only for view rules that
+/// hold a string constant.
 fn interned_views<'a>(views: &'a ViewSet, table: &mut SymbolTable) -> Cow<'a, ViewSet> {
     if views.rules().iter().any(rule_has_str) {
         let rules = views.rules().iter().map(|r| intern_rule(r, table));
-        Cow::Owned(ViewSet::from_rules(rules).expect("interning keeps every head"))
+        Cow::Owned(ViewSet::from_rules(rules).expect("interning changes constants only"))
     } else {
         Cow::Borrowed(views)
     }
@@ -258,8 +257,8 @@ impl MappingScenario {
     /// *not* unfolded — they are materialized at run time (the composition
     /// reduction of §3), so the rewriting only unfolds target views.
     pub fn rewrite(&self, options: &RewriteOptions) -> Result<RewriteOutput, PipelineError> {
-        let deps: Vec<Dependency> = self.all_dependencies().cloned().collect();
-        Ok(rewrite_program(&self.target_views, &deps, options)?)
+        let deps = self.all_dependencies();
+        Ok(rewrite_program(&self.target_views, deps, options)?)
     }
 
     /// Run the full pipeline on a source instance.
@@ -269,9 +268,7 @@ impl MappingScenario {
         options: &PipelineOptions,
     ) -> Result<ExchangeResult, PipelineError> {
         self.validate()?;
-        if !options.skip_typecheck {
-            self.typecheck_source(source)?;
-        }
+        self.typecheck_source(source)?;
 
         // 1. Materialize the source semantic schema (if any); its extents
         //    join the source as chase input in step 4.

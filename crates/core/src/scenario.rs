@@ -1,11 +1,11 @@
 //! Mapping scenarios: the input bundle of Figure 2.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
 use grom_data::Schema;
-use grom_lang::{Dependency, Literal, Program, ViewRule, ViewSet};
+use grom_lang::{Dependency, Program, ViewSet};
 
 use crate::pipeline::PipelineError;
 
@@ -59,19 +59,7 @@ impl MappingScenario {
             ..Default::default()
         };
 
-        // Assign views to sides by the base tables they transitively read.
-        // Views reading no base tables at all default to the target side.
-        for rule in program.views.rules() {
-            scenario.classify_and_add_rule(rule.clone(), &program.views)?;
-        }
-        scenario
-            .source_views
-            .validate()
-            .map_err(PipelineError::Lang)?;
-        scenario
-            .target_views
-            .validate()
-            .map_err(PipelineError::Lang)?;
+        scenario.split_views(&program.views)?;
 
         for dep in &program.deps {
             match scenario.dependency_side(dep)? {
@@ -96,39 +84,70 @@ impl MappingScenario {
         }
     }
 
-    fn classify_and_add_rule(
-        &mut self,
-        rule: ViewRule,
-        all_views: &ViewSet,
-    ) -> Result<(), PipelineError> {
-        let mut bases = BTreeSet::new();
-        collect_base_predicates(&rule.head.predicate, all_views, &mut bases);
-        let mut sides = BTreeSet::new();
-        for b in &bases {
-            if self.source_schema.contains(b) {
-                sides.insert("source");
-            } else if self.target_schema.contains(b) {
-                sides.insert("target");
-            } else {
+    /// Assign views to sides by the base tables they transitively read, in
+    /// one pass along the materialization order: what a view reaches is the
+    /// join of what its rules mention, and everything a rule mentions is a
+    /// base table or a view already seen. Views reading no base tables at
+    /// all default to the target side.
+    fn split_views(&mut self, views: &ViewSet) -> Result<(), PipelineError> {
+        /// The base tables below a view, as far as sides go.
+        #[derive(Default, Clone)]
+        struct Reach {
+            source: bool,
+            target: bool,
+            /// The first (by name) base table in neither schema.
+            stray: Option<Arc<str>>,
+        }
+        let mut reach: BTreeMap<&str, Reach> = BTreeMap::new();
+        for view in views.materialization_order() {
+            let mut r = Reach::default();
+            let bodies = views.rules_of(view).flat_map(|rule| &rule.body);
+            for atom in bodies.filter_map(|lit| lit.atom()) {
+                let p = &atom.predicate;
+                let below = reach.get(p.as_ref()).cloned().unwrap_or_else(|| {
+                    let source = self.source_schema.contains(p);
+                    let target = !source && self.target_schema.contains(p);
+                    let stray = (!source && !target).then(|| p.clone());
+                    Reach {
+                        source,
+                        target,
+                        stray,
+                    }
+                });
+                r.source |= below.source;
+                r.target |= below.target;
+                r.stray = match (r.stray.take(), below.stray) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+            }
+            reach.insert(view.as_ref(), r);
+        }
+
+        let (mut source_rules, mut target_rules) = (Vec::new(), Vec::new());
+        for rule in views.rules() {
+            let view = &rule.head.predicate;
+            let r = &reach[view.as_ref()];
+            if let Some(b) = &r.stray {
                 return Err(PipelineError::scenario(format!(
-                    "view `{}` reads `{b}`, which is in neither schema",
-                    rule.head.predicate
+                    "view `{view}` reads `{b}`, which is in neither schema"
                 )));
             }
+            if r.source && r.target {
+                return Err(PipelineError::scenario(format!(
+                    "view `{view}` mixes source and target base tables"
+                )));
+            }
+            let side = if r.source {
+                &mut source_rules
+            } else {
+                &mut target_rules
+            };
+            side.push(rule.clone());
         }
-        if sides.len() > 1 {
-            return Err(PipelineError::scenario(format!(
-                "view `{}` mixes source and target base tables",
-                rule.head.predicate
-            )));
-        }
-        let target_side = sides.first().copied() != Some("source");
-        let set = if target_side {
-            &mut self.target_views
-        } else {
-            &mut self.source_views
-        };
-        set.add_rule(rule).map_err(PipelineError::Lang)
+        self.source_views = ViewSet::from_rules(source_rules)?;
+        self.target_views = ViewSet::from_rules(target_rules)?;
+        Ok(())
     }
 
     /// Classify a dependency: `Target` when every premise predicate lives
@@ -217,25 +236,6 @@ impl MappingScenario {
     /// All dependencies (mappings then target constraints).
     pub fn all_dependencies(&self) -> impl Iterator<Item = &Dependency> {
         self.mappings.iter().chain(self.target_constraints.iter())
-    }
-}
-
-/// Transitively collect the base (non-view) predicates reachable from
-/// `pred` through view definitions.
-fn collect_base_predicates(pred: &Arc<str>, views: &ViewSet, out: &mut BTreeSet<Arc<str>>) {
-    if !views.is_view(pred) {
-        out.insert(pred.clone());
-        return;
-    }
-    for rule in views.rules_of(pred) {
-        for lit in &rule.body {
-            match lit {
-                Literal::Pos(a) | Literal::Neg(a) => {
-                    collect_base_predicates(&a.predicate, views, out)
-                }
-                Literal::Cmp(_) => {}
-            }
-        }
     }
 }
 
@@ -360,6 +360,34 @@ pub(crate) mod tests {
         .unwrap();
         let err = MappingScenario::from_program(&prog).unwrap_err();
         assert!(err.to_string().contains("mixes source and target"));
+    }
+
+    #[test]
+    fn view_sides_follow_the_transitive_closure() {
+        let error_of = |views: &str| {
+            let text = format!(
+                "schema source {{ S_A(x: int); }}\nschema target {{ T_B(x: int); }}\n\
+                 {views}\ntgd m: S_A(x) -> T_B(x)."
+            );
+            let err = MappingScenario::from_program(&Program::parse(&text).unwrap()).unwrap_err();
+            err.to_string()
+        };
+        // The first declared rule whose view reaches the problem is named,
+        // with the first stray table by name — through lower views too.
+        assert_eq!(
+            error_of("view A(x) <- B(x).\nview B(x) <- Zed(x), Mystery(x)."),
+            "scenario error: view `A` reads `Mystery`, which is in neither schema"
+        );
+        // A stray table is reported before a mix of sides.
+        assert_eq!(
+            error_of("view Bad(x) <- S_A(x), T_B(x), Q(x)."),
+            "scenario error: view `Bad` reads `Q`, which is in neither schema"
+        );
+        // The source side arrives two views down, under a negation.
+        assert_eq!(
+            error_of("view W(x) <- T_B(x), not M(x).\nview M(x) <- L(x).\nview L(x) <- S_A(x)."),
+            "scenario error: view `W` mixes source and target base tables"
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod query;
 pub mod satisfy;
 
 pub use db::{Db, DbRel, LayeredDb, Ver};
-pub use eval::{evaluate_body, evaluate_body_from_delta, evaluate_body_streaming, Control};
+pub use eval::{evaluate_body, evaluate_body_from_delta, Control};
 pub use materialize::{
     materialize_views, materialize_views_tracked, MaterializeError, ViewMaterialization,
 };

@@ -1,9 +1,11 @@
 //! Stratified materialization of view sets: the `Υ(I)` operator.
 //!
-//! Views are materialized in a topological order of the view DAG
-//! (definitions before uses), so when a rule body references another view —
-//! positively or under negation — that view's extent is already available.
-//! Non-recursion makes this a single pass; no fixpoint is needed.
+//! Views are materialized in the order the [`ViewSet`] carries (definitions
+//! before uses), so when a rule body references another view — positively
+//! or under negation — that view's extent is already available.
+//! Non-recursion makes this a single pass; no fixpoint is needed, and a
+//! `ViewSet` is non-recursive and safe by construction, so nothing is
+//! checked here.
 //!
 //! Each rule is compiled once into a [`BodyPlan`] and evaluated once, over
 //! the borrowed layers `base ∪ extents-so-far` ([`LayeredDb`]); head tuples
@@ -12,7 +14,7 @@
 use std::fmt;
 
 use grom_data::{DataError, Instance, Tuple};
-use grom_lang::{Bindings, LangError, ViewSet};
+use grom_lang::{Bindings, ViewSet};
 
 use crate::db::{Control, LayeredDb};
 use crate::plan::{BodyPlan, Scratch};
@@ -20,8 +22,6 @@ use crate::plan::{BodyPlan, Scratch};
 /// Errors raised during materialization.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaterializeError {
-    /// The view set failed validation (recursion / safety).
-    Lang(LangError),
     /// Tuple insertion failed (arity drift between rules of a union view —
     /// prevented upstream, but surfaced faithfully).
     Data(DataError),
@@ -30,19 +30,12 @@ pub enum MaterializeError {
 impl fmt::Display for MaterializeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MaterializeError::Lang(e) => write!(f, "materialization: {e}"),
             MaterializeError::Data(e) => write!(f, "materialization: {e}"),
         }
     }
 }
 
 impl std::error::Error for MaterializeError {}
-
-impl From<LangError> for MaterializeError {
-    fn from(e: LangError) -> Self {
-        MaterializeError::Lang(e)
-    }
-}
 
 impl From<DataError> for MaterializeError {
     fn from(e: DataError) -> Self {
@@ -80,11 +73,11 @@ pub fn materialize_views_tracked(
     views: &ViewSet,
     base: &Instance,
 ) -> Result<ViewMaterialization, MaterializeError> {
-    let order = views.validate()?;
+    let order = views.materialization_order();
     let mut extents = Instance::new();
     let mut scratch = Scratch::default();
     let no_seed = Bindings::new();
-    for view in &order {
+    for view in order {
         for rule in views.rules_of(view) {
             let plan = BodyPlan::compile(&rule.body, &no_seed);
             let head = plan
@@ -175,6 +168,12 @@ mod tests {
         (prog.views, inst)
     }
 
+    /// `V(x) <- A(x)` ∪ `V(x) <- B(x)`.
+    fn union_of_a_and_b() -> ViewSet {
+        let rule = |base| ViewRule::new(atom("V", &["x"]), vec![Literal::Pos(atom(base, &["x"]))]);
+        ViewSet::from_rules([rule("A"), rule("B")]).unwrap()
+    }
+
     fn names_of(extents: &Instance, view: &str) -> Vec<i64> {
         let mut ids: Vec<i64> = extents
             .tuples(view)
@@ -196,19 +195,7 @@ mod tests {
 
     #[test]
     fn union_views_accumulate() {
-        let mut views = ViewSet::new();
-        views
-            .add_rule(ViewRule::new(
-                atom("V", &["x"]),
-                vec![Literal::Pos(atom("A", &["x"]))],
-            ))
-            .unwrap();
-        views
-            .add_rule(ViewRule::new(
-                atom("V", &["x"]),
-                vec![Literal::Pos(atom("B", &["x"]))],
-            ))
-            .unwrap();
+        let views = union_of_a_and_b();
         let mut inst = Instance::new();
         inst.add("A", vec![Value::int(1)]).unwrap();
         inst.add("B", vec![Value::int(2)]).unwrap();
@@ -219,13 +206,11 @@ mod tests {
 
     #[test]
     fn constants_in_heads() {
-        let mut views = ViewSet::new();
-        views
-            .add_rule(ViewRule::new(
-                Atom::new("Tagged", vec![Term::var("x"), Term::cons("hot")]),
-                vec![Literal::Pos(atom("A", &["x"]))],
-            ))
-            .unwrap();
+        let views = ViewSet::from_rules([ViewRule::new(
+            Atom::new("Tagged", vec![Term::var("x"), Term::cons("hot")]),
+            vec![Literal::Pos(atom("A", &["x"]))],
+        )])
+        .unwrap();
         let mut inst = Instance::new();
         inst.add("A", vec![Value::int(1)]).unwrap();
         let extents = materialize_views(&views, &inst).unwrap();
@@ -279,19 +264,7 @@ mod tests {
         assert_eq!(out.per_view["Product"], 0);
         assert_eq!(out.per_view["UnpopularProduct"], 0);
         // Union rules deduplicate: 1 appears in both A and B but counts once.
-        let mut views = ViewSet::new();
-        views
-            .add_rule(ViewRule::new(
-                atom("V", &["x"]),
-                vec![Literal::Pos(atom("A", &["x"]))],
-            ))
-            .unwrap();
-        views
-            .add_rule(ViewRule::new(
-                atom("V", &["x"]),
-                vec![Literal::Pos(atom("B", &["x"]))],
-            ))
-            .unwrap();
+        let views = union_of_a_and_b();
         let mut inst = Instance::new();
         inst.add("A", vec![Value::int(1)]).unwrap();
         inst.add("B", vec![Value::int(1)]).unwrap();
@@ -301,9 +274,9 @@ mod tests {
 
     #[test]
     fn recursion_is_reported() {
-        let prog = grom_lang::Program::parse("view V(x) <- W(x).\nview W(x) <- V(x).").unwrap();
-        let err = materialize_views(&prog.views, &Instance::new()).unwrap_err();
-        assert!(matches!(err, MaterializeError::Lang(_)));
+        // … where the view set is built: a recursive one cannot get here.
+        let err = grom_lang::Program::parse("view V(x) <- W(x).\nview W(x) <- V(x).").unwrap_err();
+        assert!(matches!(err, grom_lang::LangError::RecursiveViews { .. }));
     }
 
     #[test]

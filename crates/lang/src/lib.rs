@@ -15,10 +15,15 @@
 //!   quantified conjunction of atoms, equalities and comparisons. A plain
 //!   tgd is one disjunct with atoms only; an egd is one disjunct with one
 //!   equality; a denial has zero disjuncts.
-//! * Safety ([`safety`]) and stratification ([`strata`]) checks with
-//!   diagnostics, the fresh-variable generator ([`VarGen`]), and a parser
-//!   ([`parser`]) for the textual scenario language that replaces the demo's
-//!   GUI mapping designer.
+//! * Safety checks ([`safety`]) with diagnostics, the fresh-variable
+//!   generator ([`VarGen`]), and a parser ([`parser`]) for the textual
+//!   scenario language that replaces the demo's GUI mapping designer.
+//!
+//! A [`ViewSet`] is **valid by construction**: [`ViewSet::from_rules`] — which
+//! the parser calls once, when it has read a whole program — checks union
+//! arity and rule safety, rejects recursion with a witness cycle, and stores
+//! the materialization order and each view's nesting depth. Whoever holds a
+//! `ViewSet` reads those; nothing downstream validates or sorts again.
 //!
 //! Display impls print everything in a syntax the parser accepts, so
 //! programs round-trip (property-tested in the parser module).
@@ -30,7 +35,6 @@ pub mod fresh;
 pub mod parser;
 pub mod program;
 pub mod safety;
-pub mod strata;
 pub mod subst;
 pub mod view;
 

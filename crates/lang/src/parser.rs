@@ -28,13 +28,16 @@
 //! keywords assert the dependency's class and are verified; `ded` and `dep`
 //! accept any shape.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use grom_data::{ColumnSchema, ColumnType, Fact, RelationSchema, Schema, Value};
 
 use crate::ast::{Atom, CmpOp, Comparison, Literal, Term};
 use crate::dependency::{DepClass, Dependency, Disjunct};
 use crate::error::LangError;
 use crate::program::Program;
-use crate::view::ViewRule;
+use crate::view::{ViewRule, ViewSet};
 
 // ---------------------------------------------------------------- lexer --
 
@@ -318,6 +321,14 @@ struct Parser {
 }
 
 impl Parser {
+    fn new(text: &str) -> Result<Parser, LangError> {
+        Ok(Parser {
+            toks: lex(text)?,
+            pos: 0,
+            dep_counter: 0,
+        })
+    }
+
     fn peek(&self) -> &Spanned {
         &self.toks[self.pos]
     }
@@ -599,6 +610,8 @@ impl Parser {
 
     fn program(&mut self) -> Result<Program, LangError> {
         let mut prog = Program::default();
+        let mut view_rules: Vec<ViewRule> = Vec::new();
+        let mut view_arity: BTreeMap<Arc<str>, usize> = BTreeMap::new();
         loop {
             match &self.peek().tok {
                 Tok::Eof => break,
@@ -614,10 +627,19 @@ impl Parser {
                     "view" => {
                         self.next();
                         let rule = self.view_rule()?;
-                        prog.views.add_rule(rule).map_err(|e| {
-                            let s = self.peek();
-                            LangError::parse(s.line, s.col, e.to_string())
-                        })?;
+                        // A union's arity is checked here too, where the
+                        // rule's position is still known.
+                        let (view, actual) = (rule.head.predicate.clone(), rule.head.arity());
+                        let expected = *view_arity.entry(view.clone()).or_insert(actual);
+                        if expected != actual {
+                            let mismatch = LangError::ViewArityMismatch {
+                                view,
+                                expected,
+                                actual,
+                            };
+                            return Err(self.err(mismatch.to_string()));
+                        }
+                        view_rules.push(rule);
                     }
                     "tgd" | "egd" | "ded" | "dep" => {
                         let kw = kw.clone();
@@ -646,19 +668,15 @@ impl Parser {
                 }
             }
         }
+        // The whole program is read: resolve its views, once.
+        prog.views = ViewSet::from_rules(view_rules)?;
         Ok(prog)
     }
 }
 
 /// Parse a full program; see the module docs for the grammar.
 pub fn parse_program(text: &str) -> Result<Program, LangError> {
-    let toks = lex(text)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        dep_counter: 0,
-    };
-    p.program()
+    Parser::new(text)?.program()
 }
 
 /// Parse a single dependency declaration, e.g.
@@ -675,18 +693,17 @@ pub fn parse_dependency(text: &str) -> Result<Dependency, LangError> {
     }
 }
 
-/// Parse a single view rule, e.g. `view V(x) <- A(x), not B(x).`
+/// Parse a single view rule, e.g. `view V(x) <- A(x), not B(x).` — syntax
+/// only: a lone rule is not a [`ViewSet`], so nothing is checked for safety.
 pub fn parse_view_rule(text: &str) -> Result<ViewRule, LangError> {
-    let prog = parse_program(text)?;
-    let rules = prog.views.rules();
-    match rules.len() {
-        1 => Ok(rules[0].clone()),
-        n => Err(LangError::parse(
-            1,
-            1,
-            format!("expected exactly one view rule, found {n}"),
-        )),
+    let mut p = Parser::new(text)?;
+    if !p.is_keyword("view") {
+        return Err(p.err(format!("expected `view`, found {}", p.peek().tok)));
     }
+    p.next();
+    let rule = p.view_rule()?;
+    p.expect(Tok::Eof)?;
+    Ok(rule)
 }
 
 #[cfg(test)]
@@ -740,7 +757,6 @@ mod tests {
         assert_eq!(prog.deps.len(), 5);
         assert_eq!(prog.facts.len(), 2);
         prog.validate().unwrap();
-        assert!(prog.undeclared_predicates().is_empty());
 
         let m3 = &prog.deps[3];
         assert_eq!(m3.name.as_ref(), "m3");
@@ -822,6 +838,24 @@ mod tests {
             LangError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn views_are_resolved_when_the_program_has_been_read() {
+        // A union's arity: a parse error where the offending rule ends.
+        let err = parse_program("view V(x) <- A(x).\nview V(x, y) <- A(x), A(y).\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at 3:1: rules for view `V` disagree on arity: 1 vs 2"
+        );
+        // Safety and recursion: the one `ViewSet::from_rules`, its errors.
+        let err = parse_program("view V(x) <- W(x).\nview W(x) <- V(x).").unwrap_err();
+        assert!(matches!(err, LangError::RecursiveViews { .. }));
+        let err = parse_program("view V(x, ghost) <- A(x).").unwrap_err();
+        assert!(matches!(err, LangError::Unsafe { .. }));
+        // … after every syntax error, as when validation was a later call.
+        let err = parse_program("view V(x) <- V(x).\ntgd m: -> T(x).").unwrap_err();
+        assert!(matches!(err, LangError::Parse { line: 2, .. }));
     }
 
     #[test]

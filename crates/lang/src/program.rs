@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use grom_data::{Fact, Schema};
 
-use crate::ast::Literal;
 use crate::dependency::Dependency;
 use crate::error::LangError;
 use crate::safety;
@@ -42,15 +41,14 @@ impl Program {
         self.schemas.get(name)
     }
 
-    /// Validate the program:
-    /// * views are safe and non-recursive,
+    /// Validate what the parser has not already: the views are safe and
+    /// non-recursive because a [`ViewSet`] cannot be otherwise; here
     /// * dependencies are safe,
     /// * every predicate is used with one consistent arity, and predicates
     ///   declared in a schema are used with the declared arity,
     /// * facts mention declared relations with the right arity (when any
     ///   schema is declared at all).
     pub fn validate(&self) -> Result<(), LangError> {
-        self.views.validate()?;
         for dep in &self.deps {
             safety::check_dependency(dep)?;
         }
@@ -117,74 +115,6 @@ impl Program {
         }
         Ok(())
     }
-
-    /// Dependencies whose premise is free of negated literals — the ones the
-    /// chase accepts directly.
-    pub fn executable_deps(&self) -> impl Iterator<Item = &Dependency> {
-        self.deps.iter().filter(|d| !d.has_negated_premise())
-    }
-
-    /// Count of premise literals across all dependencies (a rough size
-    /// metric used by benchmarks).
-    pub fn premise_literal_count(&self) -> usize {
-        self.deps.iter().map(|d| d.premise.len()).sum()
-    }
-
-    /// Predicates mentioned anywhere that are neither schema relations nor
-    /// views (useful to catch typos in hand-written scenarios).
-    pub fn undeclared_predicates(&self) -> Vec<Arc<str>> {
-        let mut declared: BTreeMap<Arc<str>, ()> = BTreeMap::new();
-        for schema in self.schemas.values() {
-            for rel in schema.relations() {
-                declared.insert(rel.name().clone(), ());
-            }
-        }
-        for v in self.views.view_names() {
-            declared.insert(v.clone(), ());
-        }
-        let mut out = Vec::new();
-        let mut note = |p: &Arc<str>| {
-            if !declared.contains_key(p) && !out.contains(p) {
-                out.push(p.clone());
-            }
-        };
-        for rule in self.views.rules() {
-            for lit in &rule.body {
-                if let Some(a) = lit.atom() {
-                    note(&a.predicate);
-                }
-            }
-        }
-        for dep in &self.deps {
-            for lit in &dep.premise {
-                if let Some(a) = lit.atom() {
-                    note(&a.predicate);
-                }
-            }
-            for d in &dep.disjuncts {
-                for a in &d.atoms {
-                    note(&a.predicate);
-                }
-            }
-        }
-        for f in &self.facts {
-            note(&f.relation);
-        }
-        out
-    }
-
-    /// Helper used by tests and generators: a program with only deps.
-    pub fn from_deps(deps: Vec<Dependency>) -> Program {
-        Program {
-            deps,
-            ..Default::default()
-        }
-    }
-
-    /// All premises of all dependencies (handy for analyses).
-    pub fn premises(&self) -> impl Iterator<Item = &[Literal]> {
-        self.deps.iter().map(|d| d.premise.as_slice())
-    }
 }
 
 impl fmt::Display for Program {
@@ -219,7 +149,7 @@ impl fmt::Display for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Atom, Term};
+    use crate::ast::{Atom, Literal, Term};
     use crate::view::ViewRule;
 
     fn atom(p: &str, vars: &[&str]) -> Atom {
@@ -250,52 +180,9 @@ mod tests {
         s.add_relation(grom_data::RelationSchema::untyped("V", 3))
             .unwrap();
         p.schemas.insert("target".into(), s);
-        p.views
-            .add_rule(ViewRule::new(
-                atom("V", &["x"]),
-                vec![Literal::Pos(atom("B", &["x"]))],
-            ))
-            .unwrap();
+        let rule = ViewRule::new(atom("V", &["x"]), vec![Literal::Pos(atom("B", &["x"]))]);
+        p.views = ViewSet::from_rules([rule]).unwrap();
         let err = p.validate().unwrap_err();
         assert!(matches!(err, LangError::PredicateArityMismatch { .. }));
-    }
-
-    #[test]
-    fn undeclared_predicates_reported() {
-        let mut p = Program::default();
-        let mut s = Schema::new();
-        s.add_relation(grom_data::RelationSchema::untyped("S", 1))
-            .unwrap();
-        p.schemas.insert("source".into(), s);
-        p.deps.push(Dependency::tgd(
-            "m",
-            vec![Literal::Pos(atom("S", &["x"]))],
-            vec![atom("Mystery", &["x"])],
-        ));
-        let und: Vec<String> = p
-            .undeclared_predicates()
-            .iter()
-            .map(|x| x.to_string())
-            .collect();
-        assert_eq!(und, vec!["Mystery"]);
-    }
-
-    #[test]
-    fn executable_deps_filters_negated_premises() {
-        let mut p = Program::default();
-        p.deps.push(Dependency::tgd(
-            "a",
-            vec![Literal::Pos(atom("S", &["x"]))],
-            vec![atom("T", &["x"])],
-        ));
-        p.deps.push(Dependency::tgd(
-            "b",
-            vec![
-                Literal::Pos(atom("S", &["x"])),
-                Literal::Neg(atom("R", &["x"])),
-            ],
-            vec![atom("T", &["x"])],
-        ));
-        assert_eq!(p.executable_deps().count(), 1);
     }
 }

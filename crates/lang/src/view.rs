@@ -13,7 +13,6 @@ use std::sync::Arc;
 use crate::ast::{Atom, Literal};
 use crate::error::LangError;
 use crate::safety;
-use crate::strata;
 
 /// One rule `Head(x̄) ⇐ body` of a view definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,48 +58,134 @@ impl fmt::Display for ViewRule {
     }
 }
 
-/// A set of view definitions, validated to be non-recursive and safe.
-///
-/// Use builder-style construction via [`ViewSet::new`] /
-/// [`ViewSet::from_rules`]; [`ViewSet::validate`] performs the checks and is
-/// required before the set is handed to the engine or the rewriter.
+/// A set of view definitions that **has been checked**: holding a
+/// `ViewSet` means the rules of every union agree on arity, every rule is
+/// safe ([`safety::check_view_rule`]) and the view graph is non-recursive.
+/// [`ViewSet::from_rules`] is the only way to a non-empty one, so no
+/// consumer validates again; the set also carries what that one resolution
+/// found — the materialization order and each view's nesting depth.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ViewSet {
     rules: Vec<ViewRule>,
-    /// view predicate → indexes into `rules`, in declaration order.
-    by_pred: BTreeMap<Arc<str>, Vec<usize>>,
+    by_pred: BTreeMap<Arc<str>, ViewEntry>,
+    /// Definitions before uses; see [`ViewSet::materialization_order`].
+    order: Vec<Arc<str>>,
+}
+
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct ViewEntry {
+    /// Indexes into `rules`, in declaration order.
+    rules: Vec<usize>,
+    /// Longest chain of views below this one (0: base tables only).
+    depth: usize,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Mark {
+    Unvisited,
+    InProgress,
+    Done,
 }
 
 impl ViewSet {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+    /// Check `rules` and resolve them: rules for one head predicate form a
+    /// union and must agree on arity, every rule must be safe, and the view
+    /// graph must be acyclic (the error carries a witness cycle).
     pub fn from_rules(rules: impl IntoIterator<Item = ViewRule>) -> Result<Self, LangError> {
-        let mut vs = ViewSet::new();
-        for r in rules {
-            vs.add_rule(r)?;
+        let rules: Vec<ViewRule> = rules.into_iter().collect();
+        let mut by_pred: BTreeMap<Arc<str>, ViewEntry> = BTreeMap::new();
+        for (i, rule) in rules.iter().enumerate() {
+            let entry = by_pred.entry(rule.head.predicate.clone()).or_default();
+            if let Some(&first) = entry.rules.first() {
+                let expected = rules[first].head.arity();
+                if rule.head.arity() != expected {
+                    return Err(LangError::ViewArityMismatch {
+                        view: rule.head.predicate.clone(),
+                        expected,
+                        actual: rule.head.arity(),
+                    });
+                }
+            }
+            entry.rules.push(i);
         }
-        Ok(vs)
-    }
+        for rule in &rules {
+            safety::check_view_rule(rule)?;
+        }
 
-    /// Add a rule. Rules for the same head predicate form a union and must
-    /// agree on arity.
-    pub fn add_rule(&mut self, rule: ViewRule) -> Result<(), LangError> {
-        let pred = rule.head.predicate.clone();
-        if let Some(first) = self.by_pred.get(&pred).and_then(|v| v.first()) {
-            let expected = self.rules[*first].head.arity();
-            if rule.head.arity() != expected {
-                return Err(LangError::ViewArityMismatch {
-                    view: pred,
-                    expected,
-                    actual: rule.head.arity(),
-                });
+        // The view graph over indexes into the sorted names. A view's
+        // children are listed rule by rule, positive predicates by name and
+        // then negated ones: the order below is a post-order of this graph,
+        // so the listing decides it.
+        let names: Vec<&Arc<str>> = by_pred.keys().collect();
+        let children: Vec<Vec<usize>> = by_pred
+            .values()
+            .map(|entry| {
+                let mut out = Vec::new();
+                for &r in &entry.rules {
+                    let (pos, neg) = rules[r].referenced_predicates();
+                    for p in pos.iter().chain(&neg) {
+                        match names.binary_search(&p) {
+                            Ok(child) if !out.contains(&child) => out.push(child),
+                            _ => {}
+                        }
+                    }
+                }
+                out
+            })
+            .collect();
+
+        // Depth-first post-order on an explicit stack — a chain of views as
+        // long as the input allows must not be a chain of frames.
+        let mut marks = vec![Mark::Unvisited; names.len()];
+        let mut order: Vec<usize> = Vec::with_capacity(names.len());
+        let mut path: Vec<(usize, usize)> = Vec::new(); // (view, next child)
+        for root in 0..names.len() {
+            if marks[root] != Mark::Unvisited {
+                continue;
+            }
+            marks[root] = Mark::InProgress;
+            path.push((root, 0));
+            while let Some((view, next)) = path.last_mut() {
+                let Some(&child) = children[*view].get(*next) else {
+                    marks[*view] = Mark::Done;
+                    order.push(*view);
+                    path.pop();
+                    continue;
+                };
+                *next += 1;
+                match marks[child] {
+                    Mark::Done => {}
+                    Mark::Unvisited => {
+                        marks[child] = Mark::InProgress;
+                        path.push((child, 0));
+                    }
+                    Mark::InProgress => {
+                        // An in-progress view is on the path: the cycle
+                        // runs from there to here and back to it.
+                        let on_path = path.iter().map(|&(v, _)| v);
+                        let on_cycle = on_path.skip_while(|&v| v != child).chain([child]);
+                        return Err(LangError::RecursiveViews {
+                            cycle: on_cycle.map(|v| names[v].clone()).collect(),
+                        });
+                    }
+                }
             }
         }
-        self.by_pred.entry(pred).or_default().push(self.rules.len());
-        self.rules.push(rule);
-        Ok(())
+
+        let mut depths = vec![0; names.len()];
+        for &view in &order {
+            let below = children[view].iter().map(|&c| depths[c] + 1);
+            depths[view] = below.max().unwrap_or(0);
+        }
+        let order = order.into_iter().map(|v| names[v].clone()).collect();
+        for (entry, depth) in by_pred.values_mut().zip(depths) {
+            entry.depth = depth;
+        }
+        Ok(ViewSet {
+            rules,
+            by_pred,
+            order,
+        })
     }
 
     /// Is `pred` a view (as opposed to a base table)?
@@ -108,12 +193,10 @@ impl ViewSet {
         self.by_pred.contains_key(pred)
     }
 
-    /// The rules defining `pred`, in declaration order (empty if not a view).
-    pub fn rules_of(&self, pred: &str) -> Vec<&ViewRule> {
-        self.by_pred
-            .get(pred)
-            .map(|ix| ix.iter().map(|&i| &self.rules[i]).collect())
-            .unwrap_or_default()
+    /// The rules defining `pred`, in declaration order (none if not a view).
+    pub fn rules_of(&self, pred: &str) -> impl ExactSizeIterator<Item = &ViewRule> + '_ {
+        let indexes = self.by_pred.get(pred).map_or(&[][..], |e| &e.rules);
+        indexes.iter().map(|&i| &self.rules[i])
     }
 
     /// All rules, in declaration order.
@@ -136,53 +219,23 @@ impl ViewSet {
 
     /// The arity of view `pred`, if defined.
     pub fn arity_of(&self, pred: &str) -> Option<usize> {
-        self.by_pred
-            .get(pred)
-            .and_then(|ix| ix.first())
-            .map(|&i| self.rules[i].head.arity())
+        let first = *self.by_pred.get(pred)?.rules.first()?;
+        Some(self.rules[first].head.arity())
     }
 
-    /// Base (non-view) predicates read anywhere in the definitions.
-    pub fn base_predicates(&self) -> BTreeSet<Arc<str>> {
-        let mut out = BTreeSet::new();
-        for rule in &self.rules {
-            let (pos, neg) = rule.referenced_predicates();
-            for p in pos.into_iter().chain(neg) {
-                if !self.is_view(&p) {
-                    out.insert(p);
-                }
-            }
-        }
-        out
+    /// A topological order of the view predicates — every view after all
+    /// views its rules mention, positively or under negation — in which the
+    /// extents can be computed in one pass. (Non-recursive Datalog is
+    /// trivially stratified: any such order is a valid stratification.)
+    pub fn materialization_order(&self) -> &[Arc<str>] {
+        &self.order
     }
 
-    /// Validate the set: safety of every rule and non-recursion of the view
-    /// graph. Returns the materialization order (a topological order of the
-    /// view predicates: definitions before uses).
-    pub fn validate(&self) -> Result<Vec<Arc<str>>, LangError> {
-        for rule in &self.rules {
-            safety::check_view_rule(rule)?;
-        }
-        strata::materialization_order(self)
-    }
-
-    /// The union of two view sets (e.g. `Υ_S ∪ Υ_T`); predicates may not be
-    /// defined in both.
-    pub fn union(&self, other: &ViewSet) -> Result<ViewSet, LangError> {
-        let mut out = self.clone();
-        for rule in &other.rules {
-            if self.is_view(&rule.head.predicate) {
-                // Unioning rule sets for the same predicate across schemas
-                // would silently change semantics; treat as arity conflict
-                // style error via a dedicated message.
-                return Err(LangError::Unsafe {
-                    context: format!("view `{}`", rule.head.predicate),
-                    detail: "defined in both view sets being combined".into(),
-                });
-            }
-            out.add_rule(rule.clone())?;
-        }
-        Ok(out)
+    /// How many views are nested below `pred`: 0 for a view over base tables
+    /// only, one more than its deepest child otherwise (`None` if not a
+    /// view).
+    pub fn nesting_depth(&self, pred: &str) -> Option<usize> {
+        self.by_pred.get(pred).map(|e| e.depth)
     }
 }
 
@@ -204,91 +257,90 @@ mod tests {
         Atom::new(p, vars.iter().map(Term::var).collect())
     }
 
+    fn rule(head: Atom, body: Vec<Literal>) -> ViewRule {
+        ViewRule::new(head, body)
+    }
+
+    /// `Head(x) <- body…` over unary atoms; a leading `!` negates.
+    fn unary(head: &str, body: &[&str]) -> ViewRule {
+        let lit = |p: &&str| match p.strip_prefix('!') {
+            Some(p) => Literal::Neg(atom(p, &["x"])),
+            None => Literal::Pos(atom(p, &["x"])),
+        };
+        rule(atom(head, &["x"]), body.iter().map(lit).collect())
+    }
+
+    fn names(order: &[Arc<str>]) -> Vec<&str> {
+        order.iter().map(|p| p.as_ref()).collect()
+    }
+
     /// The paper's target semantic schema (views v1–v6, §2), with `0`/`1`
     /// rating constants as ints.
-    pub(crate) fn paper_views() -> ViewSet {
-        let mut vs = ViewSet::new();
-        // v1: Product(id, name) <- T_Product(id, name, store)
-        vs.add_rule(ViewRule::new(
-            atom("Product", &["id", "name"]),
-            vec![Literal::Pos(atom("T_Product", &["id", "name", "store"]))],
-        ))
-        .unwrap();
-        // v2: PopularProduct(pid, name) <- T_Product(pid,name,store), not T_Rating(rid,pid,0)
-        vs.add_rule(ViewRule::new(
-            atom("PopularProduct", &["pid", "name"]),
-            vec![
-                Literal::Pos(atom("T_Product", &["pid", "name", "store"])),
-                Literal::Neg(Atom::new(
-                    "T_Rating",
-                    vec![Term::var("rid"), Term::var("pid"), Term::cons(0i64)],
-                )),
-            ],
-        ))
-        .unwrap();
-        // v3: AvgProduct <- T_Product, T_Rating(rid,pid,1), not PopularProduct
-        vs.add_rule(ViewRule::new(
-            atom("AvgProduct", &["pid", "name"]),
-            vec![
-                Literal::Pos(atom("T_Product", &["pid", "name", "store"])),
-                Literal::Pos(Atom::new(
-                    "T_Rating",
-                    vec![Term::var("rid"), Term::var("pid"), Term::cons(1i64)],
-                )),
-                Literal::Neg(atom("PopularProduct", &["pid", "name"])),
-            ],
-        ))
-        .unwrap();
-        // v4: UnpopularProduct <- T_Product, not AvgProduct, not PopularProduct
-        vs.add_rule(ViewRule::new(
-            atom("UnpopularProduct", &["pid", "name"]),
-            vec![
-                Literal::Pos(atom("T_Product", &["pid", "name", "store"])),
-                Literal::Neg(atom("AvgProduct", &["pid", "name"])),
-                Literal::Neg(atom("PopularProduct", &["pid", "name"])),
-            ],
-        ))
-        .unwrap();
-        // v5: SoldAt(pid, stid) <- T_Product(pid, pname, stid)
-        vs.add_rule(ViewRule::new(
-            atom("SoldAt", &["pid", "stid"]),
-            vec![Literal::Pos(atom("T_Product", &["pid", "pname", "stid"]))],
-        ))
-        .unwrap();
-        // v6: Store(id, name, addr) <- T_Store(id, name, addr, phone)
-        vs.add_rule(ViewRule::new(
-            atom("Store", &["id", "name", "addr"]),
-            vec![Literal::Pos(atom(
-                "T_Store",
-                &["id", "name", "addr", "phone"],
-            ))],
-        ))
-        .unwrap();
-        vs
+    fn paper_views() -> ViewSet {
+        let t_product = |a, b, c| Literal::Pos(atom("T_Product", &[a, b, c]));
+        let t_rating = |thumbs_up: i64| {
+            let args = vec![Term::var("rid"), Term::var("pid"), Term::cons(thumbs_up)];
+            Atom::new("T_Rating", args)
+        };
+        ViewSet::from_rules([
+            // v1
+            rule(
+                atom("Product", &["id", "name"]),
+                vec![t_product("id", "name", "store")],
+            ),
+            // v2
+            rule(
+                atom("PopularProduct", &["pid", "name"]),
+                vec![t_product("pid", "name", "store"), Literal::Neg(t_rating(0))],
+            ),
+            // v3
+            rule(
+                atom("AvgProduct", &["pid", "name"]),
+                vec![
+                    t_product("pid", "name", "store"),
+                    Literal::Pos(t_rating(1)),
+                    Literal::Neg(atom("PopularProduct", &["pid", "name"])),
+                ],
+            ),
+            // v4
+            rule(
+                atom("UnpopularProduct", &["pid", "name"]),
+                vec![
+                    t_product("pid", "name", "store"),
+                    Literal::Neg(atom("AvgProduct", &["pid", "name"])),
+                    Literal::Neg(atom("PopularProduct", &["pid", "name"])),
+                ],
+            ),
+            // v5
+            rule(
+                atom("SoldAt", &["pid", "stid"]),
+                vec![t_product("pid", "pname", "stid")],
+            ),
+            // v6
+            rule(
+                atom("Store", &["id", "name", "addr"]),
+                vec![Literal::Pos(atom(
+                    "T_Store",
+                    &["id", "name", "addr", "phone"],
+                ))],
+            ),
+        ])
+        .unwrap()
     }
 
     #[test]
     fn union_views_group_and_check_arity() {
-        let mut vs = ViewSet::new();
-        vs.add_rule(ViewRule::new(
-            atom("V", &["x"]),
-            vec![Literal::Pos(atom("A", &["x"]))],
-        ))
-        .unwrap();
-        vs.add_rule(ViewRule::new(
-            atom("V", &["y"]),
-            vec![Literal::Pos(atom("B", &["y"]))],
-        ))
-        .unwrap();
+        let a = rule(atom("V", &["x"]), vec![Literal::Pos(atom("A", &["x"]))]);
+        let b = rule(atom("V", &["y"]), vec![Literal::Pos(atom("B", &["y"]))]);
+        let vs = ViewSet::from_rules([a.clone(), b.clone()]).unwrap();
         assert_eq!(vs.rules_of("V").len(), 2);
         assert_eq!(vs.arity_of("V"), Some(1));
 
-        let err = vs
-            .add_rule(ViewRule::new(
-                atom("V", &["x", "y"]),
-                vec![Literal::Pos(atom("A", &["x"]))],
-            ))
-            .unwrap_err();
+        let wide = rule(
+            atom("V", &["x", "y"]),
+            vec![Literal::Pos(atom("A", &["x", "y"]))],
+        );
+        let err = ViewSet::from_rules([a, b, wide]).unwrap_err();
         assert!(matches!(err, LangError::ViewArityMismatch { .. }));
     }
 
@@ -298,73 +350,114 @@ mod tests {
         assert_eq!(vs.len(), 6);
         assert!(vs.is_view("PopularProduct"));
         assert!(!vs.is_view("T_Product"));
-        let order = vs.validate().unwrap();
-        let pos = |name: &str| order.iter().position(|p| p.as_ref() == name).unwrap();
+        let order = names(vs.materialization_order());
+        let pos = |name: &str| order.iter().position(|p| *p == name).unwrap();
         // Definitions must come before uses: Popular < Avg < Unpopular.
         assert!(pos("PopularProduct") < pos("AvgProduct"));
         assert!(pos("AvgProduct") < pos("UnpopularProduct"));
+        assert_eq!(vs.nesting_depth("UnpopularProduct"), Some(2));
+        assert_eq!(vs.nesting_depth("T_Product"), None);
     }
 
     #[test]
-    fn base_predicates_of_paper_views() {
-        let vs = paper_views();
-        let base: Vec<String> = vs.base_predicates().iter().map(|p| p.to_string()).collect();
-        assert_eq!(base, vec!["T_Product", "T_Rating", "T_Store"]);
+    fn unsafe_rule_rejected() {
+        let ghost = rule(
+            atom("V", &["x", "ghost"]),
+            vec![Literal::Pos(atom("A", &["x"]))],
+        );
+        let err = ViewSet::from_rules([ghost]).unwrap_err();
+        assert!(err.to_string().contains("head variable `ghost`"), "{err}");
     }
 
     #[test]
     fn recursive_views_rejected() {
-        let mut vs = ViewSet::new();
-        vs.add_rule(ViewRule::new(
-            atom("V", &["x"]),
-            vec![Literal::Pos(atom("W", &["x"]))],
-        ))
-        .unwrap();
-        vs.add_rule(ViewRule::new(
-            atom("W", &["x"]),
-            vec![Literal::Pos(atom("V", &["x"]))],
-        ))
-        .unwrap();
-        let err = vs.validate().unwrap_err();
+        let err = ViewSet::from_rules([unary("V", &["W"]), unary("W", &["V"])]).unwrap_err();
         assert!(matches!(err, LangError::RecursiveViews { .. }));
     }
 
     #[test]
     fn self_recursion_rejected() {
-        let mut vs = ViewSet::new();
-        vs.add_rule(ViewRule::new(
-            atom("V", &["x"]),
-            vec![
-                Literal::Pos(atom("A", &["x"])),
-                Literal::Neg(atom("V", &["x"])),
-            ],
-        ))
-        .unwrap();
-        assert!(matches!(
-            vs.validate().unwrap_err(),
-            LangError::RecursiveViews { .. }
-        ));
+        let err = ViewSet::from_rules([unary("V", &["A", "!V"])]).unwrap_err();
+        assert!(matches!(err, LangError::RecursiveViews { .. }));
     }
 
     #[test]
-    fn view_set_union_rejects_double_definitions() {
-        let mut a = ViewSet::new();
-        a.add_rule(ViewRule::new(
-            atom("V", &["x"]),
-            vec![Literal::Pos(atom("A", &["x"]))],
-        ))
+    fn chain_orders_and_depths() {
+        // V0 <- Base; V1 <- V0; V2 <- V1; V3 <- V2, declared deepest first.
+        let vs = ViewSet::from_rules([
+            unary("V3", &["V2"]),
+            unary("V2", &["V1"]),
+            unary("V1", &["V0"]),
+            unary("V0", &["Base"]),
+        ])
         .unwrap();
-        let b = a.clone();
-        assert!(a.union(&b).is_err());
+        assert_eq!(names(vs.materialization_order()), ["V0", "V1", "V2", "V3"]);
+        assert_eq!(vs.nesting_depth("V0"), Some(0));
+        assert_eq!(vs.nesting_depth("V3"), Some(3));
+    }
 
-        let mut c = ViewSet::new();
-        c.add_rule(ViewRule::new(
-            atom("W", &["x"]),
-            vec![Literal::Pos(atom("B", &["x"]))],
-        ))
+    #[test]
+    fn cycle_reports_witness() {
+        let err = ViewSet::from_rules([
+            unary("A", &["B"]),
+            unary("B", &["Base", "!C"]),
+            unary("C", &["A"]),
+        ])
+        .unwrap_err();
+        // The witness closes on itself, from the first view on the cycle.
+        assert_eq!(
+            err.to_string(),
+            "view definitions are recursive: A -> B -> C -> A"
+        );
+    }
+
+    #[test]
+    fn diamond_dependencies_ok() {
+        // D <- B, C; B <- A; C <- A; A <- Base.
+        let vs = ViewSet::from_rules([
+            unary("A", &["Base"]),
+            unary("B", &["A"]),
+            unary("C", &["A"]),
+            unary("D", &["B", "C"]),
+        ])
         .unwrap();
-        let u = a.union(&c).unwrap();
-        assert_eq!(u.len(), 2);
+        assert_eq!(vs.nesting_depth("D"), Some(2));
+        assert_eq!(names(vs.materialization_order()), ["A", "B", "C", "D"]);
+    }
+
+    #[test]
+    fn children_are_visited_positive_then_negated_by_name() {
+        // The order is a post-order; which child comes first is part of it.
+        let vs = ViewSet::from_rules([
+            unary("M", &["Q", "!P", "N"]),
+            unary("N", &["E"]),
+            unary("P", &["E"]),
+            unary("Q", &["E"]),
+        ])
+        .unwrap();
+        assert_eq!(names(vs.materialization_order()), ["N", "Q", "P", "M"]);
+    }
+
+    #[test]
+    fn deep_chain_does_not_recurse() {
+        // 100 000 frames of any recursive visit would not fit a test
+        // thread's 2 MiB stack.
+        let n = 100_000;
+        let chain = (0..n).map(|i| match i {
+            0 => unary("V0", &["Base"]),
+            _ => unary(&format!("V{i}"), &[&format!("V{}", i - 1)]),
+        });
+        let vs = ViewSet::from_rules(chain).unwrap();
+        assert_eq!(vs.nesting_depth(&format!("V{}", n - 1)), Some(n - 1));
+        assert_eq!(vs.materialization_order()[0].as_ref(), "V0");
+    }
+
+    #[test]
+    fn empty_view_set() {
+        let vs = ViewSet::default();
+        assert!(vs.is_empty());
+        assert!(vs.materialization_order().is_empty());
+        assert_eq!(vs, ViewSet::from_rules([]).unwrap());
     }
 
     #[test]

@@ -110,9 +110,8 @@ impl fmt::Display for RestrictionReport {
 /// positive view atom contributes the view's own depth, a negated atom
 /// contributes 1 + the depth of what it negates.
 pub fn negation_depths(views: &ViewSet) -> BTreeMap<Arc<str>, usize> {
-    let order = grom_lang::strata::materialization_order(views).unwrap_or_default();
     let mut depth: BTreeMap<Arc<str>, usize> = BTreeMap::new();
-    for name in &order {
+    for name in views.materialization_order() {
         let mut d = 0usize;
         for rule in views.rules_of(name) {
             for lit in &rule.body {
@@ -141,9 +140,8 @@ pub fn view_profiles(views: &ViewSet) -> Vec<ViewProfile> {
     views
         .view_names()
         .map(|name| {
-            let rules = views.rules_of(name);
             let mut negated: Vec<Arc<str>> = Vec::new();
-            for r in &rules {
+            for r in views.rules_of(name) {
                 for lit in &r.body {
                     if let Literal::Neg(a) = lit {
                         if !negated.contains(&a.predicate) {
@@ -154,7 +152,7 @@ pub fn view_profiles(views: &ViewSet) -> Vec<ViewProfile> {
             }
             ViewProfile {
                 name: name.clone(),
-                union_width: rules.len(),
+                union_width: views.rules_of(name).len(),
                 negation_depth: depths.get(name).copied().unwrap_or(0),
                 negated_predicates: negated,
             }
@@ -199,9 +197,9 @@ pub fn predicts_deds(views: &ViewSet, dep: &Dependency) -> bool {
 }
 
 /// Run the rewriter and produce the full restriction report.
-pub fn analyze(
+pub fn analyze<'d>(
     views: &ViewSet,
-    deps: &[Dependency],
+    deps: impl IntoIterator<Item = &'d Dependency>,
     options: &RewriteOptions,
 ) -> Result<(RestrictionReport, RewriteOutput), RewriteError> {
     let output = rewrite_program(views, deps, options)?;

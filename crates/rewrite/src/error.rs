@@ -14,7 +14,7 @@ use grom_lang::LangError;
 /// Fatal rewriting errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RewriteError {
-    /// Input validation failed (unsafe rule, recursive views, arity drift).
+    /// Input validation failed (an unsafe dependency, in or out).
     Lang(LangError),
     /// The DNF expansion exceeded the configured alternative budget.
     /// Truncating a *premise* DNF would silently weaken the output (drop a
@@ -29,6 +29,14 @@ pub enum RewriteError {
         predicate: Arc<str>,
         expected: usize,
         actual: usize,
+    },
+    /// A dependency mentions a view with more than `limit` levels of views
+    /// below it ([`crate::MAX_VIEW_NESTING`]); unfolding it would recurse
+    /// that deep.
+    TooDeep {
+        view: Arc<str>,
+        depth: usize,
+        limit: usize,
     },
 }
 
@@ -52,6 +60,11 @@ impl fmt::Display for RewriteError {
             } => write!(
                 f,
                 "view `{predicate}` used with arity {actual}, defined with {expected}"
+            ),
+            RewriteError::TooDeep { view, depth, limit } => write!(
+                f,
+                "view `{view}` is nested {depth} views deep; the rewriter unfolds at most \
+                 {limit} levels — flatten the view chain"
             ),
         }
     }

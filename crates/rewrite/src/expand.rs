@@ -1,29 +1,34 @@
 //! View expansion: replacing view atoms by their definitions.
 //!
 //! The expansion of a positive view atom is a **DNF**: a disjunction of
-//! conjunctions of extended literals ([`XLit`]), one disjunct per union
-//! rule, with body-only variables renamed apart. Negated atoms become
-//! [`NegTree`]s — negations of DNFs — which normalization later moves into
-//! disjuncts (premise side) or auxiliary checks (conclusion side).
+//! flattened conjunctions ([`FlatAlt`]), one disjunct per union rule, with
+//! body-only variables renamed apart. Negated atoms become [`NegTree`]s —
+//! negations of DNFs — which normalization later moves into disjuncts
+//! (premise side) or auxiliary checks (conclusion side).
 //!
 //! Non-recursion of the view set guarantees termination; the cartesian
 //! products taken across a rule body are bounded by the caller's
 //! alternative budget (exceeding it is a hard [`RewriteError::TooComplex`],
-//! because truncating a premise DNF would be unsound).
+//! because truncating a premise DNF would be unsound). The unfolding
+//! recurses once per level of view nesting, which its caller bounds
+//! ([`crate::MAX_VIEW_NESTING`]).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use grom_lang::{Atom, CmpOp, Comparison, Literal, Term, TermSubst, VarGen, ViewSet};
+use grom_lang::{Atom, CmpOp, Comparison, Literal, Term, TermSubst, Var, VarGen, ViewSet};
 
 use crate::error::RewriteError;
 
-/// An extended literal: like [`Literal`] but with negation generalized to
-/// negation *trees* over expanded view bodies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XLit {
-    Pos(Atom),
-    Cmp(Comparison),
-    Neg(NegTree),
+/// A flattened conjunction — the one form unfolded literals take: positive
+/// atoms, equalities, other comparisons and negation trees, each class in
+/// the order the unfolding met its members.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct FlatAlt {
+    pub atoms: Vec<Atom>,
+    pub eqs: Vec<(Term, Term)>,
+    pub cmps: Vec<Comparison>,
+    pub negs: Vec<NegTree>,
 }
 
 /// The negation of a DNF: `¬(∨_i ∃z̄_i conj_i)`. `source` records the
@@ -31,44 +36,58 @@ pub enum XLit {
 /// the enclosing view when the negation came from unfolding a view body,
 /// otherwise the negated predicate itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NegTree {
+pub(crate) struct NegTree {
     pub source: Atom,
     pub via: Arc<str>,
-    pub alts: Vec<Vec<XLit>>,
+    pub alts: Vec<FlatAlt>,
 }
 
-impl XLit {
-    /// Apply a substitution (used when equality processing instantiates
-    /// existential variables — the substitution must reach inside negation
-    /// trees, whose alternatives may share those variables).
-    pub fn apply(&self, subst: &TermSubst) -> XLit {
-        match self {
-            XLit::Pos(a) => XLit::Pos(subst.apply_atom(a)),
-            XLit::Cmp(c) => XLit::Cmp(subst.apply_comparison(c)),
-            XLit::Neg(nt) => XLit::Neg(NegTree {
-                source: subst.apply_atom(&nt.source),
-                via: nt.via.clone(),
-                alts: nt
-                    .alts
-                    .iter()
-                    .map(|alt| alt.iter().map(|x| x.apply(subst)).collect())
-                    .collect(),
-            }),
+impl FlatAlt {
+    pub fn push_cmp(&mut self, c: Comparison) {
+        if c.op == CmpOp::Eq {
+            self.eqs.push((c.lhs, c.rhs));
+        } else {
+            self.cmps.push(c);
         }
     }
 
-    /// Collect the variables of this literal (including inside negation
+    /// Apply a substitution (used when equality processing instantiates
+    /// existential variables — the substitution must reach inside negation
+    /// trees, whose alternatives may share those variables).
+    pub fn apply(&mut self, subst: &TermSubst) {
+        for a in &mut self.atoms {
+            *a = subst.apply_atom(a);
+        }
+        for (l, r) in &mut self.eqs {
+            *l = subst.apply_term(l);
+            *r = subst.apply_term(r);
+        }
+        for c in &mut self.cmps {
+            *c = subst.apply_comparison(c);
+        }
+        for nt in &mut self.negs {
+            nt.source = subst.apply_atom(&nt.source);
+            for alt in &mut nt.alts {
+                alt.apply(subst);
+            }
+        }
+    }
+
+    /// Collect the variables of this conjunction (including inside negation
     /// trees) into `acc`.
-    pub fn collect_vars(&self, acc: &mut std::collections::BTreeSet<grom_lang::Var>) {
-        match self {
-            XLit::Pos(a) => a.collect_vars(acc),
-            XLit::Cmp(c) => c.collect_vars(acc),
-            XLit::Neg(nt) => {
-                for alt in &nt.alts {
-                    for x in alt {
-                        x.collect_vars(acc);
-                    }
-                }
+    pub fn collect_vars(&self, acc: &mut BTreeSet<Var>) {
+        for a in &self.atoms {
+            a.collect_vars(acc);
+        }
+        for (l, r) in &self.eqs {
+            acc.extend([l, r].into_iter().filter_map(Term::as_var).cloned());
+        }
+        for c in &self.cmps {
+            c.collect_vars(acc);
+        }
+        for nt in &self.negs {
+            for alt in &nt.alts {
+                alt.collect_vars(acc);
             }
         }
     }
@@ -76,11 +95,11 @@ impl XLit {
 
 /// Cartesian product of DNFs with a budget.
 pub(crate) fn cartesian(
-    acc: Vec<Vec<XLit>>,
-    next: Vec<Vec<XLit>>,
+    acc: Vec<FlatAlt>,
+    next: Vec<FlatAlt>,
     dep: &Arc<str>,
     budget: usize,
-) -> Result<Vec<Vec<XLit>>, RewriteError> {
+) -> Result<Vec<FlatAlt>, RewriteError> {
     let size = acc.len().saturating_mul(next.len());
     if size > budget {
         return Err(RewriteError::TooComplex {
@@ -93,7 +112,10 @@ pub(crate) fn cartesian(
     for a in &acc {
         for n in &next {
             let mut row = a.clone();
-            row.extend(n.iter().cloned());
+            row.atoms.extend_from_slice(&n.atoms);
+            row.eqs.extend_from_slice(&n.eqs);
+            row.cmps.extend_from_slice(&n.cmps);
+            row.negs.extend_from_slice(&n.negs);
             out.push(row);
         }
     }
@@ -107,15 +129,18 @@ pub(crate) fn cartesian(
 ///
 /// `dep` and `budget` bound the expansion size; `vargen` renames body-only
 /// variables apart.
-pub fn expand_atom(
+pub(crate) fn expand_atom(
     atom: &Atom,
     views: &ViewSet,
     vargen: &mut VarGen,
     dep: &Arc<str>,
     budget: usize,
-) -> Result<Vec<Vec<XLit>>, RewriteError> {
+) -> Result<Vec<FlatAlt>, RewriteError> {
     if !views.is_view(&atom.predicate) {
-        return Ok(vec![vec![XLit::Pos(atom.clone())]]);
+        return Ok(vec![FlatAlt {
+            atoms: vec![atom.clone()],
+            ..FlatAlt::default()
+        }]);
     }
     let expected = views.arity_of(&atom.predicate).unwrap_or(0);
     if atom.arity() != expected {
@@ -126,36 +151,28 @@ pub fn expand_atom(
         });
     }
 
-    let mut alts: Vec<Vec<XLit>> = Vec::new();
+    let mut alts: Vec<FlatAlt> = Vec::new();
     'rules: for rule in views.rules_of(&atom.predicate) {
         // Build the head substitution; repeated head variables and head
         // constants add equality conditions.
         let mut subst = TermSubst::new();
-        let mut eq_conds: Vec<Comparison> = Vec::new();
+        let mut eq_conds = FlatAlt::default();
         for (head_term, arg) in rule.head.args.iter().zip(&atom.args) {
             match head_term {
                 Term::Var(v) => match subst.get(v) {
                     None => subst.bind(v.clone(), arg.clone()),
                     Some(prev) if prev == arg => {}
-                    Some(prev) => {
-                        eq_conds.push(Comparison::new(CmpOp::Eq, prev.clone(), arg.clone()));
-                    }
+                    Some(prev) => eq_conds.eqs.push((prev.clone(), arg.clone())),
                 },
                 Term::Const(c) => match arg {
                     Term::Const(d) if c == d => {}
                     Term::Const(_) => continue 'rules, // rule can never produce this atom
-                    Term::Var(_) => {
-                        eq_conds.push(Comparison::new(
-                            CmpOp::Eq,
-                            arg.clone(),
-                            Term::Const(c.clone()),
-                        ));
-                    }
+                    Term::Var(_) => eq_conds.eqs.push((arg.clone(), Term::Const(c.clone()))),
                 },
             }
         }
         // Rename body-only variables apart.
-        let head_vars: std::collections::BTreeSet<_> = rule.head.variables().into_iter().collect();
+        let head_vars: BTreeSet<_> = rule.head.variables().into_iter().collect();
         for v in grom_lang::ast::body_variables(&rule.body) {
             if !head_vars.contains(&v) {
                 subst.bind(v.clone(), Term::Var(vargen.fresh(&v)));
@@ -163,7 +180,7 @@ pub fn expand_atom(
         }
 
         // Expand the substituted body.
-        let mut rule_alts: Vec<Vec<XLit>> = vec![eq_conds.iter().cloned().map(XLit::Cmp).collect()];
+        let mut rule_alts: Vec<FlatAlt> = vec![eq_conds];
         for lit in subst.apply_body(&rule.body) {
             match lit {
                 Literal::Pos(a) => {
@@ -172,19 +189,19 @@ pub fn expand_atom(
                 }
                 Literal::Neg(a) => {
                     let tree = NegTree {
-                        source: a.clone(),
+                        alts: expand_atom(&a, views, vargen, dep, budget)?,
+                        source: a,
                         // Blame the enclosing view: its body owns this
                         // negation pattern.
                         via: atom.predicate.clone(),
-                        alts: expand_atom(&a, views, vargen, dep, budget)?,
                     };
                     for alt in &mut rule_alts {
-                        alt.push(XLit::Neg(tree.clone()));
+                        alt.negs.push(tree.clone());
                     }
                 }
                 Literal::Cmp(c) => {
                     for alt in &mut rule_alts {
-                        alt.push(XLit::Cmp(c.clone()));
+                        alt.push_cmp(c.clone());
                     }
                 }
             }
@@ -214,17 +231,30 @@ mod tests {
         Atom::new(p, vars.iter().map(Term::var).collect())
     }
 
-    fn expand(views: &ViewSet, a: &Atom) -> Vec<Vec<XLit>> {
+    fn expand(views: &ViewSet, a: &Atom) -> Vec<FlatAlt> {
         let mut vg = VarGen::new();
         expand_atom(a, views, &mut vg, &dep_name(), 4096).unwrap()
     }
 
+    /// How many literals of each class: (atoms, eqs, cmps, negs).
+    fn shape(alt: &FlatAlt) -> (usize, usize, usize, usize) {
+        let FlatAlt {
+            atoms,
+            eqs,
+            cmps,
+            negs,
+        } = alt;
+        (atoms.len(), eqs.len(), cmps.len(), negs.len())
+    }
+
     #[test]
     fn base_atom_passes_through() {
-        let views = ViewSet::new();
+        let views = ViewSet::default();
         let a = atom("T", &["x"]);
         let alts = expand(&views, &a);
-        assert_eq!(alts, vec![vec![XLit::Pos(a)]]);
+        assert_eq!(alts.len(), 1);
+        assert_eq!(shape(&alts[0]), (1, 0, 0, 0));
+        assert_eq!(alts[0].atoms[0], a);
     }
 
     #[test]
@@ -233,16 +263,12 @@ mod tests {
         let alts = expand(&p.views, &atom("V", &["q"]));
         assert_eq!(alts.len(), 1);
         let alt = &alts[0];
-        assert_eq!(alt.len(), 2);
+        assert_eq!(shape(alt), (2, 0, 0, 0));
         // Head var x -> q; body var y renamed fresh.
-        match &alt[0] {
-            XLit::Pos(a) => {
-                assert_eq!(a.predicate.as_ref(), "A");
-                assert_eq!(a.args[0], Term::var("q"));
-                assert!(a.args[1].as_var().unwrap().starts_with('$'));
-            }
-            other => panic!("expected positive atom, got {other:?}"),
-        }
+        let a = &alt.atoms[0];
+        assert_eq!(a.predicate.as_ref(), "A");
+        assert_eq!(a.args[0], Term::var("q"));
+        assert!(a.args[1].as_var().unwrap().starts_with('$'));
     }
 
     #[test]
@@ -257,13 +283,12 @@ mod tests {
         let p = Program::parse("view V(x) <- A(x), not B(x).").unwrap();
         let alts = expand(&p.views, &atom("V", &["q"]));
         assert_eq!(alts.len(), 1);
-        match &alts[0][1] {
-            XLit::Neg(nt) => {
-                assert_eq!(nt.source.predicate.as_ref(), "B");
-                assert_eq!(nt.alts, vec![vec![XLit::Pos(atom("B", &["q"]))]]);
-            }
-            other => panic!("expected negation tree, got {other:?}"),
-        }
+        assert_eq!(shape(&alts[0]), (1, 0, 0, 1));
+        let nt = &alts[0].negs[0];
+        assert_eq!(nt.source.predicate.as_ref(), "B");
+        assert_eq!(nt.alts.len(), 1);
+        assert_eq!(shape(&nt.alts[0]), (1, 0, 0, 0));
+        assert_eq!(nt.alts[0].atoms[0], atom("B", &["q"]));
     }
 
     #[test]
@@ -275,16 +300,11 @@ mod tests {
         .unwrap();
         let alts = expand(&p.views, &atom("Un", &["q"]));
         assert_eq!(alts.len(), 1);
-        let nt = match &alts[0][1] {
-            XLit::Neg(nt) => nt,
-            other => panic!("expected negation tree, got {other:?}"),
-        };
+        let nt = &alts[0].negs[0];
         assert_eq!(nt.source.predicate.as_ref(), "Pop");
         // Pop's expansion itself contains a nested negation tree.
         assert_eq!(nt.alts.len(), 1);
-        assert!(
-            matches!(&nt.alts[0][1], XLit::Neg(inner) if inner.source.predicate.as_ref() == "R")
-        );
+        assert_eq!(nt.alts[0].negs[0].source.predicate.as_ref(), "R");
     }
 
     #[test]
@@ -296,13 +316,7 @@ mod tests {
         .unwrap();
         let alts = expand(&p.views, &atom("V2", &["q"]));
         assert_eq!(alts.len(), 1);
-        let preds: Vec<&str> = alts[0]
-            .iter()
-            .filter_map(|x| match x {
-                XLit::Pos(a) => Some(a.predicate.as_ref()),
-                _ => None,
-            })
-            .collect();
+        let preds: Vec<&str> = alts[0].atoms.iter().map(|a| a.predicate.as_ref()).collect();
         assert_eq!(preds, vec!["A", "B"]);
     }
 
@@ -333,19 +347,10 @@ mod tests {
     #[test]
     fn repeated_head_variable_adds_equality() {
         let p = Program::parse("view Diag(x, x) <- A(x, y).").unwrap();
-        // Hmm — repeated head variables: Diag(a, b) requires a = b.
+        // Repeated head variables: Diag(a, b) requires a = b.
         let alts = expand(&p.views, &atom("Diag", &["a", "b"]));
         assert_eq!(alts.len(), 1);
-        let eqs: Vec<&Comparison> = alts[0]
-            .iter()
-            .filter_map(|x| match x {
-                XLit::Cmp(c) if c.op == CmpOp::Eq => Some(c),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(eqs.len(), 1);
-        assert_eq!(eqs[0].lhs, Term::var("a"));
-        assert_eq!(eqs[0].rhs, Term::var("b"));
+        assert_eq!(alts[0].eqs, [(Term::var("a"), Term::var("b"))]);
     }
 
     #[test]
@@ -357,7 +362,7 @@ mod tests {
             &Atom::new("Flagged", vec![Term::var("q"), Term::cons(1i64)]),
         );
         assert_eq!(alts.len(), 1);
-        assert_eq!(alts[0].len(), 1);
+        assert_eq!(shape(&alts[0]), (1, 0, 0, 0));
         // Used with a mismatching constant: the rule is pruned entirely.
         let alts = expand(
             &p.views,
@@ -367,7 +372,7 @@ mod tests {
         // Used with a variable: equality condition appears.
         let alts = expand(&p.views, &atom("Flagged", &["q", "w"]));
         assert_eq!(alts.len(), 1);
-        assert!(matches!(&alts[0][0], XLit::Cmp(c) if c.op == CmpOp::Eq));
+        assert_eq!(alts[0].eqs, [(Term::var("w"), Term::cons(1i64))]);
     }
 
     #[test]
@@ -384,26 +389,19 @@ mod tests {
         let mut vg = VarGen::new();
         let a1 = expand_atom(&atom("V", &["p"]), &p.views, &mut vg, &dep_name(), 64).unwrap();
         let a2 = expand_atom(&atom("V", &["q"]), &p.views, &mut vg, &dep_name(), 64).unwrap();
-        let var_of = |alts: &Vec<Vec<XLit>>| match &alts[0][0] {
-            XLit::Pos(a) => a.args[1].as_var().unwrap().clone(),
-            _ => panic!(),
-        };
+        let var_of = |alts: &Vec<FlatAlt>| alts[0].atoms[0].args[1].as_var().unwrap().clone();
         assert_ne!(var_of(&a1), var_of(&a2));
     }
 
     #[test]
     fn substitution_reaches_inside_negation_trees() {
         let p = Program::parse("view V(x) <- A(x), not B(x, z).").unwrap();
-        let alts = expand(&p.views, &atom("V", &["q"]));
+        let mut alts = expand(&p.views, &atom("V", &["q"]));
         let mut subst = TermSubst::new();
         subst.bind("q".into(), Term::cons(5i64));
-        let rewritten: Vec<XLit> = alts[0].iter().map(|x| x.apply(&subst)).collect();
-        match &rewritten[1] {
-            XLit::Neg(nt) => match &nt.alts[0][0] {
-                XLit::Pos(a) => assert_eq!(a.args[0], Term::cons(5i64)),
-                other => panic!("unexpected {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
-        }
+        alts[0].apply(&subst);
+        let nt = &alts[0].negs[0];
+        assert_eq!(nt.source.args[0], Term::cons(5i64));
+        assert_eq!(nt.alts[0].atoms[0].args[0], Term::cons(5i64));
     }
 }

@@ -8,11 +8,16 @@
 //!
 //! ## The algorithm
 //!
-//! 1. **Expansion** ([`expand`]): every view atom is recursively replaced by
+//! 1. **Expansion** (`expand.rs`): every view atom is recursively replaced by
 //!    its definition. A positive view atom becomes a DNF (one alternative
 //!    per union rule, body variables freshly renamed); a negated view atom
 //!    becomes a *negation tree* `¬(∨_i ∃z̄_i conj_i)`. Base atoms and
-//!    comparisons pass through.
+//!    comparisons pass through. Every alternative is built directly in the
+//!    one form normalization works on — a flattened conjunction of atoms,
+//!    equalities, comparisons and negation trees. The view set is taken as
+//!    it stands: a [`grom_lang::ViewSet`] is safe and non-recursive by
+//!    construction and knows each view's nesting depth, which bounds the
+//!    recursion ([`MAX_VIEW_NESTING`]).
 //! 2. **Normalization** ([`rewriter`]):
 //!    * each premise alternative yields its own output dependency
 //!      (premise disjunction distributes over the implication);
@@ -42,10 +47,9 @@
 
 pub mod analysis;
 pub mod error;
-pub mod expand;
+mod expand;
 pub mod rewriter;
 
 pub use analysis::{analyze, ProblematicView, RestrictionReport, ViewProfile};
 pub use error::{RewriteError, RewriteWarning};
-pub use expand::{expand_atom, NegTree, XLit};
-pub use rewriter::{rewrite_dependency, rewrite_program, RewriteOptions, RewriteOutput};
+pub use rewriter::{rewrite_program, RewriteOptions, RewriteOutput, MAX_VIEW_NESTING};

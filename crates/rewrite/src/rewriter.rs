@@ -1,7 +1,7 @@
 //! Normalization: from expanded dependencies to executable tgds/egds/deds.
 //!
-//! See the crate docs for the algorithm overview. The entry points are
-//! [`rewrite_program`] (a whole mapping) and [`rewrite_dependency`].
+//! See the crate docs for the algorithm overview. The entry point is
+//! [`rewrite_program`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use grom_lang::{
 };
 
 use crate::error::{RewriteError, RewriteWarning};
-use crate::expand::{cartesian, expand_atom, NegTree, XLit};
+use crate::expand::{cartesian, expand_atom, FlatAlt, NegTree};
 
 /// Options controlling the rewriting.
 #[derive(Debug, Clone)]
@@ -53,50 +53,6 @@ impl RewriteOutput {
     /// Is the rewritten program ded-free (plain tgds/egds/denials only)?
     pub fn is_ded_free(&self) -> bool {
         self.deds().next().is_none()
-    }
-}
-
-/// A flattened conjunction: positive atoms, equalities, comparisons and
-/// negation trees.
-#[derive(Debug, Clone, Default)]
-struct FlatAlt {
-    atoms: Vec<Atom>,
-    eqs: Vec<(Term, Term)>,
-    cmps: Vec<Comparison>,
-    negs: Vec<NegTree>,
-}
-
-impl FlatAlt {
-    fn from_xlits(xs: &[XLit]) -> FlatAlt {
-        let mut out = FlatAlt::default();
-        for x in xs {
-            match x {
-                XLit::Pos(a) => out.atoms.push(a.clone()),
-                XLit::Cmp(c) if c.op == CmpOp::Eq => out.eqs.push((c.lhs.clone(), c.rhs.clone())),
-                XLit::Cmp(c) => out.cmps.push(c.clone()),
-                XLit::Neg(nt) => out.negs.push(nt.clone()),
-            }
-        }
-        out
-    }
-
-    fn apply(&mut self, subst: &TermSubst) {
-        for a in &mut self.atoms {
-            *a = subst.apply_atom(a);
-        }
-        for (l, r) in &mut self.eqs {
-            *l = subst.apply_term(l);
-            *r = subst.apply_term(r);
-        }
-        for c in &mut self.cmps {
-            *c = subst.apply_comparison(c);
-        }
-        for nt in &mut self.negs {
-            let rewritten = XLit::Neg(nt.clone()).apply(subst);
-            if let XLit::Neg(new_nt) = rewritten {
-                *nt = new_nt;
-            }
-        }
     }
 }
 
@@ -213,11 +169,10 @@ fn premise_literals(atoms: &[Atom], cmps: &[Comparison], eqs: &[(Term, Term)]) -
 fn alt_to_disjunct(
     ctx: &mut Ctx<'_>,
     via: &Arc<str>,
-    alt: &[XLit],
+    alt: &FlatAlt,
     bound: &BTreeSet<Var>,
 ) -> Option<Disjunct> {
-    let fa = FlatAlt::from_xlits(alt);
-    let fa = match simplify(fa, bound) {
+    let fa = match simplify(alt.clone(), bound) {
         Simplified::Unsat => return None, // unsatisfiable disjunct adds nothing
         Simplified::Sat(fa) => fa,
     };
@@ -273,8 +228,7 @@ fn emit_conclusion_check(
     context_atoms: &[Atom],
     nt: &NegTree,
 ) {
-    for alt in &nt.alts {
-        let fa = FlatAlt::from_xlits(alt);
+    for fa in &nt.alts {
         // The aux premise binds: premise vars + context vars + this alt's
         // positive vars.
         let mut aux_atoms: Vec<Atom> = prem_atoms.to_vec();
@@ -320,33 +274,40 @@ fn rewrite_into(
     };
 
     // ---- Step 1: premise DNF ------------------------------------------
-    let mut prem_dnf: Vec<Vec<XLit>> = vec![vec![]];
+    let mut prem_dnf: Vec<FlatAlt> = vec![FlatAlt::default()];
     for lit in &dep.premise {
-        let lit_dnf: Vec<Vec<XLit>> = match lit {
-            Literal::Pos(a) => expand_atom(a, ctx.views, ctx.vargen, &dep.name, budget)?,
+        match lit {
+            Literal::Pos(a) => {
+                let sub = expand_atom(a, ctx.views, ctx.vargen, &dep.name, budget)?;
+                prem_dnf = cartesian(prem_dnf, sub, &dep.name, budget)?;
+            }
             Literal::Neg(a) => {
-                let alts = expand_atom(a, ctx.views, ctx.vargen, &dep.name, budget)?;
-                vec![vec![XLit::Neg(NegTree {
+                let tree = NegTree {
                     source: a.clone(),
                     via: a.predicate.clone(),
-                    alts,
-                })]]
+                    alts: expand_atom(a, ctx.views, ctx.vargen, &dep.name, budget)?,
+                };
+                for alt in &mut prem_dnf {
+                    alt.negs.push(tree.clone());
+                }
             }
-            Literal::Cmp(c) => vec![vec![XLit::Cmp(c.clone())]],
-        };
-        prem_dnf = cartesian(prem_dnf, lit_dnf, &dep.name, budget)?;
+            Literal::Cmp(c) => {
+                for alt in &mut prem_dnf {
+                    alt.push_cmp(c.clone());
+                }
+            }
+        }
     }
 
     // ---- Step 2: conclusion alternatives ------------------------------
     let mut conc_alts: Vec<FlatAlt> = Vec::new();
     for d in &dep.disjuncts {
-        let mut dnf: Vec<Vec<XLit>> = vec![vec![]];
+        let mut dnf: Vec<FlatAlt> = vec![FlatAlt::default()];
         for a in &d.atoms {
             let sub = expand_atom(a, ctx.views, ctx.vargen, &dep.name, budget)?;
             dnf = cartesian(dnf, sub, &dep.name, budget)?;
         }
-        for alt in dnf {
-            let mut fa = FlatAlt::from_xlits(&alt);
+        for mut fa in dnf {
             fa.eqs.extend(d.eqs.iter().cloned());
             fa.cmps.extend(d.cmps.iter().cloned());
             conc_alts.push(fa);
@@ -355,8 +316,7 @@ fn rewrite_into(
 
     // ---- Step 3: one output dependency per premise alternative --------
     let multi_premise = prem_dnf.len() > 1;
-    for (pi, palt) in prem_dnf.iter().enumerate() {
-        let pa = FlatAlt::from_xlits(palt);
+    for (pi, pa) in prem_dnf.iter().enumerate() {
         // Premise equalities stay as comparison literals (join conditions).
         let prem_atoms = pa.atoms.clone();
         let mut prem_cmps = pa.cmps.clone();
@@ -410,9 +370,7 @@ fn rewrite_into(
                 for nt in &sca.negs {
                     let mut nt_vars = BTreeSet::new();
                     for alt in &nt.alts {
-                        for x in alt {
-                            x.collect_vars(&mut nt_vars);
-                        }
+                        alt.collect_vars(&mut nt_vars);
                     }
                     let shares = nt_vars.iter().any(|v| conc_exist.contains(v));
                     let context: Vec<Atom> = if shares {
@@ -475,28 +433,34 @@ fn rewrite_into(
     Ok(ctx.out)
 }
 
-/// Rewrite a single dependency against a view set.
-pub fn rewrite_dependency(
-    dep: &Dependency,
-    views: &ViewSet,
-    vargen: &mut VarGen,
-    options: &RewriteOptions,
-) -> Result<RewriteOutput, RewriteError> {
-    let out = rewrite_into(dep, views, vargen, options, RewriteOutput::default())?;
-    verify_executable(&out)?;
-    Ok(out)
-}
+/// The deepest view nesting [`rewrite_program`] unfolds: the unfolding
+/// recurses once per level, so a deeper view is refused
+/// ([`RewriteError::TooDeep`]) instead of overflowing the stack. Measured on
+/// a 2 MiB stack, chains `V_k <- V_{k-1}` and `V_k <- T, not V_{k-1}`: a debug
+/// build unfolds 500 levels and overflows at 505, a release build 2 000 and
+/// 2 500 — half the debug figure. A constant, not an option: memoized
+/// unfolding (ROADMAP item 3) removes the recursion and this bound with it.
+pub const MAX_VIEW_NESTING: usize = 256;
 
 /// Rewrite a whole mapping: every dependency of `deps` against `views`.
 /// Duplicate outputs (identical up to variable renaming) are merged.
-pub fn rewrite_program(
+pub fn rewrite_program<'d>(
     views: &ViewSet,
-    deps: &[Dependency],
+    deps: impl IntoIterator<Item = &'d Dependency>,
     options: &RewriteOptions,
 ) -> Result<RewriteOutput, RewriteError> {
-    views.validate()?;
-    for dep in deps {
+    // Every input is checked before any is rewritten.
+    let deps: Vec<&Dependency> = deps.into_iter().collect();
+    for dep in &deps {
         grom_lang::safety::check_dependency(dep)?;
+        let premise = dep.premise.iter().filter_map(Literal::atom);
+        for atom in premise.chain(dep.disjuncts.iter().flat_map(|d| &d.atoms)) {
+            let view = &atom.predicate;
+            if let Some(depth) = views.nesting_depth(view).filter(|&d| d > MAX_VIEW_NESTING) {
+                let (view, limit) = (view.clone(), MAX_VIEW_NESTING);
+                return Err(RewriteError::TooDeep { view, depth, limit });
+            }
+        }
     }
     let mut vargen = VarGen::new();
     let mut out = RewriteOutput::default();
