@@ -13,11 +13,11 @@
 //! anti-monotone anyway — new tuples can only *remove* matches, never
 //! create violations through a negated literal.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use grom_data::Instance;
-use grom_lang::{Dependency, Literal, Term, Var};
+use grom_lang::{Atom, Dependency, Literal, Term, Var};
 
 /// Relation name → indices of the dependencies whose premise mentions it
 /// positively.
@@ -63,7 +63,8 @@ impl TriggerIndex {
 
 /// The composite join-key position sets each relation will be probed on
 /// when chasing `deps`, derived from the same static premise analysis the
-/// trigger index performs.
+/// trigger index performs: `(relation, columns)` pairs, sorted and without
+/// duplicates — the order [`register_join_keys`] registers them in.
 ///
 /// For a premise atom, a position is a *probe key* when its term is a
 /// constant or a variable shared with another premise literal — exactly the
@@ -75,63 +76,66 @@ impl TriggerIndex {
 /// that binds it), and a set of *all* of a relation's columns, though
 /// reported here, is dropped by [`Instance::register_key`] — the
 /// membership table answers fully bound probes.
-pub fn join_keys(deps: &[Dependency]) -> BTreeMap<Arc<str>, BTreeSet<Vec<usize>>> {
-    let mut out: BTreeMap<Arc<str>, BTreeSet<Vec<usize>>> = BTreeMap::new();
-    let add =
-        |out: &mut BTreeMap<Arc<str>, BTreeSet<Vec<usize>>>, rel: &Arc<str>, cols: Vec<usize>| {
-            if cols.len() >= 2 {
-                out.entry(rel.clone()).or_default().insert(cols);
-            }
-        };
+pub fn join_keys(deps: &[Dependency]) -> Vec<(&str, Vec<usize>)> {
+    let mut out = Vec::new();
+    // Per dependency: each premise variable with the number of premise
+    // atoms it occurs in — 0 for one that only comparisons mention:
+    // universal, but joining nothing.
+    let mut occurs: Vec<(&Var, usize)> = Vec::new();
+    let mut in_literal: Vec<&Var> = Vec::new();
     for dep in deps {
-        // How many premise literals mention each variable?
-        let mut occurs: HashMap<Var, usize> = HashMap::new();
+        occurs.clear();
         for lit in &dep.premise {
-            let atom = match lit {
-                Literal::Pos(a) | Literal::Neg(a) => a,
-                Literal::Cmp(_) => continue,
-            };
-            let mut vars = BTreeSet::new();
-            atom.collect_vars(&mut vars);
-            for v in vars {
-                *occurs.entry(v).or_default() += 1;
+            in_literal.clear();
+            for t in lit.terms() {
+                if let Term::Var(v) = t {
+                    if !in_literal.contains(&v) {
+                        in_literal.push(v);
+                    }
+                }
+            }
+            let weight = usize::from(lit.atom().is_some());
+            for &v in &in_literal {
+                match occurs.iter_mut().find(|(w, _)| *w == v) {
+                    Some((_, n)) => *n += weight,
+                    None => occurs.push((v, weight)),
+                }
             }
         }
-        for lit in &dep.premise {
-            let atom = match lit {
-                Literal::Pos(a) | Literal::Neg(a) => a,
-                Literal::Cmp(_) => continue,
-            };
-            let cols: Vec<usize> = atom
-                .args
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| match t {
-                    Term::Const(_) => true,
-                    Term::Var(v) => occurs.get(v).copied().unwrap_or(0) >= 2,
-                })
-                .map(|(i, _)| i)
-                .collect();
-            add(&mut out, &atom.predicate, cols);
+        let joins = |v: &Var| occurs.iter().any(|&(w, n)| w == v && n >= 2);
+        let universal = |v: &Var| occurs.iter().any(|&(w, _)| w == v);
+        for a in dep.premise.iter().filter_map(Literal::atom) {
+            push_key(&mut out, a, joins);
         }
-        let universal: BTreeSet<Var> = dep.universal_vars().into_iter().collect();
-        for d in &dep.disjuncts {
-            for atom in &d.atoms {
-                let cols: Vec<usize> = atom
-                    .args
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| match t {
-                        Term::Const(_) => true,
-                        Term::Var(v) => universal.contains(v),
-                    })
-                    .map(|(i, _)| i)
-                    .collect();
-                add(&mut out, &atom.predicate, cols);
-            }
+        for a in dep.disjuncts.iter().flat_map(|d| &d.atoms) {
+            push_key(&mut out, a, universal);
         }
     }
+    out.sort_unstable();
+    out.dedup();
     out
+}
+
+/// Add `atom`'s probe key — its constant positions and those holding a
+/// `keyed` variable — when it spans at least two columns.
+fn push_key<'a>(
+    out: &mut Vec<(&'a str, Vec<usize>)>,
+    atom: &'a Atom,
+    keyed: impl Fn(&Var) -> bool,
+) {
+    let cols: Vec<usize> = atom
+        .args
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| match t {
+            Term::Const(_) => true,
+            Term::Var(v) => keyed(v),
+        })
+        .map(|(i, _)| i)
+        .collect();
+    if cols.len() >= 2 {
+        out.push((&atom.predicate, cols));
+    }
 }
 
 /// Register the [`join_keys`] of `deps` as composite-key indexes on `inst`.
@@ -140,10 +144,8 @@ pub fn join_keys(deps: &[Dependency]) -> BTreeMap<Arc<str>, BTreeSet<Vec<usize>>
 /// built by the first probe that binds its columns. The chase dispatcher
 /// calls this once per run, before the first sweep.
 pub fn register_join_keys(inst: &mut Instance, deps: &[Dependency]) {
-    for (rel, keys) in join_keys(deps) {
-        for cols in keys {
-            inst.register_key(&rel, &cols);
-        }
+    for (rel, cols) in join_keys(deps) {
+        inst.register_key(rel, &cols);
     }
 }
 
@@ -185,15 +187,14 @@ mod tests {
         )
         .unwrap();
         let keys = join_keys(&p.deps);
-        // R and S join on both columns (x and y are each shared).
-        assert!(keys["R"].contains(&vec![0, 1]));
-        assert!(keys["S"].contains(&vec![0, 1]));
-        // The conclusion T is probed with both universal vars bound.
-        assert!(keys["T"].contains(&vec![0, 1]));
-        // U's repeated variable counts as one literal: x occurs in one
-        // literal only, z too — no multi-column key, and V is unary.
-        assert!(!keys.contains_key("U"));
-        assert!(!keys.contains_key("V"));
+        // R and S join on both columns (x and y are each shared); the
+        // conclusion T is probed with both universal vars bound. U's
+        // repeated variable counts as one literal: x occurs in one literal
+        // only, z too — no multi-column key, and V is unary.
+        assert_eq!(
+            keys,
+            [("R", vec![0, 1]), ("S", vec![0, 1]), ("T", vec![0, 1])]
+        );
     }
 
     #[test]
@@ -206,8 +207,13 @@ mod tests {
         assert!(inst.relation("R").unwrap().key_specs().any(|k| k == [0, 1]));
         // S's join key is all of its columns: the membership table's job.
         assert_eq!(inst.relation("S").unwrap().key_specs().count(), 0);
-        // T does not exist yet; the key appears when it is created.
+        // T does not exist yet; registering again (and a second key for it)
+        // queues each key once, and they appear when T is created.
+        register_join_keys(&mut inst, &p.deps);
+        inst.register_key("T", &[1, 2]);
+        inst.register_key("T", &[2, 1]);
         inst.add("T", vec![1.into(), 2.into(), 3.into()]).unwrap();
-        assert!(inst.relation("T").unwrap().key_specs().any(|k| k == [0, 1]));
+        let t_keys: Vec<&[usize]> = inst.relation("T").unwrap().key_specs().collect();
+        assert_eq!(t_keys, [&[0, 1][..], &[1, 2][..]]);
     }
 }

@@ -15,12 +15,21 @@
 //! then the chase terminates in polynomially many steps. Deds are handled
 //! by treating each disjunct as a separate tgd head — if every branch is
 //! weakly acyclic, every greedy-chase scenario terminates.
+//!
+//! Deciding it takes one pass of Tarjan's strongly-connected-components
+//! algorithm over the whole graph: an edge `u → v` lies on a cycle iff
+//! there is a path back from `v` to `u`, i.e. iff `u` and `v` are in the
+//! same component (a self-loop is its own cycle). Positions get dense ids
+//! numbered in `(predicate, column)` order and the edge lists are sorted
+//! and deduplicated, so the **witness** — the least special edge on a
+//! cycle, comparing source position first, then target — is the first
+//! special edge whose ends share a component.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use grom_lang::{Dependency, Literal, Term, Var};
+use grom_lang::{Atom, Dependency, Literal, Term, Var};
 
 /// A position `(predicate, column index)` in the position graph.
 pub type Position = (Arc<str>, usize);
@@ -56,109 +65,207 @@ impl fmt::Display for WeakAcyclicityReport {
     }
 }
 
-/// Positions of each variable in the positive premise literals.
-fn premise_positions(dep: &Dependency) -> BTreeMap<Var, Vec<Position>> {
-    let mut out: BTreeMap<Var, Vec<Position>> = BTreeMap::new();
-    for lit in &dep.premise {
-        if let Literal::Pos(a) = lit {
+/// Dense ids for the positions of the graph under construction.
+#[derive(Default)]
+struct Positions<'a> {
+    /// Predicate → its index into `columns`.
+    predicates: HashMap<&'a str, usize>,
+    /// Per predicate: its name and the id of each column seen so far.
+    columns: Vec<(&'a str, Vec<Option<u32>>)>,
+    /// Id → `(predicate index, column)`.
+    of_id: Vec<(usize, usize)>,
+}
+
+impl<'a> Positions<'a> {
+    fn id(&mut self, predicate: &'a str, column: usize) -> u32 {
+        let p = *self.predicates.entry(predicate).or_insert_with(|| {
+            self.columns.push((predicate, Vec::new()));
+            self.columns.len() - 1
+        });
+        let ids = &mut self.columns[p].1;
+        if ids.len() <= column {
+            ids.resize(column + 1, None);
+        }
+        *ids[column].get_or_insert_with(|| {
+            self.of_id.push((p, column));
+            u32::try_from(self.of_id.len() - 1).expect("fewer than 2^32 positions")
+        })
+    }
+
+    /// The `(variable, position)` pairs of `atoms`, in order.
+    fn of_atoms<'d: 'a>(
+        &mut self,
+        atoms: impl Iterator<Item = &'d Atom>,
+        out: &mut Vec<(&'d Var, u32)>,
+    ) {
+        out.clear();
+        for a in atoms {
             for (i, t) in a.args.iter().enumerate() {
                 if let Term::Var(v) = t {
-                    out.entry(v.clone())
-                        .or_default()
-                        .push((a.predicate.clone(), i));
+                    out.push((v, self.id(&a.predicate, i)));
                 }
             }
         }
     }
-    out
+
+    fn position(&self, id: u32) -> Position {
+        let (p, column) = self.of_id[id as usize];
+        (Arc::from(self.columns[p].0), column)
+    }
 }
 
 /// Analyze a set of dependencies for weak acyclicity.
 pub fn is_weakly_acyclic(deps: &[Dependency]) -> WeakAcyclicityReport {
-    let mut regular: BTreeSet<(Position, Position)> = BTreeSet::new();
-    let mut special: BTreeSet<(Position, Position)> = BTreeSet::new();
-
+    let mut positions = Positions::default();
+    let mut regular: Vec<(u32, u32)> = Vec::new();
+    let mut special: Vec<(u32, u32)> = Vec::new();
+    let (mut prem, mut concl) = (Vec::new(), Vec::new());
+    let (mut sources, mut targets) = (Vec::new(), Vec::new());
     for dep in deps {
-        let prem = premise_positions(dep);
-        let universal: BTreeSet<Var> = prem.keys().cloned().collect();
+        let atoms = dep.premise.iter().filter_map(|lit| match lit {
+            Literal::Pos(a) => Some(a),
+            _ => None,
+        });
+        positions.of_atoms(atoms, &mut prem);
         for disjunct in &dep.disjuncts {
-            // Conclusion positions per variable, and the existential set.
-            let mut concl: BTreeMap<Var, Vec<Position>> = BTreeMap::new();
-            for a in &disjunct.atoms {
-                for (i, t) in a.args.iter().enumerate() {
-                    if let Term::Var(v) = t {
-                        concl
-                            .entry(v.clone())
-                            .or_default()
-                            .push((a.predicate.clone(), i));
-                    }
+            positions.of_atoms(disjunct.atoms.iter(), &mut concl);
+            // Regular edges from each premise position of a universal
+            // variable to each of its conclusion positions; special edges
+            // from the premise positions of the universal variables the
+            // disjunct mentions to every existential position.
+            sources.clear();
+            targets.clear();
+            for &(x, q) in &concl {
+                let mut universal = false;
+                for &(_, p) in prem.iter().filter(|(y, _)| *y == x) {
+                    universal = true;
+                    regular.push((p, q));
+                    sources.push(p);
+                }
+                if !universal {
+                    targets.push(q);
                 }
             }
-            let existential: Vec<&Var> = concl.keys().filter(|v| !universal.contains(*v)).collect();
-            for (x, x_concl) in &concl {
-                if !universal.contains(x) {
-                    continue;
-                }
-                let Some(x_prem) = prem.get(x) else { continue };
-                for p in x_prem {
-                    for q in x_concl {
-                        regular.insert((p.clone(), q.clone()));
-                    }
-                    for y in &existential {
-                        for q in &concl[*y] {
-                            special.insert((p.clone(), q.clone()));
-                        }
-                    }
-                }
+            sources.sort_unstable();
+            sources.dedup();
+            for &p in &sources {
+                special.extend(targets.iter().map(|&q| (p, q)));
             }
         }
     }
 
-    // Collect nodes and adjacency.
-    let mut nodes: BTreeSet<Position> = BTreeSet::new();
-    for (u, v) in regular.iter().chain(special.iter()) {
-        nodes.insert(u.clone());
-        nodes.insert(v.clone());
+    // Renumber the positions on an edge in `(predicate, column)` order, so
+    // that sorted id pairs are sorted position pairs.
+    let mut on_edge = vec![false; positions.of_id.len()];
+    for &(u, v) in regular.iter().chain(&special) {
+        on_edge[u as usize] = true;
+        on_edge[v as usize] = true;
     }
-    let mut adj: BTreeMap<&Position, Vec<&Position>> = BTreeMap::new();
-    for (u, v) in regular.iter().chain(special.iter()) {
-        adj.entry(u).or_default().push(v);
+    let mut order: Vec<u32> = (0..on_edge.len() as u32)
+        .filter(|&id| on_edge[id as usize])
+        .collect();
+    order.sort_unstable_by_key(|&id| {
+        let (p, column) = positions.of_id[id as usize];
+        (positions.columns[p].0, column)
+    });
+    let mut rank = vec![0u32; on_edge.len()];
+    for (r, &id) in order.iter().enumerate() {
+        rank[id as usize] = r as u32;
     }
-
-    // A special edge (u, v) lies on a cycle iff u is reachable from v.
-    let reaches = |from: &Position, to: &Position| -> bool {
-        let mut seen: BTreeSet<&Position> = BTreeSet::new();
-        let mut stack = vec![from];
-        while let Some(n) = stack.pop() {
-            if n == to {
-                return true;
-            }
-            if let Some(next) = adj.get(n) {
-                for m in next {
-                    if seen.insert(m) {
-                        stack.push(m);
-                    }
-                }
-            }
+    for edges in [&mut regular, &mut special] {
+        for (u, v) in edges.iter_mut() {
+            (*u, *v) = (rank[*u as usize], rank[*v as usize]);
         }
-        false
-    };
-
-    let mut witness = None;
-    for (u, v) in &special {
-        if reaches(v, u) {
-            witness = Some((u.clone(), v.clone()));
-            break;
-        }
+        edges.sort_unstable();
+        edges.dedup();
     }
 
+    let component = strongly_connected_components(order.len(), &[&regular, &special]);
+    let witness = special
+        .iter()
+        .find(|&&(u, v)| component[u as usize] == component[v as usize])
+        .map(|&(u, v)| {
+            let position = |r: u32| positions.position(order[r as usize]);
+            (position(u), position(v))
+        });
     WeakAcyclicityReport {
         weakly_acyclic: witness.is_none(),
         witness,
-        positions: nodes.len(),
+        positions: order.len(),
         regular_edges: regular.len(),
         special_edges: special.len(),
     }
+}
+
+/// Tarjan's algorithm on an explicit stack: the component of each node of
+/// the graph on nodes `0..n` whose edges are the union of `edge_lists`.
+fn strongly_connected_components(n: usize, edge_lists: &[&[(u32, u32)]]) -> Vec<usize> {
+    let edges = || edge_lists.iter().flat_map(|list| list.iter());
+    // Adjacency in compressed rows: the successors of `u` are
+    // `next[start[u]..start[u + 1]]`.
+    let mut start = vec![0usize; n + 1];
+    for &(u, _) in edges() {
+        start[u as usize + 1] += 1;
+    }
+    for u in 0..n {
+        start[u + 1] += start[u];
+    }
+    let mut fill = start.clone();
+    let mut next = vec![0usize; start[n]];
+    for &(u, v) in edges() {
+        next[fill[u as usize]] = v as usize;
+        fill[u as usize] += 1;
+    }
+
+    const NONE: usize = usize::MAX;
+    let mut index = vec![NONE; n];
+    let mut low = vec![0; n];
+    let mut component = vec![NONE; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut path: Vec<(usize, usize)> = Vec::new(); // (node, next edge)
+    let (mut visited, mut components) = (0, 0);
+    for root in 0..n {
+        if index[root] != NONE {
+            continue;
+        }
+        path.push((root, start[root]));
+        index[root] = visited;
+        low[root] = visited;
+        visited += 1;
+        stack.push(root);
+        while let Some(&mut (u, ref mut edge)) = path.last_mut() {
+            if *edge < start[u + 1] {
+                let v = next[*edge];
+                *edge += 1;
+                if index[v] == NONE {
+                    index[v] = visited;
+                    low[v] = visited;
+                    visited += 1;
+                    stack.push(v);
+                    path.push((v, start[v]));
+                } else if component[v] == NONE {
+                    // `v` is still on the stack: in `u`'s component.
+                    low[u] = low[u].min(index[v]);
+                }
+                continue;
+            }
+            path.pop();
+            if let Some(&(parent, _)) = path.last() {
+                low[parent] = low[parent].min(low[u]);
+            }
+            if low[u] == index[u] {
+                loop {
+                    let w = stack.pop().expect("u is on the stack");
+                    component[w] = components;
+                    if w == u {
+                        break;
+                    }
+                }
+                components += 1;
+            }
+        }
+    }
+    component
 }
 
 #[cfg(test)]

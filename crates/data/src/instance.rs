@@ -937,9 +937,14 @@ impl Instance {
                 if cols.len() < 2 {
                     return;
                 }
-                let entry = self.pending_keys.entry(Arc::from(relation)).or_default();
-                if !entry.contains(&cols) {
-                    entry.push(cols);
+                // Look the relation up before naming it: the chase registers
+                // several keys per relation it has yet to create.
+                match self.pending_keys.get_mut(relation) {
+                    Some(pending) if pending.contains(&cols) => {}
+                    Some(pending) => pending.push(cols),
+                    None => {
+                        self.pending_keys.insert(Arc::from(relation), vec![cols]);
+                    }
                 }
             }
         }

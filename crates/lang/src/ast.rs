@@ -168,19 +168,23 @@ impl CmpOp {
             },
         }
     }
-}
 
-impl fmt::Display for CmpOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The operator as `Display` prints it.
+    pub fn as_str(self) -> &'static str {
+        match self {
             CmpOp::Eq => "==",
             CmpOp::Neq => "!=",
             CmpOp::Lt => "<",
             CmpOp::Leq => "<=",
             CmpOp::Gt => ">",
             CmpOp::Geq => ">=",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for CmpOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -213,14 +217,6 @@ impl Comparison {
             }
         }
         out
-    }
-
-    pub fn collect_vars(&self, acc: &mut BTreeSet<Var>) {
-        for t in [&self.lhs, &self.rhs] {
-            if let Term::Var(v) = t {
-                acc.insert(v.clone());
-            }
-        }
     }
 
     /// If both sides are constants, evaluate to a boolean.
@@ -279,11 +275,14 @@ impl Literal {
         }
     }
 
-    pub fn collect_vars(&self, acc: &mut BTreeSet<Var>) {
-        match self {
-            Literal::Pos(a) | Literal::Neg(a) => a.collect_vars(acc),
-            Literal::Cmp(c) => c.collect_vars(acc),
-        }
+    /// The terms of this literal, left to right.
+    pub fn terms(&self) -> impl Iterator<Item = &Term> {
+        let (args, cmp): (&[Term], _) = match self {
+            Literal::Pos(a) | Literal::Neg(a) => (&a.args, None),
+            Literal::Cmp(c) => (&[], Some(c)),
+        };
+        args.iter()
+            .chain(cmp.into_iter().flat_map(|c| [&c.lhs, &c.rhs]))
     }
 }
 

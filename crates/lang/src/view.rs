@@ -6,7 +6,7 @@
 //! may contain negated base atoms (view `v2` of the paper negates
 //! `T-Rating`) or negated view atoms (`v3` negates `PopularProduct`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -24,24 +24,6 @@ pub struct ViewRule {
 impl ViewRule {
     pub fn new(head: Atom, body: Vec<Literal>) -> Self {
         Self { head, body }
-    }
-
-    /// Predicates this rule reads, split into (positive, negated).
-    pub fn referenced_predicates(&self) -> (BTreeSet<Arc<str>>, BTreeSet<Arc<str>>) {
-        let mut pos = BTreeSet::new();
-        let mut neg = BTreeSet::new();
-        for lit in &self.body {
-            match lit {
-                Literal::Pos(a) => {
-                    pos.insert(a.predicate.clone());
-                }
-                Literal::Neg(a) => {
-                    neg.insert(a.predicate.clone());
-                }
-                Literal::Cmp(_) => {}
-            }
-        }
-        (pos, neg)
     }
 }
 
@@ -78,6 +60,9 @@ struct ViewEntry {
     rules: Vec<usize>,
     /// Longest chain of views below this one (0: base tables only).
     depth: usize,
+    /// Deepest nesting of negation in the full expansion; see
+    /// [`ViewSet::negation_depth`].
+    negation: usize,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -115,24 +100,42 @@ impl ViewSet {
         // The view graph over indexes into the sorted names. A view's
         // children are listed rule by rule, positive predicates by name and
         // then negated ones: the order below is a post-order of this graph,
-        // so the listing decides it.
+        // so the listing decides it. Beside it, what each view negates — a
+        // view, or `None` for a base table — for the negation depth.
         let names: Vec<&Arc<str>> = by_pred.keys().collect();
-        let children: Vec<Vec<usize>> = by_pred
-            .values()
-            .map(|entry| {
-                let mut out = Vec::new();
-                for &r in &entry.rules {
-                    let (pos, neg) = rules[r].referenced_predicates();
-                    for p in pos.iter().chain(&neg) {
-                        match names.binary_search(&p) {
-                            Ok(child) if !out.contains(&child) => out.push(child),
-                            _ => {}
-                        }
+        let mut children: Vec<Vec<usize>> = Vec::with_capacity(names.len());
+        let mut negated: Vec<Vec<Option<usize>>> = Vec::with_capacity(names.len());
+        let (mut pos, mut neg) = (Vec::new(), Vec::new());
+        for entry in by_pred.values() {
+            let (mut out, mut negates) = (Vec::new(), Vec::new());
+            for &r in &entry.rules {
+                pos.clear();
+                neg.clear();
+                for lit in &rules[r].body {
+                    match lit {
+                        Literal::Pos(a) => pos.push(&a.predicate),
+                        Literal::Neg(a) => neg.push(&a.predicate),
+                        Literal::Cmp(_) => {}
                     }
                 }
-                out
-            })
-            .collect();
+                for list in [&mut pos, &mut neg] {
+                    list.sort_unstable();
+                    list.dedup();
+                }
+                let listed = pos.iter().map(|p| (p, false));
+                for (p, is_negated) in listed.chain(neg.iter().map(|p| (p, true))) {
+                    let child = names.binary_search(p).ok();
+                    if let Some(c) = child.filter(|c| !out.contains(c)) {
+                        out.push(c);
+                    }
+                    if is_negated {
+                        negates.push(child);
+                    }
+                }
+            }
+            children.push(out);
+            negated.push(negates);
+        }
 
         // Depth-first post-order on an explicit stack — a chain of views as
         // long as the input allows must not be a chain of frames.
@@ -172,14 +175,24 @@ impl ViewSet {
             }
         }
 
+        // Both depths in one pass along the order, children first. A child
+        // adds its own negation depth, a negated view or base table one more.
         let mut depths = vec![0; names.len()];
+        let mut negations = vec![0; names.len()];
         for &view in &order {
             let below = children[view].iter().map(|&c| depths[c] + 1);
             depths[view] = below.max().unwrap_or(0);
+            let positive = children[view].iter().map(|&c| negations[c]);
+            let negative = negated[view]
+                .iter()
+                .map(|c| 1 + c.map_or(0, |c| negations[c]));
+            negations[view] = positive.chain(negative).max().unwrap_or(0);
         }
         let order = order.into_iter().map(|v| names[v].clone()).collect();
-        for (entry, depth) in by_pred.values_mut().zip(depths) {
+        let resolved = depths.into_iter().zip(negations);
+        for (entry, (depth, negation)) in by_pred.values_mut().zip(resolved) {
             entry.depth = depth;
+            entry.negation = negation;
         }
         Ok(ViewSet {
             rules,
@@ -236,6 +249,14 @@ impl ViewSet {
     /// view).
     pub fn nesting_depth(&self, pred: &str) -> Option<usize> {
         self.by_pred.get(pred).map(|e| e.depth)
+    }
+
+    /// The deepest nesting of negation in `pred`'s full expansion: a base
+    /// atom adds 0, a positive view atom its view's depth, a negated atom 1
+    /// more than what it negates. 0 is conjunctive, 1 negates base tables
+    /// or conjunctive views only (`None` if not a view).
+    pub fn negation_depth(&self, pred: &str) -> Option<usize> {
+        self.by_pred.get(pred).map(|e| e.negation)
     }
 }
 

@@ -106,37 +106,8 @@ impl fmt::Display for RestrictionReport {
     }
 }
 
-/// Compute the negation depth of every view: base atoms contribute 0, a
-/// positive view atom contributes the view's own depth, a negated atom
-/// contributes 1 + the depth of what it negates.
-pub fn negation_depths(views: &ViewSet) -> BTreeMap<Arc<str>, usize> {
-    let mut depth: BTreeMap<Arc<str>, usize> = BTreeMap::new();
-    for name in views.materialization_order() {
-        let mut d = 0usize;
-        for rule in views.rules_of(name) {
-            for lit in &rule.body {
-                match lit {
-                    Literal::Pos(a) => {
-                        if let Some(vd) = depth.get(&a.predicate) {
-                            d = d.max(*vd);
-                        }
-                    }
-                    Literal::Neg(a) => {
-                        let inner = depth.get(&a.predicate).copied().unwrap_or(0);
-                        d = d.max(1 + inner);
-                    }
-                    Literal::Cmp(_) => {}
-                }
-            }
-        }
-        depth.insert(name.clone(), d);
-    }
-    depth
-}
-
 /// Build per-view profiles.
 pub fn view_profiles(views: &ViewSet) -> Vec<ViewProfile> {
-    let depths = negation_depths(views);
     views
         .view_names()
         .map(|name| {
@@ -153,7 +124,7 @@ pub fn view_profiles(views: &ViewSet) -> Vec<ViewProfile> {
             ViewProfile {
                 name: name.clone(),
                 union_width: views.rules_of(name).len(),
-                negation_depth: depths.get(name).copied().unwrap_or(0),
+                negation_depth: views.negation_depth(name).unwrap_or(0),
                 negated_predicates: negated,
             }
         })
@@ -171,8 +142,7 @@ pub fn predicts_deds(views: &ViewSet, dep: &Dependency) -> bool {
     if dep.disjuncts.len() >= 2 {
         return true;
     }
-    let depths = negation_depths(views);
-    let reaches_negation = |pred: &Arc<str>| depths.get(pred).copied().unwrap_or(0) > 0;
+    let reaches_negation = |pred: &str| views.negation_depth(pred).is_some_and(|d| d > 0);
 
     let mut premise_negation = false;
     for lit in &dep.premise {
@@ -260,11 +230,12 @@ mod tests {
     #[test]
     fn negation_depths_of_paper_views() {
         let prog = parse_program(PAPER_VIEWS).unwrap();
-        let d = negation_depths(&prog.views);
-        assert_eq!(d[&Arc::from("Product")], 0);
-        assert_eq!(d[&Arc::from("PopularProduct")], 1);
-        assert_eq!(d[&Arc::from("AvgProduct")], 2);
-        assert_eq!(d[&Arc::from("UnpopularProduct")], 3);
+        let d = |view: &str| prog.views.negation_depth(view);
+        assert_eq!(d("Product"), Some(0));
+        assert_eq!(d("PopularProduct"), Some(1));
+        assert_eq!(d("AvgProduct"), Some(2));
+        assert_eq!(d("UnpopularProduct"), Some(3));
+        assert_eq!(d("T_Product"), None);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl From<LangError> for RewriteError {
 /// A sound strengthening applied during rewriting. Each warning names the
 /// dependency being rewritten and — when attributable — the view whose
 /// negation pattern triggered it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RewriteWarning {
     /// A would-be ded disjunct still contained negation (nesting depth ≥ 3
     /// after unfolding) and was dropped.

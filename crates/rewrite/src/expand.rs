@@ -13,10 +13,11 @@
 //! recurses once per level of view nesting, which its caller bounds
 //! ([`crate::MAX_VIEW_NESTING`]).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use grom_lang::{Atom, CmpOp, Comparison, Literal, Term, TermSubst, Var, VarGen, ViewSet};
+use grom_lang::{
+    Atom, CmpOp, Comparison, Disjunct, Literal, Term, TermSubst, Var, VarGen, ViewSet,
+};
 
 use crate::error::RewriteError;
 
@@ -51,52 +52,91 @@ impl FlatAlt {
         }
     }
 
-    /// Apply a substitution (used when equality processing instantiates
-    /// existential variables — the substitution must reach inside negation
-    /// trees, whose alternatives may share those variables).
-    pub fn apply(&mut self, subst: &TermSubst) {
+    /// Replace every occurrence of `var` by `term`, in place (used when
+    /// equality processing instantiates an existential variable — the
+    /// substitution must reach inside negation trees, whose alternatives
+    /// may share that variable).
+    pub fn substitute(&mut self, var: &Var, term: &Term) {
+        let mut put = |t: &mut Term| {
+            if matches!(t, Term::Var(v) if v == var) {
+                *t = term.clone();
+            }
+        };
         for a in &mut self.atoms {
-            *a = subst.apply_atom(a);
+            a.args.iter_mut().for_each(&mut put);
         }
         for (l, r) in &mut self.eqs {
-            *l = subst.apply_term(l);
-            *r = subst.apply_term(r);
+            put(l);
+            put(r);
         }
         for c in &mut self.cmps {
-            *c = subst.apply_comparison(c);
+            put(&mut c.lhs);
+            put(&mut c.rhs);
         }
         for nt in &mut self.negs {
-            nt.source = subst.apply_atom(&nt.source);
+            nt.source.args.iter_mut().for_each(&mut put);
             for alt in &mut nt.alts {
-                alt.apply(subst);
+                alt.substitute(var, term);
             }
         }
     }
 
-    /// Collect the variables of this conjunction (including inside negation
-    /// trees) into `acc`.
-    pub fn collect_vars(&self, acc: &mut BTreeSet<Var>) {
-        for a in &self.atoms {
-            a.collect_vars(acc);
-        }
-        for (l, r) in &self.eqs {
-            acc.extend([l, r].into_iter().filter_map(Term::as_var).cloned());
-        }
-        for c in &self.cmps {
-            c.collect_vars(acc);
-        }
-        for nt in &self.negs {
-            for alt in &nt.alts {
-                alt.collect_vars(acc);
+    /// Does some variable of this conjunction (negation trees included)
+    /// satisfy `pred`?
+    pub fn any_var(&self, pred: &mut impl FnMut(&Var) -> bool) -> bool {
+        let mut terms = self.atoms.iter().flat_map(|a| &a.args);
+        let mut hit = |t: &Term| matches!(t, Term::Var(v) if pred(v));
+        terms.any(&mut hit)
+            || self.eqs.iter().any(|(l, r)| hit(l) || hit(r))
+            || self.cmps.iter().any(|c| hit(&c.lhs) || hit(&c.rhs))
+            || self
+                .negs
+                .iter()
+                .any(|nt| nt.alts.iter().any(|alt| alt.any_var(pred)))
+    }
+
+    /// Append `other`'s literals, class by class.
+    fn append(&mut self, other: FlatAlt) {
+        fn join<T>(into: &mut Vec<T>, from: Vec<T>) {
+            if into.is_empty() {
+                *into = from;
+            } else {
+                into.extend(from);
             }
         }
+        join(&mut self.atoms, other.atoms);
+        join(&mut self.eqs, other.eqs);
+        join(&mut self.cmps, other.cmps);
+        join(&mut self.negs, other.negs);
+    }
+
+    /// The positive part as a ded disjunct, cut to size: the rewriter's
+    /// outputs live for the whole run.
+    pub fn into_disjunct(self) -> Disjunct {
+        let (mut atoms, mut eqs, mut cmps) = (self.atoms, self.eqs, self.cmps);
+        atoms.shrink_to_fit();
+        eqs.shrink_to_fit();
+        cmps.shrink_to_fit();
+        Disjunct { atoms, eqs, cmps }
     }
 }
 
-/// Cartesian product of DNFs with a budget.
+/// Add `item` to every alternative of `alts` with `push`: a clone to each
+/// but the last, which gets `item` itself.
+pub(crate) fn push_each<T: Clone>(alts: &mut [FlatAlt], item: T, push: impl Fn(&mut FlatAlt, T)) {
+    let items = std::iter::repeat_n(item, alts.len());
+    alts.iter_mut()
+        .zip(items)
+        .for_each(|(alt, item)| push(alt, item));
+}
+
+/// Cartesian product of DNFs with a budget: row `(a, n)` holds `a`'s
+/// literals then `n`'s, rows in `acc`-major order. Each alternative moves
+/// into its last row and is cloned only into the others, so a factor with
+/// one alternative — a base atom, a conjunctive view — is never copied.
 pub(crate) fn cartesian(
     acc: Vec<FlatAlt>,
-    next: Vec<FlatAlt>,
+    mut next: Vec<FlatAlt>,
     dep: &Arc<str>,
     budget: usize,
 ) -> Result<Vec<FlatAlt>, RewriteError> {
@@ -109,17 +149,34 @@ pub(crate) fn cartesian(
         });
     }
     let mut out = Vec::with_capacity(size);
-    for a in &acc {
-        for n in &next {
-            let mut row = a.clone();
-            row.atoms.extend_from_slice(&n.atoms);
-            row.eqs.extend_from_slice(&n.eqs);
-            row.cmps.extend_from_slice(&n.cmps);
-            row.negs.extend_from_slice(&n.negs);
+    let rows = acc.len();
+    for (i, a) in acc.into_iter().enumerate() {
+        // The last `a` takes `next`'s alternatives, the others copy them.
+        let factor = if i + 1 == rows {
+            std::mem::take(&mut next)
+        } else {
+            next.clone()
+        };
+        for (mut row, n) in std::iter::repeat_n(a, factor.len()).zip(factor) {
+            row.append(n);
             out.push(row);
         }
     }
     Ok(out)
+}
+
+/// Bind each variable of `body` that `subst` does not bind yet to a fresh
+/// one, in first-occurrence order: every head variable is bound, so these
+/// are the body-only variables, renamed apart. (A function of its own, so
+/// its iterators stay out of [`expand_atom`]'s recursive frame.)
+fn rename_apart(body: &[Literal], subst: &mut TermSubst, vargen: &mut VarGen) {
+    for t in body.iter().flat_map(Literal::terms) {
+        if let Term::Var(v) = t {
+            if subst.get(v).is_none() {
+                subst.bind(v.clone(), Term::Var(vargen.fresh(v)));
+            }
+        }
+    }
 }
 
 /// Expand an atom into its DNF over base predicates.
@@ -130,7 +187,7 @@ pub(crate) fn cartesian(
 /// `dep` and `budget` bound the expansion size; `vargen` renames body-only
 /// variables apart.
 pub(crate) fn expand_atom(
-    atom: &Atom,
+    atom: Atom,
     views: &ViewSet,
     vargen: &mut VarGen,
     dep: &Arc<str>,
@@ -138,7 +195,7 @@ pub(crate) fn expand_atom(
 ) -> Result<Vec<FlatAlt>, RewriteError> {
     if !views.is_view(&atom.predicate) {
         return Ok(vec![FlatAlt {
-            atoms: vec![atom.clone()],
+            atoms: vec![atom],
             ..FlatAlt::default()
         }]);
     }
@@ -171,38 +228,29 @@ pub(crate) fn expand_atom(
                 },
             }
         }
-        // Rename body-only variables apart.
-        let head_vars: BTreeSet<_> = rule.head.variables().into_iter().collect();
-        for v in grom_lang::ast::body_variables(&rule.body) {
-            if !head_vars.contains(&v) {
-                subst.bind(v.clone(), Term::Var(vargen.fresh(&v)));
-            }
-        }
+        rename_apart(&rule.body, &mut subst, vargen);
 
         // Expand the substituted body.
         let mut rule_alts: Vec<FlatAlt> = vec![eq_conds];
-        for lit in subst.apply_body(&rule.body) {
+        for lit in &rule.body {
             match lit {
                 Literal::Pos(a) => {
-                    let sub = expand_atom(&a, views, vargen, dep, budget)?;
+                    let sub = expand_atom(subst.apply_atom(a), views, vargen, dep, budget)?;
                     rule_alts = cartesian(rule_alts, sub, dep, budget)?;
                 }
                 Literal::Neg(a) => {
+                    let a = subst.apply_atom(a);
                     let tree = NegTree {
-                        alts: expand_atom(&a, views, vargen, dep, budget)?,
+                        alts: expand_atom(a.clone(), views, vargen, dep, budget)?,
                         source: a,
                         // Blame the enclosing view: its body owns this
                         // negation pattern.
                         via: atom.predicate.clone(),
                     };
-                    for alt in &mut rule_alts {
-                        alt.negs.push(tree.clone());
-                    }
+                    push_each(&mut rule_alts, tree, |alt, t| alt.negs.push(t));
                 }
                 Literal::Cmp(c) => {
-                    for alt in &mut rule_alts {
-                        alt.push_cmp(c.clone());
-                    }
+                    push_each(&mut rule_alts, subst.apply_comparison(c), FlatAlt::push_cmp);
                 }
             }
         }
@@ -233,7 +281,7 @@ mod tests {
 
     fn expand(views: &ViewSet, a: &Atom) -> Vec<FlatAlt> {
         let mut vg = VarGen::new();
-        expand_atom(a, views, &mut vg, &dep_name(), 4096).unwrap()
+        expand_atom(a.clone(), views, &mut vg, &dep_name(), 4096).unwrap()
     }
 
     /// How many literals of each class: (atoms, eqs, cmps, negs).
@@ -340,7 +388,7 @@ mod tests {
         )
         .unwrap();
         let mut vg = VarGen::new();
-        let err = expand_atom(&atom("W", &["q"]), &p.views, &mut vg, &dep_name(), 4);
+        let err = expand_atom(atom("W", &["q"]), &p.views, &mut vg, &dep_name(), 4);
         assert!(matches!(err, Err(RewriteError::TooComplex { .. })));
     }
 
@@ -379,7 +427,7 @@ mod tests {
     fn arity_mismatch_reported() {
         let p = Program::parse("view V(x) <- A(x).").unwrap();
         let mut vg = VarGen::new();
-        let err = expand_atom(&atom("V", &["a", "b"]), &p.views, &mut vg, &dep_name(), 64);
+        let err = expand_atom(atom("V", &["a", "b"]), &p.views, &mut vg, &dep_name(), 64);
         assert!(matches!(err, Err(RewriteError::ArityMismatch { .. })));
     }
 
@@ -387,8 +435,8 @@ mod tests {
     fn fresh_variables_do_not_collide_across_expansions() {
         let p = Program::parse("view V(x) <- A(x, y).").unwrap();
         let mut vg = VarGen::new();
-        let a1 = expand_atom(&atom("V", &["p"]), &p.views, &mut vg, &dep_name(), 64).unwrap();
-        let a2 = expand_atom(&atom("V", &["q"]), &p.views, &mut vg, &dep_name(), 64).unwrap();
+        let a1 = expand_atom(atom("V", &["p"]), &p.views, &mut vg, &dep_name(), 64).unwrap();
+        let a2 = expand_atom(atom("V", &["q"]), &p.views, &mut vg, &dep_name(), 64).unwrap();
         let var_of = |alts: &Vec<FlatAlt>| alts[0].atoms[0].args[1].as_var().unwrap().clone();
         assert_ne!(var_of(&a1), var_of(&a2));
     }
@@ -397,9 +445,7 @@ mod tests {
     fn substitution_reaches_inside_negation_trees() {
         let p = Program::parse("view V(x) <- A(x), not B(x, z).").unwrap();
         let mut alts = expand(&p.views, &atom("V", &["q"]));
-        let mut subst = TermSubst::new();
-        subst.bind("q".into(), Term::cons(5i64));
-        alts[0].apply(&subst);
+        alts[0].substitute(&"q".into(), &Term::cons(5i64));
         let nt = &alts[0].negs[0];
         assert_eq!(nt.source.args[0], Term::cons(5i64));
         assert_eq!(nt.alts[0].atoms[0].args[0], Term::cons(5i64));

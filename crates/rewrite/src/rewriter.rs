@@ -3,15 +3,16 @@
 //! See the crate docs for the algorithm overview. The entry point is
 //! [`rewrite_program`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use grom_lang::{
-    Atom, CmpOp, Comparison, Dependency, Disjunct, Literal, Term, TermSubst, Var, VarGen, ViewSet,
+    Atom, CmpOp, Comparison, Dependency, Disjunct, Literal, Term, Var, VarGen, ViewSet,
 };
 
 use crate::error::{RewriteError, RewriteWarning};
-use crate::expand::{cartesian, expand_atom, FlatAlt, NegTree};
+use crate::expand::{cartesian, expand_atom, push_each, FlatAlt, NegTree};
 
 /// Options controlling the rewriting.
 #[derive(Debug, Clone)]
@@ -62,10 +63,30 @@ enum Simplified {
     Unsat,
 }
 
+/// The distinct variables of `atoms`, in first-occurrence order. Rewriting
+/// asks "is this variable bound?" of a handful of variables at a time, so a
+/// short vector scanned beats a set.
+fn atom_vars<'a>(atoms: impl IntoIterator<Item = &'a Atom>) -> Vec<&'a Var> {
+    let mut out: Vec<&Var> = Vec::new();
+    for t in atoms.into_iter().flat_map(|a| &a.args) {
+        if let Term::Var(v) = t {
+            if !out.contains(&v) {
+                out.push(v);
+            }
+        }
+    }
+    out
+}
+
+/// Is `t` a variable outside `bound`?
+fn unbound(t: &Term, bound: &[&Var]) -> bool {
+    matches!(t, Term::Var(v) if !bound.contains(&v))
+}
+
 /// Normalize a flat alternative against a set of *bound* (universal)
 /// variables: substitute away equalities that involve an unbound variable,
 /// evaluate ground equalities and comparisons, keep the rest.
-fn simplify(mut alt: FlatAlt, bound: &BTreeSet<Var>) -> Simplified {
+fn simplify(mut alt: FlatAlt, bound: &[&Var]) -> Simplified {
     loop {
         let mut subst_pair: Option<(Var, Term)> = None;
         let mut keep: Vec<(Term, Term)> = Vec::new();
@@ -75,20 +96,16 @@ fn simplify(mut alt: FlatAlt, bound: &BTreeSet<Var>) -> Simplified {
                 keep.push((l, r));
                 continue;
             }
-            match (&l, &r) {
+            match (l, r) {
                 (Term::Const(a), Term::Const(b)) => {
                     if a != b {
                         unsat = true;
                     }
                     // equal constants: drop the equality
                 }
-                (Term::Var(v), other) if !bound.contains(v) => {
-                    subst_pair = Some((v.clone(), other.clone()));
-                }
-                (other, Term::Var(v)) if !bound.contains(v) => {
-                    subst_pair = Some((v.clone(), other.clone()));
-                }
-                _ => keep.push((l, r)),
+                (Term::Var(v), other) if !bound.contains(&&v) => subst_pair = Some((v, other)),
+                (other, Term::Var(v)) if !bound.contains(&&v) => subst_pair = Some((v, other)),
+                (l, r) => keep.push((l, r)),
             }
         }
         alt.eqs = keep;
@@ -96,14 +113,9 @@ fn simplify(mut alt: FlatAlt, bound: &BTreeSet<Var>) -> Simplified {
             return Simplified::Unsat;
         }
         match subst_pair {
-            Some((v, t)) => {
-                // Guard against `x = x` producing an identity substitution.
-                if t != Term::Var(v.clone()) {
-                    let mut s = TermSubst::new();
-                    s.bind(v, t);
-                    alt.apply(&s);
-                }
-            }
+            // Guard against `x = x` producing an identity substitution.
+            Some((v, t)) if t != Term::Var(v.clone()) => alt.substitute(&v, &t),
+            Some(_) => {}
             None => break,
         }
     }
@@ -126,7 +138,9 @@ struct Ctx<'a> {
     vargen: &'a mut VarGen,
     input: Arc<str>,
     aux_counter: usize,
-    out: RewriteOutput,
+    out: &'a mut RewriteOutput,
+    /// The warnings already in `out.warnings`, for the whole program.
+    warned: &'a mut HashSet<RewriteWarning>,
 }
 
 impl Ctx<'_> {
@@ -136,7 +150,8 @@ impl Ctx<'_> {
     }
 
     fn warn(&mut self, w: RewriteWarning) {
-        if !self.out.warnings.contains(&w) {
+        if !self.warned.contains(&w) {
+            self.warned.insert(w.clone());
             self.out.warnings.push(w);
         }
     }
@@ -152,14 +167,18 @@ impl Ctx<'_> {
     }
 }
 
-/// Build a premise literal list from positive atoms and comparisons.
-fn premise_literals(atoms: &[Atom], cmps: &[Comparison], eqs: &[(Term, Term)]) -> Vec<Literal> {
-    let mut out: Vec<Literal> = atoms.iter().cloned().map(Literal::Pos).collect();
-    out.extend(
-        eqs.iter()
-            .map(|(l, r)| Literal::Cmp(Comparison::new(CmpOp::Eq, l.clone(), r.clone()))),
-    );
-    out.extend(cmps.iter().cloned().map(Literal::Cmp));
+/// Build a premise literal list: positive atoms, then equalities, then
+/// comparisons.
+fn premise_literals(
+    atoms: Vec<Atom>,
+    eqs: Vec<(Term, Term)>,
+    cmps: impl IntoIterator<Item = Comparison>,
+) -> Vec<Literal> {
+    let mut out: Vec<Literal> = atoms.into_iter().map(Literal::Pos).collect();
+    let eqs = eqs
+        .into_iter()
+        .map(|(l, r)| Comparison::new(CmpOp::Eq, l, r));
+    out.extend(eqs.chain(cmps).map(Literal::Cmp));
     out
 }
 
@@ -169,10 +188,10 @@ fn premise_literals(atoms: &[Atom], cmps: &[Comparison], eqs: &[(Term, Term)]) -
 fn alt_to_disjunct(
     ctx: &mut Ctx<'_>,
     via: &Arc<str>,
-    alt: &FlatAlt,
-    bound: &BTreeSet<Var>,
+    alt: FlatAlt,
+    bound: &[&Var],
 ) -> Option<Disjunct> {
-    let fa = match simplify(alt.clone(), bound) {
+    let fa = match simplify(alt, bound) {
         Simplified::Unsat => return None, // unsatisfiable disjunct adds nothing
         Simplified::Sat(fa) => fa,
     };
@@ -189,7 +208,7 @@ fn alt_to_disjunct(
     let exist_cmp = fa
         .cmps
         .iter()
-        .find(|c| c.variables().iter().any(|v| !bound.contains(v)));
+        .find(|c| unbound(&c.lhs, bound) || unbound(&c.rhs, bound));
     if let Some(c) = exist_cmp {
         ctx.warn(RewriteWarning::DroppedExistentialComparison {
             dependency: ctx.input.clone(),
@@ -197,12 +216,11 @@ fn alt_to_disjunct(
         });
         return None;
     }
-    let exist_eq = fa.eqs.iter().any(|(l, r)| {
-        [l, r]
-            .into_iter()
-            .any(|t| matches!(t, Term::Var(v) if !bound.contains(v)))
-    });
-    if exist_eq {
+    if fa
+        .eqs
+        .iter()
+        .any(|(l, r)| unbound(l, bound) || unbound(r, bound))
+    {
         // After simplify, an equality with an unbound variable can only
         // remain if both sides are unbound variables in a loop; drop it as
         // a nested-negation-style strengthening.
@@ -212,11 +230,7 @@ fn alt_to_disjunct(
         });
         return None;
     }
-    Some(Disjunct {
-        atoms: fa.atoms,
-        eqs: fa.eqs,
-        cmps: fa.cmps,
-    })
+    Some(fa.into_disjunct())
 }
 
 /// Emit the auxiliary dependencies enforcing a *conclusion-side* negation
@@ -226,44 +240,43 @@ fn emit_conclusion_check(
     prem_atoms: &[Atom],
     prem_cmps: &[Comparison],
     context_atoms: &[Atom],
-    nt: &NegTree,
+    nt: NegTree,
 ) {
-    for fa in &nt.alts {
+    for fa in nt.alts {
         // The aux premise binds: premise vars + context vars + this alt's
         // positive vars.
-        let mut aux_atoms: Vec<Atom> = prem_atoms.to_vec();
-        aux_atoms.extend(context_atoms.iter().cloned());
-        aux_atoms.extend(fa.atoms.iter().cloned());
-        let mut bound: BTreeSet<Var> = BTreeSet::new();
-        for a in &aux_atoms {
-            a.collect_vars(&mut bound);
-        }
+        let mut aux_atoms: Vec<Atom> =
+            Vec::with_capacity(prem_atoms.len() + context_atoms.len() + fa.atoms.len());
+        aux_atoms.extend_from_slice(prem_atoms);
+        aux_atoms.extend_from_slice(context_atoms);
+        aux_atoms.extend(fa.atoms);
+        let bound = atom_vars(&aux_atoms);
 
+        let causes: Vec<Arc<str>> = fa.negs.iter().map(|n| n.via.clone()).collect();
         let mut disjuncts: Vec<Disjunct> = Vec::new();
-        for nnt in &fa.negs {
-            for nalt in &nnt.alts {
+        for nnt in fa.negs {
+            for nalt in nnt.alts {
                 if let Some(d) = alt_to_disjunct(ctx, &nnt.via, nalt, &bound) {
                     disjuncts.push(d);
                 }
             }
         }
         let name = ctx.fresh_aux_name();
-        let causes: Vec<Arc<str>> = fa.negs.iter().map(|n| n.via.clone()).collect();
-        let mut all_cmps = prem_cmps.to_vec();
-        all_cmps.extend(fa.cmps.iter().cloned());
-        let premise = premise_literals(&aux_atoms, &all_cmps, &fa.eqs);
+        let cmps = prem_cmps.iter().cloned().chain(fa.cmps);
+        let premise = premise_literals(aux_atoms, fa.eqs, cmps);
         ctx.emit(Dependency::new(name, premise, disjuncts), causes);
     }
 }
 
-/// Rewrite one dependency. Appends executable dependencies to `ctx.out`.
+/// Rewrite one dependency, appending executable dependencies to `out`.
 fn rewrite_into(
     dep: &Dependency,
     views: &ViewSet,
     vargen: &mut VarGen,
     options: &RewriteOptions,
-    out: RewriteOutput,
-) -> Result<RewriteOutput, RewriteError> {
+    out: &mut RewriteOutput,
+    warned: &mut HashSet<RewriteWarning>,
+) -> Result<(), RewriteError> {
     let budget = options.max_alternatives;
     let mut ctx = Ctx {
         views,
@@ -271,6 +284,7 @@ fn rewrite_into(
         input: dep.name.clone(),
         aux_counter: 0,
         out,
+        warned,
     };
 
     // ---- Step 1: premise DNF ------------------------------------------
@@ -278,24 +292,18 @@ fn rewrite_into(
     for lit in &dep.premise {
         match lit {
             Literal::Pos(a) => {
-                let sub = expand_atom(a, ctx.views, ctx.vargen, &dep.name, budget)?;
+                let sub = expand_atom(a.clone(), ctx.views, ctx.vargen, &dep.name, budget)?;
                 prem_dnf = cartesian(prem_dnf, sub, &dep.name, budget)?;
             }
             Literal::Neg(a) => {
                 let tree = NegTree {
                     source: a.clone(),
                     via: a.predicate.clone(),
-                    alts: expand_atom(a, ctx.views, ctx.vargen, &dep.name, budget)?,
+                    alts: expand_atom(a.clone(), ctx.views, ctx.vargen, &dep.name, budget)?,
                 };
-                for alt in &mut prem_dnf {
-                    alt.negs.push(tree.clone());
-                }
+                push_each(&mut prem_dnf, tree, |alt, t| alt.negs.push(t));
             }
-            Literal::Cmp(c) => {
-                for alt in &mut prem_dnf {
-                    alt.push_cmp(c.clone());
-                }
-            }
+            Literal::Cmp(c) => push_each(&mut prem_dnf, c.clone(), FlatAlt::push_cmp),
         }
     }
 
@@ -304,7 +312,7 @@ fn rewrite_into(
     for d in &dep.disjuncts {
         let mut dnf: Vec<FlatAlt> = vec![FlatAlt::default()];
         for a in &d.atoms {
-            let sub = expand_atom(a, ctx.views, ctx.vargen, &dep.name, budget)?;
+            let sub = expand_atom(a.clone(), ctx.views, ctx.vargen, &dep.name, budget)?;
             dnf = cartesian(dnf, sub, &dep.name, budget)?;
         }
         for mut fa in dnf {
@@ -315,29 +323,35 @@ fn rewrite_into(
     }
 
     // ---- Step 3: one output dependency per premise alternative --------
-    let multi_premise = prem_dnf.len() > 1;
-    for (pi, pa) in prem_dnf.iter().enumerate() {
+    let premises = prem_dnf.len();
+    let union_conclusion = conc_alts.len() > 1;
+    for (pi, pa) in prem_dnf.into_iter().enumerate() {
         // Premise equalities stay as comparison literals (join conditions).
-        let prem_atoms = pa.atoms.clone();
-        let mut prem_cmps = pa.cmps.clone();
+        let FlatAlt {
+            atoms: prem_atoms,
+            eqs,
+            cmps: mut prem_cmps,
+            negs,
+        } = pa;
         prem_cmps.extend(
-            pa.eqs
-                .iter()
-                .map(|(l, r)| Comparison::new(CmpOp::Eq, l.clone(), r.clone())),
+            eqs.into_iter()
+                .map(|(l, r)| Comparison::new(CmpOp::Eq, l, r)),
         );
-        let mut universal: BTreeSet<Var> = BTreeSet::new();
-        for a in &prem_atoms {
-            a.collect_vars(&mut universal);
-        }
+        let universal = atom_vars(&prem_atoms);
 
         let mut final_disjuncts: Vec<Disjunct> = Vec::new();
         let mut causes: Vec<Arc<str>> = Vec::new();
         let mut vacuous = false;
         let mut any_conc_negs = false;
 
-        // Conclusion alternatives.
-        for ca in &conc_alts {
-            let sca = match simplify(ca.clone(), &universal) {
+        // Conclusion alternatives; the last premise alternative takes them.
+        let conc = if pi + 1 == premises {
+            std::mem::take(&mut conc_alts)
+        } else {
+            conc_alts.clone()
+        };
+        for ca in conc {
+            let mut sca = match simplify(ca, &universal) {
                 Simplified::Unsat => {
                     ctx.warn(RewriteWarning::UnsatisfiableAlternative {
                         dependency: dep.name.clone(),
@@ -350,7 +364,7 @@ fn rewrite_into(
             if let Some(c) = sca
                 .cmps
                 .iter()
-                .find(|c| c.variables().iter().any(|v| !universal.contains(v)))
+                .find(|c| unbound(&c.lhs, &universal) || unbound(&c.rhs, &universal))
             {
                 ctx.warn(RewriteWarning::DroppedExistentialComparison {
                     dependency: dep.name.clone(),
@@ -361,28 +375,23 @@ fn rewrite_into(
             // Negative requirements spawn auxiliary checks.
             if !sca.negs.is_empty() {
                 any_conc_negs = true;
-                let conc_exist: BTreeSet<Var> = sca
-                    .atoms
-                    .iter()
-                    .flat_map(|a| a.variables())
-                    .filter(|v| !universal.contains(v))
-                    .collect();
-                for nt in &sca.negs {
-                    let mut nt_vars = BTreeSet::new();
-                    for alt in &nt.alts {
-                        alt.collect_vars(&mut nt_vars);
-                    }
-                    let shares = nt_vars.iter().any(|v| conc_exist.contains(v));
-                    let context: Vec<Atom> = if shares {
+                let mut conc_exist = atom_vars(&sca.atoms);
+                conc_exist.retain(|v| !universal.contains(v));
+                for nt in std::mem::take(&mut sca.negs) {
+                    let shares = nt
+                        .alts
+                        .iter()
+                        .any(|alt| alt.any_var(&mut |v| conc_exist.contains(&v)));
+                    let context: &[Atom] = if shares {
                         ctx.warn(RewriteWarning::SharedExistentialStrengthened {
                             dependency: dep.name.clone(),
                             view: nt.via.clone(),
                         });
-                        sca.atoms.clone()
+                        &sca.atoms
                     } else {
-                        Vec::new()
+                        &[]
                     };
-                    emit_conclusion_check(&mut ctx, &prem_atoms, &prem_cmps, &context, nt);
+                    emit_conclusion_check(&mut ctx, &prem_atoms, &prem_cmps, context, nt);
                 }
             }
             if sca.atoms.is_empty() && sca.eqs.is_empty() && sca.cmps.is_empty() {
@@ -391,25 +400,21 @@ fn rewrite_into(
                 // above), so the main dependency is vacuous.
                 vacuous = true;
             } else {
-                final_disjuncts.push(Disjunct {
-                    atoms: sca.atoms,
-                    eqs: sca.eqs,
-                    cmps: sca.cmps,
-                });
+                final_disjuncts.push(sca.into_disjunct());
             }
         }
-        if conc_alts.len() > 1 && any_conc_negs {
+        if union_conclusion && any_conc_negs {
             ctx.warn(RewriteWarning::UnionNegationStrengthened {
                 dependency: dep.name.clone(),
             });
         }
-        if conc_alts.len() > 1 {
+        if union_conclusion {
             causes.push(Arc::from(format!("{} (union view)", dep.name).as_str()));
         }
 
         // Premise negation trees become extra disjuncts.
-        for nt in &pa.negs {
-            for alt in &nt.alts {
+        for nt in negs {
+            for alt in nt.alts {
                 if let Some(d) = alt_to_disjunct(&mut ctx, &nt.via, alt, &universal) {
                     final_disjuncts.push(d);
                     if !causes.contains(&nt.via) {
@@ -420,17 +425,16 @@ fn rewrite_into(
         }
 
         if !vacuous {
-            let name: Arc<str> = if multi_premise {
+            let name: Arc<str> = if premises > 1 {
                 Arc::from(format!("{}@{}", dep.name, pi).as_str())
             } else {
                 dep.name.clone()
             };
-            let premise = premise_literals(&prem_atoms, &prem_cmps, &[]);
+            let premise = premise_literals(prem_atoms, Vec::new(), prem_cmps);
             ctx.emit(Dependency::new(name, premise, final_disjuncts), causes);
         }
     }
-
-    Ok(ctx.out)
+    Ok(())
 }
 
 /// The deepest view nesting [`rewrite_program`] unfolds: the unfolding
@@ -464,68 +468,136 @@ pub fn rewrite_program<'d>(
     }
     let mut vargen = VarGen::new();
     let mut out = RewriteOutput::default();
+    let mut warned = HashSet::new();
     for dep in deps {
-        out = rewrite_into(dep, views, &mut vargen, options, out)?;
+        rewrite_into(dep, views, &mut vargen, options, &mut out, &mut warned)?;
     }
-    dedup(&mut out);
+    out.dedup();
     verify_executable(&out)?;
     Ok(out)
 }
 
-/// Canonical form of a dependency with variables renamed in first-occurrence
-/// order — used to merge duplicate outputs.
-fn canonical_key(dep: &Dependency) -> String {
-    let mut names: BTreeMap<Var, String> = BTreeMap::new();
-    let mut order = 0usize;
-    let mut subst = TermSubst::new();
-    let mut intern = |v: &Var, subst: &mut TermSubst, order: &mut usize| {
-        if !names.contains_key(v) {
-            let fresh: Var = Arc::from(format!("c{order}").as_str());
-            names.insert(v.clone(), fresh.to_string());
-            subst.bind(v.clone(), Term::Var(fresh));
-            *order += 1;
-        }
-    };
-    for lit in &dep.premise {
-        for v in lit.variables() {
-            intern(&v, &mut subst, &mut order);
-        }
+impl RewriteOutput {
+    /// Merge outputs that are equal up to a renaming of their variables,
+    /// keeping the first of each class with its provenance.
+    ///
+    /// Two outputs are equal up to renaming iff their canonical keys are:
+    /// the rendering `premise;…;>disjunct|…|` with each variable written
+    /// `c<k>`, where `k` numbers the distinct variables by first occurrence
+    /// **in render order** — the premise literals left to right, then each
+    /// disjunct's atoms, equalities and comparisons. That is the order of
+    /// `Literal::variables` over the premise followed by
+    /// `Disjunct::variables` over the conclusion, so each key is written in
+    /// one pass, numbering as it goes.
+    pub fn dedup(&mut self) {
+        let mut seen: HashSet<String> = HashSet::with_capacity(self.deps.len());
+        let mut key = KeyWriter::default();
+        let keep: Vec<bool> = self
+            .deps
+            .iter()
+            .map(|dep| {
+                let key = key.write(dep);
+                !seen.contains(key) && seen.insert(key.to_owned())
+            })
+            .collect();
+        let mut keep = keep.into_iter();
+        let (provenance, ded_causes) = (&mut self.provenance, &mut self.ded_causes);
+        self.deps.retain(|dep| {
+            let kept = keep.next().expect("one flag per output");
+            if !kept {
+                provenance.remove(&dep.name);
+                ded_causes.remove(&dep.name);
+            }
+            kept
+        });
+        self.deps.shrink_to_fit();
     }
-    for d in &dep.disjuncts {
-        for v in d.variables() {
-            intern(&v, &mut subst, &mut order);
-        }
-    }
-    let renamed = dep.apply(&subst);
-    let mut s = String::new();
-    use std::fmt::Write;
-    for l in &renamed.premise {
-        let _ = write!(s, "{l};");
-    }
-    s.push('>');
-    for d in &renamed.disjuncts {
-        let _ = write!(s, "{d}|");
-    }
-    s
 }
 
-fn dedup(out: &mut RewriteOutput) {
-    let mut seen: BTreeMap<String, Arc<str>> = BTreeMap::new();
-    let mut kept = Vec::with_capacity(out.deps.len());
-    for dep in std::mem::take(&mut out.deps) {
-        let key = canonical_key(&dep);
-        match seen.get(&key) {
-            Some(_) => {
-                out.provenance.remove(&dep.name);
-                out.ded_causes.remove(&dep.name);
+/// Writes [`RewriteOutput::dedup`]'s canonical keys into one reused
+/// buffer.
+#[derive(Default)]
+struct KeyWriter<'a> {
+    buf: String,
+    /// The variables met so far in the current dependency, by index.
+    vars: Vec<&'a str>,
+}
+
+impl<'a> KeyWriter<'a> {
+    fn write(&mut self, dep: &'a Dependency) -> &str {
+        self.buf.clear();
+        self.vars.clear();
+        for lit in &dep.premise {
+            match lit {
+                Literal::Pos(a) => self.atom(a),
+                Literal::Neg(a) => {
+                    self.buf.push_str("not ");
+                    self.atom(a);
+                }
+                Literal::Cmp(c) => self.comparison(&c.lhs, c.op.as_str(), &c.rhs),
             }
-            None => {
-                seen.insert(key, dep.name.clone());
-                kept.push(dep);
+            self.buf.push(';');
+        }
+        self.buf.push('>');
+        for d in &dep.disjuncts {
+            let mut sep = "";
+            for a in &d.atoms {
+                self.buf.push_str(std::mem::replace(&mut sep, ", "));
+                self.atom(a);
+            }
+            for (l, r) in &d.eqs {
+                self.buf.push_str(std::mem::replace(&mut sep, ", "));
+                self.comparison(l, "=", r);
+            }
+            for c in &d.cmps {
+                self.buf.push_str(std::mem::replace(&mut sep, ", "));
+                self.comparison(&c.lhs, c.op.as_str(), &c.rhs);
+            }
+            if sep.is_empty() {
+                self.buf.push_str("true");
+            }
+            self.buf.push('|');
+        }
+        &self.buf
+    }
+
+    fn atom(&mut self, a: &'a Atom) {
+        self.buf.push_str(&a.predicate);
+        self.buf.push('(');
+        for (i, t) in a.args.iter().enumerate() {
+            if i > 0 {
+                self.buf.push_str(", ");
+            }
+            self.term(t);
+        }
+        self.buf.push(')');
+    }
+
+    fn comparison(&mut self, l: &'a Term, op: &str, r: &'a Term) {
+        self.term(l);
+        self.buf.push(' ');
+        self.buf.push_str(op);
+        self.buf.push(' ');
+        self.term(r);
+    }
+
+    fn term(&mut self, t: &'a Term) {
+        match t {
+            Term::Var(v) => {
+                let k = match self.vars.iter().position(|w| *w == v.as_ref()) {
+                    Some(k) => k,
+                    None => {
+                        self.vars.push(v);
+                        self.vars.len() - 1
+                    }
+                };
+                let _ = write!(self.buf, "c{k}");
+            }
+            Term::Const(c) => {
+                let _ = write!(self.buf, "{c}");
             }
         }
     }
-    out.deps = kept;
 }
 
 /// Post-condition: the rewriter's output must be executable — no negated
