@@ -217,11 +217,53 @@ impl Members {
 /// ascending slot order.
 ///
 /// Buckets are keyed by a 64-bit hash of the key values rather than the
-/// values themselves: no allocation or `Value` clone per insert/probe, at
-/// the price of possible collisions — which are safe, because every reader
-/// re-checks the full pattern against the live tuple (the same contract
-/// stale buckets already impose).
-type Buckets = FxHashMap<u64, Vec<u32>>;
+/// values themselves: no `Value` clone per insert/probe, at the price of
+/// possible collisions — which are safe, because every reader re-checks the
+/// full pattern against the live tuple (the same contract stale buckets
+/// already impose).
+type Buckets = FxHashMap<u64, Bucket>;
+
+/// The row ids of one key. A key's first row is stored inline, so a key
+/// held by one row — an id, a labeled null — costs its table entry and no
+/// allocation; the list is allocated when a second row arrives.
+#[derive(Debug, Clone)]
+enum Bucket {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Bucket {
+    fn rows(&self) -> &[u32] {
+        match self {
+            Bucket::One(row) => std::slice::from_ref(row),
+            Bucket::Many(rows) => rows,
+        }
+    }
+
+    /// Append `row`, which is above every row held: the order stays
+    /// ascending.
+    fn push(&mut self, row: u32) {
+        match self {
+            Bucket::One(first) => *self = Bucket::Many(vec![*first, row]),
+            Bucket::Many(rows) => rows.push(row),
+        }
+    }
+
+    /// Row ids held in an allocated list.
+    fn listed(&self) -> usize {
+        match self {
+            Bucket::One(_) => 0,
+            Bucket::Many(rows) => rows.len(),
+        }
+    }
+}
+
+fn add_row(buckets: &mut Buckets, key: u64, row: u32) {
+    buckets
+        .entry(key)
+        .and_modify(|bucket| bucket.push(row))
+        .or_insert(Bucket::One(row));
+}
 
 /// An index over a set of column positions that does not exist until the
 /// first probe binds those columns, and is kept up to date from then on.
@@ -238,7 +280,7 @@ fn build_buckets(rows: &[Option<Tuple>], cols: &[usize]) -> Buckets {
     let mut buckets = Buckets::default();
     for (r, slot) in rows.iter().enumerate() {
         if let Some(t) = slot {
-            buckets.entry(key_of(cols, t)).or_default().push(r as u32);
+            add_row(&mut buckets, key_of(cols, t), r as u32);
         }
     }
     buckets
@@ -249,13 +291,13 @@ impl LazyIndex {
     /// first probe.
     fn bucket<'a>(&'a self, rows: &[Option<Tuple>], cols: &[usize], key: u64) -> &'a [u32] {
         let buckets = self.0.get_or_init(|| build_buckets(rows, cols));
-        buckets.get(&key).map_or(&[], Vec::as_slice)
+        buckets.get(&key).map_or(&[], Bucket::rows)
     }
 
     /// Keep a built index current with a row appended at slot `row`.
     fn note(&mut self, cols: &[usize], tuple: &Tuple, row: u32) {
         if let Some(buckets) = self.0.get_mut() {
-            buckets.entry(key_of(cols, tuple)).or_default().push(row);
+            add_row(buckets, key_of(cols, tuple), row);
         }
     }
 }
@@ -431,7 +473,8 @@ impl Relation {
         self.live += 1;
     }
 
-    /// This relation's storage gauges (see [`Instance::storage_report`]).
+    /// This relation's storage gauges (see [`Instance::storage_report`];
+    /// [`RelationStorage::approx_bytes`] says what an index costs).
     fn storage(&self, relation: &Arc<str>) -> RelationStorage {
         let columns = self.columns.iter().enumerate().map(|(c, ix)| (vec![c], ix));
         let keys = self.keys.iter().map(|(cols, ix)| (cols.clone(), ix));
@@ -440,9 +483,10 @@ impl Relation {
             .chain(keys)
             .filter_map(|(cols, ix)| {
                 let buckets = ix.0.get()?;
-                let entries: usize = buckets.values().map(Vec::len).sum();
+                let entries: usize = buckets.values().map(|b| b.rows().len()).sum();
+                let listed: usize = buckets.values().map(Bucket::listed).sum();
                 index_bytes +=
-                    buckets.len() * size_of::<(u64, Vec<u32>)>() + entries * size_of::<u32>();
+                    buckets.len() * size_of::<(u64, Bucket)>() + listed * size_of::<u32>();
                 Some((cols, entries))
             })
             .collect();
@@ -666,7 +710,7 @@ impl Relation {
                 for id in map.keys() {
                     let key = composite_hash(std::iter::once(&Value::Null(*id)));
                     for buckets in &columns {
-                        seen.extend(buckets.get(&key).into_iter().flatten().copied());
+                        seen.extend(buckets.get(&key).map_or(&[][..], Bucket::rows));
                     }
                 }
                 for r in seen {
@@ -829,8 +873,11 @@ pub struct RelationStorage {
     /// count stale ones. A column or key that is absent was never probed.
     pub indexes: Vec<(Vec<usize>, usize)>,
     /// Bytes held by the row slots, the tuples' value arrays, the
-    /// membership table and the built indexes. String payloads are shared
-    /// between tuples and not counted.
+    /// membership table and the built indexes. A built index counts one
+    /// table entry per distinct key (32 B: the key hash and its first row
+    /// inline) plus 4 B per row id held in the list a key gets from its
+    /// second row on. String payloads are shared between tuples and not
+    /// counted.
     pub approx_bytes: usize,
 }
 
@@ -1439,6 +1486,27 @@ mod tests {
             built(&inst, "R"),
             vec![(vec![0], 6), (vec![1], 6), (vec![0, 1], 6)]
         );
+    }
+
+    #[test]
+    fn index_gauge_counts_a_list_only_from_a_keys_second_row() {
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(size_of::<(u64, Bucket)>(), 32);
+        let entry = size_of::<(u64, Bucket)>();
+        let mut inst = Instance::new();
+        for i in 0..10 {
+            inst.add("R", vec![v(i), v(i % 2)]).unwrap();
+        }
+        let bytes = |inst: &Instance| inst.storage_report()[0].approx_bytes;
+        let cold = bytes(&inst);
+        let rel = inst.relation("R").unwrap();
+        // Column 0: ten keys of one row each, held inline.
+        assert_eq!(rel.scan(&[Some(v(3)), None]).len(), 1);
+        assert_eq!(bytes(&inst) - cold, 10 * entry);
+        // Column 1: two keys of five rows each, held in lists.
+        assert_eq!(rel.scan(&[None, Some(v(1))]).len(), 5);
+        assert_eq!(bytes(&inst) - cold, 12 * entry + 10 * size_of::<u32>());
+        assert_eq!(built(&inst, "R"), vec![(vec![0], 10), (vec![1], 10)]);
     }
 
     #[test]

@@ -170,6 +170,10 @@ impl Db for Instance {
 /// are then looked up by name per query — GROM's scenarios keep layer
 /// vocabularies disjoint, so this is the rare path). Cursors are positions
 /// in the layer-by-layer scan order: `layer << 32 | slot`.
+///
+/// A scan of a name stored in one layer is that layer's scan, with no
+/// intermediate `Vec`; only a name stored in several layers keeps a list
+/// of the layers already read, to skip the tuples they hold.
 #[derive(Debug, Clone, Copy)]
 pub struct LayeredDb<'a> {
     layers: &'a [&'a Instance],
@@ -182,17 +186,25 @@ impl<'a> LayeredDb<'a> {
         Self { layers }
     }
 
+    /// The first stored relation behind a token, with its layer index.
+    fn first_part(&self, rel: DbRel) -> (usize, &'a Relation) {
+        let layer = (rel.0 >> 32) as u16 as usize;
+        (
+            layer,
+            self.layers[layer].relation_by_id(RelId(rel.0 as u32)),
+        )
+    }
+
     /// The stored relations behind a token, with their layer index.
     fn parts(&self, rel: DbRel) -> impl Iterator<Item = (usize, &'a Relation)> {
         let layers = self.layers;
-        let first = (rel.0 >> 32) as u16 as usize;
-        let id = RelId(rel.0 as u32);
-        let later = (rel.0 & SHARED != 0).then(|| layers[first].rel_name(id));
+        let (first, part) = self.first_part(rel);
+        let later = (rel.0 & SHARED != 0).then(|| layers[first].rel_name(RelId(rel.0 as u32)));
         let later = layers[first + 1..]
             .iter()
             .enumerate()
             .filter_map(move |(k, layer)| Some((first + 1 + k, layer.relation(later?)?)));
-        std::iter::once((first, layers[first].relation_by_id(id))).chain(later)
+        std::iter::once((first, part)).chain(later)
     }
 }
 
@@ -238,6 +250,14 @@ impl Db for LayeredDb<'_> {
         ver: Ver,
         visit: &mut dyn FnMut(&'b Tuple) -> Control,
     ) {
+        if rel.0 & SHARED == 0 {
+            let (layer, part) = self.first_part(rel);
+            if let Some(span) = layer_span(ver, layer) {
+                part.scan_each_v(pattern, span, &mut |t| visit(t) == Control::Continue);
+            }
+            return;
+        }
+        // A name stored in several layers: skip what an earlier one holds.
         let mut earlier: Vec<&Relation> = Vec::new();
         for (layer, part) in self.parts(rel) {
             if let Some(span) = layer_span(ver, layer) {
@@ -406,5 +426,57 @@ mod tests {
             count(&db, db.resolve("Other").unwrap(), &[None], Ver::All),
             1
         );
+    }
+
+    #[test]
+    fn single_part_and_shared_tokens_stream_the_same_rows() {
+        // R sits in layer 1 alone, or in layer 1 and again in layer 2,
+        // which holds only rows layer 1 has: both read as the same union.
+        let mut other = Instance::new();
+        other
+            .add("Other", vec![Value::int(0), Value::int(0)])
+            .unwrap();
+        let mut r = Instance::new();
+        for i in 0..8 {
+            r.add("R", vec![Value::int(i % 3), Value::int(i)]).unwrap();
+        }
+        let mut dup = Instance::new();
+        for i in [1, 6, 4] {
+            dup.add("R", vec![Value::int(i % 3), Value::int(i)])
+                .unwrap();
+        }
+        let empty = Instance::new();
+        let (single, shared) = ([&other, &r, &empty], [&other, &r, &dup]);
+        let (single, shared) = (LayeredDb::new(&single), LayeredDb::new(&shared));
+        let (a, b) = (single.resolve("R").unwrap(), shared.resolve("R").unwrap());
+        assert_eq!(a.0 & SHARED, 0);
+        assert_ne!(b.0 & SHARED, 0);
+        let stream = |db: &LayeredDb, rel: DbRel, pattern: &[Option<Value>], ver, stop_at| {
+            let mut out = Vec::new();
+            db.scan_rel_v(rel, pattern, ver, &mut |t| {
+                out.push(t.get(1).and_then(Value::as_int).unwrap());
+                if out.len() == stop_at {
+                    Control::Stop
+                } else {
+                    Control::Continue
+                }
+            });
+            out
+        };
+        let cursors = (0..=2u64).flat_map(|layer| (0..=8).map(move |slot| layer << 32 | slot));
+        let vers = [Ver::All]
+            .into_iter()
+            .chain(cursors.flat_map(|c| [Ver::Old(c), Ver::New(c)]));
+        for ver in vers {
+            for pattern in [[None, None], [Some(Value::int(1)), None]] {
+                let all = stream(&single, a, &pattern, ver, 0);
+                assert_eq!(all, stream(&shared, b, &pattern, ver, 0), "{ver:?}");
+                for stop_at in 1..=all.len() {
+                    let got = stream(&single, a, &pattern, ver, stop_at);
+                    assert_eq!(got, all[..stop_at], "{ver:?}, stop at {stop_at}");
+                    assert_eq!(got, stream(&shared, b, &pattern, ver, stop_at));
+                }
+            }
+        }
     }
 }
