@@ -349,7 +349,12 @@ pub fn restriction_pair() -> (MappingScenario, MappingScenario) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grom::rewrite::{analyze, rewrite_program, RewriteOptions};
+    use grom::chase::{chase_standard, Partition, SchedulerMode, TriggerIndex};
+    use grom::data::canonical_render;
+
+    fn rescan() -> ChaseConfig {
+        ChaseConfig::default().with_scheduler(SchedulerMode::FullRescan)
+    }
 
     #[test]
     fn running_example_generator_is_deterministic() {
@@ -380,61 +385,11 @@ mod tests {
     }
 
     #[test]
-    fn conjunctive_family_is_ded_free() {
-        let (views, deps) = conjunctive_family(8, 3);
-        let out = rewrite_program(&views, &deps, &RewriteOptions::default()).unwrap();
-        assert!(out.is_ded_free());
-        assert!(out.warnings.is_empty());
-        // One output per input (8 tgds + 8 egds).
-        assert_eq!(out.deps.len(), 16);
-    }
-
-    #[test]
-    fn negation_family_produces_deds() {
-        let (views, deps) = negation_family(4, 2);
-        let (report, out) = analyze(&views, &deps, &RewriteOptions::default()).unwrap();
-        assert!(report.has_deds);
-        // One ded per egd, with 1 + 2*negated disjuncts.
-        let deds: Vec<_> = out.deds().collect();
-        assert_eq!(deds.len(), 4);
-        for d in &deds {
-            assert_eq!(d.disjuncts.len(), 1 + 2 * 2);
-        }
-    }
-
-    #[test]
-    fn universal_model_counts() {
-        let (deps, inst) = universal_model_workload(5);
-        let ex =
-            grom::chase::chase_exhaustive(inst.clone(), &deps, &ChaseConfig::default()).unwrap();
-        assert_eq!(ex.solutions.len(), 32);
-        let gr = grom::chase::chase_greedy(inst, &deps, &ChaseConfig::default()).unwrap();
-        assert_eq!(gr.stats.scenarios_tried, 1);
-    }
-
-    #[test]
-    fn intricacy_scenarios_grow_with_density() {
-        let run = |frac: f64| {
-            let (deps, inst) = greedy_intricacy_workload(8, frac, 3);
-            grom::chase::chase_greedy(inst, &deps, &ChaseConfig::default())
-                .unwrap()
-                .stats
-                .scenarios_tried
-        };
-        let low = run(0.0);
-        let high = run(0.8);
-        assert_eq!(low, 1);
-        assert!(high > low, "high = {high}, low = {low}");
-    }
-
-    #[test]
     fn delta_scaling_workload_separates_schedulers() {
-        use grom::chase::{chase_standard, chase_standard_full_rescan};
         let (deps, inst) = delta_scaling_workload(6, 20);
         assert_eq!(deps.len(), 6);
-        let cfg = ChaseConfig::default();
-        let delta = chase_standard(inst.clone(), &deps, &cfg).unwrap();
-        let naive = chase_standard_full_rescan(inst, &deps, &cfg).unwrap();
+        let delta = chase_standard(inst.clone(), &deps, &ChaseConfig::default()).unwrap();
+        let naive = chase_standard(inst, &deps, &rescan()).unwrap();
         // Identical results, byte for byte (no nulls in this workload).
         assert_eq!(delta.instance.to_string(), naive.instance.to_string());
         assert_eq!(delta.instance.len(), 7 * 20);
@@ -448,7 +403,6 @@ mod tests {
 
     #[test]
     fn parallel_scaling_workload_partitions_are_independent() {
-        use grom::chase::{chase_standard, Partition, SchedulerMode, TriggerIndex};
         let (deps, inst) = parallel_scaling_workload(4, 3, 15);
         assert_eq!(deps.len(), 12);
         // One conflict-free group per chain: the parallelism a pool
@@ -471,10 +425,6 @@ mod tests {
 
     #[test]
     fn egd_scaling_workload_batches_merges() {
-        use grom::chase::{
-            chase_standard, chase_standard_full_rescan, Partition, SchedulerMode, TriggerIndex,
-        };
-        use grom::data::canonical_render;
         let (deps, inst) = egd_scaling_workload(6, 5, 3);
         assert_eq!(deps.len(), 4); // probe + 3 egds
                                    // Nobody writes Rep/Same{j}: the probe and each egd are their own
@@ -484,8 +434,7 @@ mod tests {
 
         let cfg = ChaseConfig::default().with_scheduler(SchedulerMode::Delta);
         let batched = chase_standard(inst.clone(), &deps, &cfg).unwrap();
-        let naive =
-            chase_standard_full_rescan(inst.clone(), &deps, &ChaseConfig::default()).unwrap();
+        let naive = chase_standard(inst.clone(), &deps, &rescan()).unwrap();
         // Identical up to null renaming, and the egds hold at fixpoint.
         assert_eq!(
             canonical_render(&batched.instance),
@@ -513,14 +462,5 @@ mod tests {
             canonical_render(&naive.instance)
         );
         assert_eq!(par.stats.substitution_passes, 1);
-    }
-
-    #[test]
-    fn restriction_pair_contrast() {
-        let (perverse, reformulated) = restriction_pair();
-        let p_out = perverse.rewrite(&RewriteOptions::default()).unwrap();
-        let r_out = reformulated.rewrite(&RewriteOptions::default()).unwrap();
-        assert!(!p_out.is_ded_free());
-        assert!(r_out.is_ded_free());
     }
 }

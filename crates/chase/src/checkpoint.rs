@@ -33,7 +33,7 @@ use grom_trace::json::{self, JsonObject, JsonValue};
 
 use crate::config::ChaseConfig;
 use crate::nullmap::NullMap;
-use crate::result::{ChaseError, ChaseOutcome};
+use crate::result::{ChaseError, ChaseResult};
 use crate::scheduler::Pending;
 
 /// The relation name carrying the flattened null map in serialized form:
@@ -326,15 +326,15 @@ fn instance_to_nullmap(inst: &Instance) -> Result<Vec<(u64, Value)>, String> {
 /// be the same dependency set, in the same order, as the interrupted run.
 ///
 /// The resumed run is itself budget-aware: it can complete, interrupt
-/// again (fresh budget, cumulative round count), or fail hard, exactly
-/// like a fresh chase.
+/// again ([`ChaseError::Interrupted`]; fresh budget, cumulative round
+/// count), or fail hard, exactly like a fresh chase.
 pub fn chase_resume(
     checkpoint: &Checkpoint,
     deps: &[Dependency],
     config: &ChaseConfig,
-) -> Result<ChaseOutcome, ChaseError> {
+) -> Result<ChaseResult, ChaseError> {
     let state = checkpoint.restore(deps)?;
-    ChaseOutcome::from_run(crate::sweep::run_chase(state, deps, config))
+    crate::sweep::run_chase(state, deps, config)
 }
 
 #[cfg(test)]

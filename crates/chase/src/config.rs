@@ -281,12 +281,6 @@ impl ChaseConfig {
         self
     }
 
-    /// Shorthand for [`SchedulerMode::with_threads`]: `threads >= 2` runs
-    /// the parallel executor, anything less the sequential delta scheduler.
-    pub fn with_threads(self, threads: usize) -> Self {
-        self.with_scheduler(SchedulerMode::with_threads(threads))
-    }
-
     /// Attach an event sink; the chase streams one JSONL event per
     /// activation / merge / sweep into it.
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
@@ -320,8 +314,6 @@ mod tests {
             SchedulerMode::with_threads(4),
             SchedulerMode::Parallel { threads: 4 }
         );
-        let cfg = ChaseConfig::default().with_threads(2);
-        assert_eq!(cfg.scheduler, SchedulerMode::Parallel { threads: 2 });
     }
 
     #[test]

@@ -68,9 +68,9 @@ pub use core_min::{core_minimize, CoreStats};
 pub use ded::{chase_exhaustive, chase_greedy, chase_with_deds, ExhaustiveResult};
 pub use nullmap::NullMap;
 pub use partition::Partition;
-pub use result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats, Interrupted};
+pub use result::{ChaseError, ChaseResult, ChaseStats, Interrupted};
 pub use scheduler::Scheduler;
-pub use standard::{chase_standard, chase_standard_full_rescan, chase_standard_outcome};
+pub use standard::chase_standard;
 pub use trigger::TriggerIndex;
 pub use wa::{is_weakly_acyclic, WeakAcyclicityReport};
 

@@ -459,7 +459,7 @@ impl PoolExecutor {
 mod tests {
     use super::*;
     use crate::config::{ChaseConfig, SchedulerMode};
-    use crate::standard::{all_satisfied, chase_standard, chase_standard_full_rescan};
+    use crate::standard::{all_satisfied, chase_standard};
     use crate::trigger::TriggerIndex;
     use grom_data::canonical_render;
     use grom_lang::parser::{parse_dependency, parse_program};
@@ -475,6 +475,10 @@ mod tests {
 
     fn par(threads: usize) -> ChaseConfig {
         ChaseConfig::default().with_scheduler(SchedulerMode::Parallel { threads })
+    }
+
+    fn rescan() -> ChaseConfig {
+        ChaseConfig::default().with_scheduler(SchedulerMode::FullRescan)
     }
 
     #[test]
@@ -528,8 +532,7 @@ mod tests {
         let e = parse_dependency("egd e: T(x, y1), T(x, y2) -> y1 = y2.").unwrap();
         let deps = vec![m, k, e];
         let start = inst(&[("S", &[1]), ("S2", &[1, 42])]);
-        let seq =
-            chase_standard_full_rescan(start.clone(), &deps, &ChaseConfig::default()).unwrap();
+        let seq = chase_standard(start.clone(), &deps, &rescan()).unwrap();
         let parl = chase_standard(start, &deps, &par(3)).unwrap();
         assert_eq!(
             canonical_render(&seq.instance),
@@ -560,8 +563,7 @@ mod tests {
             assert_eq!(part.group_of(k), 0);
         }
         let start = inst(&[("S", &[1]), ("S2", &[1, 9]), ("S2", &[2, 3])]);
-        let seq =
-            chase_standard_full_rescan(start.clone(), &p.deps, &ChaseConfig::default()).unwrap();
+        let seq = chase_standard(start.clone(), &p.deps, &rescan()).unwrap();
         let parl = chase_standard(start, &p.deps, &par(2)).unwrap();
         assert_eq!(
             canonical_render(&seq.instance),

@@ -136,44 +136,6 @@ impl Interrupted {
     }
 }
 
-/// The outcome of a budget-aware chase entry point: either a completed
-/// fixpoint or a graceful interruption. [`ChaseError`] keeps signalling
-/// the hard failures (clash, non-executable, storage).
-#[derive(Debug, Clone)]
-pub enum ChaseOutcome {
-    Completed(ChaseResult),
-    Interrupted(Interrupted),
-}
-
-impl ChaseOutcome {
-    /// Convert the internal error-channel representation: interruption
-    /// travels as `Err(ChaseError::Interrupted)` inside the engine so the
-    /// existing `?` plumbing propagates it, and surfaces here as the
-    /// graceful variant.
-    pub fn from_run(run: Result<ChaseResult, ChaseError>) -> Result<ChaseOutcome, ChaseError> {
-        match run {
-            Ok(res) => Ok(ChaseOutcome::Completed(res)),
-            Err(ChaseError::Interrupted(i)) => Ok(ChaseOutcome::Interrupted(*i)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The instance produced so far, complete or not.
-    pub fn instance(&self) -> &Instance {
-        match self {
-            ChaseOutcome::Completed(r) => &r.instance,
-            ChaseOutcome::Interrupted(i) => &i.instance,
-        }
-    }
-
-    pub fn stats(&self) -> &ChaseStats {
-        match self {
-            ChaseOutcome::Completed(r) => &r.stats,
-            ChaseOutcome::Interrupted(i) => &i.stats,
-        }
-    }
-}
-
 /// Chase failure modes.
 #[derive(Debug, Clone)]
 pub enum ChaseError {
@@ -197,10 +159,11 @@ pub enum ChaseError {
         stats: Box<ChaseStats>,
         profile: Box<ChaseProfile>,
     },
-    /// The budget or cancel token stopped the run at a sweep boundary;
-    /// the boxed payload carries the partial instance and a resumable
-    /// checkpoint. Internal representation — the public entry points
-    /// convert this into [`ChaseOutcome::Interrupted`].
+    /// The budget, the cancel token or an injected fault stopped the run at
+    /// a sweep boundary; the boxed payload carries the partial instance and
+    /// a resumable checkpoint. Every entry point — [`crate::chase_standard`],
+    /// [`crate::chase_resume`], [`crate::chase_with_deds`] — reports such a
+    /// stop this way; it is not a failure of the program.
     Interrupted(Box<Interrupted>),
     /// A worker thread panicked inside the parallel executor. The panic is
     /// contained by `catch_unwind`; the pool stays reusable.

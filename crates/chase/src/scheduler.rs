@@ -659,7 +659,6 @@ mod tests {
         // cannot see through) — otherwise t2 misses the post-substitution
         // match T(5, 7) and inserts a redundant T(5, N) with a fresh null
         // the sweep-end substitution cannot merge away.
-        use crate::standard::chase_standard_full_rescan;
         use grom_data::canonical_render;
         let p = parse_program(
             "tgd t1: A(x) -> T(y, x).\n\
@@ -670,8 +669,8 @@ mod tests {
         let mut start = Instance::new();
         start.add("A", vec![Value::int(7)]).unwrap();
         start.add("W", vec![Value::int(5), Value::int(7)]).unwrap();
-        let reference =
-            chase_standard_full_rescan(start.clone(), &p.deps, &ChaseConfig::default()).unwrap();
+        let rescan = ChaseConfig::default().with_scheduler(SchedulerMode::FullRescan);
+        let reference = chase_standard(start.clone(), &p.deps, &rescan).unwrap();
         assert_eq!(reference.instance.len(), 3);
 
         let batched = chase_standard(start.clone(), &p.deps, &delta()).unwrap();

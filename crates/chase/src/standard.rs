@@ -32,8 +32,8 @@ use grom_trace::{ActivationKind, ActivationRecord};
 use grom_engine::{Control, Db, DepPlan, Matches, Scratch};
 
 use crate::checkpoint::ResumeState;
-use crate::config::{ChaseConfig, InterruptReason, SchedulerMode};
-use crate::result::{ChaseError, ChaseOutcome, ChaseResult};
+use crate::config::{ChaseConfig, InterruptReason};
+use crate::result::{ChaseError, ChaseResult};
 use crate::sweep::{apply_disjunct, load_match, run_chase, RepairSink, Run, SweepEnd};
 
 /// Reject dependencies the standard chase cannot execute.
@@ -87,7 +87,9 @@ pub(crate) fn collect_violations(
 /// worker-pool sweeps over conflict-free dependency groups, the full-rescan
 /// reference re-evaluates every premise against the whole instance each
 /// round. All produce the same solutions (up to the usual renaming of
-/// labeled nulls) and the same failure modes.
+/// labeled nulls) and the same failure modes. A budget, cancellation or
+/// fault stop is [`ChaseError::Interrupted`], carrying the instance-so-far
+/// and a resumable checkpoint.
 pub fn chase_standard(
     start: Instance,
     deps: &[Dependency],
@@ -96,30 +98,7 @@ pub fn chase_standard(
     run_chase(ResumeState::fresh(start, deps), deps, config)
 }
 
-/// Budget-aware entry point: like [`chase_standard`], but a budget or
-/// cancellation stop surfaces as [`ChaseOutcome::Interrupted`] (carrying
-/// the instance-so-far and a resumable checkpoint) instead of an error.
-pub fn chase_standard_outcome(
-    start: Instance,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseOutcome, ChaseError> {
-    ChaseOutcome::from_run(chase_standard(start, deps, config))
-}
-
-/// [`chase_standard`] pinned to [`SchedulerMode::FullRescan`], the
-/// reference the other modes must agree with (see the `property_delta`
-/// suite and the `e7_delta_scaling` bench).
-pub fn chase_standard_full_rescan(
-    start: Instance,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    let config = config.clone().with_scheduler(SchedulerMode::FullRescan);
-    chase_standard(start, deps, &config)
-}
-
-/// One round of the classical chase, the [`SchedulerMode::FullRescan`]
+/// One round of the classical chase, the [`crate::SchedulerMode::FullRescan`]
 /// executor: every dependency's premise is re-evaluated against the entire
 /// instance, and a merging dependency is followed at once by its own
 /// substitution pass. Deliberately naive and deliberately its own text —
@@ -207,6 +186,7 @@ pub fn all_satisfied(inst: &Instance, deps: &[Dependency]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchedulerMode;
     use grom_data::{Tuple, Value};
     use grom_lang::parser::{parse_dependency, parse_program};
 
@@ -440,35 +420,6 @@ mod tests {
         let u: Vec<_> = res.instance.tuples("U").collect();
         assert_eq!(u.len(), 1);
         assert_eq!(u[0].get(0), Some(&Value::int(9)));
-    }
-
-    #[test]
-    fn both_full_rescan_doors_register_the_same_join_keys() {
-        // The premise joins T and U on two columns, so the static analysis
-        // registers a composite key on each; the mode-pinning wrapper must
-        // install exactly what `chase_standard(.., FullRescan)` installs.
-        let p = parse_program(
-            "tgd m: S(x, y) -> T(x, y, z).\n\
-             tgd j: T(x, y, z), U(x, y) -> V(z).",
-        )
-        .unwrap();
-        let start = inst(&[("S", &[1, 2]), ("U", &[1, 2])]);
-        let pinned = cfg().with_scheduler(SchedulerMode::FullRescan);
-        let by_mode = chase_standard(start.clone(), &p.deps, &pinned).unwrap();
-        let by_name = chase_standard_full_rescan(start, &p.deps, &cfg()).unwrap();
-        let keys = |i: &Instance| -> Vec<(String, Vec<Vec<usize>>)> {
-            i.relation_names()
-                .map(|r| {
-                    let specs = i.relation(r).unwrap().key_specs();
-                    (r.to_string(), specs.map(<[usize]>::to_vec).collect())
-                })
-                .collect()
-        };
-        assert_eq!(keys(&by_mode.instance), keys(&by_name.instance));
-        assert!(keys(&by_name.instance)
-            .iter()
-            .any(|(_, specs)| !specs.is_empty()));
-        assert_eq!(by_name.profile.mode, "full_rescan");
     }
 
     #[test]

@@ -152,8 +152,8 @@ impl<'a> Run<'a> {
     }
 
     /// Package a sweep-aligned interruption: everything the run produced
-    /// plus the checkpoint, as the internal `Err` the entry points surface
-    /// as [`crate::ChaseOutcome::Interrupted`].
+    /// plus the checkpoint, as the [`ChaseError::Interrupted`] every entry
+    /// point returns.
     fn interrupted(mut self, reason: InterruptReason) -> ChaseError {
         let profile = finish(self.rec, &self.inst);
         let checkpoint = Checkpoint::capture(

@@ -7,8 +7,8 @@
 //! serializes the tests of this binary among themselves.
 
 use grom_chase::{
-    chase_resume, chase_standard, ChaseConfig, ChaseError, ChaseOutcome, Checkpoint,
-    InterruptReason, SchedulerMode,
+    chase_resume, chase_standard, ChaseConfig, ChaseError, Checkpoint, InterruptReason,
+    SchedulerMode,
 };
 use grom_data::{canonical_render, Instance, Value};
 use grom_lang::parser::parse_program;
@@ -73,8 +73,8 @@ fn sweep_interrupt_checkpoint_resume_matches_uninterrupted() {
 
     // Round-trip the checkpoint through its JSON form, then resume.
     let cp = Checkpoint::from_json(&interrupted.checkpoint.to_json()).unwrap();
-    let resumed = match chase_resume(&cp, &p.deps, &par(2)).unwrap() {
-        ChaseOutcome::Completed(r) => r,
+    let resumed = match chase_resume(&cp, &p.deps, &par(2)) {
+        Ok(r) => r,
         other => panic!("resume should complete, got {other:?}"),
     };
     assert_eq!(

@@ -303,7 +303,7 @@ fn cmd_run(path: &str, rest: &[String]) -> ExitCode {
         .with_budget(budget)
         .with_cancel(cancel);
     if let Some(n) = threads {
-        chase = chase.with_threads(n);
+        chase = chase.with_scheduler(SchedulerMode::with_threads(n));
     }
     let options = PipelineOptions {
         chase,
@@ -312,40 +312,23 @@ fn cmd_run(path: &str, rest: &[String]) -> ExitCode {
         ..Default::default()
     };
 
-    if let Some(rp) = resume_path {
-        if data_file.is_some() {
+    let outcome = match resume_path {
+        None => scenario.run(&source, &options),
+        Some(_) if data_file.is_some() => {
             return fail("--resume continues from a checkpoint; do not also pass a data file");
         }
-        let text = match std::fs::read_to_string(&rp) {
-            Ok(t) => t,
-            Err(e) => return fail(format!("cannot read checkpoint `{rp}`: {e}")),
-        };
-        let checkpoint = match Checkpoint::from_json(&text) {
-            Ok(c) => c,
-            Err(e) => return fail(format!("{rp}: {e}")),
-        };
-        return match scenario.resume(&checkpoint, &options) {
-            Ok(ChaseOutcome::Completed(res)) => {
-                let target = match scenario.extract_target(&res.instance) {
-                    Ok(t) => t,
-                    Err(e) => return fail(e),
-                };
-                if let Err(e) = print_instance(&target) {
-                    return fail(e);
-                }
-                if !quiet {
-                    eprintln!("chase: {}", res.stats);
-                }
-                ExitCode::SUCCESS
+        Some(rp) => {
+            let text = match std::fs::read_to_string(&rp) {
+                Ok(t) => t,
+                Err(e) => return fail(format!("cannot read checkpoint `{rp}`: {e}")),
+            };
+            match Checkpoint::from_json(&text) {
+                Ok(checkpoint) => scenario.resume(&checkpoint, &options),
+                Err(e) => return fail(format!("{rp}: {e}")),
             }
-            Ok(ChaseOutcome::Interrupted(i)) => {
-                report_interrupted(&i, checkpoint_path.as_deref(), quiet)
-            }
-            Err(e) => fail(e),
-        };
-    }
-
-    match scenario.run(&source, &options) {
+        }
+    };
+    match outcome {
         Ok(result) => {
             if let Err(e) = print_instance(&result.target) {
                 return fail(e);
@@ -516,7 +499,7 @@ mod explain_cli {
         }
         let mut chase = ChaseConfig::default().with_trace(trace.clone());
         if let Some(n) = threads {
-            chase = chase.with_threads(n);
+            chase = chase.with_scheduler(SchedulerMode::with_threads(n));
         }
         let options = PipelineOptions {
             chase,

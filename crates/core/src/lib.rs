@@ -57,7 +57,7 @@ pub use grom_chase::{Budget, CancelToken, ChaseConfig, Checkpoint, SchedulerMode
 pub use grom_trace::{ChaseProfile, TraceHandle};
 pub use pipeline::{intern_dependencies, ExchangeResult, PipelineError, PipelineOptions};
 pub use scenario::MappingScenario;
-pub use validate::{validate_solution, validate_with_source_extents, ValidationReport};
+pub use validate::{validate_solution, ValidationReport};
 
 /// One-stop imports for applications.
 pub mod prelude {
@@ -65,8 +65,8 @@ pub mod prelude {
     pub use crate::scenario::MappingScenario;
     pub use crate::validate::{validate_solution, ValidationReport};
     pub use grom_chase::{
-        Budget, CancelToken, ChaseConfig, ChaseError, ChaseOutcome, ChaseStats, Checkpoint,
-        InterruptReason, SchedulerMode,
+        Budget, CancelToken, ChaseConfig, ChaseError, ChaseStats, Checkpoint, InterruptReason,
+        SchedulerMode,
     };
     pub use grom_data::{Fact, Instance, Schema, Tuple, Value};
     pub use grom_lang::{Atom, DepClass, Dependency, Literal, Program, Term, ViewSet};

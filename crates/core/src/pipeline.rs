@@ -5,13 +5,12 @@ use std::borrow::Cow;
 use std::fmt;
 
 use grom_chase::{
-    chase_with_deds, ChaseConfig, ChaseError, ChaseProfile, ChaseStats, WeakAcyclicityReport,
+    chase_with_deds, ChaseConfig, ChaseError, ChaseProfile, ChaseResult, ChaseStats,
+    WeakAcyclicityReport,
 };
 use grom_data::{DataError, Instance, SymbolTable, Value};
-use grom_engine::MaterializeError;
-use grom_lang::{
-    Atom, Comparison, Dependency, Disjunct, LangError, Literal, Term, ViewRule, ViewSet,
-};
+use grom_engine::{MaterializeError, ViewMaterialization};
+use grom_lang::{Dependency, LangError, Term, ViewSet};
 use grom_rewrite::{rewrite_program, RewriteError, RewriteOptions, RewriteOutput};
 
 use crate::scenario::MappingScenario;
@@ -33,109 +32,31 @@ pub struct PipelineOptions {
     pub core_minimize: bool,
 }
 
-impl PipelineOptions {
-    /// Run the chase on `threads` workers (the parallel executor of
-    /// `grom-exec`); `threads <= 1` selects the sequential delta
-    /// scheduler. Results are identical up to the renaming of labeled
-    /// nulls. Also reachable via the `GROM_THREADS` environment variable
-    /// (see [`grom_chase::SchedulerMode`]) and `grom run --threads`.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.chase = self.chase.with_threads(threads);
-        self
-    }
-}
-
 /// Rewrite every string constant in `deps` to its interned symbol in
 /// `table`, so dependency constants compare against [`Value::Sym`] instance
 /// columns by id. Non-string values pass through unchanged. The pipeline
 /// calls this with the same table that interned the working instance —
 /// using a different table would silently break constant/instance joins.
 pub fn intern_dependencies(deps: &[Dependency], table: &mut SymbolTable) -> Vec<Dependency> {
-    deps.iter().map(|d| intern_dependency(d, table)).collect()
-}
-
-fn intern_term(t: &Term, table: &mut SymbolTable) -> Term {
-    match t {
-        Term::Const(Value::Str(s)) => Term::Const(Value::Sym(table.intern(s))),
-        other => other.clone(),
+    let mut deps = deps.to_vec();
+    for dep in &mut deps {
+        intern_terms(dep.terms_mut(), table);
     }
+    deps
 }
 
-fn intern_atom(a: &Atom, table: &mut SymbolTable) -> Atom {
-    Atom {
-        predicate: a.predicate.clone(),
-        args: a.args.iter().map(|t| intern_term(t, table)).collect(),
+/// Swap each string constant among `terms` for its symbol in `table`, in
+/// the order the walk visits them — the order symbol ids are handed out.
+fn intern_terms<'t>(terms: impl Iterator<Item = &'t mut Term>, table: &mut SymbolTable) {
+    for term in terms {
+        if let Term::Const(Value::Str(s)) = term {
+            *term = Term::Const(Value::Sym(table.intern(s)));
+        }
     }
-}
-
-fn intern_cmp(c: &Comparison, table: &mut SymbolTable) -> Comparison {
-    Comparison::new(c.op, intern_term(&c.lhs, table), intern_term(&c.rhs, table))
-}
-
-fn intern_body(body: &[Literal], table: &mut SymbolTable) -> Vec<Literal> {
-    body.iter()
-        .map(|l| match l {
-            Literal::Pos(a) => Literal::Pos(intern_atom(a, table)),
-            Literal::Neg(a) => Literal::Neg(intern_atom(a, table)),
-            Literal::Cmp(c) => Literal::Cmp(intern_cmp(c, table)),
-        })
-        .collect()
-}
-
-fn intern_dependency(d: &Dependency, table: &mut SymbolTable) -> Dependency {
-    Dependency {
-        name: d.name.clone(),
-        premise: intern_body(&d.premise, table),
-        disjuncts: d
-            .disjuncts
-            .iter()
-            .map(|dj| Disjunct {
-                atoms: dj.atoms.iter().map(|a| intern_atom(a, table)).collect(),
-                eqs: dj
-                    .eqs
-                    .iter()
-                    .map(|(l, r)| (intern_term(l, table), intern_term(r, table)))
-                    .collect(),
-                cmps: dj.cmps.iter().map(|c| intern_cmp(c, table)).collect(),
-            })
-            .collect(),
-    }
-}
-
-fn intern_rule(r: &ViewRule, table: &mut SymbolTable) -> ViewRule {
-    ViewRule::new(intern_atom(&r.head, table), intern_body(&r.body, table))
 }
 
 fn is_str(t: &Term) -> bool {
     matches!(t, Term::Const(Value::Str(_)))
-}
-
-fn atom_has_str(a: &Atom) -> bool {
-    a.args.iter().any(is_str)
-}
-
-fn cmp_has_str(c: &Comparison) -> bool {
-    is_str(&c.lhs) || is_str(&c.rhs)
-}
-
-fn body_has_str(body: &[Literal]) -> bool {
-    body.iter().any(|l| match l {
-        Literal::Pos(a) | Literal::Neg(a) => atom_has_str(a),
-        Literal::Cmp(c) => cmp_has_str(c),
-    })
-}
-
-fn dependency_has_str(d: &Dependency) -> bool {
-    body_has_str(&d.premise)
-        || d.disjuncts.iter().any(|dj| {
-            dj.atoms.iter().any(atom_has_str)
-                || dj.eqs.iter().any(|(l, r)| is_str(l) || is_str(r))
-                || dj.cmps.iter().any(cmp_has_str)
-        })
-}
-
-fn rule_has_str(r: &ViewRule) -> bool {
-    atom_has_str(&r.head) || body_has_str(&r.body)
 }
 
 /// [`intern_dependencies`] that copies only when there is something to
@@ -146,7 +67,7 @@ fn interned_dependencies<'a>(
     deps: &'a [Dependency],
     table: &mut SymbolTable,
 ) -> Cow<'a, [Dependency]> {
-    if deps.iter().any(dependency_has_str) {
+    if deps.iter().any(|d| d.terms().any(is_str)) {
         Cow::Owned(intern_dependencies(deps, table))
     } else {
         Cow::Borrowed(deps)
@@ -157,13 +78,26 @@ fn interned_dependencies<'a>(
 /// the one place a run builds a [`ViewSet`], and only for view rules that
 /// hold a string constant.
 fn interned_views<'a>(views: &'a ViewSet, table: &mut SymbolTable) -> Cow<'a, ViewSet> {
-    if views.rules().iter().any(rule_has_str) {
-        let rules = views.rules().iter().map(|r| intern_rule(r, table));
+    if views.rules().iter().any(|r| r.terms().any(is_str)) {
+        let mut rules = views.rules().to_vec();
+        for rule in &mut rules {
+            intern_terms(rule.terms_mut(), table);
+        }
         Cow::Owned(ViewSet::from_rules(rules).expect("interning changes constants only"))
     } else {
         Cow::Borrowed(views)
     }
 }
+
+/// What a run certifies its chased instance against: the scenario's own
+/// mappings, target constraints and target view rules, in the vocabulary
+/// of the chased instance (interned through the run's table, or as they
+/// stand when the instance holds plain strings).
+type Certificate<'a> = (
+    Cow<'a, [Dependency]>,
+    Cow<'a, [Dependency]>,
+    Cow<'a, ViewSet>,
+);
 
 /// Everything the pipeline produces.
 #[derive(Debug, Clone)]
@@ -171,10 +105,13 @@ pub struct ExchangeResult {
     /// The generated target instance `J_T` (target-schema relations only).
     pub target: Instance,
     /// The extents of the source views (empty when there is no source
-    /// semantic schema).
+    /// semantic schema). Empty on a resumed run
+    /// ([`MappingScenario::resume`]): the checkpoint holds the extents
+    /// among its relations, and nothing is materialized again.
     pub source_view_extents: Instance,
     /// Per-view tuple counts of the source materialization (the deltas
-    /// reported by [`grom_engine::materialize_views_tracked`]).
+    /// reported by [`grom_engine::materialize_views_tracked`]). Empty on a
+    /// resumed run, like [`ExchangeResult::source_view_extents`].
     pub source_view_counts: std::collections::BTreeMap<std::sync::Arc<str>, usize>,
     /// The rewritten program and its diagnostics.
     pub rewritten: RewriteOutput,
@@ -272,9 +209,7 @@ impl MappingScenario {
 
         // 1. Materialize the source semantic schema (if any); its extents
         //    join the source as chase input in step 4.
-        let materialized = grom_engine::materialize_views_tracked(&self.source_views, source)?;
-        let source_view_extents = materialized.extents;
-        let source_view_counts = materialized.per_view;
+        let source_views = grom_engine::materialize_views_tracked(&self.source_views, source)?;
 
         // 2. Rewrite against the target views.
         let rewritten = self.rewrite(&options.rewrite)?;
@@ -295,7 +230,7 @@ impl MappingScenario {
         //    its checkpoint serializes plain strings and resumes without
         //    the run's symbol table.
         let mut table = SymbolTable::new();
-        let interned = Instance::interned(&[source, &source_view_extents], &mut table);
+        let interned = Instance::interned(&[source, &source_views.extents], &mut table);
         let deps = interned_dependencies(&rewritten.deps, &mut table);
         let certificate = (!options.skip_validation).then(|| {
             (
@@ -313,18 +248,43 @@ impl MappingScenario {
             }
             Err(e) => return Err(e.into()),
         };
+        drop(deps);
+        self.finish(
+            result,
+            certificate,
+            options,
+            rewritten,
+            wa_report,
+            source_views,
+        )
+    }
 
-        // 5. The chased instance is source ∪ source extents ∪ target,
-        //    interned and indexed: split it by moving each relation whole
-        //    into `target` (target-schema names) or `rest`, minimize the
-        //    target towards its core when asked, and certify it as it
-        //    stands — `rest`, `target` and `Υ_T(target)` read as one
-        //    database, the chase's indexes still in place. Unless there
-        //    are target views: then `Υ_T(target)` is about to be allocated
-        //    beside all of it, and the indexes are the part that can be
-        //    given back first (validation rebuilds the few it probes) —
-        //    kept, they put the run's peak here instead of in the chase.
-        let (mut target, mut rest) = result
+    /// The pipeline after the chase, for [`MappingScenario::run`] and
+    /// [`MappingScenario::resume`] alike.
+    ///
+    /// 5. The chased instance is source ∪ source extents ∪ target, indexed
+    ///    and (on a fresh run) interned: split it by moving each relation
+    ///    whole into `target` (target-schema names) or `rest`, minimize the
+    ///    target towards its core when asked, and certify it as it stands
+    ///    unless `certificate` is `None` — `rest`, `target` and
+    ///    `Υ_T(target)` read as one database, the chase's indexes still in
+    ///    place. Unless there are target views: then `Υ_T(target)` is about
+    ///    to be allocated beside all of it, and the indexes are the part
+    ///    that can be given back first (validation rebuilds the few it
+    ///    probes) — kept, they put the run's peak here instead of in the
+    ///    chase.
+    /// 6. Only then do the symbols turn back into plain strings, inside the
+    ///    rows the chase built: no `Sym` reaches the caller.
+    fn finish(
+        &self,
+        chased: ChaseResult,
+        certificate: Option<Certificate<'_>>,
+        options: &PipelineOptions,
+        rewritten: RewriteOutput,
+        wa_report: WeakAcyclicityReport,
+        source_views: ViewMaterialization,
+    ) -> Result<ExchangeResult, PipelineError> {
+        let (mut target, mut rest) = chased
             .instance
             .partition(|name| self.target_schema.contains(name));
         let core_stats = options
@@ -346,19 +306,16 @@ impl MappingScenario {
             None => None,
         };
         drop(rest);
-
-        // 6. Only now do the symbols turn back into plain strings, inside
-        //    the rows the chase built: no `Sym` reaches the caller.
         target.unintern();
 
         Ok(ExchangeResult {
             target,
-            source_view_extents,
-            source_view_counts,
+            source_view_extents: source_views.extents,
+            source_view_counts: source_views.per_view,
             rewritten,
             wa_report,
-            chase_stats: result.stats,
-            chase_profile: result.profile,
+            chase_stats: chased.stats,
+            chase_profile: chased.profile,
             core_stats,
             validation,
         })
@@ -373,14 +330,19 @@ impl MappingScenario {
         Ok(target)
     }
 
-    /// Continue an interrupted pipeline run from a chase checkpoint.
+    /// Continue an interrupted pipeline run from a chase checkpoint: `run`
+    /// with the chase continued from `checkpoint` instead of started from a
+    /// source. Everything after the chase is `run`'s — the target split
+    /// off, core-minimized when asked, validated unless skipped.
     ///
     /// The scenario is re-rewritten to recover the dependency set the
     /// checkpoint's worklist is aligned with; source materialization is
     /// skipped — the checkpoint instance already contains the sources and
-    /// everything derived from them. Interning is likewise skipped:
-    /// checkpoints always store plain strings (see
-    /// [`grom_chase::Interrupted::unintern`]).
+    /// their view extents, which validation reads as the source side.
+    /// Interning is likewise skipped: checkpoints always store plain
+    /// strings (see [`grom_chase::Interrupted::unintern`]). A budget,
+    /// cancellation or fault stop is
+    /// `Err(PipelineError::Chase(ChaseError::Interrupted(_)))`, as in `run`.
     ///
     /// Scenarios whose rewriting produces disjunctive embedded
     /// dependencies chase a *derived* dependency set per ded scenario; a
@@ -391,7 +353,7 @@ impl MappingScenario {
         &self,
         checkpoint: &grom_chase::Checkpoint,
         options: &PipelineOptions,
-    ) -> Result<grom_chase::ChaseOutcome, PipelineError> {
+    ) -> Result<ExchangeResult, PipelineError> {
         self.validate()?;
         let rewritten = self.rewrite(&options.rewrite)?;
         if !rewritten.is_ded_free() {
@@ -401,11 +363,27 @@ impl MappingScenario {
                  checkpoint worklist is not aligned with",
             ));
         }
-        Ok(grom_chase::chase_resume(
-            checkpoint,
-            &rewritten.deps,
-            &options.chase,
-        )?)
+        let wa_report = grom_chase::is_weakly_acyclic(&rewritten.deps);
+        let result = grom_chase::chase_resume(checkpoint, &rewritten.deps, &options.chase)?;
+        let certificate = (!options.skip_validation).then(|| {
+            (
+                Cow::Borrowed(&self.mappings[..]),
+                Cow::Borrowed(&self.target_constraints[..]),
+                Cow::Borrowed(&self.target_views),
+            )
+        });
+        let source_views = ViewMaterialization {
+            extents: Instance::new(),
+            per_view: Default::default(),
+        };
+        self.finish(
+            result,
+            certificate,
+            options,
+            rewritten,
+            wa_report,
+            source_views,
+        )
     }
 
     /// Check a source instance against the source schema: every relation
@@ -428,6 +406,7 @@ impl MappingScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grom_chase::SchedulerMode;
     use grom_data::{Tuple, Value};
     use grom_lang::Program;
 
@@ -602,7 +581,6 @@ mod tests {
 
     #[test]
     fn full_rescan_scheduler_agrees_with_delta_default() {
-        use grom_chase::SchedulerMode;
         let sc = paper_scenario();
         let delta = sc
             .run(&paper_source(), &PipelineOptions::default())
@@ -630,7 +608,10 @@ mod tests {
         let seq = sc
             .run(&paper_source(), &PipelineOptions::default())
             .unwrap();
-        let par_opts = PipelineOptions::default().with_threads(4);
+        let par_opts = PipelineOptions {
+            chase: ChaseConfig::default().with_scheduler(SchedulerMode::with_threads(4)),
+            ..Default::default()
+        };
         let par = sc.run(&paper_source(), &par_opts).unwrap();
         assert!(par.validation.unwrap().ok);
         assert_eq!(

@@ -13,16 +13,16 @@
 //! is copied or re-indexed. One body (`validate_layers`) serves both
 //! kinds of caller:
 //!
-//! * [`validate_solution`] / [`validate_with_source_extents`] hand it plain
-//!   instances: the caller's source, `Υ_S(source)`, a target read from
-//!   anywhere.
-//! * [`MappingScenario::run`] hands it the chased instance as it stands,
-//!   still interned: the chased source ∪ source extents as one layer, the
-//!   target relations split off it, and the scenario's dependencies and
-//!   view rules interned through the run's symbol table. The indexes the
-//!   chase built are the ones validation probes — unless there are target
-//!   views to materialize, when the run gives them back first to make room
-//!   for `Υ_T(J_T)`.
+//! * [`validate_solution`] hands it plain instances: the caller's source,
+//!   `Υ_S(source)`, a target read from anywhere.
+//! * [`MappingScenario::run`] and [`MappingScenario::resume`] hand it the
+//!   chased instance as it stands: the chased source ∪ source extents as
+//!   one layer, the target relations split off it, and the scenario's
+//!   dependencies and view rules — interned through the run's symbol
+//!   table, or as they stand for a resumed run, whose checkpoint holds
+//!   plain strings. The indexes the chase built are the ones validation
+//!   probes — unless there are target views to materialize, when the run
+//!   gives them back first to make room for `Υ_T(J_T)`.
 //!
 //! The two read the same source unless the *source itself* holds labeled
 //! nulls that a target egd merges (`S(1, N5)` copied to `T(1, N5)`, a key on
@@ -77,18 +77,8 @@ pub fn validate_solution(
     target: &Instance,
 ) -> Result<ValidationReport, PipelineError> {
     let source_extents = materialize_views(&scenario.source_views, source)?;
-    validate_with_source_extents(scenario, source, &source_extents, target)
-}
-
-/// [`validate_solution`] for a caller that already holds `Υ_S(source)`.
-pub fn validate_with_source_extents(
-    scenario: &MappingScenario,
-    source: &Instance,
-    source_extents: &Instance,
-    target: &Instance,
-) -> Result<ValidationReport, PipelineError> {
     validate_layers(
-        &[source, source_extents],
+        &[source, &source_extents],
         target,
         &scenario.target_views,
         scenario.all_dependencies(),

@@ -284,6 +284,16 @@ impl Literal {
         args.iter()
             .chain(cmp.into_iter().flat_map(|c| [&c.lhs, &c.rhs]))
     }
+
+    /// [`Literal::terms`], mutably.
+    pub fn terms_mut(&mut self) -> impl Iterator<Item = &mut Term> {
+        let (args, cmp): (&mut [Term], _) = match self {
+            Literal::Pos(a) | Literal::Neg(a) => (&mut a.args, None),
+            Literal::Cmp(c) => (&mut [], Some(c)),
+        };
+        args.iter_mut()
+            .chain(cmp.into_iter().flat_map(|c| [&mut c.lhs, &mut c.rhs]))
+    }
 }
 
 impl fmt::Display for Literal {

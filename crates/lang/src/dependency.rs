@@ -60,34 +60,27 @@ impl Disjunct {
     /// All distinct variables of this disjunct, in first-occurrence order.
     pub fn variables(&self) -> Vec<Var> {
         let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        let mut push = |v: &Var| {
-            if seen.insert(v.clone()) {
-                out.push(v.clone());
-            }
-        };
-        for a in &self.atoms {
-            for t in &a.args {
-                if let Term::Var(v) = t {
-                    push(v);
-                }
-            }
-        }
-        for (l, r) in &self.eqs {
-            for t in [l, r] {
-                if let Term::Var(v) = t {
-                    push(v);
-                }
-            }
-        }
-        for c in &self.cmps {
-            for t in [&c.lhs, &c.rhs] {
-                if let Term::Var(v) = t {
-                    push(v);
-                }
-            }
-        }
-        out
+        let vars = self.terms().filter_map(Term::as_var);
+        vars.filter(|v| seen.insert(*v)).cloned().collect()
+    }
+
+    /// The terms of this disjunct: atom arguments, then equalities, then
+    /// comparisons, each left to right.
+    pub fn terms(&self) -> impl Iterator<Item = &Term> {
+        let atoms = self.atoms.iter().flat_map(|a| &a.args);
+        let eqs = self.eqs.iter().flat_map(|(l, r)| [l, r]);
+        atoms
+            .chain(eqs)
+            .chain(self.cmps.iter().flat_map(|c| [&c.lhs, &c.rhs]))
+    }
+
+    /// [`Disjunct::terms`], mutably.
+    pub fn terms_mut(&mut self) -> impl Iterator<Item = &mut Term> {
+        let atoms = self.atoms.iter_mut().flat_map(|a| &mut a.args);
+        let eqs = self.eqs.iter_mut().flat_map(|(l, r)| [l, r]);
+        atoms
+            .chain(eqs)
+            .chain(self.cmps.iter_mut().flat_map(|c| [&mut c.lhs, &mut c.rhs]))
     }
 
     pub fn apply(&self, subst: &TermSubst) -> Disjunct {
@@ -259,6 +252,19 @@ impl Dependency {
             }
         }
         out
+    }
+
+    /// The terms of this dependency: the premise's, then each disjunct's
+    /// ([`Disjunct::terms`]), left to right.
+    pub fn terms(&self) -> impl Iterator<Item = &Term> {
+        let premise = self.premise.iter().flat_map(Literal::terms);
+        premise.chain(self.disjuncts.iter().flat_map(Disjunct::terms))
+    }
+
+    /// [`Dependency::terms`], mutably.
+    pub fn terms_mut(&mut self) -> impl Iterator<Item = &mut Term> {
+        let premise = self.premise.iter_mut().flat_map(Literal::terms_mut);
+        premise.chain(self.disjuncts.iter_mut().flat_map(Disjunct::terms_mut))
     }
 
     /// Rename variables via a substitution (used to freshen apart during

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::ast::{Atom, Literal};
+use crate::ast::{Atom, Literal, Term};
 use crate::error::LangError;
 use crate::safety;
 
@@ -24,6 +24,19 @@ pub struct ViewRule {
 impl ViewRule {
     pub fn new(head: Atom, body: Vec<Literal>) -> Self {
         Self { head, body }
+    }
+
+    /// The terms of this rule: the head's arguments, then the body's
+    /// ([`Literal::terms`]), left to right.
+    pub fn terms(&self) -> impl Iterator<Item = &Term> {
+        let body = self.body.iter().flat_map(Literal::terms);
+        self.head.args.iter().chain(body)
+    }
+
+    /// [`ViewRule::terms`], mutably.
+    pub fn terms_mut(&mut self) -> impl Iterator<Item = &mut Term> {
+        let body = self.body.iter_mut().flat_map(Literal::terms_mut);
+        self.head.args.iter_mut().chain(body)
     }
 }
 

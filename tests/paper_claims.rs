@@ -68,7 +68,7 @@ fn e4_universal_model_set_is_exponential_and_greedy_is_not() {
 /// E5 — §4: "many of the generated scenarios fail … and new ones need to
 /// be executed". Ten binary deds, a fraction of whose cheap branches is
 /// denied: the blind odometer burns hundreds of scenarios before the one
-/// that works (ROADMAP item 5 is the replacement).
+/// that works (ROADMAP item 4 is the replacement).
 #[test]
 fn e5_greedy_scenarios_grow_with_failing_branch_density() {
     let tried_and_failed = |frac: f64| {

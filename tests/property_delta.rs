@@ -13,9 +13,7 @@
 
 use proptest::prelude::*;
 
-use grom::chase::{
-    chase_standard, chase_standard_full_rescan, ChaseConfig, ChaseError, SchedulerMode,
-};
+use grom::chase::{chase_standard, ChaseConfig, ChaseError, SchedulerMode};
 use grom::data::canonical_render;
 use grom::engine::dependency_satisfied;
 use grom::lang::{Atom, Dependency, Literal, Term};
@@ -252,7 +250,7 @@ proptest! {
         deps in arb_wa_program(),
         inst in arb_instance(),
     ) {
-        let naive = chase_standard_full_rescan(
+        let naive = chase_standard(
             inst.clone(), &deps, &cfg(SchedulerMode::FullRescan));
         let delta = chase_standard(inst, &deps, &cfg(SchedulerMode::Delta));
 
@@ -296,7 +294,7 @@ proptest! {
         deps in arb_wa_program(),
         inst in arb_instance(),
     ) {
-        let naive = chase_standard_full_rescan(
+        let naive = chase_standard(
             inst.clone(), &deps, &cfg(SchedulerMode::FullRescan));
         for threads in [2usize, 4] {
             let par = chase_standard(
@@ -340,7 +338,7 @@ proptest! {
         deps in arb_egd_rich_program(),
         inst in arb_instance(),
     ) {
-        let naive = chase_standard_full_rescan(
+        let naive = chase_standard(
             inst.clone(), &deps, &cfg(SchedulerMode::FullRescan));
         let modes = [
             SchedulerMode::Delta,
@@ -422,7 +420,7 @@ proptest! {
         deps in arb_multi_anchor_program(),
         inst in arb_instance(),
     ) {
-        let naive = chase_standard_full_rescan(
+        let naive = chase_standard(
             inst.clone(), &deps, &cfg(SchedulerMode::FullRescan));
         let modes = [
             SchedulerMode::Delta,

@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use grom::chase::{
-    chase_resume, chase_standard_outcome, fail, ChaseConfig, ChaseOutcome, Checkpoint,
-    InterruptReason, SchedulerMode,
+    chase_resume, chase_standard, fail, ChaseConfig, ChaseError, Checkpoint, InterruptReason,
+    SchedulerMode,
 };
 use grom::data::canonical_render;
 use grom::prelude::{Dependency, Instance, Value};
@@ -28,8 +28,8 @@ const MODES: [SchedulerMode; 4] = [
 
 /// Run `deps` over `inst` to completion under `mode`, uninterrupted.
 fn clean_render(inst: &Instance, deps: &[Dependency], cfg: &ChaseConfig) -> String {
-    match chase_standard_outcome(inst.clone(), deps, cfg) {
-        Ok(ChaseOutcome::Completed(r)) => canonical_render(&r.instance),
+    match chase_standard(inst.clone(), deps, cfg) {
+        Ok(r) => canonical_render(&r.instance),
         other => panic!(
             "{:?}: uninterrupted run did not complete: {other:?}",
             cfg.scheduler
@@ -41,10 +41,10 @@ fn clean_render(inst: &Instance, deps: &[Dependency], cfg: &ChaseConfig) -> Stri
 /// JSON form.
 fn kill_before_sweep_2(inst: &Instance, deps: &[Dependency], kill_cfg: &ChaseConfig) -> String {
     fail::install("sweep:interrupt@2").unwrap();
-    let killed = chase_standard_outcome(inst.clone(), deps, kill_cfg);
+    let killed = chase_standard(inst.clone(), deps, kill_cfg);
     fail::clear();
     let interrupted = match killed {
-        Ok(ChaseOutcome::Interrupted(i)) => i,
+        Err(ChaseError::Interrupted(i)) => i,
         other => panic!(
             "{:?}: sweep-2 kill did not interrupt: {other:?}",
             kill_cfg.scheduler
@@ -80,7 +80,7 @@ fn resume_and_check(
     let restored = Checkpoint::from_json(json)
         .unwrap_or_else(|e| panic!("{what}: checkpoint does not round-trip: {e}"));
     let resumed = match chase_resume(&restored, deps, resume_cfg) {
-        Ok(ChaseOutcome::Completed(r)) => r,
+        Ok(r) => r,
         other => panic!("{what}: resume did not complete: {other:?}"),
     };
     assert_eq!(
@@ -187,17 +187,17 @@ proptest! {
 
         for mode in MODES {
             let cfg = base.clone().with_scheduler(mode);
-            let clean = match chase_standard_outcome(inst.clone(), &deps, &cfg) {
-                Ok(ChaseOutcome::Completed(r)) => r,
+            let clean = match chase_standard(inst.clone(), &deps, &cfg) {
+                Ok(r) => r,
                 other => panic!("{mode:?}: uninterrupted run did not complete: {other:?}"),
             };
             let want = canonical_render(&clean.instance);
 
             fail::install(&format!("sweep:interrupt@{kill_sweep}")).unwrap();
-            let killed = chase_standard_outcome(inst.clone(), &deps, &cfg);
+            let killed = chase_standard(inst.clone(), &deps, &cfg);
             fail::clear();
             match killed {
-                Ok(ChaseOutcome::Interrupted(i)) => {
+                Err(ChaseError::Interrupted(i)) => {
                     prop_assert!(
                         matches!(i.reason, InterruptReason::Fault),
                         "{mode:?}: unexpected interrupt reason {:?}", i.reason
@@ -207,7 +207,7 @@ proptest! {
                     let restored = Checkpoint::from_json(&json)
                         .unwrap_or_else(|e| panic!("{mode:?}: checkpoint does not round-trip: {e}"));
                     let resumed = match chase_resume(&restored, &deps, &cfg) {
-                        Ok(ChaseOutcome::Completed(r)) => r,
+                        Ok(r) => r,
                         other => panic!("{mode:?}: resume did not complete: {other:?}"),
                     };
                     prop_assert_eq!(
@@ -221,7 +221,7 @@ proptest! {
                 // The chase reached its fixpoint before sweep `kill_sweep`
                 // ever started: nothing to resume, but the armed directive
                 // must not have perturbed the result.
-                Ok(ChaseOutcome::Completed(r)) => {
+                Ok(r) => {
                     prop_assert_eq!(canonical_render(&r.instance), want);
                 }
                 other => panic!("{mode:?}: interrupted run failed hard: {other:?}"),

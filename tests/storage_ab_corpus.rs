@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use grom::chase::{chase_standard, chase_standard_full_rescan, Budget, ChaseConfig, SchedulerMode};
+use grom::chase::{chase_standard, Budget, ChaseConfig, SchedulerMode};
 use grom::data::{canonical_render, Instance, SymbolTable};
 use grom::intern_dependencies;
 use grom::lang::Dependency;
@@ -29,11 +29,7 @@ fn chase_mode_interned(
     let interned = inst.intern_strings(&mut table);
     let ideps = intern_dependencies(deps, &mut table);
     let cfg = cfg.clone().with_scheduler(mode);
-    let run = match mode {
-        SchedulerMode::FullRescan => chase_standard_full_rescan(interned, &ideps, &cfg),
-        _ => chase_standard(interned, &ideps, &cfg),
-    };
-    match run {
+    match chase_standard(interned, &ideps, &cfg) {
         Ok(mut res) => {
             res.instance.unintern();
             Ok(canonical_render(&res.instance))

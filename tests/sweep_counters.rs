@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use grom::chase::{chase_standard_outcome, Budget, ChaseConfig, ChaseOutcome, ChaseProfile};
+use grom::chase::{chase_standard, Budget, ChaseConfig, ChaseError, ChaseProfile};
 use grom::prelude::ChaseStats;
 use grom::scenarios::{all_modes, read_entry};
 
@@ -101,11 +101,9 @@ fn render_all() -> String {
         for (mode_name, mode) in all_modes() {
             let _ = writeln!(out, "== {name} / {mode_name}");
             let cfg = cfg.clone().with_scheduler(mode);
-            match chase_standard_outcome(inst.clone(), &deps, &cfg) {
-                Ok(ChaseOutcome::Completed(r)) => {
-                    render_run(&mut out, "completed", &r.stats, &r.profile)
-                }
-                Ok(ChaseOutcome::Interrupted(i)) => {
+            match chase_standard(inst.clone(), &deps, &cfg) {
+                Ok(r) => render_run(&mut out, "completed", &r.stats, &r.profile),
+                Err(ChaseError::Interrupted(i)) => {
                     render_run(&mut out, "interrupted", &i.stats, &i.profile)
                 }
                 Err(e) => panic!("{name}/{mode_name}: chase failed hard: {e}"),
