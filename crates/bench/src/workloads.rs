@@ -1,7 +1,7 @@
 //! Deterministic workload generators: the paper's running example, the
 //! families behind its §3–§4 quantitative claims (E2–E6, asserted as exact
-//! counts in `tests/paper_claims.rs`) and the scheduler/executor separation
-//! shapes the profile tests chase.
+//! counts in `tests/paper_claims.rs`) and the delta-scheduling chain that
+//! `calibration_ms` chases.
 
 use grom::prelude::*;
 use rand::rngs::StdRng;
@@ -209,104 +209,6 @@ pub fn delta_scaling_workload(depth: usize, width: usize) -> (Vec<Dependency>, I
     (prog.deps, inst)
 }
 
-/// The parallel-executor separation workload — `partitions`
-/// *independent* copy chains (disjoint relations `P{p}L{i}`, reverse
-/// declaration order as in [`delta_scaling_workload`]), each joining a
-/// small shared static relation `K` on the way down:
-///
-/// ```text
-/// t{p}{i}:  P{p}L{i}(x, y), K(y, z)  ->  P{p}L{i+1}(x, z)
-/// ```
-///
-/// `K` is functional (`K(y, (y*3+1) % 7)`), so width is preserved level to
-/// level. Nobody concludes `K`, so the conflict partition of the parallel
-/// chase executor is exactly one group per chain — the workload that lets
-/// a `threads`-wide pool run `partitions`-way parallel delta sweeps.
-/// Everything copies constants, hence any two scheduler modes must produce
-/// identical instances.
-pub fn parallel_scaling_workload(
-    partitions: usize,
-    depth: usize,
-    width: usize,
-) -> (Vec<Dependency>, Instance) {
-    let mut text = String::new();
-    for p in 0..partitions {
-        for i in (0..depth).rev() {
-            text.push_str(&format!(
-                "tgd t{p}_{i}: P{p}L{i}(x, y), K(y, z) -> P{p}L{}(x, z).\n",
-                i + 1
-            ));
-        }
-    }
-    let prog = Program::parse(&text).expect("generated parallel-scaling workload parses");
-    let mut inst = Instance::new();
-    for y in 0..7i64 {
-        inst.add("K", vec![Value::int(y), Value::int((y * 3 + 1) % 7)])
-            .expect("fresh relation");
-    }
-    for p in 0..partitions {
-        for r in 0..width {
-            inst.add(
-                format!("P{p}L0"),
-                vec![Value::int(r as i64), Value::int((r % 7) as i64)],
-            )
-            .expect("fresh relation");
-        }
-    }
-    (prog.deps, inst)
-}
-
-/// The egd-heavy entity-resolution workload — sweep-level egd batching
-/// vs the per-dependency substitution of the full-rescan reference.
-///
-/// `clusters` chains of `chain` records each: every record `x` starts with
-/// its own labeled-null representative `Rep(x, N_x)`, and consecutive
-/// records of a chain are linked by a `Same{j}` edge, with edges spread
-/// round-robin over `egd_rels` relations. One egd per edge relation
-/// (`Same{j}(x, y), Rep(x, r1), Rep(y, r2) -> r1 = r2`) merges
-/// representatives along edges, so each cluster's `chain` nulls collapse
-/// into one through long union-find merge chains. A `probe` tgd copies
-/// `Rep` into `Out`, exercising the post-substitution targeted
-/// invalidation.
-///
-/// The separation: all `egd_rels` egds violate in the same sweep, so the
-/// batched scheduler applies **one** combined substitution pass
-/// (`ChaseStats::substitution_passes == 1`) while the full-rescan loop
-/// applies one per merging dependency per round — `egd_rels` instance-wide
-/// passes. Nobody writes `Rep` or `Same{j}`, so the conflict partition
-/// gives every egd its own group: the workload the parallel executor's
-/// obligation collection fans out over.
-pub fn egd_scaling_workload(
-    clusters: usize,
-    chain: usize,
-    egd_rels: usize,
-) -> (Vec<Dependency>, Instance) {
-    assert!(chain >= 1 && egd_rels >= 1);
-    let mut text = String::from("tgd probe: Rep(x, r) -> Out(x, r).\n");
-    for j in 0..egd_rels {
-        text.push_str(&format!(
-            "egd e{j}: Same{j}(x, y), Rep(x, r1), Rep(y, r2) -> r1 = r2.\n"
-        ));
-    }
-    let prog = Program::parse(&text).expect("generated egd-scaling workload parses");
-    let mut inst = Instance::new();
-    for c in 0..clusters {
-        for i in 0..chain {
-            let x = (c * chain + i) as i64;
-            inst.add("Rep", vec![Value::int(x), Value::null(x as u64)])
-                .expect("fresh relation");
-            if i + 1 < chain {
-                inst.add(
-                    format!("Same{}", i % egd_rels),
-                    vec![Value::int(x), Value::int(x + 1)],
-                )
-                .expect("fresh relation");
-            }
-        }
-    }
-    (prog.deps, inst)
-}
-
 /// E6: the §4 reformulation exercise. Returns `(perverse, reformulated)`:
 /// the perverse scenario is the paper's running example (negation inside
 /// `PopularProduct` forces the ded `d0`); the reformulated one replaces the
@@ -349,8 +251,7 @@ pub fn restriction_pair() -> (MappingScenario, MappingScenario) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grom::chase::{chase_standard, Partition, SchedulerMode, TriggerIndex};
-    use grom::data::canonical_render;
+    use grom::chase::{chase_standard, SchedulerMode};
 
     fn rescan() -> ChaseConfig {
         ChaseConfig::default().with_scheduler(SchedulerMode::FullRescan)
@@ -399,68 +300,5 @@ mod tests {
         assert!(delta.stats.delta_activations >= 5);
         assert!(naive.stats.full_rescans == 0 && naive.stats.delta_activations == 0);
         assert!(delta.stats.rounds >= 6);
-    }
-
-    #[test]
-    fn parallel_scaling_workload_partitions_are_independent() {
-        let (deps, inst) = parallel_scaling_workload(4, 3, 15);
-        assert_eq!(deps.len(), 12);
-        // One conflict-free group per chain: the parallelism a pool
-        // can exploit.
-        let part = Partition::build(&deps, &TriggerIndex::build(&deps));
-        assert_eq!(part.group_count(), 4);
-
-        let seq = chase_standard(inst.clone(), &deps, &ChaseConfig::default()).unwrap();
-        let par = chase_standard(
-            inst,
-            &deps,
-            &ChaseConfig::default().with_scheduler(SchedulerMode::Parallel { threads: 4 }),
-        )
-        .unwrap();
-        // Constant-only chains: byte-identical instances.
-        assert_eq!(seq.instance.to_string(), par.instance.to_string());
-        assert_eq!(seq.instance.len(), 7 + 4 * 15 * 4);
-        assert!(par.stats.delta_activations > 0);
-    }
-
-    #[test]
-    fn egd_scaling_workload_batches_merges() {
-        let (deps, inst) = egd_scaling_workload(6, 5, 3);
-        assert_eq!(deps.len(), 4); // probe + 3 egds
-                                   // Nobody writes Rep/Same{j}: the probe and each egd are their own
-                                   // conflict group — 4-way parallel obligation collection.
-        let part = Partition::build(&deps, &TriggerIndex::build(&deps));
-        assert_eq!(part.group_count(), 4);
-
-        let cfg = ChaseConfig::default().with_scheduler(SchedulerMode::Delta);
-        let batched = chase_standard(inst.clone(), &deps, &cfg).unwrap();
-        let naive = chase_standard(inst.clone(), &deps, &rescan()).unwrap();
-        // Identical up to null renaming, and the egds hold at fixpoint.
-        assert_eq!(
-            canonical_render(&batched.instance),
-            canonical_render(&naive.instance)
-        );
-        for d in &deps {
-            assert!(grom::engine::dependency_satisfied(&batched.instance, d));
-        }
-        // Each cluster's 5 representatives merged into one: 6 * 4 merges.
-        assert_eq!(batched.stats.egd_merges, 6 * 4);
-        // The tentpole assertion: ONE substitution pass for the whole
-        // merge-bearing sweep, vs one per merging egd in the reference.
-        assert_eq!(batched.stats.substitution_passes, 1);
-        assert!(naive.stats.substitution_passes >= 3);
-
-        // The parallel executor agrees and batches identically.
-        let par = chase_standard(
-            inst,
-            &deps,
-            &ChaseConfig::default().with_scheduler(SchedulerMode::Parallel { threads: 4 }),
-        )
-        .unwrap();
-        assert_eq!(
-            canonical_render(&par.instance),
-            canonical_render(&naive.instance)
-        );
-        assert_eq!(par.stats.substitution_passes, 1);
     }
 }

@@ -171,22 +171,22 @@ fn refresh_occurrences(
 /// Greedily minimize `inst` towards its core. The instance is modified in
 /// place; statistics are returned.
 pub fn core_minimize(inst: &mut Instance) -> CoreStats {
-    let mut stats = CoreStats::default();
+    let mut folded = CoreStats::default();
     let mut occurrences = null_occurrences(inst);
     loop {
-        stats.rounds += 1;
+        folded.rounds += 1;
         match find_fold(inst, &occurrences) {
             None => break,
             Some(subst) => {
                 let before = inst.len();
                 let changed = inst.substitute_nulls(|id| subst.get(&id).cloned());
-                stats.nulls_folded += subst.len();
-                stats.tuples_removed += before - inst.len();
+                folded.nulls_folded += subst.len();
+                folded.tuples_removed += before - inst.len();
                 refresh_occurrences(&mut occurrences, inst, &changed, &subst);
             }
         }
     }
-    stats
+    folded
 }
 
 #[cfg(test)]

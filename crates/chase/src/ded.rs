@@ -28,7 +28,7 @@
 
 use grom_data::{Instance, NullGenerator, Value};
 use grom_lang::Dependency;
-use grom_trace::ChaseProfile;
+use grom_trace::{ActivationRecord, ChaseProfile, SearchProfile};
 
 use grom_engine::{DepPlan, Scratch};
 
@@ -57,9 +57,11 @@ fn campaign_config(config: &ChaseConfig) -> ChaseConfig {
 #[derive(Debug, Clone)]
 pub struct ExhaustiveResult {
     pub solutions: Vec<Instance>,
+    /// Totalled from `profile`.
     pub stats: ChaseStats,
     /// Per-dependency profile folded across every node closure (merged by
-    /// dependency name — see [`ChaseProfile::absorb`]).
+    /// dependency name — see [`ChaseProfile::absorb`]), each fork's repair
+    /// credited to the ded it repairs, and the tree in its search section.
     pub profile: ChaseProfile,
 }
 
@@ -118,7 +120,14 @@ pub fn chase_greedy(
     }
 
     let orders = greedy_orders(&deds);
-    let mut stats = ChaseStats::default();
+    let mut search = SearchProfile::default();
+    let exhausted = |search: SearchProfile| ChaseError::GreedyExhausted {
+        scenarios_tried: search.scenarios_tried as usize,
+        profile: Box::new(ChaseProfile {
+            search,
+            ..Default::default()
+        }),
+    };
     // Every scenario is the standard dependencies plus one derived
     // dependency per ded: one list, its tail rewritten per scenario.
     let standard_len = standard.len();
@@ -127,14 +136,10 @@ pub fn chase_greedy(
     // Odometer over scenario space, in greedy (cheapest-first) order.
     let mut odometer = vec![0usize; deds.len()];
     loop {
-        if stats.scenarios_tried >= config.max_scenarios {
-            return Err(ChaseError::GreedyExhausted {
-                scenarios_tried: stats.scenarios_tried,
-                stats: Box::new(stats.clone()),
-                profile: Box::new(ChaseProfile::default()),
-            });
+        if search.scenarios_tried as usize >= config.max_scenarios {
+            return Err(exhausted(search));
         }
-        stats.scenarios_tried += 1;
+        search.scenarios_tried += 1;
 
         let choice: Vec<usize> = odometer
             .iter()
@@ -146,12 +151,12 @@ pub fn chase_greedy(
 
         match chase_standard(start.clone(), &scenario_deps, config) {
             Ok(mut result) => {
-                result.stats.scenarios_tried = stats.scenarios_tried;
-                result.stats.scenarios_failed = stats.scenarios_failed;
+                result.profile.search = search;
+                result.stats = ChaseStats::from(&result.profile);
                 return Ok(result);
             }
             Err(ChaseError::Failure { .. }) => {
-                stats.scenarios_failed += 1;
+                search.scenarios_failed += 1;
             }
             Err(other) => return Err(other), // round limits etc. propagate
         }
@@ -160,11 +165,7 @@ pub fn chase_greedy(
         let mut k = deds.len();
         loop {
             if k == 0 {
-                return Err(ChaseError::GreedyExhausted {
-                    scenarios_tried: stats.scenarios_tried,
-                    stats: Box::new(stats.clone()),
-                    profile: Box::new(ChaseProfile::default()),
-                });
+                return Err(exhausted(search));
             }
             k -= 1;
             odometer[k] += 1;
@@ -219,28 +220,25 @@ pub fn chase_exhaustive(
     let ded_plans: Vec<DepPlan<'_>> = deds.iter().map(DepPlan::compile).collect();
     let mut scratch = Scratch::default();
 
-    let mut stats = ChaseStats::default();
     let mut profile = ChaseProfile::default();
     let mut solutions = Vec::new();
     let mut stack: Vec<Instance> = vec![start];
 
     while let Some(inst) = stack.pop() {
-        stats.nodes_expanded += 1;
-        if stats.nodes_expanded > config.max_nodes {
-            return Err(ChaseError::NodeLimit {
-                nodes: stats.nodes_expanded,
-            });
+        profile.search.nodes_expanded += 1;
+        let nodes = profile.search.nodes_expanded as usize;
+        if nodes > config.max_nodes {
+            return Err(ChaseError::NodeLimit { nodes });
         }
 
         // 1. Close under standard dependencies.
         let inst = match chase_standard(inst, &standard, config) {
             Ok(res) => {
-                stats.absorb(&res.stats);
                 profile.absorb(&res.profile);
                 res.instance
             }
             Err(ChaseError::Failure { .. }) => {
-                stats.branches_failed += 1;
+                profile.search.branches_failed += 1;
                 continue;
             }
             Err(other) => return Err(other),
@@ -249,7 +247,7 @@ pub fn chase_exhaustive(
         // 2. Fork on the first ded violation, if any.
         match first_ded_violation(&inst, &ded_plans, &mut scratch) {
             None => {
-                stats.leaves += 1;
+                profile.search.leaves += 1;
                 solutions.push(inst);
             }
             Some((k, row)) => {
@@ -265,16 +263,20 @@ pub fn chase_exhaustive(
                         nullgen: &mut nullgen,
                     };
                     load_match(&row, &mut sink, &mut scratch);
-                    match apply_disjunct(&mut sink, plan, i, &mut scratch, &mut stats) {
+                    // A failed fork still counts what it did before failing.
+                    let mut repairs = ActivationRecord::default();
+                    let forked = apply_disjunct(&mut sink, plan, i, &mut scratch, &mut repairs);
+                    profile.dep_mut(&plan.dep.name).add_repairs(&repairs);
+                    match forked {
                         Ok(merged) => {
                             if merged {
                                 child.substitute_nulls(|id| nullmap.lookup(id));
-                                stats.substitution_passes += 1;
+                                profile.substitution_passes += 1;
                             }
                             stack.push(child);
                         }
                         Err(ChaseError::Failure { .. }) => {
-                            stats.branches_failed += 1;
+                            profile.search.branches_failed += 1;
                         }
                         Err(other) => return Err(other),
                     }
@@ -285,12 +287,12 @@ pub fn chase_exhaustive(
 
     if solutions.is_empty() {
         return Err(ChaseError::NoSolution {
-            branches_failed: stats.branches_failed,
+            branches_failed: profile.search.branches_failed as usize,
         });
     }
     Ok(ExhaustiveResult {
         solutions,
-        stats,
+        stats: ChaseStats::from(&profile),
         profile,
     })
 }

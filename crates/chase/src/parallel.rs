@@ -62,14 +62,14 @@ use std::time::Instant;
 use grom_data::{DataError, Instance, StridedNullGenerator, Tuple, Value};
 use grom_engine::{DepPlan, Scratch};
 use grom_lang::Dependency;
-use grom_trace::WorkerRecorder;
+use grom_trace::{ActivationRecord, WorkerRecorder};
 
 use grom_exec::{ShardView, WorkerPool};
 
 use crate::config::{CancelToken, InterruptReason};
 use crate::nullmap::{NullMap, Unify};
 use crate::partition::Partition;
-use crate::result::{ChaseError, ChaseStats};
+use crate::result::ChaseError;
 use crate::scheduler::{apply_sweep_merges, concludes_atoms, Entry, Mark};
 use crate::sweep::{activate, RepairSink, Run, SweepEnd};
 
@@ -122,8 +122,6 @@ struct GroupOutcome {
     /// after the barrier substitution. The coordinator re-schedules them
     /// `Full` (which subsumes the pending work).
     deferred: Vec<usize>,
-    /// Partial counters (rounds stay zero; the coordinator owns them).
-    stats: ChaseStats,
     /// The worker-local activation records, folded into the run [`Recorder`]
     /// at the barrier in job order — so the profile (and the event stream)
     /// is deterministic under any thread schedule.
@@ -190,7 +188,7 @@ impl<'a> RepairSink for ShardSink<'a> {
         _dep: &Dependency,
         left: Value,
         right: Value,
-        stats: &mut ChaseStats,
+        rec: &mut ActivationRecord,
     ) -> Result<bool, ChaseError> {
         let (l, r) = (self.resolve(&left), self.resolve(&right));
         if l != r {
@@ -199,7 +197,7 @@ impl<'a> RepairSink for ShardSink<'a> {
             // barrier, deterministically.
             let _ = self.local.unify(&l, &r);
             self.view.record_obligation(left, right);
-            stats.obligations_batched += 1;
+            rec.obligations += 1;
         }
         Ok(false)
     }
@@ -280,7 +278,7 @@ fn run_group_job(
         // The claim at its turn: snapshot rows past the entry's watermarks
         // plus everything this job has buffered so far.
         let claim = entry.claim(|m| sink.frontier(m));
-        let result = activate(&mut sink, &plans[k], k, claim, &mut out.stats, &mut scratch);
+        let result = activate(&mut sink, &plans[k], k, claim, &mut scratch);
         // Kept on failure too: obligations recorded before the failing
         // repair are genuine, and the coordinator may find an earlier
         // constant clash in them.
@@ -375,7 +373,8 @@ impl PoolExecutor {
         // run-level null map: concatenate in job order, stable-sort by
         // declaration index (each dependency lives in exactly one job, so
         // per-dependency collection order is preserved), then unify.
-        // Constant clashes surface here, deterministically.
+        // Constant clashes surface here, deterministically; each merge is
+        // credited to the dependency that recorded the obligation.
         let mut obligations: Vec<&(usize, Value, Value)> = outcomes
             .iter()
             .flat_map(|(o, _)| o.obligations.iter())
@@ -388,7 +387,7 @@ impl PoolExecutor {
                 Unify::Noop => {}
                 Unify::Merged => {
                     any_merge = true;
-                    run.stats.egd_merges += 1;
+                    run.rec.merged(*k);
                 }
                 Unify::Clash(a, b) => {
                     failure = Some((*k, ChaseError::clash(&deps[*k].name, &a, &b)));
@@ -418,7 +417,6 @@ impl PoolExecutor {
         // exact. Worker trace buffers fold into the run recorder here, in
         // job order, so the profile is thread-schedule-independent.
         for (o, busy) in outcomes {
-            run.stats.absorb(&o.stats);
             run.rec.group_job(o.job.group, busy.as_nanos() as u64);
             run.rec.merge_worker(run.sweep, o.trace);
             if let Some(m) = o.max_null {

@@ -4,12 +4,17 @@ use std::fmt;
 use std::sync::Arc;
 
 use grom_data::{DataError, Instance, Value};
-use grom_trace::ChaseProfile;
+use grom_trace::{ChaseProfile, DepProfile};
 
 use crate::checkpoint::Checkpoint;
 use crate::config::InterruptReason;
 
-/// Counters describing a chase run. Experiments E4/E5/E7 report these.
+/// The profile's mode label for the full-rescan reference executor.
+pub(crate) const FULL_RESCAN_MODE: &str = "full_rescan";
+
+/// Counters describing a chase run, totalled from its [`ChaseProfile`] when
+/// the run ends (the `From` conversion below is the only way the chase
+/// makes one). Experiments E4/E5/E7 report these.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaseStats {
     /// Rounds of the standard chase (a round visits every dependency).
@@ -52,24 +57,33 @@ pub struct ChaseStats {
     pub obligations_batched: usize,
 }
 
-impl ChaseStats {
-    /// Fold counters from a sub-run (used by the greedy scenario loop).
-    pub fn absorb(&mut self, other: &ChaseStats) {
-        self.rounds += other.rounds;
-        self.tgd_applications += other.tgd_applications;
-        self.tuples_inserted += other.tuples_inserted;
-        self.nulls_invented += other.nulls_invented;
-        self.egd_merges += other.egd_merges;
-        self.scenarios_tried += other.scenarios_tried;
-        self.scenarios_failed += other.scenarios_failed;
-        self.nodes_expanded += other.nodes_expanded;
-        self.leaves += other.leaves;
-        self.branches_failed += other.branches_failed;
-        self.full_rescans += other.full_rescans;
-        self.delta_activations += other.delta_activations;
-        self.delta_tuples_seeded += other.delta_tuples_seeded;
-        self.substitution_passes += other.substitution_passes;
-        self.obligations_batched += other.obligations_batched;
+impl From<&ChaseProfile> for ChaseStats {
+    fn from(p: &ChaseProfile) -> Self {
+        let total = |count: fn(&DepProfile) -> u64| p.deps.iter().map(count).sum::<u64>() as usize;
+        // The rescan reference runs no worklist: its activations scan the
+        // whole instance by construction, and are not counted as rescans.
+        let worklist = p.mode != FULL_RESCAN_MODE;
+        ChaseStats {
+            rounds: p.rounds as usize,
+            tgd_applications: total(|d| d.applications),
+            tuples_inserted: total(|d| d.tuples_produced),
+            nulls_invented: total(|d| d.nulls_invented),
+            egd_merges: total(|d| d.egd_merges),
+            scenarios_tried: p.search.scenarios_tried as usize,
+            scenarios_failed: p.search.scenarios_failed as usize,
+            nodes_expanded: p.search.nodes_expanded as usize,
+            leaves: p.search.leaves as usize,
+            branches_failed: p.search.branches_failed as usize,
+            full_rescans: if worklist {
+                total(|d| d.full_rescans)
+            } else {
+                0
+            },
+            delta_activations: total(|d| d.delta_activations),
+            delta_tuples_seeded: total(|d| d.delta_tuples_seeded),
+            substitution_passes: p.substitution_passes as usize,
+            obligations_batched: total(|d| d.obligations),
+        }
     }
 }
 
@@ -101,9 +115,9 @@ impl fmt::Display for ChaseStats {
 }
 
 /// A successful chase: the chased instance (source relations plus the
-/// generated target relations), run statistics, and the per-dependency
-/// profile (wall times, activation splits, delta-hit rates — see
-/// [`grom_trace::ChaseProfile`]).
+/// generated target relations), the run's profile (counts, wall times,
+/// activation splits, delta-hit rates — see [`grom_trace::ChaseProfile`])
+/// and the statistics totalled from it.
 #[derive(Debug, Clone)]
 pub struct ChaseResult {
     pub instance: Instance,
@@ -113,15 +127,14 @@ pub struct ChaseResult {
 
 /// A chase stopped early by its budget, cancellation or fault injection.
 /// Unlike the hard [`ChaseError`] variants this carries everything the run
-/// produced — the instance-so-far, full statistics and profile — plus a
-/// [`Checkpoint`] from which
+/// produced — the instance-so-far and its profile, whose totals
+/// `ChaseStats::from` reads — plus a [`Checkpoint`] from which
 /// [`chase_resume`](crate::chase_resume) continues to the same final
 /// instance an uninterrupted run would have reached.
 #[derive(Debug, Clone)]
 pub struct Interrupted {
     pub reason: InterruptReason,
     pub instance: Instance,
-    pub stats: ChaseStats,
     pub profile: ChaseProfile,
     pub checkpoint: Checkpoint,
 }
@@ -145,18 +158,16 @@ pub enum ChaseError {
         detail: String,
     },
     /// The round budget was exhausted (program likely not terminating).
-    /// Carries the partial statistics and profile so the diagnostics of
-    /// the budget-tripping run are not discarded with the instance.
+    /// Carries the partial profile so the diagnostics of the
+    /// budget-tripping run are not discarded with the instance.
     RoundLimit {
         rounds: usize,
-        stats: Box<ChaseStats>,
         profile: Box<ChaseProfile>,
     },
-    /// Greedy ded chase: every attempted scenario failed. Carries the
-    /// campaign-wide accumulated statistics.
+    /// Greedy ded chase: every attempted scenario failed. The profile's
+    /// search section carries the campaign's scenario counts.
     GreedyExhausted {
         scenarios_tried: usize,
-        stats: Box<ChaseStats>,
         profile: Box<ChaseProfile>,
     },
     /// The budget, the cancel token or an injected fault stopped the run at
@@ -212,7 +223,7 @@ impl fmt::Display for ChaseError {
                 write!(
                     f,
                     "chase interrupted ({}) after {} rounds; resumable",
-                    i.reason, i.stats.rounds
+                    i.reason, i.profile.rounds
                 )
             }
             ChaseError::WorkerPanicked { detail } => {
@@ -246,25 +257,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_absorb_adds_counters() {
-        let mut a = ChaseStats {
-            rounds: 1,
-            tgd_applications: 2,
+    fn stats_total_the_profile() {
+        let dep = |name: &str, full: u64, merges: u64| DepProfile {
+            name: name.into(),
+            activations: full + 1,
+            full_rescans: full,
+            delta_activations: 1,
+            applications: 2,
+            tuples_produced: 3,
+            egd_merges: merges,
             ..Default::default()
         };
-        let b = ChaseStats {
-            rounds: 3,
-            egd_merges: 4,
+        let mut p = ChaseProfile {
+            mode: "delta".into(),
+            deps: vec![dep("a", 1, 0), dep("b", 2, 4)],
+            rounds: 5,
             substitution_passes: 1,
-            obligations_batched: 6,
             ..Default::default()
         };
-        a.absorb(&b);
-        assert_eq!(a.rounds, 4);
-        assert_eq!(a.tgd_applications, 2);
-        assert_eq!(a.egd_merges, 4);
-        assert_eq!(a.substitution_passes, 1);
-        assert_eq!(a.obligations_batched, 6);
+        p.search.leaves = 6;
+        let s = ChaseStats::from(&p);
+        assert_eq!((s.rounds, s.full_rescans, s.delta_activations), (5, 3, 2));
+        assert_eq!(
+            (s.tgd_applications, s.tuples_inserted, s.egd_merges),
+            (4, 6, 4)
+        );
+        assert_eq!((s.substitution_passes, s.leaves), (1, 6));
+        // The rescan reference's activations are not worklist rescans.
+        p.mode = FULL_RESCAN_MODE.into();
+        assert_eq!(ChaseStats::from(&p).full_rescans, 0);
     }
 
     #[test]

@@ -410,7 +410,6 @@ pub(crate) fn apply_sweep_merges(run: &mut Run<'_>) -> bool {
     let t0 = Instant::now();
     let map = run.nullmap.flatten();
     let changed = run.inst.substitute_nulls_batch(&map);
-    run.stats.substitution_passes += 1;
     run.sched.invalidate_readers(&changed);
     run.rec.substitution(
         run.sweep,
@@ -444,11 +443,11 @@ pub(crate) fn inline_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
             merged = false;
         }
         let claim = run.sched.claim(k, &run.inst);
-        let (mut sink, stats, scratch) = run.live();
+        let (mut sink, scratch) = run.live();
         // If this sweep turns out to be merge-bearing, the invalidation
         // after its substitution re-marks every reader of a rewritten
         // relation Full, whatever rows it had yet to see.
-        if let Some(done) = activate(&mut sink, plan, k, claim, stats, scratch)? {
+        if let Some(done) = activate(&mut sink, plan, k, claim, scratch)? {
             run.rec.activation(run.sweep, &done.record);
             merged |= done.merged;
         }

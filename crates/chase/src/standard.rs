@@ -111,9 +111,11 @@ pub(crate) fn rescan_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
     for (k, plan) in run.plans.iter().enumerate() {
         let dep = plan.dep;
         let t0 = Instant::now();
-        let tuples0 = run.stats.tuples_inserted;
-        let obligations0 = run.stats.obligations_batched;
-        let mut violations = 0;
+        let mut record = ActivationRecord {
+            dep: k,
+            kind: ActivationKind::Full,
+            ..Default::default()
+        };
         let mut any_merge = false;
         let found = collect_violations(&run.inst, plan, dep.is_denial(), &mut run.scratch);
         if dep.is_denial() {
@@ -126,8 +128,8 @@ pub(crate) fn rescan_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
         } else {
             // `check_executable` guarantees exactly one disjunct here; a
             // trivially-true empty disjunct has no violations by definition.
-            violations = found.len();
-            let (mut sink, stats, scratch) = run.live();
+            record.violations = found.len() as u64;
+            let (mut sink, scratch) = run.live();
             for row in found.rows() {
                 load_match(row, &mut sink, scratch);
                 // Re-check: earlier repairs in this batch (or merges) may
@@ -138,28 +140,16 @@ pub(crate) fn rescan_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
                 if plan.satisfied(0, sink.db(), scratch) {
                     continue;
                 }
-                any_merge |= apply_disjunct(&mut sink, plan, 0, scratch, stats)?;
+                any_merge |= apply_disjunct(&mut sink, plan, 0, scratch, &mut record)?;
                 progressed = true;
             }
         }
-        run.rec.activation(
-            run.sweep,
-            &ActivationRecord {
-                dep: k,
-                kind: ActivationKind::Full,
-                seeded: 0,
-                violations: violations as u64,
-                tuples: (run.stats.tuples_inserted - tuples0) as u64,
-                obligations: (run.stats.obligations_batched - obligations0) as u64,
-                dedup_hits: 0,
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            },
-        );
+        record.wall_ns = t0.elapsed().as_nanos() as u64;
+        run.rec.activation(run.sweep, &record);
         if any_merge {
             let ts = Instant::now();
             let nullmap = &mut run.nullmap;
             let changed = run.inst.substitute_nulls(|id| nullmap.lookup(id));
-            run.stats.substitution_passes += 1;
             run.rec
                 .substitution(run.sweep, 0, changed.len(), ts.elapsed().as_nanos() as u64);
             if grom_fail::hit("subst") {

@@ -58,7 +58,7 @@ use crate::checkpoint::{Checkpoint, ResumeState};
 use crate::config::{Budget, ChaseConfig, InterruptReason, SchedulerMode};
 use crate::nullmap::{NullMap, Unify};
 use crate::parallel::PoolExecutor;
-use crate::result::{ChaseError, ChaseResult, ChaseStats, Interrupted};
+use crate::result::{ChaseError, ChaseResult, ChaseStats, Interrupted, FULL_RESCAN_MODE};
 use crate::scheduler::{
     delta_violations, idempotent_repair, inline_sweep, Claim, Pending, Scheduler,
 };
@@ -80,7 +80,7 @@ pub(crate) struct Run<'a> {
     pub nullmap: NullMap,
     pub nullgen: NullGenerator,
     pub sched: Scheduler,
-    pub stats: ChaseStats,
+    /// The run's one counter record.
     pub rec: Recorder,
     /// 1-based index of the sweep in flight.
     pub sweep: u64,
@@ -120,24 +120,20 @@ impl<'a> Run<'a> {
             nullmap: state.nullmap,
             nullgen: NullGenerator::starting_at(state.next_null),
             sched,
-            stats: ChaseStats {
-                rounds: state.rounds,
-                ..Default::default()
-            },
-            rec: Recorder::new(&names, mode, &config.trace),
+            rec: Recorder::new(&names, mode, state.rounds as u64, &config.trace),
             sweep: 0,
         }
     }
 
-    /// The live repair sink over this run's instance, plus its counters
-    /// and the coordinator's scratch.
-    pub fn live(&mut self) -> (LiveSink<'_>, &mut ChaseStats, &mut Scratch) {
+    /// The live repair sink over this run's instance, plus the
+    /// coordinator's scratch.
+    pub fn live(&mut self) -> (LiveSink<'_>, &mut Scratch) {
         let sink = LiveSink {
             inst: &mut self.inst,
             nullmap: &mut self.nullmap,
             nullgen: &mut self.nullgen,
         };
-        (sink, &mut self.stats, &mut self.scratch)
+        (sink, &mut self.scratch)
     }
 
     /// Cooperative budget/cancellation check. Cancellation wins over
@@ -147,8 +143,8 @@ impl<'a> Run<'a> {
         if self.config.cancel.is_cancelled() {
             return Some(InterruptReason::Cancelled);
         }
-        self.budget
-            .exceeded(self.stats.tuples_inserted, self.stats.nulls_invented)
+        let (tuples, nulls) = self.rec.totals();
+        self.budget.exceeded(tuples as usize, nulls as usize)
     }
 
     /// Package a sweep-aligned interruption: everything the run produced
@@ -158,7 +154,7 @@ impl<'a> Run<'a> {
         let profile = finish(self.rec, &self.inst);
         let checkpoint = Checkpoint::capture(
             &profile.mode,
-            self.stats.rounds,
+            profile.rounds as usize,
             self.nullgen.peek_next(),
             &self.inst,
             &mut self.nullmap,
@@ -167,7 +163,6 @@ impl<'a> Run<'a> {
         ChaseError::Interrupted(Box::new(Interrupted {
             reason,
             instance: self.inst,
-            stats: self.stats,
             profile,
             checkpoint,
         }))
@@ -202,7 +197,7 @@ pub(crate) fn run_chase(
             // itself detects the fixpoint) and checkpoints as "rescan
             // everything", whatever a restored state carried.
             state.pending = vec![Pending::Full; deps.len()];
-            let run = Run::new(state, deps, plans, config, "full_rescan");
+            let run = Run::new(state, deps, plans, config, FULL_RESCAN_MODE);
             drive(run, rescan_sweep)
         }
         SchedulerMode::Parallel { threads } => {
@@ -220,16 +215,16 @@ fn drive(
     mut sweep: impl FnMut(&mut Run<'_>) -> Result<SweepEnd, ChaseError>,
 ) -> Result<ChaseResult, ChaseError> {
     loop {
-        if run.stats.rounds >= run.config.max_rounds {
+        let rounds = run.rec.profile().rounds as usize;
+        if rounds >= run.config.max_rounds {
             return Err(ChaseError::RoundLimit {
-                rounds: run.stats.rounds,
-                stats: Box::new(run.stats),
+                rounds,
                 profile: Box::new(finish(run.rec, &run.inst)),
             });
         }
         if !run.sched.has_work(&run.inst) {
             // The empty round that finds the worklist drained is counted.
-            run.stats.rounds += 1;
+            run.rec.round();
             break;
         }
         let mut tripped = run.tripped();
@@ -240,8 +235,7 @@ fn drive(
             return Err(run.interrupted(reason));
         }
 
-        run.stats.rounds += 1;
-        run.sweep = run.stats.rounds as u64;
+        run.sweep = run.rec.round();
         let end = sweep(&mut run)?;
         run.rec.end_sweep(run.sweep, end.evaluate_ns, end.merge_ns);
         if end.fixpoint {
@@ -251,10 +245,11 @@ fn drive(
             return Err(run.interrupted(reason));
         }
     }
+    let profile = finish(run.rec, &run.inst);
     Ok(ChaseResult {
-        profile: finish(run.rec, &run.inst),
+        stats: ChaseStats::from(&profile),
+        profile,
         instance: run.inst,
-        stats: run.stats,
     })
 }
 
@@ -301,14 +296,14 @@ pub(crate) trait RepairSink {
     fn resolve(&mut self, value: &Value) -> Value;
 
     /// Enforce `left = right` on behalf of `dep`, counting obligations (and
-    /// merges, where the sink itself unifies) in `stats`. Returns whether
-    /// the stored instance now needs a substitution pass.
+    /// merges, where the sink itself unifies) in `rec`. Returns whether the
+    /// stored instance now needs a substitution pass.
     fn equate(
         &mut self,
         dep: &Dependency,
         left: Value,
         right: Value,
-        stats: &mut ChaseStats,
+        rec: &mut ActivationRecord,
     ) -> Result<bool, ChaseError>;
 
     fn fresh_null(&mut self) -> Value;
@@ -350,13 +345,13 @@ impl RepairSink for LiveSink<'_> {
         dep: &Dependency,
         left: Value,
         right: Value,
-        stats: &mut ChaseStats,
+        rec: &mut ActivationRecord,
     ) -> Result<bool, ChaseError> {
-        stats.obligations_batched += 1;
+        rec.obligations += 1;
         match self.nullmap.unify(&left, &right) {
             Unify::Noop => Ok(false),
             Unify::Merged => {
-                stats.egd_merges += 1;
+                rec.merges += 1;
                 Ok(true)
             }
             Unify::Clash(a, b) => Err(ChaseError::clash(&dep.name, &a, &b)),
@@ -388,14 +383,14 @@ pub(crate) fn load_match(row: &[Option<Value>], sink: &mut impl RepairSink, scra
 }
 
 /// Apply one disjunct to repair the premise match held by `scratch`'s
-/// registers. Returns `true` if the sink merged nulls (the caller must
-/// re-normalize the instance).
+/// registers, counting what it does in `rec`. Returns `true` if the sink
+/// merged nulls (the caller must re-normalize the instance).
 pub(crate) fn apply_disjunct<S: RepairSink>(
     sink: &mut S,
     plan: &DepPlan<'_>,
     disjunct_idx: usize,
     scratch: &mut Scratch,
-    stats: &mut ChaseStats,
+    rec: &mut ActivationRecord,
 ) -> Result<bool, ChaseError> {
     let dep = plan.dep;
     let source = &dep.disjuncts[disjunct_idx];
@@ -423,7 +418,7 @@ pub(crate) fn apply_disjunct<S: RepairSink>(
         };
         let lv = l.eval(scratch.regs()).ok_or_else(|| unbound(lt))?.clone();
         let rv = r.eval(scratch.regs()).ok_or_else(|| unbound(rt))?.clone();
-        merged |= sink.equate(dep, lv, rv, stats)?;
+        merged |= sink.equate(dep, lv, rv, rec)?;
     }
 
     // Atoms: one fresh null per existential variable, shared across the
@@ -440,18 +435,18 @@ pub(crate) fn apply_disjunct<S: RepairSink>(
                 }
                 Cell::Fresh(i) => fresh[i]
                     .get_or_insert_with(|| {
-                        stats.nulls_invented += 1;
+                        rec.nulls += 1;
                         sink.fresh_null()
                     })
                     .clone(),
             })
             .collect();
         if sink.insert(relation, row.into())? {
-            stats.tuples_inserted += 1;
+            rec.tuples += 1;
         }
         applied = true;
     }
-    stats.tgd_applications += usize::from(applied);
+    rec.applications += u64::from(applied);
 
     Ok(merged)
 }
@@ -476,28 +471,29 @@ pub(crate) fn activate<S: RepairSink>(
     plan: &DepPlan<'_>,
     k: usize,
     claim: Claim,
-    stats: &mut ChaseStats,
     scratch: &mut Scratch,
 ) -> Result<Option<Activated>, ChaseError> {
     let dep = plan.dep;
     let t0 = Instant::now();
-    let tuples0 = stats.tuples_inserted;
-    let obligations0 = stats.obligations_batched;
     let dedup0 = sink.dedup_hits();
     // A denial fails on its first match; there is nothing to collect past it.
     let (kind, seeded, violations) = match claim {
         Claim::Idle => return Ok(None),
         Claim::Full => {
-            stats.full_rescans += 1;
             let found = collect_violations(sink.db(), plan, dep.is_denial(), scratch);
             (ActivationKind::Full, 0, found)
         }
         Claim::Delta { since, seeded } => {
-            stats.delta_activations += 1;
-            stats.delta_tuples_seeded += seeded;
             let found = delta_violations(sink.db(), plan, &since, dep.is_denial(), scratch);
             (ActivationKind::Delta, seeded as u64, found)
         }
+    };
+    let mut record = ActivationRecord {
+        dep: k,
+        kind,
+        seeded,
+        violations: violations.len() as u64,
+        ..Default::default()
     };
     if dep.is_denial() {
         if let Some(row) = violations.rows().next() {
@@ -523,20 +519,9 @@ pub(crate) fn activate<S: RepairSink>(
         if !direct && plan.satisfied(0, sink.db(), scratch) {
             continue;
         }
-        merged |= apply_disjunct(sink, plan, 0, scratch, stats)?;
+        merged |= apply_disjunct(sink, plan, 0, scratch, &mut record)?;
     }
-
-    Ok(Some(Activated {
-        record: ActivationRecord {
-            dep: k,
-            kind,
-            seeded,
-            violations: violations.len() as u64,
-            tuples: (stats.tuples_inserted - tuples0) as u64,
-            obligations: (stats.obligations_batched - obligations0) as u64,
-            dedup_hits: sink.dedup_hits() - dedup0,
-            wall_ns: t0.elapsed().as_nanos() as u64,
-        },
-        merged,
-    }))
+    record.dedup_hits = sink.dedup_hits() - dedup0;
+    record.wall_ns = t0.elapsed().as_nanos() as u64;
+    Ok(Some(Activated { record, merged }))
 }

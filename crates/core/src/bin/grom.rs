@@ -179,11 +179,11 @@ fn report_interrupted(
     eprintln!(
         "chase interrupted ({}) after {} rounds; instance so far has {} tuples",
         i.reason,
-        i.stats.rounds,
+        i.profile.rounds,
         i.instance.len()
     );
     if !quiet {
-        eprintln!("chase: {}", i.stats);
+        eprintln!("chase: {}", ChaseStats::from(&i.profile));
     }
     match checkpoint_path {
         Some(p) => {
@@ -400,28 +400,10 @@ mod explain_cli {
     use std::process::ExitCode;
     use std::time::Instant;
 
-    /// Cross-check the profile against the run's `ChaseStats`: activation
-    /// and tuple counts must agree exactly. Prints the comparison either
-    /// way; returns whether it held.
-    fn reconcile(profile: &ChaseProfile, stats: &ChaseStats) -> bool {
-        let acts = (stats.full_rescans + stats.delta_activations) as u64;
-        let tuples = stats.tuples_inserted as u64;
-        let ok = profile.total_activations() == acts && profile.total_tuples_produced() == tuples;
-        println!(
-            "reconcile: activations {}/{} tuples {}/{}{}",
-            profile.total_activations(),
-            acts,
-            profile.total_tuples_produced(),
-            tuples,
-            if ok { "" } else { "  MISMATCH" }
-        );
-        ok
-    }
-
-    fn report(profile: &ChaseProfile, stats: &ChaseStats, top: usize) -> bool {
+    fn report(profile: &ChaseProfile, top: usize) -> Result<(), String> {
         print!("{}", render_report(profile, &ReportOptions { top }));
-        println!("chase: {stats}");
-        reconcile(profile, stats)
+        println!("chase: {}", ChaseStats::from(profile));
+        Ok(())
     }
 
     /// The default config plus the entry's committed derived-tuple budget,
@@ -442,7 +424,7 @@ mod explain_cli {
         mode: SchedulerMode,
         top: usize,
         trace: &TraceHandle,
-    ) -> Result<bool, String> {
+    ) -> Result<(), String> {
         let entry = read_entry(dir).map_err(|e| e.to_string())?;
         let (deps, inst) = entry.parts().map_err(|e| e.to_string())?;
         let cfg = entry_config(&entry)
@@ -450,11 +432,11 @@ mod explain_cli {
             .with_trace(trace.clone());
         println!("== {} ==", entry.name);
         match chase_standard(inst, &deps, &cfg) {
-            Ok(res) => Ok(report(&res.profile, &res.stats, top)),
+            Ok(res) => report(&res.profile, top),
             // Budgeted (non-terminating) entries still profile their prefix.
             Err(ChaseError::Interrupted(i)) => {
                 println!("(interrupted by budget: {}; partial profile)", i.reason);
-                Ok(report(&i.profile, &i.stats, top))
+                report(&i.profile, top)
             }
             Err(e) => Err(format!("entry `{}`: {e}", entry.name)),
         }
@@ -491,7 +473,7 @@ mod explain_cli {
         threads: Option<usize>,
         top: usize,
         trace: &TraceHandle,
-    ) -> Result<bool, String> {
+    ) -> Result<(), String> {
         let (scenario, mut source) = load_scenario(path)?;
         if let Some(f) = data_file {
             let extra = load_facts(f)?;
@@ -507,7 +489,7 @@ mod explain_cli {
             ..Default::default()
         };
         let result = scenario.run(&source, &options).map_err(|e| e.to_string())?;
-        Ok(report(&result.chase_profile, &result.chase_stats, top))
+        report(&result.chase_profile, top)
     }
 
     pub fn cmd_explain(path: &str, rest: &[String]) -> ExitCode {
@@ -558,29 +540,22 @@ mod explain_cli {
         };
 
         let target = Path::new(path);
-        let outcome: Result<bool, String> = if target.is_dir() {
+        let outcome = if target.is_dir() {
             if target.join(grom::scenarios::corpus::PROGRAM_FILE).is_file() {
                 explain_entry(target, mode, top, &trace)
             } else {
                 // A corpus root: time everything cheaply, then explain the
                 // slowest entries with tracing on.
                 slowest_entries(target, slowest).and_then(|dirs| {
-                    let mut all_ok = true;
-                    for dir in dirs {
-                        all_ok &= explain_entry(&dir, mode, top, &trace)?;
-                    }
-                    Ok(all_ok)
+                    dirs.iter()
+                        .try_for_each(|dir| explain_entry(dir, mode, top, &trace))
                 })
             }
         } else {
             explain_program(path, data_file, threads, top, &trace)
         };
         match outcome {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => {
-                eprintln!("grom: profile does not reconcile with chase stats");
-                ExitCode::FAILURE
-            }
+            Ok(()) => ExitCode::SUCCESS,
             Err(e) => fail(e),
         }
     }

@@ -443,7 +443,7 @@ fn rewrite_into(
 /// a 2 MiB stack, chains `V_k <- V_{k-1}` and `V_k <- T, not V_{k-1}`: a debug
 /// build unfolds 500 levels and overflows at 505, a release build 2 000 and
 /// 2 500 — half the debug figure. A constant, not an option: memoized
-/// unfolding (ROADMAP item 3) removes the recursion and this bound with it.
+/// unfolding (ROADMAP item 5) removes the recursion and this bound with it.
 pub const MAX_VIEW_NESTING: usize = 256;
 
 /// Rewrite a whole mapping: every dependency of `deps` against `views`.

@@ -154,11 +154,17 @@ impl JsonValue {
     }
 }
 
-/// Parse one complete JSON value; trailing non-whitespace is an error.
+/// How deep arrays and objects may nest. Checkpoint envelopes and trace
+/// events are a few levels deep; the bound keeps the recursive descent off
+/// the end of the stack on hostile input.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parse one complete JSON value; trailing non-whitespace is an error, and
+/// so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing input at byte {pos}"));
@@ -172,12 +178,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => parse_string(b, pos).map(JsonValue::Str),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -250,17 +260,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one slice.
+                // Both are ASCII, so the run ends on a UTF-8 boundary.
+                let run = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&b[*pos..run]).map_err(|e| e.to_string())?);
+                *pos = run;
             }
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -269,7 +282,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -282,7 +295,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -301,7 +314,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected : at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -388,6 +401,31 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&format!("{{\"a\":{}}}", deep(MAX_DEPTH))).is_err());
+        // An unclosed 200 000-deep array fails without recursing through it.
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        // 11 input bytes per repetition: ASCII, two- and four-byte scalars,
+        // and two escapes.
+        let text = "aé\u{1F600}\\\"".repeat((1 << 20) / 11 + 1);
+        let input = format!("\"{}\"", escape(&text));
+        assert!(input.len() >= 1 << 20, "{}", input.len());
+        let t0 = std::time::Instant::now();
+        assert_eq!(parse(&input).unwrap(), JsonValue::Str(text));
+        // Quadratic re-validation of the rest of the input took tens of
+        // seconds here; linear parsing takes milliseconds, even unoptimized.
+        assert!(t0.elapsed().as_secs_f64() < 1.0, "{:?}", t0.elapsed());
     }
 
     #[test]

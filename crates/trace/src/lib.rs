@@ -9,9 +9,10 @@
 //!   [`JsonlSink`] streams events to a file as JSON Lines; [`MemorySink`]
 //!   buffers them for tests.
 //! * [`recorder`] — the per-run [`Recorder`]: **always on**, it aggregates
-//!   a [`ChaseProfile`] (per-dependency wall time, activation splits,
-//!   tuples, delta-hit rates; per-sweep phase timings; per-group
-//!   utilization in parallel mode) for a couple of `Instant` reads per
+//!   a [`ChaseProfile`] — the chase's one counter record (per-dependency
+//!   wall time, activation splits, repair counts, delta-hit rates; rounds
+//!   and per-sweep phase timings; the ded search's counters; per-group
+//!   utilization in parallel mode) — for a couple of `Instant` reads per
 //!   activation, and emits one JSONL event per activation / sweep / merge
 //!   when a sink is attached. [`WorkerRecorder`] is its `Send` half for
 //!   pool workers, merged deterministically at the sweep barrier.
@@ -31,7 +32,7 @@ pub mod recorder;
 pub mod report;
 pub mod sink;
 
-pub use profile::{ChaseProfile, DepProfile, GroupProfile, StorageGauge};
+pub use profile::{ChaseProfile, DepProfile, GroupProfile, SearchProfile, StorageGauge};
 pub use recorder::{ActivationKind, ActivationRecord, Recorder, WorkerRecorder};
 pub use report::{render_report, ReportOptions};
 pub use sink::{JsonlSink, MemorySink, TraceHandle, TraceSink};

@@ -1,16 +1,19 @@
-//! The aggregated per-run profile: what the chase hands back alongside its
-//! `ChaseStats` counters.
+//! The aggregated per-run profile: the chase's one counter record.
 //!
-//! Where `ChaseStats` answers "how much work did the run do", a
-//! [`ChaseProfile`] answers "*where* did it go": per-dependency wall time
-//! and activation splits ([`DepProfile`]), per-phase sweep timings
-//! (evaluate / barrier merge / null substitution), and per-conflict-group
-//! utilization in parallel mode ([`GroupProfile`]).
+//! A [`ChaseProfile`] says how much work a run did and *where* it went:
+//! per-dependency counts, wall time and activation splits
+//! ([`DepProfile`]), rounds and per-phase sweep timings (evaluate / barrier
+//! merge / null substitution), the ded search's counters
+//! ([`SearchProfile`]), and per-conflict-group utilization in parallel mode
+//! ([`GroupProfile`]). The chase writes nothing else: its `ChaseStats`
+//! totals are derived from this record when a run ends.
 //!
 //! All counter fields are deterministic functions of the scenario and the
 //! scheduler mode — identical across thread counts and thread schedules.
 //! Only the `*_ns` wall-clock fields (and [`GroupProfile::busy_ns`]) vary
 //! run to run.
+
+use crate::recorder::ActivationRecord;
 
 /// Per-dependency profile totals.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -36,10 +39,16 @@ pub struct DepProfile {
     /// exactly once across anchor positions, so nothing is filtered out
     /// between enumeration and this counter.
     pub violations: u64,
+    /// Disjuncts applied that conclude atoms (tuple-producing steps).
+    pub applications: u64,
     /// Tuples this dependency's repairs actually inserted.
     pub tuples_produced: u64,
+    /// Fresh labeled nulls its repairs invented for existential variables.
+    pub nulls_invented: u64,
     /// Equality obligations this dependency recorded.
     pub obligations: u64,
+    /// Null unifications its equalities caused.
+    pub egd_merges: u64,
     /// Insert attempts rejected as duplicates (parallel mode: the shard
     /// view's two-layer dedup; always 0 in sequential modes).
     pub dedup_hits: u64,
@@ -50,6 +59,16 @@ pub struct DepProfile {
 }
 
 impl DepProfile {
+    /// Add the repair counts of `rec` — what its disjunct applications
+    /// inserted, invented, recorded and merged.
+    pub fn add_repairs(&mut self, rec: &ActivationRecord) {
+        self.applications += rec.applications;
+        self.tuples_produced += rec.tuples;
+        self.nulls_invented += rec.nulls;
+        self.obligations += rec.obligations;
+        self.egd_merges += rec.merges;
+    }
+
     /// Fraction of delta activations that found work, if any ran.
     pub fn delta_hit_rate(&self) -> Option<f64> {
         (self.delta_activations > 0).then(|| self.delta_hits as f64 / self.delta_activations as f64)
@@ -83,6 +102,32 @@ pub struct StorageGauge {
     pub approx_bytes: u64,
 }
 
+/// What the ded chases searched: the greedy chase's scenarios and the
+/// exhaustive chase's tree. All zero for a standard chase.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SearchProfile {
+    /// Greedy: scenarios attempted (including the successful one).
+    pub scenarios_tried: u64,
+    /// Greedy: scenarios that ended in failure.
+    pub scenarios_failed: u64,
+    /// Exhaustive: tree nodes expanded.
+    pub nodes_expanded: u64,
+    /// Exhaustive: successful leaves (the universal model set's size).
+    pub leaves: u64,
+    /// Exhaustive: branches pruned by failure.
+    pub branches_failed: u64,
+}
+
+impl SearchProfile {
+    fn absorb(&mut self, other: &SearchProfile) {
+        self.scenarios_tried += other.scenarios_tried;
+        self.scenarios_failed += other.scenarios_failed;
+        self.nodes_expanded += other.nodes_expanded;
+        self.leaves += other.leaves;
+        self.branches_failed += other.branches_failed;
+    }
+}
+
 /// The whole-run profile.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaseProfile {
@@ -90,6 +135,9 @@ pub struct ChaseProfile {
     pub mode: String,
     /// One entry per dependency, in declaration order.
     pub deps: Vec<DepProfile>,
+    /// Rounds started, including the final one that finds nothing to do;
+    /// a resumed run continues its checkpoint's count.
+    pub rounds: u64,
     /// Sweeps that did any work (activations or substitutions).
     pub sweeps: u64,
     /// Wall time in the evaluate phase: activation time in sequential
@@ -100,9 +148,10 @@ pub struct ChaseProfile {
     pub merge_ns: u64,
     /// Wall time in null-substitution passes.
     pub substitute_ns: u64,
-    /// Substitution passes applied (mirrors
-    /// `ChaseStats::substitution_passes` for the profiled run).
+    /// Instance-wide null substitution passes applied.
     pub substitution_passes: u64,
+    /// The ded search's counters.
+    pub search: SearchProfile,
     /// Per-group utilization, sorted by group index; empty in sequential
     /// modes.
     pub groups: Vec<GroupProfile>,
@@ -119,11 +168,6 @@ impl ChaseProfile {
         self.deps.iter().map(|d| d.activations).sum()
     }
 
-    /// Total full rescans across all dependencies.
-    pub fn total_full_rescans(&self) -> u64 {
-        self.deps.iter().map(|d| d.full_rescans).sum()
-    }
-
     /// Total delta activations across all dependencies.
     pub fn total_delta_activations(&self) -> u64 {
         self.deps.iter().map(|d| d.delta_activations).sum()
@@ -137,11 +181,6 @@ impl ChaseProfile {
     /// Total tuples produced across all dependencies.
     pub fn total_tuples_produced(&self) -> u64 {
         self.deps.iter().map(|d| d.tuples_produced).sum()
-    }
-
-    /// Total equality obligations recorded across all dependencies.
-    pub fn total_obligations(&self) -> u64 {
-        self.deps.iter().map(|d| d.obligations).sum()
     }
 
     /// Aggregate delta-hit rate, if any delta activations ran.
@@ -169,24 +208,18 @@ impl ChaseProfile {
             self.storage = other.storage.clone();
         }
         for od in &other.deps {
-            let slot = match self.deps.iter_mut().find(|d| d.name == od.name) {
-                Some(d) => d,
-                None => {
-                    self.deps.push(DepProfile {
-                        name: od.name.clone(),
-                        ..Default::default()
-                    });
-                    self.deps.last_mut().expect("just pushed")
-                }
-            };
+            let slot = self.dep_mut(&od.name);
             slot.activations += od.activations;
             slot.full_rescans += od.full_rescans;
             slot.delta_activations += od.delta_activations;
             slot.delta_hits += od.delta_hits;
             slot.delta_tuples_seeded += od.delta_tuples_seeded;
             slot.violations += od.violations;
+            slot.applications += od.applications;
             slot.tuples_produced += od.tuples_produced;
+            slot.nulls_invented += od.nulls_invented;
             slot.obligations += od.obligations;
+            slot.egd_merges += od.egd_merges;
             slot.dedup_hits += od.dedup_hits;
             slot.wall_ns += od.wall_ns;
             if slot.group.is_none() {
@@ -211,16 +244,34 @@ impl ChaseProfile {
             slot.jobs += og.jobs;
             slot.busy_ns += og.busy_ns;
         }
+        self.rounds += other.rounds;
         self.sweeps += other.sweeps;
         self.evaluate_ns += other.evaluate_ns;
         self.merge_ns += other.merge_ns;
         self.substitute_ns += other.substitute_ns;
         self.substitution_passes += other.substitution_passes;
+        self.search.absorb(&other.search);
         self.total_ns += other.total_ns;
     }
 
+    /// The entry of dependency `name`, appended if the profile has none.
+    pub fn dep_mut(&mut self, name: &str) -> &mut DepProfile {
+        let k = match self.deps.iter().position(|d| d.name == name) {
+            Some(k) => k,
+            None => {
+                self.deps.push(DepProfile {
+                    name: name.to_string(),
+                    ..Default::default()
+                });
+                self.deps.len() - 1
+            }
+        };
+        &mut self.deps[k]
+    }
+
     /// A copy with every wall-clock field zeroed — the thread-count- and
-    /// machine-independent remainder, for determinism assertions.
+    /// machine-independent remainder (every count, rounds and the search
+    /// section included), for determinism assertions.
     pub fn counters_only(&self) -> ChaseProfile {
         let mut p = self.clone();
         p.evaluate_ns = 0;
@@ -245,7 +296,10 @@ mod tests {
         DepProfile {
             name: name.into(),
             activations,
+            applications: tuples,
             tuples_produced: tuples,
+            nulls_invented: 1,
+            egd_merges: 2,
             wall_ns: 100,
             ..Default::default()
         }
@@ -257,7 +311,15 @@ mod tests {
         let mut b = ChaseProfile {
             mode: "delta".into(),
             deps: vec![dep("t1", 2, 5), dep("t2", 1, 0)],
+            rounds: 4,
             sweeps: 3,
+            search: SearchProfile {
+                scenarios_tried: 2,
+                scenarios_failed: 1,
+                nodes_expanded: 3,
+                leaves: 1,
+                branches_failed: 1,
+            },
             ..Default::default()
         };
         b.groups.push(GroupProfile {
@@ -271,7 +333,11 @@ mod tests {
         assert_eq!(a.deps.len(), 2);
         assert_eq!(a.deps[0].activations, 4);
         assert_eq!(a.total_tuples_produced(), 10);
-        assert_eq!(a.sweeps, 6);
+        let d = &a.deps[0];
+        assert_eq!((d.applications, d.nulls_invented, d.egd_merges), (10, 2, 4));
+        assert_eq!((a.rounds, a.sweeps), (8, 6));
+        assert_eq!(a.search.scenarios_tried, 4);
+        assert_eq!(a.search.branches_failed, 2);
         assert_eq!(a.groups[0].jobs, 4);
     }
 
@@ -294,6 +360,11 @@ mod tests {
         let p = ChaseProfile {
             mode: "parallel4".into(),
             deps: vec![dep("t", 1, 1)],
+            rounds: 2,
+            search: SearchProfile {
+                leaves: 5,
+                ..Default::default()
+            },
             evaluate_ns: 10,
             merge_ns: 20,
             substitute_ns: 30,
@@ -310,6 +381,8 @@ mod tests {
         assert_eq!(c.deps[0].wall_ns, 0);
         assert_eq!(c.groups[0].busy_ns, 0);
         assert_eq!(c.deps[0].activations, 1);
+        assert_eq!(c.deps[0].egd_merges, 2);
+        assert_eq!((c.rounds, c.search.leaves), (2, 5));
         assert_eq!(c.groups[0].jobs, 1);
     }
 }

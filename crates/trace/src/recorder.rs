@@ -16,16 +16,18 @@ use crate::profile::{ChaseProfile, DepProfile, GroupProfile};
 use crate::sink::TraceHandle;
 
 /// How an activation evaluated its premise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ActivationKind {
     /// Against the full instance.
+    #[default]
     Full,
     /// Seeded from delta tuples.
     Delta,
 }
 
-/// One dependency activation, as observed by the engine.
-#[derive(Debug, Clone, Copy)]
+/// One dependency activation, as observed by the engine. The repair
+/// counts are filled in by the repairs themselves, as they happen.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ActivationRecord {
     /// Dependency index (into the run's declaration-order list).
     pub dep: usize,
@@ -34,10 +36,18 @@ pub struct ActivationRecord {
     pub seeded: u64,
     /// Violating matches found.
     pub violations: u64,
+    /// Disjuncts applied that conclude atoms.
+    pub applications: u64,
     /// Tuples actually inserted by the repairs.
     pub tuples: u64,
+    /// Fresh labeled nulls the repairs invented.
+    pub nulls: u64,
     /// Equality obligations recorded.
     pub obligations: u64,
+    /// Null unifications the repairs' equalities caused where they were
+    /// recorded (the pool's workers merge nothing; their obligations are
+    /// unified, and credited, at the barrier).
+    pub merges: u64,
     /// Duplicate-insert rejections (parallel shard views only).
     pub dedup_hits: u64,
     /// Wall time of the activation.
@@ -60,11 +70,6 @@ impl WorkerRecorder {
     pub fn record(&mut self, rec: ActivationRecord) {
         self.records.push(rec);
     }
-
-    /// The buffered records, in observation order.
-    pub fn records(&self) -> &[ActivationRecord] {
-        &self.records
-    }
 }
 
 /// The per-run aggregator and event emitter.
@@ -73,6 +78,10 @@ pub struct Recorder {
     profile: ChaseProfile,
     trace: TraceHandle,
     started: Instant,
+    // Running totals over every dependency, for the per-activation budget
+    // check: summing `profile.deps` there would cost a pass per activation.
+    tuples: u64,
+    nulls: u64,
     // Accumulators for the sweep in flight; reset by `end_sweep`.
     sweep_eval_ns: u64,
     sweep_activations: u64,
@@ -81,11 +90,12 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// Start a run over `names` (declaration order) in `mode`; emits the
-    /// `run_start` event.
-    pub fn new(names: &[String], mode: &str, trace: &TraceHandle) -> Self {
+    /// Start a run over `names` (declaration order) in `mode`, `rounds`
+    /// rounds in (non-zero when resuming); emits the `run_start` event.
+    pub fn new(names: &[String], mode: &str, rounds: u64, trace: &TraceHandle) -> Self {
         let profile = ChaseProfile {
             mode: mode.to_string(),
+            rounds,
             deps: names
                 .iter()
                 .map(|n| DepProfile {
@@ -106,6 +116,8 @@ impl Recorder {
             profile,
             trace: trace.clone(),
             started: Instant::now(),
+            tuples: 0,
+            nulls: 0,
             sweep_eval_ns: 0,
             sweep_activations: 0,
             sweep_substitute_ns: 0,
@@ -128,10 +140,11 @@ impl Recorder {
         }
         d.delta_tuples_seeded += rec.seeded;
         d.violations += rec.violations;
-        d.tuples_produced += rec.tuples;
-        d.obligations += rec.obligations;
+        d.add_repairs(rec);
         d.dedup_hits += rec.dedup_hits;
         d.wall_ns += rec.wall_ns;
+        self.tuples += rec.tuples;
+        self.nulls += rec.nulls;
         self.sweep_eval_ns += rec.wall_ns;
         self.sweep_activations += 1;
         if self.trace.is_active() {
@@ -158,6 +171,24 @@ impl Recorder {
             }
             self.trace.emit(&obj.finish());
         }
+    }
+
+    /// Credit dependency `dep` with one null unification made outside its
+    /// activation (the pool's barrier unifies the workers' obligations).
+    pub fn merged(&mut self, dep: usize) {
+        self.profile.deps[dep].egd_merges += 1;
+    }
+
+    /// Count one more round; returns the run's round count.
+    pub fn round(&mut self) -> u64 {
+        self.profile.rounds += 1;
+        self.profile.rounds
+    }
+
+    /// Tuples inserted and labeled nulls invented so far, over every
+    /// dependency.
+    pub fn totals(&self) -> (u64, u64) {
+        (self.tuples, self.nulls)
     }
 
     /// Record one null-substitution pass applied during `sweep`:
@@ -291,24 +322,28 @@ mod tests {
                 0
             },
             violations,
+            applications: tuples,
             tuples,
-            obligations: 0,
-            dedup_hits: 0,
+            nulls: tuples,
             wall_ns: 1_000,
+            ..Default::default()
         }
     }
 
     #[test]
     fn aggregates_activation_splits_and_hit_rate() {
-        let mut rec = Recorder::new(&names(2), "delta", &TraceHandle::none());
+        let mut rec = Recorder::new(&names(2), "delta", 0, &TraceHandle::none());
         rec.activation(1, &act(0, ActivationKind::Full, 2, 2));
         rec.activation(1, &act(1, ActivationKind::Delta, 1, 1));
         rec.end_sweep(1, None, 0);
         rec.activation(2, &act(1, ActivationKind::Delta, 0, 0));
         rec.end_sweep(2, None, 0);
         rec.end_sweep(3, None, 0); // idle: not counted
+        assert_eq!(rec.totals(), (3, 3));
         let p = rec.finish();
         assert_eq!(p.sweeps, 2);
+        assert_eq!(p.deps[0].applications, 2);
+        assert_eq!(p.deps[1].nulls_invented, 1);
         assert_eq!(p.total_activations(), 3);
         assert_eq!(p.deps[0].full_rescans, 1);
         assert_eq!(p.deps[1].delta_activations, 2);
@@ -323,7 +358,7 @@ mod tests {
     fn event_stream_matches_profile_counts() {
         let sink = Arc::new(MemorySink::new());
         let trace = TraceHandle::new(sink.clone());
-        let mut rec = Recorder::new(&names(1), "delta", &trace);
+        let mut rec = Recorder::new(&names(1), "delta", 0, &trace);
         rec.activation(1, &act(0, ActivationKind::Full, 1, 1));
         rec.substitution(1, 2, 1, 500);
         rec.end_sweep(1, None, 0);
@@ -353,7 +388,7 @@ mod tests {
 
     #[test]
     fn worker_merge_preserves_order_and_groups() {
-        let mut rec = Recorder::new(&names(3), "parallel2", &TraceHandle::none());
+        let mut rec = Recorder::new(&names(3), "parallel2", 0, &TraceHandle::none());
         rec.set_groups(&[0, 0, 1]);
         let mut w0 = WorkerRecorder::new();
         w0.record(act(0, ActivationKind::Delta, 1, 1));
@@ -364,9 +399,11 @@ mod tests {
         rec.merge_worker(1, w0);
         rec.group_job(1, 3_000);
         rec.merge_worker(1, w1);
+        rec.merged(2);
         rec.end_sweep(1, Some(6_000), 1_000);
         let p = rec.finish();
         assert_eq!(p.total_activations(), 3);
+        assert_eq!(p.deps[2].egd_merges, 1);
         assert_eq!(p.deps[0].group, Some(0));
         assert_eq!(p.deps[2].group, Some(1));
         assert_eq!(p.groups.len(), 2);
@@ -378,7 +415,7 @@ mod tests {
 
     #[test]
     fn substitution_only_sweep_still_counts() {
-        let mut rec = Recorder::new(&names(1), "delta", &TraceHandle::none());
+        let mut rec = Recorder::new(&names(1), "delta", 0, &TraceHandle::none());
         rec.substitution(1, 1, 1, 100);
         rec.end_sweep(1, None, 0);
         let p = rec.finish();

@@ -118,7 +118,9 @@ fn a_resumed_run_honours_skip_validation_and_core_minimize() {
         };
         let resumed = scenario.resume(&checkpoint, &core).expect(&what);
         // A null-free target is its own core.
-        let folded = resumed.core_stats.map(|s| (s.nulls_folded, s.tuples_removed));
+        let folded = resumed
+            .core_stats
+            .map(|s| (s.nulls_folded, s.tuples_removed));
         assert_eq!(folded, Some((0, 0)), "{what}");
         assert!(resumed.validation.expect(&what).ok, "{what}");
         assert_eq!(resumed.target.to_string(), EXPECTED, "{what}");
