@@ -10,7 +10,7 @@
 //! scenario and instance. Nothing here measures anything — timing lives in
 //! `grombench/` (see `BENCHMARK.json`).
 
-pub mod calibration;
+mod calibration;
 pub mod workloads;
 
 pub use calibration::calibration_ms;

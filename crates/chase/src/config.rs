@@ -21,7 +21,7 @@ pub enum SchedulerMode {
     FullRescan,
     /// Delta scheduling with sweeps executed by the parallel chase
     /// executor: the scheduler worklist is partitioned into conflict-free
-    /// dependency groups (see [`crate::partition`]; egds are ordinary
+    /// dependency groups (see `partition.rs`; egds are ordinary
     /// group members) and each group's activations run on a worker pool
     /// against an immutable snapshot of the instance. Per-worker insertion
     /// buffers are merged deterministically at the sweep barrier; equality
@@ -69,8 +69,6 @@ pub enum InterruptReason {
     Deadline,
     /// The derived-tuple cap in [`Budget`] was reached.
     TupleCap,
-    /// The fresh-null cap in [`Budget`] was reached.
-    NullCap,
     /// The [`CancelToken`] was cancelled (e.g. Ctrl-C in `grom run`).
     Cancelled,
     /// A `GROM_FAIL` directive forced the interruption (tests).
@@ -82,7 +80,6 @@ impl std::fmt::Display for InterruptReason {
         let s = match self {
             InterruptReason::Deadline => "wall-clock deadline exceeded",
             InterruptReason::TupleCap => "derived-tuple cap reached",
-            InterruptReason::NullCap => "fresh-null cap reached",
             InterruptReason::Cancelled => "cancelled",
             InterruptReason::Fault => "fault injected",
         };
@@ -98,7 +95,6 @@ impl std::fmt::Display for InterruptReason {
 pub struct Budget {
     deadline: Option<Duration>,
     max_tuples: Option<usize>,
-    max_nulls: Option<usize>,
     /// The resolved deadline instant, anchored once per run (or once per
     /// ded-chase campaign) by [`Budget::anchored`].
     deadline_at: Option<Instant>,
@@ -108,14 +104,6 @@ impl Budget {
     /// An unbounded budget (the default).
     pub fn none() -> Self {
         Budget::default()
-    }
-
-    /// True when no limit is set: the chase can skip budget checks.
-    pub fn is_unbounded(&self) -> bool {
-        self.deadline.is_none()
-            && self.deadline_at.is_none()
-            && self.max_tuples.is_none()
-            && self.max_nulls.is_none()
     }
 
     /// Stop after roughly `ms` milliseconds of wall-clock time.
@@ -128,24 +116,6 @@ impl Budget {
     pub fn with_max_tuples(mut self, n: usize) -> Self {
         self.max_tuples = Some(n);
         self
-    }
-
-    /// Stop after inventing `n` labeled nulls.
-    pub fn with_max_nulls(mut self, n: usize) -> Self {
-        self.max_nulls = Some(n);
-        self
-    }
-
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    pub fn max_tuples(&self) -> Option<usize> {
-        self.max_tuples
-    }
-
-    pub fn max_nulls(&self) -> Option<usize> {
-        self.max_nulls
     }
 
     /// Resolve the relative deadline into an absolute instant. Idempotent:
@@ -167,9 +137,8 @@ impl Budget {
         self.deadline_at
     }
 
-    /// Check the budget against run counters. `tuples`/`nulls` are the
-    /// run's `tuples_inserted` / `nulls_invented` so far.
-    pub fn exceeded(&self, tuples: usize, nulls: usize) -> Option<InterruptReason> {
+    /// Check the budget against the run's `tuples_inserted` so far.
+    pub fn exceeded(&self, tuples: usize) -> Option<InterruptReason> {
         if let Some(at) = self.deadline_at {
             if Instant::now() >= at {
                 return Some(InterruptReason::Deadline);
@@ -178,11 +147,6 @@ impl Budget {
         if let Some(cap) = self.max_tuples {
             if tuples >= cap {
                 return Some(InterruptReason::TupleCap);
-            }
-        }
-        if let Some(cap) = self.max_nulls {
-            if nulls >= cap {
-                return Some(InterruptReason::NullCap);
             }
         }
         None
@@ -215,7 +179,7 @@ impl CancelToken {
 ///
 /// Defaults are generous enough for every scenario in this repository; the
 /// round budget is the safety net for programs that are not weakly acyclic
-/// (see [`crate::wa`]).
+/// (see [`crate::is_weakly_acyclic`]).
 #[derive(Debug, Clone)]
 pub struct ChaseConfig {
     /// Maximum number of chase rounds in the standard chase. A round visits
@@ -319,26 +283,28 @@ mod tests {
     #[test]
     fn unbounded_budget_never_trips() {
         let b = Budget::none().anchored();
-        assert!(b.is_unbounded());
-        assert_eq!(b.exceeded(usize::MAX, usize::MAX), None);
+        assert_eq!(b.exceeded(usize::MAX), None);
     }
 
     #[test]
     fn caps_trip_in_priority_order() {
-        let b = Budget::none().with_max_tuples(10).with_max_nulls(5);
-        assert_eq!(b.exceeded(3, 2), None);
-        assert_eq!(b.exceeded(10, 0), Some(InterruptReason::TupleCap));
-        assert_eq!(b.exceeded(0, 5), Some(InterruptReason::NullCap));
+        let b = Budget::none().with_max_tuples(10);
+        assert_eq!(b.exceeded(3), None);
+        assert_eq!(b.exceeded(10), Some(InterruptReason::TupleCap));
+        // A passed deadline is reported before the tuple cap.
+        let b = b.with_deadline_ms(0).anchored();
+        std::thread::sleep(Duration::from_millis(2));
+        assert_eq!(b.exceeded(10), Some(InterruptReason::Deadline));
     }
 
     #[test]
     fn deadline_only_trips_once_anchored_and_elapsed() {
         let b = Budget::none().with_deadline_ms(0);
         // Unanchored: the relative deadline alone never trips.
-        assert_eq!(b.exceeded(0, 0), None);
+        assert_eq!(b.exceeded(0), None);
         let b = b.anchored();
         std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(b.exceeded(0, 0), Some(InterruptReason::Deadline));
+        assert_eq!(b.exceeded(0), Some(InterruptReason::Deadline));
         // Anchoring is idempotent.
         let again = b.anchored();
         assert_eq!(again.deadline_at(), b.deadline_at());

@@ -300,7 +300,8 @@ pub fn chase_exhaustive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grom_data::Value;
+    use grom_data::{Tuple, Value};
+    use grom_engine::instance_satisfies;
     use grom_lang::parser::{parse_dependency, parse_program};
 
     fn inst(facts: &[(&str, &[i64])]) -> Instance {
@@ -314,11 +315,6 @@ mod tests {
 
     fn cfg() -> ChaseConfig {
         ChaseConfig::default()
-    }
-
-    fn all_hold(inst: &Instance, deps: &[Dependency]) -> bool {
-        deps.iter()
-            .all(|d| grom_engine::dependency_satisfied(inst, d))
     }
 
     #[test]
@@ -339,7 +335,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(res.stats.scenarios_tried, 1);
-        assert!(all_hold(&res.instance, &[d]));
+        assert!(instance_satisfies(&res.instance, &[d]).is_empty());
         // All matches committed to the same disjunct.
         assert_eq!(res.instance.tuples("Q").count(), 2);
         assert_eq!(res.instance.tuples("R").count(), 0);
@@ -370,7 +366,7 @@ mod tests {
         .unwrap();
         assert_eq!(res.stats.scenarios_tried, 2);
         assert_eq!(res.stats.scenarios_failed, 1);
-        assert!(all_hold(&res.instance, &[d]));
+        assert!(instance_satisfies(&res.instance, &[d]).is_empty());
         assert!(res.instance.tuples("R").count() >= 1);
     }
 
@@ -431,9 +427,32 @@ mod tests {
             let res = chase_exhaustive(start, std::slice::from_ref(&d), &cfg()).unwrap();
             assert_eq!(res.solutions.len(), 1 << k, "k = {k}");
             for sol in &res.solutions {
-                assert!(all_hold(sol, std::slice::from_ref(&d)));
+                assert!(instance_satisfies(sol, std::slice::from_ref(&d)).is_empty());
             }
         }
+    }
+
+    #[test]
+    fn exhaustive_fork_invents_a_null_per_existential() {
+        // The fork into the first disjunct invents two nulls, one per
+        // existential variable: T(1, a, b) with U(b, a) and a ≠ b.
+        let d = parse_dependency("ded d: S(x) -> T(x, y, z), U(z, y) | V(x).").unwrap();
+        let res = chase_exhaustive(inst(&[("S", &[1])]), std::slice::from_ref(&d), &cfg()).unwrap();
+        assert_eq!(res.solutions.len(), 2);
+        let forked: Vec<&Instance> = res
+            .solutions
+            .iter()
+            .filter(|sol| sol.tuples("T").count() > 0)
+            .collect();
+        assert_eq!(forked.len(), 1);
+        let sol = forked[0];
+        let t: Vec<_> = sol.tuples("T").collect();
+        assert_eq!(t.len(), 1);
+        let (a, b) = (t[0].get(1).unwrap(), t[0].get(2).unwrap());
+        assert!(a.is_null() && b.is_null() && a != b, "{sol}");
+        let u = Tuple::new(vec![b.clone(), a.clone()]);
+        assert!(sol.contains_fact("U", &u), "{sol}");
+        assert_eq!(sol.tuples("U").count(), 1);
     }
 
     #[test]
@@ -452,7 +471,7 @@ mod tests {
         // orderings; all must satisfy the program.
         assert!(ex.solutions.len() >= 2);
         for sol in &ex.solutions {
-            assert!(all_hold(sol, &p.deps));
+            assert!(instance_satisfies(sol, &p.deps).is_empty());
             assert_eq!(
                 sol.tuples("Q")
                     .filter(|t| t.get(0) == Some(&Value::int(1)))
@@ -462,7 +481,7 @@ mod tests {
         }
         // Greedy also succeeds (scenario R for all).
         let gr = chase_greedy(start, &p.deps, &cfg()).unwrap();
-        assert!(all_hold(&gr.instance, &p.deps));
+        assert!(instance_satisfies(&gr.instance, &p.deps).is_empty());
     }
 
     #[test]
@@ -494,7 +513,7 @@ mod tests {
         let d = parse_dependency("ded d: P(p1, n), P(p2, n) -> p1 = p2 | R(p1) | R(p2).").unwrap();
         let start = inst(&[("P", &[1, 7]), ("P", &[2, 7]), ("P", &[3, 8])]);
         let greedy = chase_greedy(start.clone(), std::slice::from_ref(&d), &cfg()).unwrap();
-        assert!(all_hold(&greedy.instance, std::slice::from_ref(&d)));
+        assert!(instance_satisfies(&greedy.instance, std::slice::from_ref(&d)).is_empty());
         let ex = chase_exhaustive(start, std::slice::from_ref(&d), &cfg()).unwrap();
         assert!(!ex.solutions.is_empty());
     }
@@ -519,6 +538,6 @@ mod tests {
         // p1 = p2 clashes, so a rating tuple must have been invented.
         assert!(res.stats.scenarios_failed >= 1);
         assert!(res.instance.tuples("TR").count() >= 1);
-        assert!(all_hold(&res.instance, &[d]));
+        assert!(instance_satisfies(&res.instance, &[d]).is_empty());
     }
 }

@@ -6,72 +6,72 @@
 //! project \[5\]; here it is a native in-memory engine with the same
 //! semantics.
 //!
-//! * [`standard`] — the restricted chase for tgds, egds and denial
-//!   constraints: tgd conclusions are witnessed with fresh labeled nulls,
-//!   egds unify nulls (failing on constant/constant conflicts), denials
-//!   fail on any premise match. Produces **universal solutions** for
-//!   weakly-acyclic programs. Its two entry points, [`chase_standard`] and
-//!   [`chase_resume`], both run on
-//! * [`sweep`] — the **sweep driver**: the one loop that counts rounds,
+//! * the **standard chase** ([`chase_standard`]) — the restricted chase
+//!   for tgds, egds and denial constraints: tgd conclusions are witnessed
+//!   with fresh labeled nulls, egds unify nulls (failing on
+//!   constant/constant conflicts), denials fail on any premise match.
+//!   Produces **universal solutions** for weakly-acyclic programs. It and
+//!   [`chase_resume`] both run on
+//! * the **sweep driver** (`sweep.rs`): the one loop that counts rounds,
 //!   enforces `max_rounds`, polls budget / cancellation / fault injection
 //!   at sweep boundaries, captures checkpoints and assembles the result.
 //!   It hands each sweep to one of three executors selected by
-//!   [`config::SchedulerMode`], and hosts what two of them share: one
-//!   activation body over a repair-sink trait, and the one repair applier
-//!   every chase variant uses.
-//! * [`trigger`] / [`scheduler`] — the delta worklist and the **inline
-//!   executor** (the default): the worklist keeps, per dependency and
-//!   premise relation, the slot up to which the dependency has seen the
-//!   relation, and premise evaluation is seeded from the rows past it
-//!   instead of rescanning the whole instance every round; a static trigger
-//!   index finds the readers of a relation a null substitution rewrote.
-//! * [`partition`] / [`parallel`] — the **pool executor**: the worklist is
-//!   partitioned into conflict-free dependency groups (egds included — they
-//!   are pure readers within a sweep) and each sweep's activations run on
-//!   the worker pool of `grom-exec` against immutable instance snapshots.
-//!   Per-worker insertion buffers are merged deterministically at the sweep
-//!   barrier, where the workers' equality-obligation buffers are also
-//!   unified — in declaration order — and resolved with one combined
-//!   substitution pass per merge-bearing sweep.
-//! * the **rescan executor** (in [`standard`]) — the classical loop, every
+//!   [`SchedulerMode`], and hosts what two of them share: one activation
+//!   body over a repair-sink trait, and the one repair applier every chase
+//!   variant uses.
+//! * [`trigger`] and the worklist (`scheduler.rs`) — the delta worklist and
+//!   the **inline executor** (the default): the worklist keeps, per
+//!   dependency and premise relation, the slot up to which the dependency
+//!   has seen the relation, and premise evaluation is seeded from the rows
+//!   past it instead of rescanning the whole instance every round; a
+//!   static trigger index finds the readers of a relation a null
+//!   substitution rewrote.
+//! * the **pool executor** (`partition.rs`, `parallel.rs`) — the worklist
+//!   is partitioned into conflict-free dependency groups (egds included —
+//!   they are pure readers within a sweep) and each sweep's activations run
+//!   on the worker pool of `grom-exec` against immutable instance
+//!   snapshots. Per-worker insertion buffers are merged deterministically
+//!   at the sweep barrier, where the workers' equality-obligation buffers
+//!   are also unified — in declaration order — and resolved with one
+//!   combined substitution pass per merge-bearing sweep.
+//! * the **rescan executor** (in `standard.rs`) — the classical loop, every
 //!   premise against the whole instance every round; the reference the
 //!   other two are tested against.
-//! * [`ded`] — the two ded-chase strategies of §3 "Handling Complexity":
-//!   the **greedy chase** (search over standard scenarios derived by fixing
-//!   one disjunct per ded — sound, incomplete, usually fast) and the
-//!   **exhaustive chase** (fork per disjunct at every violation; the set of
-//!   successful leaves is the *universal model set* of Deutsch–Nash–Remmel,
-//!   potentially exponential — exactly the blow-up experiment E4 measures).
-//! * [`checkpoint`] — sweep-aligned, serializable checkpoints of an
+//! * the **ded chase** ([`chase_greedy`], [`chase_exhaustive`]) — the two
+//!   strategies of §3 "Handling Complexity": the **greedy chase** (search
+//!   over standard scenarios derived by fixing one disjunct per ded —
+//!   sound, incomplete, usually fast) and the **exhaustive chase** (fork
+//!   per disjunct at every violation; the set of successful leaves is the
+//!   *universal model set* of Deutsch–Nash–Remmel, potentially exponential
+//!   — exactly the blow-up experiment E4 measures).
+//! * [`Checkpoint`] — sweep-aligned, serializable checkpoints of an
 //!   interrupted run; any mode resumes any mode's checkpoint.
-//! * [`wa`] — weak-acyclicity analysis of the position graph, the classical
-//!   sufficient condition for chase termination; non-weakly-acyclic
-//!   programs run under the round budget of [`ChaseConfig`].
+//! * [`is_weakly_acyclic`] — weak-acyclicity analysis of the position
+//!   graph, the classical sufficient condition for chase termination;
+//!   non-weakly-acyclic programs run under the round budget of
+//!   [`ChaseConfig`].
 
-pub mod checkpoint;
-pub mod config;
-pub mod core_min;
-pub mod ded;
+mod checkpoint;
+mod config;
+mod core_min;
+mod ded;
 pub mod nullmap;
-pub mod parallel;
-pub mod partition;
-pub mod result;
-pub mod scheduler;
-pub mod standard;
-pub mod sweep;
+mod parallel;
+mod partition;
+mod result;
+mod scheduler;
+mod standard;
+mod sweep;
 pub mod trigger;
-pub mod wa;
+mod wa;
 
 pub use checkpoint::{chase_resume, Checkpoint};
 pub use config::{Budget, CancelToken, ChaseConfig, InterruptReason, SchedulerMode};
 pub use core_min::{core_minimize, CoreStats};
 pub use ded::{chase_exhaustive, chase_greedy, chase_with_deds, ExhaustiveResult};
 pub use nullmap::NullMap;
-pub use partition::Partition;
 pub use result::{ChaseError, ChaseResult, ChaseStats, Interrupted};
-pub use scheduler::Scheduler;
 pub use standard::chase_standard;
-pub use trigger::TriggerIndex;
 pub use wa::{is_weakly_acyclic, WeakAcyclicityReport};
 
 // Re-exported so resilience tests can install fault-injection plans

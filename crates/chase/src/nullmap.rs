@@ -129,11 +129,6 @@ impl NullMap {
             })
             .collect()
     }
-
-    /// Total number of merges recorded so far (mapped labels).
-    pub fn merge_count(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
@@ -216,6 +211,15 @@ mod tests {
     }
 
     #[test]
+    fn merge_count_tracks_mapped_labels() {
+        let mut m = NullMap::new();
+        assert_eq!(m.len(), 0);
+        m.unify(&Value::null(0), &Value::int(1));
+        m.unify(&Value::null(2), &Value::null(3));
+        assert_eq!(m.len(), 2);
+    }
+
+    #[test]
     fn flatten_collapses_chains() {
         let mut m = NullMap::new();
         m.unify(&Value::null(5), &Value::null(3));
@@ -226,14 +230,5 @@ mod tests {
         for id in [5u64, 3, 1] {
             assert_eq!(flat[&NullId(id)], Value::int(7));
         }
-    }
-
-    #[test]
-    fn merge_count_tracks_mapped_labels() {
-        let mut m = NullMap::new();
-        assert_eq!(m.merge_count(), 0);
-        m.unify(&Value::null(0), &Value::int(1));
-        m.unify(&Value::null(2), &Value::null(3));
-        assert_eq!(m.merge_count(), 2);
     }
 }

@@ -39,8 +39,6 @@ pub struct Partition {
     /// group-executable; equality conclusions are collected as obligations
     /// and resolved by the coordinator at the sweep barrier.
     group_of: Vec<usize>,
-    /// Members of each group, in dependency order.
-    groups: Vec<Vec<usize>>,
 }
 
 impl Partition {
@@ -76,33 +74,18 @@ impl Partition {
         // Roots → dense group ids, in first-member order.
         let mut group_ids: BTreeMap<usize, usize> = BTreeMap::new();
         let mut group_of = Vec::with_capacity(n);
-        let mut groups: Vec<Vec<usize>> = Vec::new();
         for k in 0..n {
             let root = uf.find(k);
-            let g = *group_ids.entry(root).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            group_of.push(g);
-            groups[g].push(k);
+            let next = group_ids.len();
+            group_of.push(*group_ids.entry(root).or_insert(next));
         }
 
-        Self { group_of, groups }
+        Self { group_of }
     }
 
     /// The group of dependency `k`.
     pub fn group_of(&self, k: usize) -> usize {
         self.group_of[k]
-    }
-
-    /// Number of conflict-free groups (the parallelism ceiling).
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Members of group `g`, in dependency order.
-    pub fn group(&self, g: usize) -> &[usize] {
-        &self.groups[g]
     }
 }
 
@@ -142,49 +125,51 @@ mod tests {
     use super::*;
     use grom_lang::parser::parse_program;
 
-    fn partition(text: &str) -> (Partition, usize) {
+    /// The members of each group of `text`'s partition, in group order,
+    /// read off `group_of` (group ids are dense, in first-member order).
+    fn groups(text: &str) -> Vec<Vec<usize>> {
         let p = parse_program(text).unwrap();
-        let triggers = TriggerIndex::build(&p.deps);
-        let n = p.deps.len();
-        (Partition::build(&p.deps, &triggers), n)
+        let part = Partition::build(&p.deps, &TriggerIndex::build(&p.deps));
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for k in 0..p.deps.len() {
+            let g = part.group_of(k);
+            if g == groups.len() {
+                groups.push(Vec::new());
+            }
+            groups[g].push(k);
+        }
+        groups
     }
 
     #[test]
     fn independent_chains_form_one_group_each() {
-        let (part, n) = partition(
+        let groups = groups(
             "tgd a0: A0(x) -> A1(x).\n\
              tgd a1: A1(x) -> A2(x).\n\
              tgd b0: B0(x) -> B1(x).\n\
              tgd b1: B1(x) -> B2(x).",
         );
-        assert_eq!(n, 4);
-        assert_eq!(part.group_count(), 2);
-        assert_eq!(part.group_of(0), part.group_of(1));
-        assert_eq!(part.group_of(2), part.group_of(3));
-        assert_ne!(part.group_of(0), part.group_of(2));
-        assert_eq!(part.group(0), &[0, 1]);
-        assert_eq!(part.group(1), &[2, 3]);
+        assert_eq!(groups, [vec![0, 1], vec![2, 3]]);
     }
 
     #[test]
     fn shared_conclusion_relation_conflicts() {
         // Both write T: writer/writer conflict, one group.
-        let (part, _) = partition(
+        let groups = groups(
             "tgd a: S(x) -> T(x).\n\
              tgd b: U(x) -> T(x).",
         );
-        assert_eq!(part.group_count(), 1);
+        assert_eq!(groups, [vec![0, 1]]);
     }
 
     #[test]
     fn reader_of_written_relation_conflicts() {
         // b reads what a writes, even though their premises are disjoint.
-        let (part, _) = partition(
+        let groups = groups(
             "tgd a: S(x) -> T(x).\n\
              dep b: T(x), T(y) -> false.",
         );
-        assert_eq!(part.group_count(), 1);
-        assert_eq!(part.group(0), &[0, 1]);
+        assert_eq!(groups, [vec![0, 1]]);
     }
 
     #[test]
@@ -192,14 +177,12 @@ mod tests {
         // The egd reads A1, which tgd a writes: it joins a's group so its
         // delta activations see a's same-sweep insertions. It glues nothing
         // else — the unrelated b chain keeps its own group.
-        let (part, _) = partition(
+        let groups = groups(
             "tgd a: A0(x) -> A1(x, x).\n\
              egd e: A1(x, y1), A1(x, y2) -> y1 = y2.\n\
              tgd b: B0(x) -> B1(x).",
         );
-        assert_eq!(part.group_count(), 2);
-        assert_eq!(part.group_of(1), part.group_of(0));
-        assert_ne!(part.group_of(2), part.group_of(0));
+        assert_eq!(groups, [vec![0, 1], vec![2]]);
     }
 
     #[test]
@@ -207,34 +190,32 @@ mod tests {
         // Nobody writes R0/R1: each egd is a pure reader and gets its own
         // group — the k-way parallel obligation collection of the e9
         // workload.
-        let (part, _) = partition(
+        let groups = groups(
             "egd e0: R0(x, y1), R0(x, y2) -> y1 = y2.\n\
              egd e1: R1(x, y1), R1(x, y2) -> y1 = y2.",
         );
-        assert_eq!(part.group_count(), 2);
-        assert_ne!(part.group_of(0), part.group_of(1));
+        assert_eq!(groups, [vec![0], vec![1]]);
     }
 
     #[test]
     fn mixed_tgd_egd_disjunct_writes_like_a_tgd() {
         // The atom half of a mixed disjunct is an ordinary conclusion
         // write; the equality half resolves at the barrier.
-        let (part, _) = partition(
+        let groups = groups(
             "dep d: S(x, y) -> T(x), x = y.\n\
              dep r: T(x), T(y) -> false.",
         );
-        assert_eq!(part.group_count(), 1);
-        assert_eq!(part.group_of(1), part.group_of(0));
+        assert_eq!(groups, [vec![0, 1]]);
     }
 
     #[test]
     fn source_only_tgds_are_independent() {
         // Disjoint read and write sets: maximal parallelism.
-        let (part, _) = partition(
+        let groups = groups(
             "tgd a: S(x) -> T(x).\n\
              tgd b: U(x) -> V(x).\n\
              tgd c: W(x) -> X(x).",
         );
-        assert_eq!(part.group_count(), 3);
+        assert_eq!(groups, [vec![0], vec![1], vec![2]]);
     }
 }

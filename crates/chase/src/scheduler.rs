@@ -193,12 +193,6 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler over `deps`, with every dependency initially scheduled
-    /// for a full scan (round one of the classical chase).
-    pub fn new(deps: &[Dependency]) -> Self {
-        Self::with_pending(deps, &Instance::new(), &vec![Pending::Full; deps.len()])
-    }
-
     /// A scheduler over `deps` resuming a checkpointed worklist against
     /// the restored `inst`: counts of trailing rows become watermarks.
     /// `pending` must be index-aligned with `deps` and count only rows
@@ -320,7 +314,7 @@ impl Scheduler {
     /// untouched relations stay valid: a relation is only *unchanged* when
     /// the substitution mapped none of the nulls occurring in it, so every
     /// one of its slots holds what it held.
-    pub fn invalidate_readers(&mut self, changed: &[Arc<str>]) {
+    fn invalidate_readers(&mut self, changed: &[Arc<str>]) {
         for rel in changed {
             for &k in self.triggers.triggered_by(rel) {
                 self.entries[k].full = true;
@@ -478,6 +472,12 @@ mod tests {
         ChaseConfig::default().with_scheduler(SchedulerMode::Delta)
     }
 
+    /// A scheduler over `deps` with every dependency scheduled for a full
+    /// scan, as a fresh run starts.
+    fn all_full(deps: &[Dependency]) -> Scheduler {
+        Scheduler::with_pending(deps, &Instance::new(), &vec![Pending::Full; deps.len()])
+    }
+
     /// Relation name, watermark and row count of a delta claim.
     fn delta_of(claim: Claim) -> (Vec<(String, u64)>, usize) {
         match claim {
@@ -498,7 +498,7 @@ mod tests {
         .unwrap();
         let mut inst = Instance::new();
         inst.add("A", vec![Value::int(0)]).unwrap();
-        let mut sched = Scheduler::new(&p.deps);
+        let mut sched = all_full(&p.deps);
         assert!(sched.has_work(&inst)); // everything starts Full
 
         // Drain the initial Full work.
@@ -528,7 +528,7 @@ mod tests {
         .unwrap();
         let mut inst = Instance::new();
         inst.add("B", vec![Value::int(0)]).unwrap();
-        let mut sched = Scheduler::new(&p.deps);
+        let mut sched = all_full(&p.deps);
         for k in 0..p.deps.len() {
             sched.claim(k, &inst);
         }
@@ -549,7 +549,7 @@ mod tests {
         for i in 0..3 {
             inst.add("A", vec![Value::int(i)]).unwrap();
         }
-        let mut sched = Scheduler::new(&p.deps);
+        let mut sched = all_full(&p.deps);
         assert_eq!(sched.pending_snapshot(&inst), vec![Pending::Full]);
         sched.claim(0, &inst);
         assert_eq!(sched.pending_snapshot(&inst), vec![Pending::New(vec![])]);

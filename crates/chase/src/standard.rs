@@ -80,7 +80,7 @@ pub(crate) fn collect_violations(
 /// source instance (the chase adds target tuples into the same instance;
 /// source and target relation names are disjoint by construction).
 ///
-/// Runs on the sweep driver of [`crate::sweep`] under
+/// Runs on the sweep driver (`sweep.rs`) under
 /// [`ChaseConfig::scheduler`]: the default delta-driven scheduler seeds
 /// premise evaluation from the tuples inserted since each dependency was
 /// last checked, the parallel executor runs the same worklist in
@@ -167,17 +167,12 @@ pub(crate) fn rescan_sweep(run: &mut Run<'_>) -> Result<SweepEnd, ChaseError> {
     })
 }
 
-/// Convenience for tests: do all `deps` hold in `inst`?
-pub fn all_satisfied(inst: &Instance, deps: &[Dependency]) -> bool {
-    deps.iter()
-        .all(|d| grom_engine::dependency_satisfied(inst, d))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SchedulerMode;
     use grom_data::{Tuple, Value};
+    use grom_engine::instance_satisfies;
     use grom_lang::parser::{parse_dependency, parse_program};
 
     fn inst(facts: &[(&str, &[i64])]) -> Instance {
@@ -208,7 +203,7 @@ mod tests {
         assert!(res
             .instance
             .contains_fact("T", &Tuple::new(vec![Value::int(3), Value::int(4)])));
-        assert!(all_satisfied(&res.instance, &[dep]));
+        assert!(instance_satisfies(&res.instance, &[dep]).is_empty());
         assert_eq!(res.stats.tuples_inserted, 2);
         assert_eq!(res.stats.nulls_invented, 0);
     }
@@ -225,7 +220,36 @@ mod tests {
         assert_eq!(u.len(), 1);
         assert_eq!(t[0].get(1), u[0].get(0));
         assert!(t[0].get(1).unwrap().is_null());
-        assert!(all_satisfied(&res.instance, &[dep]));
+        assert!(instance_satisfies(&res.instance, &[dep]).is_empty());
+    }
+
+    #[test]
+    fn two_existentials_get_distinct_nulls() {
+        // One fresh null per existential variable per trigger, shared by
+        // the disjunct's atoms: T(x, a, b) with U(b, a), a ≠ b, and no null
+        // reused across the two triggers.
+        let dep = parse_dependency("tgd m: S(x) -> T(x, y, z), U(z, y).").unwrap();
+        let modes = [
+            SchedulerMode::Delta,
+            SchedulerMode::FullRescan,
+            SchedulerMode::Parallel { threads: 2 },
+        ];
+        for mode in modes {
+            let start = inst(&[("S", &[1]), ("S", &[2])]);
+            let deps = std::slice::from_ref(&dep);
+            let res = chase_standard(start, deps, &cfg().with_scheduler(mode)).unwrap();
+            let mut nulls = std::collections::BTreeSet::new();
+            for t in res.instance.tuples("T") {
+                let (a, b) = (t.get(1).unwrap(), t.get(2).unwrap());
+                assert!(a.is_null() && b.is_null(), "{mode:?}: {t}");
+                let u = Tuple::new(vec![b.clone(), a.clone()]);
+                assert!(res.instance.contains_fact("U", &u), "{mode:?}: no U{u}");
+                nulls.extend([a.clone(), b.clone()]);
+            }
+            assert_eq!(res.instance.tuples("T").count(), 2, "{mode:?}");
+            assert_eq!(res.instance.tuples("U").count(), 2, "{mode:?}");
+            assert_eq!(nulls.len(), 4, "{mode:?}: {}", res.instance);
+        }
     }
 
     #[test]
@@ -257,7 +281,7 @@ mod tests {
         );
         assert_eq!(t[0].get(1), Some(&Value::int(42)));
         assert!(res.stats.egd_merges >= 1);
-        assert!(all_satisfied(&res.instance, &[m, k, e]));
+        assert!(instance_satisfies(&res.instance, &[m, k, e]).is_empty());
     }
 
     #[test]
@@ -282,7 +306,7 @@ mod tests {
         let u: Vec<_> = res.instance.tuples("U").collect();
         assert_eq!(t[0].get(1), u[0].get(1));
         assert!(t[0].get(1).unwrap().is_null());
-        assert!(grom_engine::dependency_satisfied(&res.instance, &e));
+        assert!(instance_satisfies(&res.instance, [&e]).is_empty());
     }
 
     #[test]
@@ -440,7 +464,10 @@ mod tests {
             assert_eq!(res.instance.tuples("Out").count(), 2, "{mode:?}");
             assert_eq!(res.stats.nulls_invented, 2, "{mode:?}");
             assert_eq!(res.instance.tuples("Fin").count(), 3, "{mode:?}");
-            assert!(all_satisfied(&res.instance, &p.deps), "{mode:?}");
+            assert!(
+                instance_satisfies(&res.instance, &p.deps).is_empty(),
+                "{mode:?}"
+            );
             renders.push(grom_data::canonical_render(&res.instance));
         }
         assert!(renders.windows(2).all(|w| w[0] == w[1]));

@@ -143,8 +143,7 @@ impl<'a> Run<'a> {
         if self.config.cancel.is_cancelled() {
             return Some(InterruptReason::Cancelled);
         }
-        let (tuples, nulls) = self.rec.totals();
-        self.budget.exceeded(tuples as usize, nulls as usize)
+        self.budget.exceeded(self.rec.tuples_inserted() as usize)
     }
 
     /// Package a sweep-aligned interruption: everything the run produced

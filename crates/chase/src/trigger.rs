@@ -9,7 +9,7 @@
 //!
 //! Negated premise literals are deliberately excluded: the executable
 //! fragment the chase accepts has no premise negation (the rewriter
-//! eliminates it first; see [`crate::standard`]), and negation is
+//! eliminates it first; see [`crate::chase_standard`]), and negation is
 //! anti-monotone anyway — new tuples can only *remove* matches, never
 //! create violations through a negated literal.
 

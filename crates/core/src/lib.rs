@@ -49,9 +49,9 @@
 //! assert!(result.validation.as_ref().unwrap().ok);
 //! ```
 
-pub mod pipeline;
-pub mod scenario;
-pub mod validate;
+mod pipeline;
+mod scenario;
+mod validate;
 
 pub use grom_chase::{Budget, CancelToken, ChaseConfig, Checkpoint, SchedulerMode};
 pub use grom_trace::{ChaseProfile, TraceHandle};

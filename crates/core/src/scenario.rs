@@ -74,7 +74,7 @@ impl MappingScenario {
 
     /// The side of a predicate: a physical relation's schema, or a view's
     /// transitive base tables.
-    pub fn predicate_side(&self, pred: &str) -> Option<Side> {
+    fn predicate_side(&self, pred: &str) -> Option<Side> {
         if self.source_schema.contains(pred) || self.source_views.is_view(pred) {
             Some(Side::Source)
         } else if self.target_schema.contains(pred) || self.target_views.is_view(pred) {

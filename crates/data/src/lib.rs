@@ -21,14 +21,14 @@
 //! ded chase must be reproducible), cheap cloning of values (`Arc<str>`
 //! strings), and fast bound-column lookups during joins.
 
-pub mod error;
-pub mod hash;
-pub mod instance;
-pub mod io;
-pub mod schema;
-pub mod symbol;
-pub mod tuple;
-pub mod value;
+mod error;
+mod hash;
+mod instance;
+mod io;
+mod schema;
+mod symbol;
+mod tuple;
+mod value;
 
 pub use error::{DataError, GromError};
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};

@@ -116,11 +116,6 @@ impl RelationSchema {
         &self.columns
     }
 
-    /// Index of the column called `name`, if any.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Check a tuple against this schema (arity and column types).
     pub fn check_tuple(&self, tuple: &Tuple) -> Result<(), DataError> {
         if tuple.arity() != self.arity() {
@@ -181,12 +176,6 @@ impl Schema {
         }
         self.relations.insert(relation.name().clone(), relation);
         Ok(())
-    }
-
-    /// Builder-style [`Schema::add_relation`].
-    pub fn with_relation(mut self, relation: RelationSchema) -> Result<Self, DataError> {
-        self.add_relation(relation)?;
-        Ok(self)
     }
 
     pub fn relation(&self, name: &str) -> Option<&RelationSchema> {
@@ -257,8 +246,6 @@ mod tests {
     fn relation_schema_basics() {
         let r = product();
         assert_eq!(r.arity(), 4);
-        assert_eq!(r.column_index("store"), Some(2));
-        assert_eq!(r.column_index("missing"), None);
         assert_eq!(
             r.to_string(),
             "S_Product(id: int, name: string, store: string, rating: int)"

@@ -126,14 +126,6 @@ impl Value {
         }
     }
 
-    /// The boolean payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Compare two values under the *order semantics of comparison atoms*.
     ///
     /// Comparisons in GROM premises (`rating >= 4`, …) are only meaningful
@@ -303,7 +295,6 @@ mod tests {
     fn constructors_and_accessors() {
         assert_eq!(Value::int(7).as_int(), Some(7));
         assert_eq!(Value::str("x").as_str(), Some("x"));
-        assert_eq!(Value::bool(true).as_bool(), Some(true));
         assert_eq!(Value::null(3).as_null(), Some(NullId(3)));
         assert!(Value::null(3).is_null());
         assert!(!Value::null(3).is_constant());

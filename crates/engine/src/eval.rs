@@ -1,5 +1,5 @@
-//! Evaluation of conjunctions of literals: the public, [`Bindings`]-level
-//! entry points over the compiled plans of [`crate::plan`].
+//! Evaluation of a conjunction of literals: the public, [`Bindings`]-level
+//! entry point over the compiled plans of [`crate::plan`].
 //!
 //! A solution is an assignment of the body variables such that, over the
 //! given [`Db`]:
@@ -9,10 +9,10 @@
 //!   negation are wildcards — the safe-Datalog `¬∃` reading), and
 //! * every comparison holds under [`CmpOp::eval`] semantics.
 //!
-//! Each function here compiles its body into a [`BodyPlan`] — registers,
+//! [`evaluate_body`] compiles its body into a [`BodyPlan`] — registers,
 //! per-step bound/free masks, filters placed on the step that binds their
 //! last variable — runs it, and materializes a [`Bindings`] per solution,
-//! because that is the type these signatures promise. Callers that evaluate
+//! because that is the type its signature promises. Callers that evaluate
 //! the same body repeatedly (the chase, view materialization, validation)
 //! hold a plan instead and never see a `Bindings`.
 //!
@@ -23,7 +23,7 @@ use grom_lang::{Bindings, Literal};
 use crate::db::Db;
 use crate::plan::{BodyPlan, Scratch};
 
-pub use crate::db::Control;
+use crate::db::Control;
 
 /// Evaluate `body` over `db`, starting from `seed` bindings, collecting all
 /// solutions.
@@ -35,39 +35,6 @@ pub fn evaluate_body(db: &impl Db, body: &[Literal], seed: &Bindings) -> Vec<Bin
         Control::Continue
     });
     out
-}
-
-/// Delta-seeded semi-naive evaluation: enumerate the solutions of `body`
-/// that use at least one *new* tuple in a positive atom, each solution
-/// exactly once.
-///
-/// `since` pairs a relation name with a cursor into it — on an
-/// [`grom_data::Instance`], the [`grom_data::Relation::frontier`] recorded
-/// when the body was last evaluated: the rows from the cursor on are new.
-/// Every positive atom over such a relation is in turn the *anchor*: it
-/// walks the new rows ([`crate::Ver::New`]) and the remaining literals are
-/// joined to each with the semi-naive version split — positive atoms
-/// **before** the anchor see only the rows before their relation's cursor
-/// ([`crate::Ver::Old`]), atoms after the anchor and atoms over other
-/// relations see everything, and negations/comparisons always check the full
-/// database. A solution whose first (in body position order) new tuple sits
-/// at position `p` is therefore enumerated only with `p` as the anchor — at
-/// any later anchor, position `p` reads the old half, which excludes its
-/// tuple.
-///
-/// The chase does not call this function — it holds a compiled
-/// [`crate::DepPlan`] and runs [`crate::DepPlan::violations_from_delta`],
-/// the same anchors with the satisfaction check fused in.
-pub fn evaluate_body_from_delta(
-    db: &impl Db,
-    body: &[Literal],
-    since: &[(impl AsRef<str>, u64)],
-    mut visit: impl FnMut(&Bindings) -> Control,
-) {
-    let plan = BodyPlan::compile(body, &Bindings::new());
-    plan.run_delta(db, &mut Scratch::default(), since, |regs| {
-        visit(&plan.bindings(regs))
-    })
 }
 
 #[cfg(test)]
@@ -248,6 +215,18 @@ mod tests {
         inst.relation(rel).map_or(0, |r| u64::from(r.frontier()))
     }
 
+    /// Every match of `body` that [`BodyPlan::run_delta`] enumerates from
+    /// the rows past the cursors in `since`, as bindings.
+    fn run_delta(inst: &Instance, body: &[Literal], since: &[(&str, u64)]) -> Vec<Bindings> {
+        let plan = BodyPlan::compile(body, &Bindings::new());
+        let mut out = Vec::new();
+        plan.run_delta(inst, &mut Scratch::default(), since, |regs| {
+            out.push(plan.bindings(regs));
+            Control::Continue
+        });
+        out
+    }
+
     #[test]
     fn delta_seeding_restricts_to_new_tuples() {
         let mut inst = db();
@@ -259,11 +238,7 @@ mod tests {
         ];
         let since = frontier(&inst, "E");
         inst.add("E", vec![Value::int(4), Value::int(1)]).unwrap();
-        let mut sols = Vec::new();
-        evaluate_body_from_delta(&inst, &body, &[("E", since)], |b| {
-            sols.push(b.clone());
-            Control::Continue
-        });
+        let sols = run_delta(&inst, &body, &[("E", since)]);
         assert_eq!(sols.len(), 3);
         for s in &sols {
             let y = s.get(&"y".into()).unwrap().as_int().unwrap();
@@ -272,9 +247,8 @@ mod tests {
         // A relation the body does not read seeds nothing, and neither does
         // a cursor with nothing behind it.
         for since in [("L", 0), ("E", frontier(&inst, "E"))] {
-            evaluate_body_from_delta(&inst, &body, &[since], |_| {
-                panic!("nothing is new from {since:?}")
-            });
+            let sols = run_delta(&inst, &body, &[since]);
+            assert!(sols.is_empty(), "nothing is new from {since:?}");
         }
     }
 
@@ -289,20 +263,16 @@ mod tests {
         let since = frontier(&inst, "L");
         inst.add("L", vec![Value::int(5), Value::str("a")]).unwrap();
         inst.add("L", vec![Value::int(6), Value::str("b")]).unwrap();
-        let mut sols = Vec::new();
-        evaluate_body_from_delta(&inst, &body, &[("L", since)], |b| {
-            sols.push(b.clone());
-            Control::Continue
-        });
+        let sols = run_delta(&inst, &body, &[("L", since)]);
         assert_eq!(sols.len(), 1);
         assert_eq!(sols[0].get(&"n".into()), Some(&Value::int(5)));
         // The anchor filtered the slot range by itself: no index was built.
         assert!(inst.storage_report().iter().all(|r| r.indexes.is_empty()));
 
         // Early stop is honored across anchors and tuples.
-        let body = vec![Literal::Pos(atom("E", &["x", "y"]))];
+        let plan = BodyPlan::compile(&[Literal::Pos(atom("E", &["x", "y"]))], &Bindings::new());
         let mut count = 0;
-        evaluate_body_from_delta(&inst, &body, &[("E", 0)], |_| {
+        plan.run_delta(&inst, &mut Scratch::default(), &[("E", 0)], |_| {
             count += 1;
             Control::Stop
         });
@@ -324,11 +294,7 @@ mod tests {
             Literal::Pos(atom("E", &["x", "y"])),
             Literal::Pos(atom("E", &["y", "z"])),
         ];
-        let mut sols = Vec::new();
-        evaluate_body_from_delta(&inst, &body, &[("E", 1)], |b| {
-            sols.push(b.clone());
-            Control::Continue
-        });
+        let sols = run_delta(&inst, &body, &[("E", 1)]);
         // (0,1)-(1,2) anchored at position 1, (1,2)-(2,3) anchored at
         // position 0 — and nowhere else.
         assert_eq!(sols.len(), 2);
@@ -346,11 +312,6 @@ mod tests {
             Literal::Pos(atom("R", &["x", "y"])),
             Literal::Pos(atom("S", &["y", "z"])),
         ];
-        let mut count = 0;
-        evaluate_body_from_delta(&inst, &body, &[("R", 0), ("S", 0)], |_| {
-            count += 1;
-            Control::Continue
-        });
-        assert_eq!(count, 1);
+        assert_eq!(run_delta(&inst, &body, &[("R", 0), ("S", 0)]).len(), 1);
     }
 }

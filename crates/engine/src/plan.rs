@@ -54,7 +54,7 @@
 //!
 //! A [`Bindings`] is built only where a match leaves the engine:
 //! [`DepPlan::bindings`] for violation witnesses and error text,
-//! [`BodyPlan::bindings`] for the public `evaluate_body*` wrappers.
+//! [`BodyPlan::bindings`] for the public [`crate::evaluate_body`].
 
 use std::sync::Arc;
 
@@ -768,8 +768,8 @@ impl Join {
     }
 }
 
-/// A compiled literal list with its own symbols: what the public
-/// `evaluate_body*` wrappers and view materialization run.
+/// A compiled literal list with its own symbols: what
+/// [`crate::evaluate_body`] and view materialization run.
 #[derive(Debug, Clone)]
 pub struct BodyPlan {
     frame: Frame,
@@ -834,7 +834,26 @@ impl BodyPlan {
         self.join.run(db, s, &mut |s| visit(&s.regs));
     }
 
-    /// Delta-seeded enumeration (see [`crate::eval::evaluate_body_from_delta`]).
+    /// Delta-seeded semi-naive enumeration: the solutions of the body that
+    /// use at least one *new* tuple in a positive atom, each exactly once.
+    ///
+    /// `since` pairs a relation name with a cursor into it — on an
+    /// [`grom_data::Instance`], the [`grom_data::Relation::frontier`]
+    /// recorded when the body was last evaluated: the rows from the cursor
+    /// on are new. Every positive atom over such a relation is in turn the
+    /// *anchor*: it walks the new rows ([`Ver::New`]) and the remaining
+    /// literals are joined to each with the semi-naive version split —
+    /// positive atoms **before** the anchor see only the rows before their
+    /// relation's cursor ([`Ver::Old`]), atoms after the anchor and atoms
+    /// over other relations see everything, and negations/comparisons
+    /// always check the full database. A solution whose first (in body
+    /// position order) new tuple sits at position `p` is therefore
+    /// enumerated only with `p` as the anchor — at any later anchor,
+    /// position `p` reads the old half, which excludes its tuple.
+    ///
+    /// The chase does not call this — it runs
+    /// [`DepPlan::violations_from_delta`], the same anchors with the
+    /// satisfaction check fused in.
     pub fn run_delta<D: Db>(
         &self,
         db: &D,

@@ -8,11 +8,12 @@
 //!
 //! The check itself is [`DepPlan::violations`]: the premise plan with the
 //! per-disjunct checks run on the register file of every match. The chase
-//! holds one [`DepPlan`] per dependency for a whole run; the functions here
-//! serve callers that check a dependency once — the validator in `grom`
-//! (the soundness certificate: `V_T(J_T)` must satisfy the original semantic
-//! mapping) and the tests comparing chase results — so they compile per
-//! dependency per call and hand the witness out as [`Bindings`].
+//! holds one [`DepPlan`] per dependency for a whole run;
+//! [`instance_satisfies`] serves callers that check a program once — the
+//! validator in `grom` (the soundness certificate: `V_T(J_T)` must satisfy
+//! the original semantic mapping) and the tests comparing chase results —
+//! so it compiles per dependency per call and hands the witness out as
+//! [`Bindings`].
 
 use std::fmt;
 
@@ -52,16 +53,6 @@ fn first_violation(db: &impl Db, dep: &Dependency, s: &mut Scratch) -> Option<Vi
     found
 }
 
-/// Find the first violation of `dep` in `db`, if any.
-pub fn find_violation(db: &impl Db, dep: &Dependency) -> Option<Violation> {
-    first_violation(db, dep, &mut Scratch::default())
-}
-
-/// Does `db` satisfy `dep`?
-pub fn dependency_satisfied(db: &impl Db, dep: &Dependency) -> bool {
-    find_violation(db, dep).is_none()
-}
-
 /// Check a whole set of dependencies; returns one witness per violated
 /// dependency (empty = all satisfied).
 pub fn instance_satisfies<'d>(
@@ -94,10 +85,10 @@ mod tests {
         let dep = parse_dependency("tgd m: S(x) -> T(x, y).").unwrap();
         // Satisfied: T has a tuple for x=1 with any second column.
         let db = inst(&[("S", &[1]), ("T", &[1, 9])]);
-        assert!(dependency_satisfied(&db, &dep));
+        assert!(instance_satisfies(&db, [&dep]).is_empty());
         // Violated: S(2) has no T-tuple.
         let db = inst(&[("S", &[1]), ("S", &[2]), ("T", &[1, 9])]);
-        let v = find_violation(&db, &dep).unwrap();
+        let v = &instance_satisfies(&db, [&dep])[0];
         assert_eq!(v.dependency.as_ref(), "m");
         assert_eq!(v.bindings.get(&"x".into()), Some(&Value::int(2)));
     }
@@ -107,25 +98,25 @@ mod tests {
         let dep = parse_dependency("tgd m: S(x) -> T(x, y).").unwrap();
         let mut db = inst(&[("S", &[1])]);
         db.add("T", vec![Value::int(1), Value::null(0)]).unwrap();
-        assert!(dependency_satisfied(&db, &dep));
+        assert!(instance_satisfies(&db, [&dep]).is_empty());
     }
 
     #[test]
     fn egd_satisfaction() {
         let dep = parse_dependency("egd e: T(x, n), T(y, n) -> x = y.").unwrap();
         let db = inst(&[("T", &[1, 7]), ("T", &[2, 8])]);
-        assert!(dependency_satisfied(&db, &dep));
+        assert!(instance_satisfies(&db, [&dep]).is_empty());
         let db = inst(&[("T", &[1, 7]), ("T", &[2, 7])]);
-        assert!(!dependency_satisfied(&db, &dep));
+        assert!(!instance_satisfies(&db, [&dep]).is_empty());
     }
 
     #[test]
     fn denial_satisfaction() {
         let dep = parse_dependency("dep n: T(x, x) -> false.").unwrap();
         let db = inst(&[("T", &[1, 2])]);
-        assert!(dependency_satisfied(&db, &dep));
+        assert!(instance_satisfies(&db, [&dep]).is_empty());
         let db = inst(&[("T", &[3, 3])]);
-        assert!(!dependency_satisfied(&db, &dep));
+        assert!(!instance_satisfies(&db, [&dep]).is_empty());
     }
 
     #[test]
@@ -135,22 +126,22 @@ mod tests {
             .unwrap();
         // Same name, different ids, but p2 has an R-tuple: satisfied.
         let db = inst(&[("P", &[1, 7]), ("P", &[2, 7]), ("R", &[5, 2])]);
-        assert!(dependency_satisfied(&db, &dep));
+        assert!(instance_satisfies(&db, [&dep]).is_empty());
         // No R-tuples and different ids: violated.
         let db = inst(&[("P", &[1, 7]), ("P", &[2, 7])]);
-        assert!(!dependency_satisfied(&db, &dep));
+        assert!(!instance_satisfies(&db, [&dep]).is_empty());
         // Equal ids satisfy the first disjunct.
         let db = inst(&[("P", &[1, 7])]);
-        assert!(dependency_satisfied(&db, &dep));
+        assert!(instance_satisfies(&db, [&dep]).is_empty());
     }
 
     #[test]
     fn disjunct_with_comparison() {
         let dep = parse_dependency("dep d: S(x, y) -> T(x), y > 0.").unwrap();
         let db = inst(&[("S", &[1, 5]), ("T", &[1])]);
-        assert!(dependency_satisfied(&db, &dep));
+        assert!(instance_satisfies(&db, [&dep]).is_empty());
         let db = inst(&[("S", &[1, -5]), ("T", &[1])]);
-        assert!(!dependency_satisfied(&db, &dep));
+        assert!(!instance_satisfies(&db, [&dep]).is_empty());
     }
 
     #[test]
@@ -158,18 +149,18 @@ mod tests {
         let dep = parse_dependency("tgd m: S(x, r), r >= 4 -> T(x).").unwrap();
         // r = 3 < 4: premise never matches, trivially satisfied.
         let db = inst(&[("S", &[1, 3])]);
-        assert!(dependency_satisfied(&db, &dep));
+        assert!(instance_satisfies(&db, [&dep]).is_empty());
         let db = inst(&[("S", &[1, 4])]);
-        assert!(!dependency_satisfied(&db, &dep));
+        assert!(!instance_satisfies(&db, [&dep]).is_empty());
     }
 
     #[test]
     fn premise_with_negation() {
         let dep = parse_dependency("dep d: S(x), not Block(x) -> T(x).").unwrap();
         let db = inst(&[("S", &[1]), ("Block", &[1])]);
-        assert!(dependency_satisfied(&db, &dep));
+        assert!(instance_satisfies(&db, [&dep]).is_empty());
         let db = inst(&[("S", &[1])]);
-        assert!(!dependency_satisfied(&db, &dep));
+        assert!(!instance_satisfies(&db, [&dep]).is_empty());
     }
 
     #[test]
@@ -189,8 +180,8 @@ mod tests {
         let mut db = Instance::new();
         db.add("T", vec![Value::null(0), Value::int(7)]).unwrap();
         db.add("T", vec![Value::null(0), Value::int(7)]).unwrap(); // dedup: same tuple
-        assert!(dependency_satisfied(&db, &dep));
+        assert!(instance_satisfies(&db, [&dep]).is_empty());
         db.add("T", vec![Value::null(1), Value::int(7)]).unwrap();
-        assert!(!dependency_satisfied(&db, &dep)); // N0 != N1
+        assert!(!instance_satisfies(&db, [&dep]).is_empty()); // N0 != N1
     }
 }

@@ -31,16 +31,16 @@
 //! ## Determinism guarantee
 //!
 //! Job inputs, null ranges and the merge order are all functions of the
-//! job *index*, never of thread scheduling: [`WorkerPool::run`] returns
-//! results positionally, and groups only ever write relations no other
+//! job *index*, never of thread scheduling: [`WorkerPool::run_timed_caught`]
+//! returns results positionally, and groups only ever write relations no other
 //! group touches. Two runs of the same sweep therefore produce identical
 //! instances; relative to single-threaded execution the result is
 //! identical up to the renaming of freshly invented nulls.
 //!
 //! [`Instance`]: grom_data::Instance
 
-pub mod pool;
-pub mod shard;
+mod pool;
+mod shard;
 
 pub use pool::WorkerPool;
 pub use shard::ShardView;

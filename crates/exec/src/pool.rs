@@ -12,10 +12,10 @@ use std::sync::Mutex;
 
 /// A fixed-width pool of scoped workers.
 ///
-/// The pool holds no threads between [`WorkerPool::run`] calls: workers are
-/// scoped to one batch (so jobs may borrow from the caller's stack, e.g. an
-/// instance snapshot) and joined before `run` returns — the barrier the
-/// chase sweep needs anyway.
+/// The pool holds no threads between [`WorkerPool::run_timed_caught`]
+/// calls: workers are scoped to one batch (so jobs may borrow from the
+/// caller's stack, e.g. an instance snapshot) and joined before the call
+/// returns — the barrier the chase sweep needs anyway.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerPool {
     threads: usize,
@@ -29,17 +29,12 @@ impl WorkerPool {
         }
     }
 
-    /// The configured width.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Run `f` over `jobs`, returning the results in job order.
     ///
     /// `f` receives the job's index and the job itself. With a single
     /// worker (or a single job) everything runs inline on the caller's
     /// thread — no spawn overhead for the degenerate cases.
-    pub fn run<T, R, F>(&self, jobs: Vec<T>, f: F) -> Vec<R>
+    fn run<T, R, F>(&self, jobs: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
@@ -82,30 +77,13 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Like [`WorkerPool::run`], but each result carries how long its
-    /// closure call kept a worker busy — per-job utilization for the
-    /// chase's group profiles. Timing wraps only the `f` call, so claim
-    /// and placement overhead is excluded.
-    pub fn run_timed<T, R, F>(&self, jobs: Vec<T>, f: F) -> Vec<(R, std::time::Duration)>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.run(jobs, |i, job| {
-            let t0 = std::time::Instant::now();
-            let result = f(i, job);
-            (result, t0.elapsed())
-        })
-    }
-
     /// Like [`WorkerPool::run`], but a panicking job is contained with
     /// `catch_unwind` instead of aborting the process at the scope join.
     /// Returns `Err` with the panic payload of the lowest-indexed failed
     /// job (deterministic under any thread schedule); the scope still
     /// joins every worker first, so the pool — stateless by construction —
     /// is immediately reusable after a failure.
-    pub fn run_caught<T, R, F>(&self, jobs: Vec<T>, f: F) -> Result<Vec<R>, String>
+    fn run_caught<T, R, F>(&self, jobs: Vec<T>, f: F) -> Result<Vec<R>, String>
     where
         T: Send,
         R: Send,
@@ -127,8 +105,12 @@ impl WorkerPool {
         Ok(out)
     }
 
-    /// [`WorkerPool::run_caught`] with per-job busy durations, the
-    /// panic-containing twin of [`WorkerPool::run_timed`].
+    /// Run `f` over `jobs`, returning the results in job order, each with
+    /// how long its closure call kept a worker busy — per-job utilization
+    /// for the chase's group profiles. Timing wraps only the `f` call, so
+    /// claim and placement overhead is excluded. A panicking job is
+    /// contained: `Err` carries the panic payload of the lowest-indexed
+    /// failed job, and the pool is reusable.
     pub fn run_timed_caught<T, R, F>(
         &self,
         jobs: Vec<T>,
@@ -192,10 +174,11 @@ mod tests {
     #[test]
     fn run_timed_returns_results_with_durations() {
         let pool = WorkerPool::new(2);
-        let out = pool.run_timed(vec![10usize, 20], |_, j| {
+        let out = pool.run_timed_caught(vec![10usize, 20], |_, j| {
             std::thread::sleep(std::time::Duration::from_millis(1));
             j + 1
         });
+        let out = out.unwrap();
         assert_eq!(out.iter().map(|(r, _)| *r).collect::<Vec<_>>(), [11, 21]);
         assert!(out.iter().all(|(_, d)| d.as_micros() >= 500));
     }
@@ -231,6 +214,8 @@ mod tests {
         assert!(out.iter().all(|&(_, id)| id == here));
         let out = WorkerPool::new(8).run(vec![7], |_, j| (j, std::thread::current().id()));
         assert_eq!(out, vec![(7, here)]);
-        assert_eq!(WorkerPool::new(0).threads(), 1);
+        // Width 0 is clamped to one worker: inline too.
+        let out = WorkerPool::new(0).run(vec![1, 2], |_, j| (j, std::thread::current().id()));
+        assert_eq!(out, vec![(1, here), (2, here)]);
     }
 }

@@ -129,11 +129,6 @@ impl<'a> ShardView<'a> {
     pub fn take_obligations(&mut self) -> Vec<(Value, Value)> {
         std::mem::take(&mut self.obligations)
     }
-
-    /// Total buffered tuples.
-    pub fn buffered_len(&self) -> usize {
-        self.local.len()
-    }
 }
 
 /// Token encoding for [`ShardView`]: the high 32 bits hold the snapshot's

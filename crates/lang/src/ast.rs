@@ -35,13 +35,6 @@ impl Term {
         }
     }
 
-    pub fn as_const(&self) -> Option<&Value> {
-        match self {
-            Term::Var(_) => None,
-            Term::Const(c) => Some(c),
-        }
-    }
-
     pub fn is_var(&self) -> bool {
         matches!(self, Term::Var(_))
     }
@@ -255,16 +248,8 @@ impl Literal {
         }
     }
 
-    pub fn is_positive(&self) -> bool {
-        matches!(self, Literal::Pos(_))
-    }
-
     pub fn is_negated(&self) -> bool {
         matches!(self, Literal::Neg(_))
-    }
-
-    pub fn is_comparison(&self) -> bool {
-        matches!(self, Literal::Cmp(_))
     }
 
     /// The distinct variables of this literal, in first-occurrence order.
@@ -432,9 +417,7 @@ mod tests {
         let p = Literal::Pos(a("R", &["x"]));
         let n = Literal::Neg(a("R", &["x"]));
         let c = Literal::Cmp(Comparison::new(CmpOp::Lt, Term::var("x"), Term::cons(2i64)));
-        assert!(p.is_positive() && !p.is_negated());
-        assert!(n.is_negated() && !n.is_positive());
-        assert!(c.is_comparison());
+        assert!(!p.is_negated() && n.is_negated() && !c.is_negated());
         assert!(p.atom().is_some());
         assert!(c.atom().is_none());
     }

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use crate::ast::{Term, Var};
+use crate::ast::Var;
 
 /// Generator of fresh variables `$base_k`.
 #[derive(Debug, Default, Clone)]
@@ -33,11 +33,6 @@ impl VarGen {
             _ => stem,
         };
         Arc::from(format!("${stem}_{id}").as_str())
-    }
-
-    /// A fresh variable term.
-    pub fn fresh_term(&mut self, base: &str) -> Term {
-        Term::Var(self.fresh(base))
     }
 
     /// Number of variables generated so far.

@@ -29,14 +29,14 @@
 //! programs round-trip (property-tested in the parser module).
 
 pub mod ast;
-pub mod dependency;
-pub mod error;
-pub mod fresh;
+mod dependency;
+mod error;
+mod fresh;
 pub mod parser;
-pub mod program;
+mod program;
 pub mod safety;
-pub mod subst;
-pub mod view;
+mod subst;
+mod view;
 
 pub use ast::{Atom, CmpOp, Comparison, Literal, Term, Var};
 pub use dependency::{DepClass, Dependency, Disjunct};

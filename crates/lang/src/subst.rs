@@ -67,7 +67,7 @@ impl TermSubst {
         }
     }
 
-    pub fn apply_literal(&self, lit: &Literal) -> Literal {
+    fn apply_literal(&self, lit: &Literal) -> Literal {
         match lit {
             Literal::Pos(a) => Literal::Pos(self.apply_atom(a)),
             Literal::Neg(a) => Literal::Neg(self.apply_atom(a)),
@@ -167,7 +167,7 @@ impl Bindings {
 
     /// Evaluate a term to a value under these bindings. `None` if the term
     /// is an unbound variable.
-    pub fn eval_term(&self, term: &Term) -> Option<Value> {
+    fn eval_term(&self, term: &Term) -> Option<Value> {
         match term {
             Term::Var(v) => self.get(v).cloned(),
             Term::Const(c) => Some(c.clone()),

@@ -107,7 +107,7 @@ impl fmt::Display for RestrictionReport {
 }
 
 /// Build per-view profiles.
-pub fn view_profiles(views: &ViewSet) -> Vec<ViewProfile> {
+fn view_profiles(views: &ViewSet) -> Vec<ViewProfile> {
     views
         .view_names()
         .map(|name| {

@@ -18,7 +18,7 @@
 //!    it stands: a [`grom_lang::ViewSet`] is safe and non-recursive by
 //!    construction and knows each view's nesting depth, which bounds the
 //!    recursion ([`MAX_VIEW_NESTING`]).
-//! 2. **Normalization** ([`rewriter`]):
+//! 2. **Normalization** ([`rewrite_program`]):
 //!    * each premise alternative yields its own output dependency
 //!      (premise disjunction distributes over the implication);
 //!    * **negation trees in a premise move to the conclusion as extra
@@ -46,9 +46,9 @@
 //!    feature the demo uses to "highlight problematic views" (§4).
 
 pub mod analysis;
-pub mod error;
+mod error;
 mod expand;
-pub mod rewriter;
+mod rewriter;
 
 pub use analysis::{analyze, ProblematicView, RestrictionReport, ViewProfile};
 pub use error::{RewriteError, RewriteWarning};

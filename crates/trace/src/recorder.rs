@@ -78,10 +78,9 @@ pub struct Recorder {
     profile: ChaseProfile,
     trace: TraceHandle,
     started: Instant,
-    // Running totals over every dependency, for the per-activation budget
+    // Running total over every dependency, for the per-activation budget
     // check: summing `profile.deps` there would cost a pass per activation.
     tuples: u64,
-    nulls: u64,
     // Accumulators for the sweep in flight; reset by `end_sweep`.
     sweep_eval_ns: u64,
     sweep_activations: u64,
@@ -117,7 +116,6 @@ impl Recorder {
             trace: trace.clone(),
             started: Instant::now(),
             tuples: 0,
-            nulls: 0,
             sweep_eval_ns: 0,
             sweep_activations: 0,
             sweep_substitute_ns: 0,
@@ -144,7 +142,6 @@ impl Recorder {
         d.dedup_hits += rec.dedup_hits;
         d.wall_ns += rec.wall_ns;
         self.tuples += rec.tuples;
-        self.nulls += rec.nulls;
         self.sweep_eval_ns += rec.wall_ns;
         self.sweep_activations += 1;
         if self.trace.is_active() {
@@ -185,10 +182,9 @@ impl Recorder {
         self.profile.rounds
     }
 
-    /// Tuples inserted and labeled nulls invented so far, over every
-    /// dependency.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.tuples, self.nulls)
+    /// Tuples inserted so far, over every dependency.
+    pub fn tuples_inserted(&self) -> u64 {
+        self.tuples
     }
 
     /// Record one null-substitution pass applied during `sweep`:
@@ -339,7 +335,7 @@ mod tests {
         rec.activation(2, &act(1, ActivationKind::Delta, 0, 0));
         rec.end_sweep(2, None, 0);
         rec.end_sweep(3, None, 0); // idle: not counted
-        assert_eq!(rec.totals(), (3, 3));
+        assert_eq!(rec.tuples_inserted(), 3);
         let p = rec.finish();
         assert_eq!(p.sweeps, 2);
         assert_eq!(p.deps[0].applications, 2);

@@ -118,7 +118,7 @@ mod reference {
         out
     }
 
-    /// `grom_chase::wa::is_weakly_acyclic`.
+    /// `grom_chase::is_weakly_acyclic`.
     pub fn is_weakly_acyclic(deps: &[Dependency]) -> WeakAcyclicityReport {
         let mut regular: BTreeSet<(Position, Position)> = BTreeSet::new();
         let mut special: BTreeSet<(Position, Position)> = BTreeSet::new();

@@ -300,11 +300,7 @@ fn exhaustive_and_greedy_agree_on_satisfiability() {
     // 2 facts × 2 branches = 4 leaves; greedy commits to one branch.
     assert_eq!(exhaustive.solutions.len(), 4);
     for sol in &exhaustive.solutions {
-        for dep in &rewritten.deps {
-            assert!(grom::engine::dependency_satisfied(sol, dep));
-        }
+        assert!(grom::engine::instance_satisfies(sol, &rewritten.deps).is_empty());
     }
-    for dep in &rewritten.deps {
-        assert!(grom::engine::dependency_satisfied(&greedy.instance, dep));
-    }
+    assert!(grom::engine::instance_satisfies(&greedy.instance, &rewritten.deps).is_empty());
 }

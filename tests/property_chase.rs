@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use grom::chase::{chase_exhaustive, chase_greedy, chase_standard, ChaseConfig, ChaseError};
-use grom::engine::dependency_satisfied;
+use grom::engine::instance_satisfies;
 use grom::lang::{Atom, Dependency, Disjunct, Literal, Term};
 use grom::prelude::{ChaseStats, Instance, Value};
 
@@ -107,12 +107,11 @@ proptest! {
     ) {
         match chase_standard(inst, &deps, &cfg()) {
             Ok(res) => {
-                for dep in &deps {
-                    prop_assert!(
-                        dependency_satisfied(&res.instance, dep),
-                        "dep {} violated after successful chase", dep.name
-                    );
-                }
+                let violations = instance_satisfies(&res.instance, &deps);
+                prop_assert!(
+                    violations.is_empty(),
+                    "dep {} violated after successful chase", violations[0].dependency
+                );
             }
             Err(ChaseError::Failure { .. }) | Err(ChaseError::RoundLimit { .. }) => {}
             Err(other) => prop_assert!(false, "unexpected chase error: {other}"),
@@ -190,11 +189,9 @@ proptest! {
 
         match (&greedy, &exhaustive) {
             (Ok(g), Ok(ex)) => {
-                for dep in &deps {
-                    prop_assert!(dependency_satisfied(&g.instance, dep));
-                    for sol in &ex.solutions {
-                        prop_assert!(dependency_satisfied(sol, dep));
-                    }
+                prop_assert!(instance_satisfies(&g.instance, &deps).is_empty());
+                for sol in &ex.solutions {
+                    prop_assert!(instance_satisfies(sol, &deps).is_empty());
                 }
             }
             // Greedy success must imply exhaustive success (soundness of
@@ -220,12 +217,11 @@ proptest! {
         let (deps, inst) = g.parts().expect("generated scenario parses");
         let res = chase_standard(inst, &deps, &ChaseConfig::default())
             .expect("generated scenarios chase cleanly by construction");
-        for dep in &deps {
-            prop_assert!(
-                dependency_satisfied(&res.instance, dep),
-                "dep {} violated on spec `{}`", dep.name, spec
-            );
-        }
+        let violations = instance_satisfies(&res.instance, &deps);
+        prop_assert!(
+            violations.is_empty(),
+            "dep {} violated on spec `{}`", violations[0].dependency, spec
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use grom::chase::{chase_standard, ChaseConfig, ChaseError, SchedulerMode};
 use grom::data::canonical_render;
-use grom::engine::dependency_satisfied;
+use grom::engine::instance_satisfies;
 use grom::lang::{Atom, Dependency, Literal, Term};
 use grom::prelude::{Instance, Value};
 
@@ -266,9 +266,7 @@ proptest! {
                     "instances differ up to null renaming"
                 );
                 // Both are genuine solutions with consistent accounting.
-                for dep in &deps {
-                    prop_assert!(dependency_satisfied(&d.instance, dep));
-                }
+                prop_assert!(instance_satisfies(&d.instance, &deps).is_empty());
                 prop_assert_eq!(n.instance.len(), d.instance.len());
                 prop_assert_eq!(n.stats.nulls_invented, d.stats.nulls_invented);
             }
@@ -310,9 +308,7 @@ proptest! {
                         canonical_render(&p.instance),
                         "instances differ up to null renaming at {} threads", threads
                     );
-                    for dep in &deps {
-                        prop_assert!(dependency_satisfied(&p.instance, dep));
-                    }
+                    prop_assert!(instance_satisfies(&p.instance, &deps).is_empty());
                     prop_assert_eq!(n.instance.len(), p.instance.len());
                 }
                 (Err(ChaseError::Failure { .. }), Err(ChaseError::Failure { .. })) => {}
@@ -354,9 +350,7 @@ proptest! {
                         canonical_render(&b.instance),
                         "instances differ up to null renaming under {:?}", mode
                     );
-                    for dep in &deps {
-                        prop_assert!(dependency_satisfied(&b.instance, dep));
-                    }
+                    prop_assert!(instance_satisfies(&b.instance, &deps).is_empty());
                     prop_assert_eq!(n.instance.len(), b.instance.len());
                     // Batching invariant: never more substitution passes
                     // than merge-recording sweeps; with no merges, none.
@@ -436,9 +430,7 @@ proptest! {
                         canonical_render(&s.instance),
                         "instances differ up to null renaming under {:?}", mode
                     );
-                    for dep in &deps {
-                        prop_assert!(dependency_satisfied(&s.instance, dep));
-                    }
+                    prop_assert!(instance_satisfies(&s.instance, &deps).is_empty());
                     prop_assert_eq!(n.instance.len(), s.instance.len());
                 }
                 (Err(ChaseError::Failure { .. }), Err(ChaseError::Failure { .. })) => {}

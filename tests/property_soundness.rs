@@ -170,12 +170,11 @@ proptest! {
                 let mut working = source.clone();
                 working.absorb(&result.target).unwrap();
                 working.absorb(&result.source_view_extents).unwrap();
-                for dep in &result.rewritten.deps {
-                    prop_assert!(
-                        grom::engine::dependency_satisfied(&working, dep),
-                        "rewritten dep {} unsatisfied\n{text}", dep.name
-                    );
-                }
+                let violations = grom::engine::instance_satisfies(&working, &result.rewritten.deps);
+                prop_assert!(
+                    violations.is_empty(),
+                    "rewritten dep {} unsatisfied\n{text}", violations[0].dependency
+                );
             }
             // Sound-but-incomplete: the rewritten program may fail even
             // when the original has solutions; that is the documented

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use grom::data::{SymbolTable, Tuple};
-use grom::engine::{evaluate_body, evaluate_body_from_delta, Control};
+use grom::engine::{BodyPlan, Control, Scratch};
 use grom::lang::ast::body_variables;
 use grom::lang::{Atom, Bindings, CmpOp, Comparison, Literal, Term, Var};
 use grom::prelude::{Instance, Value};
@@ -202,6 +202,18 @@ fn uses_delta(body: &[Literal], b: &Bindings, delta: &BTreeMap<&'static str, Vec
     })
 }
 
+/// The engine's solutions of `body` from `seed`, in enumeration order: the
+/// body compiled once, run, and each match read out of the registers.
+fn engine_eval(inst: &Instance, body: &[Literal], seed: &Bindings) -> Vec<Bindings> {
+    let plan = BodyPlan::compile(body, seed);
+    let mut out = Vec::new();
+    plan.run(inst, &mut Scratch::default(), seed, |regs| {
+        out.push(plan.bindings(regs));
+        Control::Continue
+    });
+    out
+}
+
 /// Delta-seeded evaluation of `body`, every match in enumeration order.
 /// The engine is told only where each relation's new rows start: the
 /// cursor that cuts off as many trailing rows as the delta list is long.
@@ -215,9 +227,10 @@ fn from_delta(
         (*rel, u64::from(stored.cursor_before_last(new.len())))
     };
     let since: Vec<(&str, u64)> = delta.iter().map(cursor).collect();
+    let plan = BodyPlan::compile(body, &Bindings::new());
     let mut out = Vec::new();
-    evaluate_body_from_delta(inst, body, &since, |b| {
-        out.push(b.clone());
+    plan.run_delta(inst, &mut Scratch::default(), &since, |regs| {
+        out.push(plan.bindings(regs));
         Control::Continue
     });
     out
@@ -278,9 +291,9 @@ fn negation_with_a_repeated_local_variable_needs_equal_columns() {
         Literal::Neg(Atom::new("R1", vec![Term::var("w"), Term::var("w")])),
     ];
     let inst = instance_of(&int_facts(&[(0, 1, 2), (1, 3, 4)]));
-    assert_eq!(evaluate_body(&inst, &body, &Bindings::new()).len(), 1);
+    assert_eq!(engine_eval(&inst, &body, &Bindings::new()).len(), 1);
     let inst = instance_of(&int_facts(&[(0, 1, 2), (1, 3, 4), (1, 5, 5)]));
-    assert!(evaluate_body(&inst, &body, &Bindings::new()).is_empty());
+    assert!(engine_eval(&inst, &body, &Bindings::new()).is_empty());
 }
 
 #[test]
@@ -297,19 +310,16 @@ fn interned_and_plain_strings_order_by_text_but_do_not_join() {
         ]
     };
     assert_eq!(
-        evaluate_body(&inst, &lt(Value::str("b")), &Bindings::new()).len(),
+        engine_eval(&inst, &lt(Value::str("b")), &Bindings::new()).len(),
         1
     );
-    assert_eq!(
-        evaluate_body(&inst, &lt(sym("b")), &Bindings::new()).len(),
-        1
-    );
-    assert!(evaluate_body(&inst, &lt(Value::str("a")), &Bindings::new()).is_empty());
+    assert_eq!(engine_eval(&inst, &lt(sym("b")), &Bindings::new()).len(), 1);
+    assert!(engine_eval(&inst, &lt(Value::str("a")), &Bindings::new()).is_empty());
     // R0(x, x): Sym("a") and Str("a") are different join values.
     let repeated = vec![edge("R0", "x", "x")];
-    assert!(evaluate_body(&inst, &repeated, &Bindings::new()).is_empty());
+    assert!(engine_eval(&inst, &repeated, &Bindings::new()).is_empty());
     let repeated = vec![edge("R1", "x", "x")];
-    assert_eq!(evaluate_body(&inst, &repeated, &Bindings::new()).len(), 1);
+    assert_eq!(engine_eval(&inst, &repeated, &Bindings::new()).len(), 1);
 }
 
 proptest! {
@@ -322,7 +332,7 @@ proptest! {
     ) {
         let inst = instance_of(&facts);
         let seed = Bindings::new();
-        let sols = evaluate_body(&inst, &body, &seed);
+        let sols = engine_eval(&inst, &body, &seed);
         let engine: BTreeSet<Bindings> = sols.iter().cloned().collect();
         let reference = reference_eval(&inst, &body, &seed);
         prop_assert_eq!(
@@ -332,7 +342,7 @@ proptest! {
         );
         // Enumeration is deterministic: a second run of the same input
         // yields the same solutions in the same order.
-        prop_assert_eq!(&sols, &evaluate_body(&inst, &body, &seed));
+        prop_assert_eq!(&sols, &engine_eval(&inst, &body, &seed));
     }
 
     #[test]
@@ -340,13 +350,13 @@ proptest! {
         body in arb_body(),
         facts in arb_facts(7),
     ) {
-        // evaluate_body may emit the same full binding at most once per
+        // The engine may emit the same full binding at most once per
         // *distinct* combination of matched tuples; after projection onto
         // bindable variables, solutions must match the set semantics of the
         // reference (checked above) — here we check the weaker invariant
         // that full bindings are pairwise distinct.
         let inst = instance_of(&facts);
-        let sols = evaluate_body(&inst, &body, &Bindings::new());
+        let sols = engine_eval(&inst, &body, &Bindings::new());
         let vars = body_variables(&body);
         let mut seen = BTreeSet::new();
         for s in &sols {
@@ -373,7 +383,7 @@ proptest! {
             continue;
         }
         let inst = instance_of(&facts);
-        let sols = evaluate_body(&inst, &body, &seed);
+        let sols = engine_eval(&inst, &body, &seed);
         let engine: BTreeSet<Bindings> = sols.iter().cloned().collect();
         prop_assert_eq!(sols.len(), engine.len(), "duplicate solution emitted");
         let reference = reference_eval(&inst, &body, &seed);
